@@ -75,9 +75,9 @@ pub(super) fn eval_stratum_semi_naive(
             for t in delta.values_mut() {
                 rows += t.len();
                 removed += if opts.threads > 1 {
-                    t.prune_parallel(&ctx.reg_snapshot, session, &ctx.shared_memo, opts.threads)?
+                    t.prune_parallel(ctx.reg, session, &ctx.shared_memo, opts.threads)?
                 } else {
-                    t.prune(&ctx.reg_snapshot, session)?
+                    t.prune(ctx.reg, session)?
                 };
             }
             stats.prune_wall += wall.elapsed();

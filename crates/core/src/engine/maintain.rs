@@ -15,11 +15,11 @@
 //! * [`PreparedProgram::apply`] propagates a delta through the
 //!   standing tables and returns a [`DeltaReport`].
 //!
-//! Batch evaluation is now literally "apply one big insert-delta to
-//! empty state": [`PreparedProgram::run`] materializes empty tables
-//! and applies [`Delta::from_database`]. The first (fresh) apply runs
-//! the exact batch fixpoint drivers, so batch results, statistics and
-//! trace streams are unchanged.
+//! Batch evaluation is "one big insertion into empty state":
+//! [`PreparedProgram::run`] materializes empty tables, loads every
+//! input tuple into them — once, by reference — and runs the exact
+//! batch fixpoint drivers, so batch results, statistics and trace
+//! streams are what the run-once evaluator produced.
 //!
 //! ## Propagation strategy, per stratum
 //!
@@ -76,14 +76,14 @@
 //! diverge from the update oracle. [`EvalError::InvalidDelta`] rejects
 //! such deltas explicitly.
 
-use super::rule::eval_rule;
+use super::rule::{eval_rule, LeafMemo};
 use super::{fixpoint, shard};
 use super::{resolve_cvars, Ctx, EvalError, EvalOptions, EvalOutput, PreparedProgram, PrunePolicy};
 use crate::analysis::Finding;
 use crate::ast::{Literal, Program, Rule};
 use crate::plan::{DeletionStrategy, PlanCache};
 use crate::update::{DeletePattern, Update};
-use faure_ctable::{CTuple, CVarId, CVarRegistry, Const, Database, Relation, Schema, Term};
+use faure_ctable::{CTuple, CVarId, Const, Database, Relation, Schema, Term};
 use faure_solver::{Session, SharedMemo};
 use faure_storage::{PhaseStats, PreparedRow, Table};
 use faure_trace::Tracer;
@@ -159,18 +159,6 @@ impl Delta {
         }
         delta
     }
-
-    /// Every tuple of every relation in `db`, as one big insert-delta
-    /// — the batch evaluation path applies this to empty state.
-    pub fn from_database(db: &Database) -> Self {
-        let mut delta = Delta::new();
-        for rel in db.relations() {
-            for tuple in rel.iter() {
-                delta.push_insert(rel.schema.name.clone(), tuple.clone());
-            }
-        }
-        delta
-    }
 }
 
 /// What one [`PreparedProgram::apply`] call did.
@@ -206,7 +194,6 @@ pub struct DeltaReport {
 pub struct MaterializedState {
     pub(super) database: Database,
     pub(super) cvmap: HashMap<String, CVarId>,
-    pub(super) reg_snapshot: CVarRegistry,
     pub(super) shared_memo: Arc<SharedMemo>,
     pub(super) tables: HashMap<String, Table>,
     pub(super) plans: PlanCache,
@@ -215,8 +202,6 @@ pub struct MaterializedState {
     pub(super) opts: EvalOptions,
     pub(super) started: Instant,
     pub(super) stats: PhaseStats,
-    /// True until the first apply: the batch fixpoint path.
-    pub(super) fresh: bool,
 }
 
 impl MaterializedState {
@@ -240,11 +225,6 @@ impl MaterializedState {
     /// Statistics of the most recent apply.
     pub fn stats(&self) -> &PhaseStats {
         &self.stats
-    }
-
-    /// Whether no delta has been applied yet.
-    pub fn is_fresh(&self) -> bool {
-        self.fresh
     }
 
     /// Consumes the state into the classic [`EvalOutput`]: the input
@@ -286,9 +266,8 @@ struct ChangeLog {
 
 impl PreparedProgram {
     /// Builds a [`MaterializedState`] for `db` and brings it to the
-    /// program's fixpoint (the batch evaluation, run through the
-    /// one-big-insert-delta path). Subsequent [`apply`] calls maintain
-    /// the fixpoint incrementally.
+    /// program's fixpoint (the batch evaluation). Subsequent [`apply`]
+    /// calls maintain the fixpoint incrementally.
     ///
     /// [`apply`]: PreparedProgram::apply
     pub fn materialize(&self, db: &Database) -> Result<MaterializedState, EvalError> {
@@ -304,13 +283,49 @@ impl PreparedProgram {
         tracer: &Tracer,
     ) -> Result<MaterializedState, EvalError> {
         let mut state = self.materialize_empty(db, opts, tracer)?;
-        self.apply(&mut state, Delta::from_database(db))?;
+        self.run_batch(&mut state, db)?;
         Ok(state)
+    }
+
+    /// The batch evaluation over freshly set-up state: every tuple of
+    /// `db` goes into its (empty) table, converted once and by
+    /// reference, then the batch fixpoint drivers run.
+    fn run_batch(&self, state: &mut MaterializedState, db: &Database) -> Result<(), EvalError> {
+        let wall = Instant::now();
+        let mut session = Session::with_shared(Arc::clone(&state.shared_memo));
+        let mut stats = PhaseStats::new();
+        let mut report = DeltaReport::default();
+        let hits_base = state.plans.hits;
+        let miss_base = state.plans.misses;
+
+        for rel in db.relations() {
+            if let Some(table) = state.tables.get_mut(&rel.schema.name) {
+                report.inserted += table.extend_from(rel.iter())?;
+            }
+        }
+        self.run_batch_strata(state, &mut session, &mut stats)?;
+        finalize_apply(
+            self,
+            state,
+            session,
+            &mut stats,
+            &mut report,
+            &self.program,
+            wall,
+            hits_base,
+            miss_base,
+        );
+        report.rederived = stats.tuples;
+        report.delta_sizes = stats.delta_sizes.clone();
+        report.pruned = stats.pruned;
+        report.strata_touched = self.strat.strata.len();
+        publish_finished_apply(&report, true);
+        Ok(())
     }
 
     /// The setup phase factored out of the old run-once path: lint,
     /// c-variable resolution, memo checkout, and *empty* table
-    /// creation (EDB facts arrive via the first delta).
+    /// creation (the caller loads the EDB facts).
     pub(super) fn materialize_empty(
         &self,
         db: &Database,
@@ -380,7 +395,6 @@ impl PreparedProgram {
                 }
             }
         }
-        let reg_snapshot = database.cvars.clone();
         tracer.emit_span("eval", "setup", t_setup, 0, || {
             vec![("tables", tables.len().into())]
         });
@@ -388,7 +402,6 @@ impl PreparedProgram {
         Ok(MaterializedState {
             database,
             cvmap,
-            reg_snapshot,
             shared_memo,
             tables,
             plans: self.plans.fresh_counters(),
@@ -397,14 +410,12 @@ impl PreparedProgram {
             opts: *opts,
             started,
             stats: PhaseStats::new(),
-            fresh: true,
         })
     }
 
     /// Applies one delta to the standing state, maintaining every
-    /// derived table at the program's fixpoint. The first apply on a
-    /// fresh state runs the batch fixpoint drivers; later applies
-    /// propagate incrementally as described in the module docs.
+    /// derived table at the program's fixpoint by propagating the
+    /// change as described in the module docs.
     pub fn apply(
         &self,
         state: &mut MaterializedState,
@@ -415,10 +426,7 @@ impl PreparedProgram {
         let opts = state.opts;
         let t_delta = tracer.now_ns();
         let wall = Instant::now();
-        let fresh = state.fresh;
-        if !fresh {
-            state.shared_memo.begin_run();
-        }
+        state.shared_memo.begin_run();
         let mut session = Session::with_shared(Arc::clone(&state.shared_memo));
         let mut stats = PhaseStats::new();
         let mut report = DeltaReport::default();
@@ -470,82 +478,53 @@ impl PreparedProgram {
             }
         }
         for (rel_name, tuple) in &delta.insert {
-            if !fresh {
-                if idb.contains(rel_name.as_str()) {
-                    return Err(EvalError::InvalidDelta(format!(
-                        "cannot insert into `{rel_name}`: it is derived by rules \
-                         (facts and derivations share one table)"
-                    )));
-                }
-                if state.database.relation(rel_name).is_none() {
-                    continue;
-                }
+            if idb.contains(rel_name.as_str()) {
+                return Err(EvalError::InvalidDelta(format!(
+                    "cannot insert into `{rel_name}`: it is derived by rules \
+                     (facts and derivations share one table)"
+                )));
+            }
+            if state.database.relation(rel_name).is_none() {
+                continue;
             }
             let Some(table) = state.tables.get_mut(rel_name) else {
                 continue;
             };
-            let old = if fresh {
-                None
-            } else {
-                table.find_row(&tuple.terms).map(|i| table.row(i))
-            };
-            let outcome = table.insert(tuple.clone())?;
-            if outcome.changed() {
+            let prow = PreparedRow::from_tuple(tuple);
+            let old = table.find_row_cells(prow.cells()).map(|i| table.row(i));
+            if table.insert_prepared(&prow)?.changed() {
                 report.inserted += 1;
-                if !fresh {
-                    let idx = table.find_row(&tuple.terms).expect("just inserted");
-                    let schema = table.schema.clone();
-                    match old {
-                        // Merged into an antichain: the tuple's own
-                        // condition is exactly the new disjunct set.
-                        Some(_) if table.has_sets_repr(idx) => {
-                            push_ins(&mut pend_ins, rel_name, &schema, tuple.clone());
-                        }
-                        // Opaque merge: propagate delete-old + insert-new.
-                        Some(old_row) => {
-                            pend_del.entry(rel_name.clone()).or_default().push(old_row);
-                            push_ins(&mut pend_ins, rel_name, &schema, table.row(idx));
-                        }
-                        // New row: its stored (normalised) version.
-                        None => push_ins(&mut pend_ins, rel_name, &schema, table.row(idx)),
+                let idx = table.find_row_cells(prow.cells()).expect("just inserted");
+                let schema = table.schema.clone();
+                match old {
+                    // Merged into an antichain: the tuple's own
+                    // condition is exactly the new disjunct set.
+                    Some(_) if table.has_sets_repr(idx) => {
+                        push_ins(&mut pend_ins, rel_name, &schema, tuple.clone());
                     }
+                    // Opaque merge: propagate delete-old + insert-new.
+                    Some(old_row) => {
+                        pend_del.entry(rel_name.clone()).or_default().push(old_row);
+                        push_ins(&mut pend_ins, rel_name, &schema, table.row(idx));
+                    }
+                    // New row: its stored (normalised) version.
+                    None => push_ins(&mut pend_ins, rel_name, &schema, table.row(idx)),
                 }
             }
-        }
-
-        // --- fresh path: the exact batch fixpoint ---------------------
-        if fresh {
-            state.fresh = false;
-            self.run_batch_strata(state, &mut session, &mut stats)?;
-            finalize_apply(
-                self,
-                state,
-                session,
-                &mut stats,
-                &mut report,
-                program,
-                wall,
-                hits_base,
-                miss_base,
-            );
-            report.rederived = stats.tuples;
-            report.delta_sizes = stats.delta_sizes.clone();
-            report.pruned = stats.pruned;
-            report.strata_touched = self.strat.strata.len();
-            publish_finished_apply(&report, true);
-            return Ok(report);
         }
 
         // --- incremental path -----------------------------------------
         let mut changed_preds: BTreeSet<String> =
             pend_ins.keys().chain(pend_del.keys()).cloned().collect();
 
+        let leaves = LeafMemo::default();
         let ctx = Ctx {
             cvmap: &state.cvmap,
-            reg_snapshot: state.reg_snapshot.clone(),
+            reg: &state.database.cvars,
             shared_memo: Arc::clone(&state.shared_memo),
             tracer: tracer.clone(),
-            shard_plan: self.shard_plan.clone(),
+            shard_plan: &self.shard_plan,
+            leaves: &leaves,
         };
         let tables = &mut state.tables;
         let plans = &mut state.plans;
@@ -758,7 +737,7 @@ impl PreparedProgram {
                             let ht = tables.get(h).expect("table created in setup");
                             let set = suspects.entry(h.to_owned()).or_default();
                             for prow in derived.iter().flatten() {
-                                if let Some(idx) = ht.find_row(prow.terms()) {
+                                if let Some(idx) = ht.find_row_cells(prow.cells()) {
                                     if set.insert(idx) {
                                         next.entry(h.to_owned())
                                             .or_insert_with(|| Table::new(ht.schema.clone()))
@@ -890,12 +869,14 @@ impl PreparedProgram {
         let program = &self.program;
         let opts = state.opts;
         let tracer = state.tracer.clone();
+        let leaves = LeafMemo::default();
         let ctx = Ctx {
             cvmap: &state.cvmap,
-            reg_snapshot: state.reg_snapshot.clone(),
+            reg: &state.database.cvars,
             shared_memo: Arc::clone(&state.shared_memo),
             tracer: tracer.clone(),
-            shard_plan: self.shard_plan.clone(),
+            shard_plan: &self.shard_plan,
+            leaves: &leaves,
         };
         let tables = &mut state.tables;
         let plans = &mut state.plans;
@@ -977,9 +958,9 @@ fn run_one_stratum(
             let rows = t.len();
             let wall = Instant::now();
             let removed = if opts.threads > 1 {
-                t.prune_parallel(&ctx.reg_snapshot, session, &ctx.shared_memo, opts.threads)?
+                t.prune_parallel(ctx.reg, session, &ctx.shared_memo, opts.threads)?
             } else {
-                t.prune(&ctx.reg_snapshot, session)?
+                t.prune(ctx.reg, session)?
             };
             stats.prune_wall += wall.elapsed();
             stats.pruned += removed;
@@ -1131,17 +1112,16 @@ fn merge_tracked(
     let table = tables.get_mut(pred).expect("table created in setup");
     let log = changed.entry(pred.to_owned()).or_default();
     for prow in derived.iter().flatten() {
-        if !log.old.contains_key(prow.terms()) {
-            let old = table.find_row(prow.terms()).map(|i| table.row(i));
-            log.old.insert(prow.terms().to_vec(), old);
-        }
+        log.old
+            .entry(prow.terms())
+            .or_insert_with(|| table.find_row_cells(prow.cells()).map(|i| table.row(i)));
     }
     let schema = table.schema.clone();
     let ob = outbound
         .entry(pred.to_owned())
         .or_insert_with(|| Table::new(schema.clone()));
     table.absorb_partitions(derived, |prow| {
-        log.dirty.insert(prow.terms().to_vec());
+        log.dirty.insert(prow.terms());
         next_delta
             .entry(pred.to_owned())
             .or_insert_with(|| Table::new(schema.clone()))
@@ -1309,7 +1289,7 @@ fn settle_stratum(
             let t_prune = ctx.tracer.now_ns();
             let rows = idxs.len();
             let wall = Instant::now();
-            let removed = table.prune_rows(&ctx.reg_snapshot, session, &idxs)?;
+            let removed = table.prune_rows(ctx.reg, session, &idxs)?;
             stats.prune_wall += wall.elapsed();
             stats.pruned += removed;
             report.pruned += removed;
@@ -1543,7 +1523,6 @@ mod tests {
             snapshot(full.relation("R").unwrap())
         );
         assert_eq!(state.relation("R").unwrap().len(), 15);
-        assert!(!state.is_fresh());
     }
 
     #[test]

@@ -563,13 +563,15 @@ fn resolve_cvars(program: &Program, db: &mut Database) -> HashMap<String, CVarId
     map
 }
 
-/// Immutable per-run context shared by every rule pass (and, under
-/// parallel evaluation, every worker thread).
+/// Per-run context shared by every rule pass (and, under parallel
+/// evaluation, every worker thread). Cloning it copies references.
+#[derive(Clone)]
 pub(crate) struct Ctx<'a> {
     pub(crate) cvmap: &'a HashMap<String, CVarId>,
-    /// Registry snapshot taken after resolution (the registry is not
-    /// mutated during evaluation).
-    pub(crate) reg_snapshot: CVarRegistry,
+    /// The standing database's registry, as resolution left it (it is
+    /// not mutated during evaluation). Borrowed, never copied: at a
+    /// thousand prefixes a deep clone is four thousand `String`s.
+    pub(crate) reg: &'a CVarRegistry,
     /// The run's solver memo: backs the driver session, every parallel
     /// worker session, and — via the prepared program's pool — later
     /// runs over a fingerprint-matching registry.
@@ -580,7 +582,9 @@ pub(crate) struct Ctx<'a> {
     pub(crate) tracer: Tracer,
     /// Partition keys for the sharded fixpoint driver (unused when
     /// `opts.shards <= 1`).
-    pub(crate) shard_plan: ShardPlan,
+    pub(crate) shard_plan: &'a ShardPlan,
+    /// The run's join-leaf memo: born with the run, dropped with it.
+    pub(crate) leaves: &'a rule::LeafMemo,
 }
 
 #[cfg(test)]

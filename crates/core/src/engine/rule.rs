@@ -12,10 +12,60 @@
 use super::{Ctx, EvalError, EvalOptions, PrunePolicy};
 use crate::ast::{ArgTerm, CompExpr, Comparison, Rule, RuleAtom};
 use crate::plan::RulePlan;
-use faure_ctable::{Atom, CTuple, Condition, Expr, LinExpr, Term};
+use faure_ctable::pool::{self, CondId};
+use faure_ctable::{Atom, Condition, Expr, LinExpr, Term};
 use faure_solver::Session;
+use faure_storage::table::Cell;
 use faure_storage::{exec, CondAcc, OpStats, Pattern, PreparedRow, Table};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Mutex;
+
+/// What the join leaf made of each stack of condition ids it has seen:
+/// `ids ↦ intern(canonicalize(simplify(⋀ ids)))`.
+///
+/// The conjunction, its structural simplification and its canonical
+/// form are pure functions of the trees the ids name, so the id of the
+/// result is a pure function of the id stack. A stack seen before is a
+/// lookup; a new one goes through the tree functions and is remembered.
+/// Either way the leaf holds the id the tree path would have interned —
+/// bit-identical by construction.
+///
+/// One memo per run, shared by every worker of the run (a lock held for
+/// one hash probe per leaf); being keyed by tuples of ids it would only
+/// grow if it outlived the run, so it does not.
+#[derive(Default)]
+pub(crate) struct LeafMemo {
+    seen: Mutex<HashMap<Box<[CondId]>, CondId>>,
+    #[cfg(test)]
+    _live: tests::LiveMemo,
+}
+
+impl LeafMemo {
+    /// The id of `canonicalize(simplify(acc.materialize()))`.
+    fn conjoin(&self, acc: &CondAcc) -> CondId {
+        #[cfg(test)]
+        if tests::memo_bypassed() {
+            return conjoin_trees(acc);
+        }
+        let stack = acc.ids();
+        if let Some(&id) = self.seen.lock().expect("leaf memo poisoned").get(stack) {
+            return id;
+        }
+        // Computed with the lock released: workers racing on one stack
+        // intern the same tree.
+        let id = conjoin_trees(acc);
+        self.seen
+            .lock()
+            .expect("leaf memo poisoned")
+            .insert(stack.into(), id);
+        id
+    }
+}
+
+/// The tree path of the join leaf.
+fn conjoin_trees(acc: &CondAcc) -> CondId {
+    pool::intern(&canonicalize(faure_solver::simplify(&acc.materialize())))
+}
 
 /// Outcome of evaluating one comparison under a substitution: either
 /// the branch dies (ground-false), or a condition fragment (possibly
@@ -167,7 +217,7 @@ fn eval_rule_inner(
         tables.get(&atom.pred).expect("table created in setup")
     };
     let patterns = build_patterns(ctx, atom, &theta);
-    let matches = exec::probe(table, &ctx.reg_snapshot, &patterns, ops);
+    let matches = exec::probe(table, ctx.reg, &patterns, ops);
     *matches_in = matches.len();
     if matches.is_empty() {
         return Ok(Vec::new());
@@ -239,7 +289,7 @@ pub(super) fn eval_match<'r>(
         tables.get(&atom.pred).expect("table created in setup")
     };
     let mark = acc.mark();
-    let mut ok = acc.push(table.cond(row_idx), ops) && acc.push(mu.clone(), ops);
+    let mut ok = acc.push_id(table.cond_id(row_idx), ops) && acc.push(mu.clone(), ops);
     // Bind variables (handling repeated variables within the atom).
     let mut bound_here: Vec<&'r str> = Vec::new();
     if ok {
@@ -355,9 +405,9 @@ fn exec_step<'r>(
     };
 
     let patterns = build_patterns(ctx, atom, theta);
-    for (row_idx, mu) in exec::probe(table, &ctx.reg_snapshot, &patterns, ops) {
+    for (row_idx, mu) in exec::probe(table, ctx.reg, &patterns, ops) {
         let mark = acc.mark();
-        let mut ok = acc.push(table.cond(row_idx), ops) && acc.push(mu, ops);
+        let mut ok = acc.push_id(table.cond_id(row_idx), ops) && acc.push(mu, ops);
         let mut bound_here: Vec<&'r str> = Vec::new();
         if ok {
             ok = bind_row(atom, table, row_idx, theta, acc, ops, &mut bound_here);
@@ -411,33 +461,55 @@ fn finish_rule<'r>(
     ops: &mut OpStats,
     out: &mut Vec<PreparedRow>,
 ) -> Result<(), EvalError> {
-    let mut cond = acc.materialize();
-    // Negation: "not derivable from the c-table".
-    for &np in &plan.negations {
-        let atom = rule.body[np].atom();
-        let terms = instantiate_args(ctx, &atom.args, theta)?;
-        let table = tables.get(&atom.pred).expect("table created in setup");
-        ops.neg_checks += 1;
-        cond = cond.and(table.negation_condition(&ctx.reg_snapshot, &terms));
-        if cond == Condition::False {
-            return Ok(());
+    let cond_id = if plan.negations.is_empty() {
+        ctx.leaves.conjoin(acc)
+    } else {
+        // Negation: "not derivable from the c-table". What it conjoins
+        // depends on the negated tables, not on the stack alone, so
+        // these leaves build their tree every time.
+        let mut cond = acc.materialize();
+        for &np in &plan.negations {
+            let atom = rule.body[np].atom();
+            let terms = instantiate_args(ctx, &atom.args, theta)?;
+            let table = tables.get(&atom.pred).expect("table created in setup");
+            ops.neg_checks += 1;
+            cond = cond.and(table.negation_condition(ctx.reg, &terms));
+            if cond == Condition::False {
+                return Ok(());
+            }
         }
-    }
-
-    let cond = canonicalize(faure_solver::simplify(&cond));
-    if cond == Condition::False {
+        pool::intern(&canonicalize(faure_solver::simplify(&cond)))
+    };
+    if cond_id.is_false() {
         return Ok(());
     }
-    if opts.prune == PrunePolicy::Eager && !session.satisfiable(&ctx.reg_snapshot, &cond)? {
+    if opts.prune == PrunePolicy::Eager && !session.satisfiable_id(ctx.reg, cond_id)? {
         return Ok(());
     }
 
-    let terms = instantiate_args(ctx, &rule.head.args, theta)?;
-    // Normalising the condition here (PreparedRow::new runs the
-    // minimal-DNF pass) keeps the post-join work inside the worker
-    // thread; the serial merge is then just hash lookups.
-    out.push(PreparedRow::new(CTuple { terms, cond }));
+    // Looking the condition's normal form up here keeps that work
+    // inside the worker thread; the serial merge is then hash lookups.
+    let cells = instantiate_cells(ctx, &rule.head.args, theta)?;
+    out.push(PreparedRow::from_id(cells, cond_id));
     Ok(())
+}
+
+/// [`instantiate_args`] straight to storage cells: no term is cloned.
+fn instantiate_cells(
+    ctx: &Ctx<'_>,
+    args: &[ArgTerm],
+    theta: &HashMap<&str, Term>,
+) -> Result<Box<[Cell]>, EvalError> {
+    args.iter()
+        .map(|a| match a {
+            ArgTerm::Cst(c) => Ok(Cell::encode_const(c)),
+            ArgTerm::CVar(name) => Ok(Cell::Var(ctx.cvmap[name])),
+            ArgTerm::Var(v) => theta
+                .get(v.as_str())
+                .map(Cell::encode)
+                .ok_or_else(|| EvalError::UnboundVariable(v.clone())),
+        })
+        .collect()
 }
 
 fn instantiate_args(
@@ -533,5 +605,223 @@ pub fn canonicalize(c: Condition) -> Condition {
         }
         Condition::Not(inner) => canonicalize(Condition::take_inner(inner)).negate(),
         other => other,
+    }
+}
+
+#[cfg(test)]
+pub(super) mod tests {
+    use super::*;
+    use crate::engine::{evaluate_with, EvalOptions};
+    use crate::parser::parse_program;
+    use faure_ctable::{CTuple, CVarId, CmpOp, Database, Domain, Schema};
+    use proptest::prelude::*;
+    use std::cell::Cell as Flag;
+
+    thread_local! {
+        /// Leaf memos alive on this thread.
+        static LIVE: Flag<usize> = const { Flag::new(0) };
+        /// Set while [`without_leaf_memo`] runs on this thread.
+        static BYPASSED: Flag<bool> = const { Flag::new(false) };
+    }
+
+    /// Rides in every [`LeafMemo`] of a test build and counts the memos
+    /// alive on the thread that made them, so a test can see that a
+    /// finished evaluation left none behind.
+    pub(crate) struct LiveMemo;
+
+    impl Default for LiveMemo {
+        fn default() -> Self {
+            LIVE.with(|n| n.set(n.get() + 1));
+            LiveMemo
+        }
+    }
+
+    impl Drop for LiveMemo {
+        fn drop(&mut self) {
+            LIVE.with(|n| n.set(n.get() - 1));
+        }
+    }
+
+    pub(crate) fn live_memos() -> usize {
+        LIVE.with(Flag::get)
+    }
+
+    pub(crate) fn memo_bypassed() -> bool {
+        BYPASSED.with(Flag::get)
+    }
+
+    /// Runs `f` with every join leaf of this thread taking the tree
+    /// path: the reference the memoised leaf is compared with.
+    pub(crate) fn without_leaf_memo<R>(f: impl FnOnce() -> R) -> R {
+        let before = BYPASSED.with(|b| b.replace(true));
+        let out = f();
+        BYPASSED.with(|b| b.set(before));
+        out
+    }
+
+    fn arb_fragment() -> impl Strategy<Value = Condition> {
+        let atom = (0u32..4, 0i64..3, any::<bool>()).prop_map(|(v, k, eq)| {
+            let op = if eq { CmpOp::Eq } else { CmpOp::Ne };
+            Condition::cmp(Term::Var(CVarId(v)), op, Term::int(k))
+        });
+        let leaf = prop_oneof![
+            atom,
+            // Ground atoms, which `simplify` folds either way.
+            (0i64..2).prop_map(|k| Condition::eq(Term::int(k), Term::int(1))),
+        ];
+        leaf.prop_recursive(2, 6, 3, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 1..3).prop_map(Condition::conj),
+                prop::collection::vec(inner, 1..3).prop_map(Condition::disj),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A memo miss, the hit that follows it and the tree path over
+        /// the fragments as trees all name one condition.
+        #[test]
+        fn leaf_hit_equals_miss_equals_tree_path(
+            parts in prop::collection::vec(arb_fragment(), 0..4),
+        ) {
+            let mut ops = OpStats::default();
+            let mut acc = CondAcc::new();
+            for part in &parts {
+                acc.push(part.clone(), &mut ops);
+            }
+            let tree = match parts.len() {
+                0 => Condition::True,
+                1 => parts[0].clone(),
+                _ => Condition::conj(parts.clone()),
+            };
+            let expected = canonicalize(faure_solver::simplify(&tree));
+            let memo = LeafMemo::default();
+            let miss = memo.conjoin(&acc);
+            let hit = memo.conjoin(&acc);
+            prop_assert_eq!(pool::resolve(miss), expected);
+            prop_assert_eq!(hit, miss);
+            prop_assert_eq!(without_leaf_memo(|| memo.conjoin(&acc)), miss);
+        }
+    }
+
+    /// Two links per hop, each guarded by a `{0,1}` variable, one hop
+    /// blocked conditionally: recursion, merging and negation at once.
+    fn guarded_db() -> Database {
+        let mut db = Database::new();
+        db.create_relation(Schema::new("F", &["a", "b"])).unwrap();
+        db.create_relation(Schema::new("Block", &["a"])).unwrap();
+        let vars: Vec<CVarId> = (0..6)
+            .map(|i| db.fresh_cvar(format!("l{i}"), Domain::Bool01))
+            .collect();
+        for (i, (a, b)) in [(1, 2), (2, 3), (3, 1), (1, 3), (3, 4), (2, 4)]
+            .into_iter()
+            .enumerate()
+        {
+            db.insert(
+                "F",
+                CTuple::with_cond(
+                    [Term::int(a), Term::int(b)],
+                    Condition::eq(Term::Var(vars[i]), Term::int(1)),
+                ),
+            )
+            .unwrap();
+        }
+        db.insert(
+            "Block",
+            CTuple::with_cond(
+                [Term::int(4)],
+                Condition::eq(Term::Var(vars[0]), Term::int(0)),
+            ),
+        )
+        .unwrap();
+        db
+    }
+
+    /// Whole evaluations with the memo and on the tree path agree bit
+    /// for bit — rows, row order, conditions and every counter — under
+    /// each prune policy, with and without negation in the program.
+    #[test]
+    fn memoised_leaves_match_the_tree_path_end_to_end() {
+        let db = guarded_db();
+        let program = parse_program(
+            "R(a, b) :- F(a, b).\n\
+             R(a, b) :- F(a, c), R(c, b).\n\
+             Open(a, b) :- R(a, b), !Block(b).\n\
+             Far(a) :- R(a, b), R(b, a), a < b.\n",
+        )
+        .unwrap();
+        for prune in [
+            PrunePolicy::Never,
+            PrunePolicy::EndOfStratum,
+            PrunePolicy::EveryIteration,
+            PrunePolicy::Eager,
+        ] {
+            let opts = EvalOptions {
+                prune,
+                threads: 1,
+                shards: 1,
+                ..EvalOptions::default()
+            };
+            let memoised = evaluate_with(&program, &db, &opts).unwrap();
+            let trees = without_leaf_memo(|| evaluate_with(&program, &db, &opts)).unwrap();
+            for pred in ["R", "Open", "Far"] {
+                assert_eq!(
+                    memoised.relation(pred).unwrap().tuples,
+                    trees.relation(pred).unwrap().tuples,
+                    "{pred} under {prune:?}"
+                );
+            }
+            assert_eq!(memoised.stats.ops, trees.stats.ops, "{prune:?}");
+            assert_eq!(memoised.stats.delta_sizes, trees.stats.delta_sizes);
+            let (a, b) = (memoised.stats.solver_stats, trees.stats.solver_stats);
+            assert_eq!(
+                (a.sat_calls, a.sat_true, a.simplify_calls),
+                (b.sat_calls, b.sat_true, b.simplify_calls),
+                "{prune:?}"
+            );
+        }
+    }
+
+    /// Run-scoped memos die with their run; id-keyed tables grow with
+    /// the pool and never past it.
+    #[test]
+    fn memos_do_not_outlive_their_run() {
+        let program = parse_program(
+            "R(a, b) :- F(a, b).\n\
+             R(a, b) :- F(a, c), R(c, b).\n",
+        )
+        .unwrap();
+        let opts = EvalOptions {
+            threads: 1,
+            shards: 1,
+            ..EvalOptions::default()
+        };
+        assert_eq!(live_memos(), 0);
+        for round in 0..8 {
+            // A fresh registry every time: new variables, new
+            // conditions, nothing the earlier rounds can be reused for.
+            let mut db = Database::new();
+            db.create_relation(Schema::new("F", &["a", "b"])).unwrap();
+            for hop in 0..4i64 {
+                let v = db.fresh_cvar(format!("r{round}h{hop}"), Domain::Bool01);
+                db.insert(
+                    "F",
+                    CTuple::with_cond(
+                        [Term::int(hop), Term::int(hop + 1)],
+                        Condition::eq(Term::Var(v), Term::int(round % 2)),
+                    ),
+                )
+                .unwrap();
+            }
+            let out = evaluate_with(&program, &db, &opts).unwrap();
+            assert_eq!(out.relation("R").unwrap().len(), 10);
+            assert_eq!(live_memos(), 0, "round {round} left a leaf memo alive");
+            assert!(
+                faure_storage::dnf::normal_form_count() <= pool::pool_stats().size,
+                "more normal forms than pool nodes"
+            );
+        }
     }
 }

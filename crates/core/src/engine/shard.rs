@@ -104,11 +104,8 @@ pub(super) fn eval_stratum_sharded<'a>(
     };
     let shard_ctxs: Vec<Ctx<'a>> = (0..n)
         .map(|_| Ctx {
-            cvmap: ctx.cvmap,
-            reg_snapshot: ctx.reg_snapshot.clone(),
-            shared_memo: Arc::clone(&ctx.shared_memo),
             tracer: Tracer::disabled(),
-            shard_plan: ctx.shard_plan.clone(),
+            ..ctx.clone()
         })
         .collect();
 
@@ -167,14 +164,9 @@ pub(super) fn eval_stratum_sharded<'a>(
                     let Some(t) = m.get_mut(*p) else { continue };
                     rows += t.len();
                     removed += if opts.threads > 1 {
-                        t.prune_parallel(
-                            &ctx.reg_snapshot,
-                            session,
-                            &ctx.shared_memo,
-                            opts.threads,
-                        )?
+                        t.prune_parallel(ctx.reg, session, &ctx.shared_memo, opts.threads)?
                     } else {
-                        t.prune(&ctx.reg_snapshot, session)?
+                        t.prune(ctx.reg, session)?
                     };
                 }
             }
@@ -425,7 +417,8 @@ fn merge_routed(
     let key = if key < schema.arity() { key } else { 0 };
     let mut routed = 0u64;
     let mut broadcast = 0u64;
-    table.absorb_partitions(derived, |prow| match route_term(&prow.terms()[key], n) {
+    let route = |prow: &PreparedRow| route_term(&prow.cells()[key].decode(), n);
+    table.absorb_partitions(derived, |prow| match route(prow) {
         Route::To(owner) => {
             parts[owner]
                 .entry(pred.to_owned())

@@ -39,9 +39,10 @@
 //! prefix, conditions of the same size and form as the paper's).
 
 use crate::topology::Graph;
-use faure_ctable::{CTuple, CVarId, Condition, Database, Domain, Schema, Term};
+use faure_ctable::{CTuple, CVarId, Condition, Database, Domain, Relation, Schema, Term};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write;
 
 /// Workload parameters.
 #[derive(Clone, Debug)]
@@ -92,13 +93,21 @@ pub fn generate(params: &RibParams) -> RibWorkload {
     );
 
     let mut db = Database::new();
-    db.create_relation(Schema::new("F", &["f", "n1", "n2"]))
-        .expect("fresh database");
     let x = db.fresh_cvar("x", Domain::Bool01);
     let y = db.fresh_cvar("y", Domain::Bool01);
     let z = db.fresh_cvar("z", Domain::Bool01);
     let monitored = [x, y, z];
     let mut primary_choice = Vec::with_capacity(params.prefixes);
+
+    // `F` is filled here and handed to the database whole; the walk,
+    // the variable names and the backup list reuse one buffer each.
+    let mut f = Relation::empty(Schema::new("F", &["f", "n1", "n2"]));
+    f.tuples
+        .reserve(params.prefixes * params.paths_per_prefix * params.path_len);
+    let mut path = Vec::with_capacity(params.path_len + 1);
+    let mut name = String::new();
+    let mut backups: Vec<CVarId> = Vec::with_capacity(params.paths_per_prefix);
+    let eq = |v: CVarId, state: i64| Condition::eq(Term::Var(v), Term::int(state));
 
     for p in 0..params.prefixes {
         let choice = rng.gen_range(0..3u8);
@@ -106,40 +115,41 @@ pub fn generate(params: &RibParams) -> RibWorkload {
         let g = monitored[choice as usize];
 
         // Per-prefix backup availability variables b1..b{k-1}.
-        let backups: Vec<CVarId> = (1..params.paths_per_prefix)
-            .map(|i| db.fresh_cvar(format!("b{p}_{i}"), Domain::Bool01))
-            .collect();
+        backups.clear();
+        for i in 1..params.paths_per_prefix {
+            name.clear();
+            write!(name, "b{p}_{i}").expect("writing to a String");
+            backups.push(db.fresh_cvar(name.as_str(), Domain::Bool01));
+        }
 
         for i in 0..params.paths_per_prefix {
-            let Some(path) = graph.random_simple_path(params.path_len, &mut rng) else {
+            if !graph.random_simple_path_into(params.path_len, &mut rng, &mut path) {
                 continue;
-            };
-            // Condition for "path i is the one in use".
+            }
+            // Condition for "path i is the one in use": the flat
+            // conjunction the chained `and`s would build.
             let cond = if i == 0 {
-                Condition::eq(Term::Var(g), Term::int(1))
+                eq(g, 1)
             } else {
-                let mut c = Condition::eq(Term::Var(g), Term::int(0));
-                for b in backups.iter().take(i - 1) {
-                    c = c.and(Condition::eq(Term::Var(*b), Term::int(0)));
-                }
-                c.and(Condition::eq(Term::Var(backups[i - 1]), Term::int(1)))
+                let mut atoms = Vec::with_capacity(i + 1);
+                atoms.push(eq(g, 0));
+                atoms.extend(backups[..i - 1].iter().map(|&b| eq(b, 0)));
+                atoms.push(eq(backups[i - 1], 1));
+                Condition::conj(atoms)
             };
             for hop in path.windows(2) {
-                db.insert(
-                    "F",
-                    CTuple::with_cond(
-                        [
-                            Term::int(p as i64),
-                            Term::int(hop[0] as i64),
-                            Term::int(hop[1] as i64),
-                        ],
-                        cond.clone(),
-                    ),
-                )
-                .expect("arity 3");
+                f.tuples.push(CTuple::with_cond(
+                    [
+                        Term::int(p as i64),
+                        Term::int(hop[0] as i64),
+                        Term::int(hop[1] as i64),
+                    ],
+                    cond.clone(),
+                ));
             }
         }
     }
+    db.set_relation(f);
 
     RibWorkload {
         db,
@@ -180,6 +190,73 @@ mod tests {
             prefixes: 20,
             as_count: 128,
             ..Default::default()
+        }
+    }
+
+    fn fnv1a(lines: impl Iterator<Item = String>) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for byte in lines.flat_map(String::into_bytes) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    /// The generator's output as the allocating generator it replaced
+    /// produced it: FNV-1a digests of every `F` tuple and of every
+    /// registered variable (in order), the size of `F` and the first
+    /// primary choices, recorded before the rewrite.
+    #[test]
+    fn output_is_what_the_allocating_generator_produced() {
+        type Pinned = ((u64, usize, usize), u64, usize, u64, [u8; 8]);
+        let pinned: [Pinned; 3] = [
+            (
+                (20210610, 300, 3),
+                0x6a42_6769_ea59_3317,
+                4500,
+                0xb579_fb70_4200_85cf,
+                [0, 2, 2, 0, 0, 2, 1, 2],
+            ),
+            (
+                (7, 100, 16),
+                0xbdf9_c27d_7a5a_e281,
+                8000,
+                0x28de_ce10_a795_a3bf,
+                [0, 0, 2, 0, 2, 0, 1, 0],
+            ),
+            (
+                (42, 50, 5),
+                0xa71c_dbc4_30bb_5101,
+                1250,
+                0x9b03_0d26_9a1c_0fb7,
+                [1, 1, 1, 2, 1, 1, 1, 0],
+            ),
+        ];
+        for ((seed, prefixes, path_len), tuples, len, variables, choices) in pinned {
+            let w = generate(&RibParams {
+                prefixes,
+                paths_per_prefix: 5,
+                as_count: 256,
+                path_len,
+                seed,
+            });
+            let triple = (seed, prefixes, path_len);
+            let f = w.db.relation("F").unwrap();
+            assert_eq!(f.len(), len, "{triple:?}");
+            assert_eq!(
+                fnv1a(f.iter().map(|t| format!("{:?}|{:?}\n", t.terms, t.cond))),
+                tuples,
+                "{triple:?}"
+            );
+            assert_eq!(
+                fnv1a(
+                    w.db.cvars
+                        .iter()
+                        .map(|(_, v)| format!("{}:{:?}\n", v.name, v.domain))
+                ),
+                variables,
+                "{triple:?}"
+            );
+            assert_eq!(w.primary_choice[..8], choices, "{triple:?}");
         }
     }
 

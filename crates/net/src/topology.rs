@@ -120,6 +120,44 @@ impl Graph {
         }
         None
     }
+
+    /// [`random_simple_path`](Graph::random_simple_path) into a buffer
+    /// the caller reuses, allocating nothing per hop: the unseen
+    /// neighbours are counted, one is drawn, and the k-th is taken. The
+    /// walk makes the same draws in the same order, so from equal `rng`
+    /// states both return the same path and leave equal states behind.
+    /// Returns whether `path` holds a path.
+    pub fn random_simple_path_into(
+        &self,
+        len: usize,
+        rng: &mut StdRng,
+        path: &mut Vec<NodeId>,
+    ) -> bool {
+        'attempt: for _ in 0..64 {
+            path.clear();
+            path.push(rng.gen_range(0..self.node_count()) as NodeId);
+            while path.len() <= len {
+                let cur = *path.last().expect("non-empty");
+                // A path is a handful of nodes: scanning it beats a set.
+                let unseen = |n: &&NodeId| !path.contains(n);
+                let candidates = self.neighbours(cur).iter().filter(unseen).count();
+                if candidates == 0 {
+                    // `choose` on an empty slice draws nothing either.
+                    continue 'attempt;
+                }
+                let k = rng.gen_range(0..candidates as u64) as usize;
+                let next = *self
+                    .neighbours(cur)
+                    .iter()
+                    .filter(unseen)
+                    .nth(k)
+                    .expect("k is below the count");
+                path.push(next);
+            }
+            return true;
+        }
+        false
+    }
 }
 
 #[cfg(test)]
@@ -163,6 +201,28 @@ mod tests {
             assert_eq!(set.len(), 5, "path must not revisit nodes");
             for w in p.windows(2) {
                 assert!(g.neighbours(w[0]).contains(&w[1]));
+            }
+        }
+    }
+
+    #[test]
+    fn buffered_walk_makes_the_same_draws() {
+        let g = Graph::preferential_attachment(200, 3, &mut rng());
+        // A second, sparse graph makes walks dead-end and restart.
+        let sparse = Graph::preferential_attachment(40, 1, &mut rng());
+        let mut buf = Vec::new();
+        for (graph, len) in [(&g, 3usize), (&g, 16), (&sparse, 6), (&sparse, 30)] {
+            let mut a = StdRng::seed_from_u64(7);
+            let mut b = a.clone();
+            for _ in 0..200 {
+                let reference = graph.random_simple_path(len, &mut a);
+                let found = graph.random_simple_path_into(len, &mut b, &mut buf);
+                assert_eq!(reference.is_some(), found);
+                if let Some(path) = reference {
+                    assert_eq!(path, buf);
+                }
+                // Equal states: the next draw agrees.
+                assert_eq!(a.next_u64(), b.next_u64());
             }
         }
     }

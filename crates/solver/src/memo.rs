@@ -182,38 +182,34 @@ impl SharedMemo {
     /// entry predates the current run generation.
     pub fn simplify_get(&self, cond: CondId) -> Option<(Condition, bool)> {
         self.simplify_get_from(cond, 0)
-            .map(|(c, cross_run, _)| (c, cross_run))
+            .map(|(id, cross_run, _)| (pool::resolve(id), cross_run))
     }
 
     /// [`simplify_get`](SharedMemo::simplify_get) from evaluation-shard
     /// `reader`, reporting cross-shard reuse like
-    /// [`sat_get_from`](SharedMemo::sat_get_from).
-    pub fn simplify_get_from(&self, cond: CondId, reader: u8) -> Option<(Condition, bool, bool)> {
+    /// [`sat_get_from`](SharedMemo::sat_get_from). The simplification
+    /// comes back as the id it is cached under; nothing is resolved.
+    pub fn simplify_get_from(&self, cond: CondId, reader: u8) -> Option<(CondId, bool, bool)> {
         let gen = self.current_generation();
         self.simplify[Self::shard(cond)]
             .lock()
             .expect("memo shard poisoned")
             .get(&cond)
             .map(|&(simplified, entry_gen, writer)| {
-                (
-                    pool::resolve(simplified),
-                    entry_gen < gen,
-                    cross_shard(writer, reader),
-                )
+                (simplified, entry_gen < gen, cross_shard(writer, reader))
             })
     }
 
     /// Caches a simplification result (capacity-bounded like
     /// [`sat_put`](SharedMemo::sat_put)).
     pub fn simplify_put(&self, cond: CondId, simplified: &Condition) {
-        self.simplify_put_from(cond, simplified, 0);
+        self.simplify_put_from(cond, pool::intern(simplified), 0);
     }
 
-    /// [`simplify_put`](SharedMemo::simplify_put) tagged with the
-    /// writing evaluation shard.
-    pub fn simplify_put_from(&self, cond: CondId, simplified: &Condition, writer: u8) {
+    /// [`simplify_put`](SharedMemo::simplify_put) of an already interned
+    /// result, tagged with the writing evaluation shard.
+    pub fn simplify_put_from(&self, cond: CondId, simplified: CondId, writer: u8) {
         let gen = self.current_generation();
-        let simplified = pool::intern(simplified);
         let mut shard = self.simplify[Self::shard(cond)]
             .lock()
             .expect("memo shard poisoned");

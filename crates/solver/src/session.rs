@@ -187,6 +187,13 @@ impl Session {
         self.stats
     }
 
+    /// Accounts one memo hit and where its entry came from.
+    fn note_hit(&mut self, cross_run: bool, cross_shard: bool) {
+        self.stats.memo_hits += 1;
+        self.stats.cross_run_hits += u64::from(cross_run);
+        self.stats.cross_shard_hits += u64::from(cross_shard);
+    }
+
     /// Accounts one solver invocation (a memo miss): total time plus
     /// the per-check latency histogram.
     fn note_solve(&mut self, elapsed: Duration) {
@@ -205,26 +212,28 @@ impl Session {
         self.memo = MemoBackend::default();
     }
 
-    /// Satisfiability with stats accounting and memoisation.
+    /// Satisfiability with stats accounting and memoisation: the tree
+    /// edge over [`satisfiable_id`](Session::satisfiable_id).
     pub fn satisfiable(
         &mut self,
         reg: &CVarRegistry,
         cond: &Condition,
     ) -> Result<bool, SolverError> {
+        self.satisfiable_id(reg, pool::intern(cond))
+    }
+
+    /// [`satisfiable`](Session::satisfiable) of an interned condition.
+    /// The id is the memo key as it stands, so a caller that already
+    /// holds one pays no interning; the tree is resolved only when the
+    /// memo misses and the solver has to run.
+    pub fn satisfiable_id(&mut self, reg: &CVarRegistry, key: CondId) -> Result<bool, SolverError> {
         self.stats.sat_calls += 1;
-        let key = pool::intern(cond);
         let hit = match &self.memo {
             MemoBackend::Local { sat, .. } => sat.get(&key).map(|&v| (v, false, false)),
             MemoBackend::Shared(memo) => memo.sat_get_from(key, self.shard_tag),
         };
         if let Some((hit, cross_run, cross_shard)) = hit {
-            self.stats.memo_hits += 1;
-            if cross_run {
-                self.stats.cross_run_hits += 1;
-            }
-            if cross_shard {
-                self.stats.cross_shard_hits += 1;
-            }
+            self.note_hit(cross_run, cross_shard);
             if hit {
                 self.stats.sat_true += 1;
             }
@@ -232,7 +241,7 @@ impl Session {
         }
         self.stats.memo_misses += 1;
         let start = Instant::now();
-        let out = search::satisfiable(reg, cond);
+        let out = search::satisfiable(reg, &pool::resolve(key));
         self.note_solve(start.elapsed());
         if let Ok(sat) = out {
             if sat {
@@ -268,47 +277,49 @@ impl Session {
     }
 
     /// Solver-backed simplification with stats accounting and
-    /// memoisation.
+    /// memoisation: the tree edge over
+    /// [`simplify_pruned_id`](Session::simplify_pruned_id).
     pub fn simplify_pruned(
         &mut self,
         reg: &CVarRegistry,
         cond: &Condition,
     ) -> Result<Condition, SolverError> {
+        self.simplify_pruned_id(reg, pool::intern(cond))
+            .map(pool::resolve)
+    }
+
+    /// [`simplify_pruned`](Session::simplify_pruned) from id to id: a
+    /// memo hit touches no tree at all.
+    pub fn simplify_pruned_id(
+        &mut self,
+        reg: &CVarRegistry,
+        key: CondId,
+    ) -> Result<CondId, SolverError> {
         self.stats.simplify_calls += 1;
-        let key = pool::intern(cond);
         let hit = match &self.memo {
-            MemoBackend::Local { simplify, .. } => simplify
-                .get(&key)
-                .map(|&v| (pool::resolve(v), false, false)),
+            MemoBackend::Local { simplify, .. } => simplify.get(&key).map(|&v| (v, false, false)),
             MemoBackend::Shared(memo) => memo.simplify_get_from(key, self.shard_tag),
         };
         if let Some((hit, cross_run, cross_shard)) = hit {
-            self.stats.memo_hits += 1;
-            if cross_run {
-                self.stats.cross_run_hits += 1;
-            }
-            if cross_shard {
-                self.stats.cross_shard_hits += 1;
-            }
+            self.note_hit(cross_run, cross_shard);
             return Ok(hit);
         }
         self.stats.memo_misses += 1;
         let start = Instant::now();
-        let out = simplify::simplify_pruned(reg, cond);
+        let out = simplify::simplify_pruned(reg, &pool::resolve(key));
         self.note_solve(start.elapsed());
-        if let Ok(simplified) = &out {
-            match &mut self.memo {
-                MemoBackend::Local { simplify: map, .. } => {
-                    if map.len() < MEMO_CAP {
-                        map.insert(key, pool::intern(simplified));
-                    }
-                }
-                MemoBackend::Shared(memo) => {
-                    memo.simplify_put_from(key, simplified, self.shard_tag);
+        let simplified = pool::intern(&out?);
+        match &mut self.memo {
+            MemoBackend::Local { simplify: map, .. } => {
+                if map.len() < MEMO_CAP {
+                    map.insert(key, simplified);
                 }
             }
+            MemoBackend::Shared(memo) => {
+                memo.simplify_put_from(key, simplified, self.shard_tag);
+            }
         }
-        out
+        Ok(simplified)
     }
 
     /// Merges another session's stats into this one (memo entries are

@@ -23,8 +23,10 @@
 //! adversarial inputs; [`to_min_dnf`] gives up beyond a set budget and
 //! the caller falls back to the opaque structural representation.
 
+use faure_ctable::pool::{self, CondId};
 use faure_ctable::{Atom, CmpOp, Condition, Expr, Term};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// One conjunction of (normalised) atoms.
 pub type AtomSet = BTreeSet<Atom>;
@@ -97,11 +99,17 @@ fn set_contradictory(set: &AtomSet) -> bool {
     false
 }
 
+/// Whether some set of the antichain is a subset of `new`, so that
+/// inserting `new` would change nothing.
+pub fn subsumed(sets: &[AtomSet], new: &AtomSet) -> bool {
+    sets.iter().any(|existing| existing.is_subset(new))
+}
+
 /// Inserts `new` into the antichain `sets`: skipped if some existing
 /// set is a subset of `new` (subsumes it); existing supersets of `new`
 /// are removed. Returns whether the antichain changed.
 pub fn antichain_insert(sets: &mut Vec<AtomSet>, new: AtomSet) -> bool {
-    if sets.iter().any(|existing| existing.is_subset(&new)) {
+    if subsumed(sets, &new) {
         return false;
     }
     sets.retain(|existing| !new.is_subset(existing));
@@ -252,6 +260,98 @@ pub fn condition_of(sets: &[AtomSet]) -> Condition {
     } else {
         Condition::disj(disjuncts)
     }
+}
+
+// ---------------------------------------------------------------------------
+// Normal forms, keyed by condition id
+// ---------------------------------------------------------------------------
+
+/// What the table stores for a condition: a pure function of its
+/// [`CondId`], computed once per distinct condition and shared by
+/// reference from then on.
+#[derive(Debug, PartialEq, Eq)]
+pub struct NormalForm {
+    /// The minimal-DNF antichain of the condition, or `None` when the
+    /// conversion runs over [`DEFAULT_SET_BUDGET`] (the table then keeps
+    /// the condition opaque). The empty antichain means *false*.
+    pub sets: Option<Vec<AtomSet>>,
+    /// The id a fresh insert of the condition stores:
+    /// `intern(condition_of(sets))`, or the condition's own id when it
+    /// is over budget. A fixed point: the normal form of `stored` is
+    /// this same normal form.
+    pub stored: CondId,
+}
+
+/// One entry per condition ever normalised. Like the pool it indexes,
+/// the table lives for the process and only grows; it never holds more
+/// entries than the pool has nodes.
+fn normal_forms() -> &'static RwLock<HashMap<CondId, Arc<NormalForm>>> {
+    static FORMS: OnceLock<RwLock<HashMap<CondId, Arc<NormalForm>>>> = OnceLock::new();
+    FORMS.get_or_init(|| RwLock::new(HashMap::new()))
+}
+
+/// The normal form of an interned condition: a table lookup once the
+/// condition has been seen, [`to_min_dnf`] plus one interning of the
+/// result the first time.
+pub fn normal_form(id: CondId) -> Arc<NormalForm> {
+    if let Some(form) = normal_forms()
+        .read()
+        .expect("normal-form table poisoned")
+        .get(&id)
+    {
+        return Arc::clone(form);
+    }
+    // Computed with no lock held; racing threads compute equal forms
+    // and the first one in wins.
+    let sets = to_min_dnf(&pool::resolve(id), DEFAULT_SET_BUDGET);
+    let stored = match &sets {
+        Some(sets) => pool::intern(&condition_of(sets)),
+        None => id,
+    };
+    let form = Arc::new(NormalForm { sets, stored });
+    let mut forms = normal_forms().write().expect("normal-form table poisoned");
+    forms.entry(stored).or_insert_with(|| Arc::clone(&form));
+    Arc::clone(forms.entry(id).or_insert(form))
+}
+
+/// Records `sets` as the normal form of the condition they spell,
+/// `id == intern(condition_of(sets))`: an antichain the table has just
+/// built by merging is its own normal form, so normalising that id
+/// again would only rebuild what the caller already holds. The caller
+/// keeps `sets` within [`DEFAULT_SET_BUDGET`]; a wider antichain is not
+/// what [`to_min_dnf`] answers for its condition.
+pub(crate) fn record_normal_form(id: CondId, sets: Vec<AtomSet>) {
+    debug_assert!(sets.len() <= DEFAULT_SET_BUDGET);
+    debug_assert_eq!(
+        to_min_dnf(&pool::resolve(id), DEFAULT_SET_BUDGET).as_ref(),
+        Some(&sets),
+        "a merged antichain is the normal form of its own condition"
+    );
+    debug_assert_eq!(pool::intern(&condition_of(&sets)), id);
+    let known = normal_forms()
+        .read()
+        .expect("normal-form table poisoned")
+        .contains_key(&id);
+    if !known {
+        normal_forms()
+            .write()
+            .expect("normal-form table poisoned")
+            .entry(id)
+            .or_insert_with(|| {
+                Arc::new(NormalForm {
+                    sets: Some(sets),
+                    stored: id,
+                })
+            });
+    }
+}
+
+/// Number of conditions whose normal form is on record.
+pub fn normal_form_count() -> usize {
+    normal_forms()
+        .read()
+        .expect("normal-form table poisoned")
+        .len()
 }
 
 #[cfg(test)]

@@ -10,14 +10,16 @@
 //!   iteration delta);
 //! * [`CondAcc`] — the condition-conjoining join: instead of rebuilding
 //!   a flattened `And` on every nesting level (which re-allocates the
-//!   child vector per joined row), fragments are pushed onto a stack
-//!   and materialised into a single conjunction only when a binding
-//!   survives to the head;
+//!   child vector per joined row), the ids of the fragments are pushed
+//!   onto a stack, and a conjunction is built only when a binding
+//!   survives to the head *and* that stack of ids has not been
+//!   conjoined before;
 //! * [`OpStats`] — per-operator row/condition counters threaded into
 //!   [`crate::PhaseStats`] so benches and `explain`-style tooling can
 //!   see where relational time goes.
 
 use crate::table::{Pattern, Table};
+use faure_ctable::pool::{self, CondId};
 use faure_ctable::{CVarRegistry, Condition};
 
 /// Per-operator execution counters for one evaluation run.
@@ -77,13 +79,15 @@ pub fn probe(
 ///
 /// Join recursion pushes fragments (row conditions, match conditions
 /// `μ`, pushed-down comparison atoms) as it descends and truncates back
-/// to a [`mark`](CondAcc::mark) when it backtracks; the full
-/// conjunction is only materialised at the leaf. Row conditions are
-/// `Arc`-backed, so each push is O(1) — the old code paid a flattened
-/// `And`-vector rebuild per nesting level per row.
+/// to a [`mark`](CondAcc::mark) when it backtracks. The stack holds
+/// [`CondId`]s: a table row's condition is pushed as the id the table
+/// already stores ([`push_id`](CondAcc::push_id)), and only a fragment
+/// born as a tree (a non-trivial `μ`, a comparison atom) is interned on
+/// the way in. The stack of ids names the conjunction, so the leaf can
+/// look the result up by it before building anything.
 #[derive(Clone, Debug, Default)]
 pub struct CondAcc {
-    parts: Vec<Condition>,
+    parts: Vec<CondId>,
 }
 
 impl CondAcc {
@@ -92,19 +96,28 @@ impl CondAcc {
         Self::default()
     }
 
-    /// Pushes a fragment; `True` is skipped. Returns `false` when the
-    /// fragment is `False` (the branch is dead and the caller should
-    /// backtrack — the fragment is *not* pushed).
+    /// Pushes a fragment given as a tree; `True` is skipped. Returns
+    /// `false` when the fragment is `False` (the branch is dead and the
+    /// caller should backtrack — the fragment is *not* pushed).
     pub fn push(&mut self, c: Condition, ops: &mut OpStats) -> bool {
         match c {
             Condition::True => true,
             Condition::False => false,
-            other => {
-                ops.conds_conjoined += 1;
-                self.parts.push(other);
-                true
-            }
+            other => self.push_id(pool::intern(&other), ops),
         }
+    }
+
+    /// [`push`](CondAcc::push) of an already interned fragment.
+    pub fn push_id(&mut self, id: CondId, ops: &mut OpStats) -> bool {
+        if id.is_true() {
+            return true;
+        }
+        if id.is_false() {
+            return false;
+        }
+        ops.conds_conjoined += 1;
+        self.parts.push(id);
+        true
     }
 
     /// Current stack depth, for later [`truncate`](CondAcc::truncate).
@@ -117,12 +130,17 @@ impl CondAcc {
         self.parts.truncate(mark);
     }
 
+    /// The pushed fragments, bottom of the stack first.
+    pub fn ids(&self) -> &[CondId] {
+        &self.parts
+    }
+
     /// Materialises the conjunction of all pushed fragments.
     pub fn materialize(&self) -> Condition {
-        match self.parts.len() {
-            0 => Condition::True,
-            1 => self.parts[0].clone(),
-            _ => Condition::conj(self.parts.clone()),
+        match self.parts[..] {
+            [] => Condition::True,
+            [only] => pool::resolve(only),
+            _ => Condition::conj(self.parts.iter().map(|&id| pool::resolve(id)).collect()),
         }
     }
 }
@@ -163,11 +181,22 @@ mod tests {
         assert!(acc.push(a.clone(), &mut ops));
         let mark = acc.mark();
         assert!(acc.push(b.clone(), &mut ops));
-        assert_eq!(acc.materialize(), Condition::conj(vec![a.clone(), b]));
+        assert_eq!(
+            acc.materialize(),
+            Condition::conj(vec![a.clone(), b.clone()])
+        );
         acc.truncate(mark);
         assert_eq!(acc.materialize(), a);
         assert!(!acc.push(Condition::False, &mut ops));
         assert_eq!(ops.conds_conjoined, 2);
+        // An interned fragment pushes as the tree it names, and counts
+        // the same.
+        assert!(acc.push_id(pool::intern(&b), &mut ops));
+        assert_eq!(acc.ids(), [pool::intern(&a), pool::intern(&b)]);
+        assert_eq!(acc.materialize(), Condition::conj(vec![a, b]));
+        assert!(acc.push_id(CondId::TRUE, &mut ops));
+        assert!(!acc.push_id(CondId::FALSE, &mut ops));
+        assert_eq!(ops.conds_conjoined, 3);
     }
 
     #[test]

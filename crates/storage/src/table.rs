@@ -14,12 +14,13 @@
 //! that had to verify candidates against the actual rows on every
 //! lookup to stay collision-safe.
 
+use crate::dnf::{self, AtomSet};
 use faure_ctable::pool::{self, CondId};
 use faure_ctable::{
     CTuple, CVarId, CVarRegistry, Condition, Const, Relation, Schema, Symbol, Term,
 };
 use faure_solver::{Session, SolverError};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A tuple's arity disagrees with the table schema.
@@ -160,53 +161,60 @@ struct Column {
     var_rows: Vec<u32>,
 }
 
-/// A derived row whose condition has been pre-normalised and whose
-/// terms and condition have been pre-interned for insertion.
+/// A derived row ready for insertion: its encoded cells and the id of
+/// its condition.
 ///
-/// Building one runs the DNF normalisation that [`Table::insert`] would
-/// otherwise perform at merge time — the most expensive part of adding
-/// a row — plus the cell encoding and condition-pool interning the
-/// columnar table needs. Parallel evaluation constructs `PreparedRow`s
-/// inside worker threads so the serialised merge
-/// ([`Table::absorb_partitions`]) is reduced to hash lookups on
-/// interned data, `Copy` cell appends, and antichain merges — no term
-/// clones, no tree re-hashing.
+/// Everything else the table needs — the minimal-DNF antichain, the id
+/// it stores, whether the condition is over budget — is a function of
+/// that id ([`dnf::normal_form`]), looked up once when the row is built
+/// (inside the worker thread, under parallel evaluation) and shared by
+/// reference with every other row carrying the same condition. The
+/// serialised merge ([`Table::absorb_partitions`]) is then hash lookups
+/// on interned data and `Copy` cell appends — no term clones, no tree
+/// walks, no per-row copy of the antichain.
 #[derive(Clone, Debug)]
 pub struct PreparedRow {
-    tuple: CTuple,
-    /// Encoded cells of `tuple.terms`.
     cells: Box<[Cell]>,
-    /// `tuple.cond` interned into the global pool.
+    /// The condition as derived.
     cond_id: CondId,
-    /// Minimal-DNF disjuncts of the condition, or `None` when it is too
-    /// large to normalise within budget (the table then stores it in
-    /// the opaque representation).
-    sets: Option<Vec<crate::dnf::AtomSet>>,
+    /// Its normal form's [`stored`](dnf::NormalForm::stored) id.
+    stored: CondId,
+    /// Whether the condition is over the DNF budget (stored opaque).
+    opaque: bool,
 }
 
 impl PreparedRow {
-    /// Normalises `tuple`'s condition (the caller should have
-    /// structurally simplified it, as with [`Table::insert`]) and
-    /// interns its terms and condition.
+    /// Interns `tuple`'s terms and condition (the caller should have
+    /// structurally simplified it, as with [`Table::insert`]) and looks
+    /// up the condition's normal form.
     pub fn new(tuple: CTuple) -> Self {
-        let sets = if tuple.cond == Condition::False {
-            Some(Vec::new())
-        } else {
-            crate::dnf::to_min_dnf(&tuple.cond, crate::dnf::DEFAULT_SET_BUDGET)
-        };
-        let cells = tuple.terms.iter().map(Cell::encode).collect();
-        let cond_id = pool::intern(&tuple.cond);
+        Self::from_tuple(&tuple)
+    }
+
+    /// [`new`](PreparedRow::new) by reference: nothing of the tuple is
+    /// cloned.
+    pub fn from_tuple(tuple: &CTuple) -> Self {
+        Self::from_id(
+            tuple.terms.iter().map(Cell::encode).collect(),
+            pool::intern(&tuple.cond),
+        )
+    }
+
+    /// A row over already encoded cells and an already interned
+    /// condition — what the join leaf holds.
+    pub fn from_id(cells: Box<[Cell]>, cond_id: CondId) -> Self {
+        let form = dnf::normal_form(cond_id);
         PreparedRow {
-            tuple,
             cells,
             cond_id,
-            sets,
+            stored: form.stored,
+            opaque: form.sets.is_none(),
         }
     }
 
-    /// The row's terms.
-    pub fn terms(&self) -> &[Term] {
-        &self.tuple.terms
+    /// The row's terms, decoded.
+    pub fn terms(&self) -> Vec<Term> {
+        self.cells.iter().map(|c| c.decode()).collect()
     }
 
     /// The row's encoded cells.
@@ -215,35 +223,34 @@ impl PreparedRow {
     }
 
     /// The row's (un-normalised) condition.
-    pub fn cond(&self) -> &Condition {
-        &self.tuple.cond
+    pub fn cond(&self) -> Condition {
+        pool::resolve(self.cond_id)
     }
 
-    /// The pooled id of the row's condition.
+    /// The pooled id of the row's condition, as derived.
     pub fn cond_id(&self) -> CondId {
         self.cond_id
     }
 
-    /// The underlying tuple.
-    pub fn tuple(&self) -> &CTuple {
-        &self.tuple
+    /// The id a table stores for this row's condition.
+    pub fn stored_id(&self) -> CondId {
+        self.stored
     }
 
     /// Whether the condition normalised to false (the row can never be
     /// inserted).
     pub fn is_false(&self) -> bool {
-        self.sets.as_ref().is_some_and(Vec::is_empty)
+        self.stored.is_false()
     }
 }
 
-/// Per-row condition bookkeeping.
+/// Bookkeeping of a row whose condition is *not* described by the
+/// normal form of its id: kept in [`Table`]'s sparse side list.
 #[derive(Clone, Debug)]
 enum CondRepr {
-    /// Minimal antichain of atom-sets (see [`crate::dnf`]): disjuncts
-    /// subsumed by smaller disjuncts are dropped on insert, which keeps
-    /// fixpoints over cyclic graphs polynomial instead of enumerating
-    /// every walk.
-    Sets(Vec<crate::dnf::AtomSet>),
+    /// An antichain wider than [`dnf::DEFAULT_SET_BUDGET`], built by
+    /// merging: normalising its condition afresh would give up.
+    Sets(Vec<AtomSet>),
     /// Fallback for conditions too large to normalise: pooled disjunct
     /// ids with O(1) equality-based deduplication.
     Opaque(Vec<CondId>),
@@ -260,20 +267,29 @@ enum CondRepr {
 /// structural deduplication applies. Either way the disjunct space over
 /// a finite atom vocabulary is finite, so fixpoints terminate.
 ///
-/// Row conditions are stored as [`CondId`]s; [`Table::row`] and
-/// [`Table::iter`] materialise owned [`CTuple`]s on demand (condition
-/// trees are O(1) Arc clones out of the pool, and materialised rows are
-/// bit-identical to what the old row-major table stored).
+/// Row conditions are stored as [`CondId`]s and nothing else: a row's
+/// antichain is the [normal form](dnf::normal_form) of its id — one
+/// shared copy per distinct condition, not one per row. [`Table::row`]
+/// and [`Table::iter`] materialise owned [`CTuple`]s on demand
+/// (condition trees are O(1) Arc clones out of the pool, and
+/// materialised rows are bit-identical to what the old row-major table
+/// stored).
 #[derive(Clone, Debug)]
 pub struct Table {
     /// The schema.
     pub schema: Schema,
     /// One typed column per attribute.
     cols: Vec<Column>,
-    /// Pooled condition per row.
+    /// Pooled condition per row. For a row absent from `side` this is a
+    /// normal-form fixed point: `normal_form(id).stored == id`, and the
+    /// form's antichain is the row's minimal set of disjuncts (kept
+    /// minimal on insert, which keeps fixpoints over cyclic graphs
+    /// polynomial instead of enumerating every walk).
     conds: Vec<CondId>,
-    /// Condition bookkeeping per row.
-    reprs: Vec<CondRepr>,
+    /// The rare rows whose bookkeeping is not a function of their id:
+    /// opaque (over-budget) conditions and merged antichains wider than
+    /// the budget, by row index.
+    side: HashMap<u32, CondRepr>,
     /// Dedup index keyed **directly** on the encoded row cells. Cell
     /// encoding is injective and fully interned, so equal keys are
     /// equal term vectors by construction — no collision buckets, no
@@ -311,6 +327,44 @@ impl DeletionEffect {
     }
 }
 
+/// What the solver phase leaves of a row: the state a fresh insert of
+/// its simplified condition would produce.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fate {
+    /// The condition is unsatisfiable.
+    Drop,
+    /// The solver kept the condition, but what it simplified to
+    /// normalises to the empty DNF.
+    Vanish,
+    /// The row stays, storing `cond` (opaque when over budget).
+    Store { cond: CondId, opaque: bool },
+}
+
+impl Fate {
+    /// The fate of a row whose condition simplified to `simplified`.
+    fn of(simplified: CondId) -> Fate {
+        if simplified.is_false() {
+            return Fate::Drop;
+        }
+        let form = dnf::normal_form(simplified);
+        if form.stored.is_false() {
+            Fate::Vanish
+        } else {
+            Fate::Store {
+                cond: form.stored,
+                opaque: form.sets.is_none(),
+            }
+        }
+    }
+
+    /// The fate of every row outside the side list whose condition is
+    /// `id` (its antichain is the normal form of `id`).
+    fn of_id(reg: &CVarRegistry, session: &mut Session, id: CondId) -> Result<Fate, SolverError> {
+        let form = dnf::normal_form(id);
+        Table::prune_cond(reg, session, id, form.sets.as_deref()).map(Fate::of)
+    }
+}
+
 impl Table {
     /// An empty table.
     pub fn new(schema: Schema) -> Self {
@@ -319,20 +373,43 @@ impl Table {
             schema,
             cols,
             conds: Vec::new(),
-            reprs: Vec::new(),
+            side: HashMap::new(),
             by_terms: HashMap::new(),
             support: Vec::new(),
         }
     }
 
-    /// Builds a table from a plain relation (deduplicating rows).
+    /// Builds a table from a plain relation (deduplicating rows), each
+    /// tuple converted once and by reference.
     pub fn from_relation(rel: &Relation) -> Self {
         let mut t = Table::new(rel.schema.clone());
-        for row in rel.iter() {
-            t.insert(row.clone())
-                .expect("relation rows match their own schema arity");
-        }
+        t.extend_from(rel.iter())
+            .expect("relation rows match their own schema arity");
         t
+    }
+
+    /// Inserts every tuple of `rows` by reference, returning how many
+    /// of them changed the table.
+    pub fn extend_from<'a>(
+        &mut self,
+        rows: impl IntoIterator<Item = &'a CTuple>,
+    ) -> Result<usize, ArityError> {
+        // Input relations carry one condition over runs of rows (every
+        // hop of a path); a run interns it once. Equal `Arc`s compare
+        // by pointer, unequal conditions differ within an atom or two.
+        let mut last: Option<(&Condition, CondId)> = None;
+        let mut changed = 0usize;
+        for row in rows {
+            let cond_id = match last {
+                Some((cond, id)) if *cond == row.cond => id,
+                _ => pool::intern(&row.cond),
+            };
+            last = Some((&row.cond, cond_id));
+            let cells = row.terms.iter().map(Cell::encode).collect();
+            let outcome = self.insert_prepared(&PreparedRow::from_id(cells, cond_id))?;
+            changed += usize::from(outcome.changed());
+        }
+        Ok(changed)
     }
 
     /// Converts to a plain relation, materialising each row once.
@@ -346,6 +423,16 @@ impl Table {
     /// Consuming export: like [`to_relation`](Table::to_relation) but
     /// reuses the schema allocation and drops the indexes in place.
     pub fn into_relation(self) -> Relation {
+        // What lets the table keep an id and nothing else per row: the
+        // id of a row outside the side list is a normal-form fixed
+        // point with an antichain. Checked at every export of a debug
+        // build, which is every evaluation of the test suites.
+        debug_assert!((0..self.len())
+            .filter(|&i| !self.side.contains_key(&(i as u32)))
+            .all(|i| {
+                let form = dnf::normal_form(self.conds[i]);
+                form.sets.is_some() && form.stored == self.conds[i]
+            }));
         let tuples = (0..self.len()).map(|i| self.row(i)).collect();
         Relation {
             schema: self.schema,
@@ -373,7 +460,8 @@ impl Table {
     }
 
     /// One row's condition (O(1) pool resolve; avoids materialising
-    /// the terms on condition-only paths like the join inner loop).
+    /// the terms on condition-only paths). The join inner loop does not
+    /// come here: it pushes [`cond_id`](Table::cond_id) as is.
     pub fn cond(&self, idx: usize) -> Condition {
         pool::resolve(self.conds[idx])
     }
@@ -406,14 +494,13 @@ impl Table {
     /// empty DNF. A tuple whose arity disagrees with the schema is a
     /// typed [`ArityError`], not a panic.
     pub fn insert(&mut self, tuple: CTuple) -> Result<InsertOutcome, ArityError> {
-        self.insert_prepared(&PreparedRow::new(tuple))
+        self.insert_prepared(&PreparedRow::from_tuple(&tuple))
     }
 
-    /// Inserts a pre-normalised row (see [`PreparedRow`]) — the
-    /// normalisation-free half of [`insert`](Table::insert), used when
-    /// the DNF and interning work already happened elsewhere (e.g. in a
-    /// parallel worker, or when the same derived row also feeds a delta
-    /// table).
+    /// Inserts a prepared row (see [`PreparedRow`]): hash lookups on
+    /// interned data and `Copy` cell appends. A new row stores the id
+    /// the row already carries; only a merge into an existing row looks
+    /// at antichains.
     pub fn insert_prepared(&mut self, row: &PreparedRow) -> Result<InsertOutcome, ArityError> {
         if row.cells.len() != self.schema.arity() {
             return Err(ArityError {
@@ -422,19 +509,14 @@ impl Table {
                 got: row.cells.len(),
             });
         }
-        if row.cond_id == CondId::FALSE || row.is_false() {
+        if row.is_false() {
             return Ok(InsertOutcome::Unchanged);
         }
         match self.by_terms.get(&row.cells).copied() {
             Some(idx) => {
                 let idx = idx as usize;
                 self.support[idx] = self.support[idx].saturating_add(1);
-                Ok(Self::merge_into_row(
-                    &mut self.conds[idx],
-                    &mut self.reprs[idx],
-                    row.cond_id,
-                    row.sets.clone(),
-                ))
+                Ok(self.merge_into_row(idx, row))
             }
             None => {
                 let idx = u32::try_from(self.conds.len()).expect("row count overflow");
@@ -446,15 +528,10 @@ impl Table {
                         c => col.by_const.entry(c).or_default().push(idx),
                     }
                 }
-                let (repr, cond) = match row.sets.clone() {
-                    Some(sets) => {
-                        let cond = pool::intern(&crate::dnf::condition_of(&sets));
-                        (CondRepr::Sets(sets), cond)
-                    }
-                    None => (CondRepr::Opaque(vec![row.cond_id]), row.cond_id),
-                };
-                self.reprs.push(repr);
-                self.conds.push(cond);
+                if row.opaque {
+                    self.side.insert(idx, CondRepr::Opaque(vec![row.stored]));
+                }
+                self.conds.push(row.stored);
                 self.support.push(1);
                 Ok(InsertOutcome::New)
             }
@@ -487,30 +564,73 @@ impl Table {
         Ok(())
     }
 
-    /// Merges an incoming condition into an existing row's disjunction.
+    /// Merges an incoming row's condition into row `idx`'s disjunction.
+    fn merge_into_row(&mut self, idx: usize, row: &PreparedRow) -> InsertOutcome {
+        let key = idx as u32;
+        // Nothing widens `True`; and re-deriving a row under the very
+        // condition it stores — most duplicates — adds no disjunct (a
+        // side-list row is not described by its id, so it goes on).
+        if self.conds[idx] == CondId::TRUE
+            || (self.conds[idx] == row.stored && !self.side.contains_key(&key))
+        {
+            return InsertOutcome::Unchanged;
+        }
+        let incoming = (!row.opaque).then(|| dnf::normal_form(row.stored));
+        let incoming_sets: Option<&[AtomSet]> = incoming
+            .as_deref()
+            .map(|form| form.sets.as_deref().expect("checked not opaque"));
+        let mut repr = match self.side.remove(&key) {
+            Some(repr) => repr,
+            None => {
+                let form = dnf::normal_form(self.conds[idx]);
+                let existing = form
+                    .sets
+                    .as_deref()
+                    .expect("a row outside the side list has an antichain");
+                // A re-derivation whose every disjunct is already
+                // implied is decided on the shared antichain; only a
+                // merge that changes the row copies it.
+                if incoming_sets.is_some_and(|new| new.iter().all(|s| dnf::subsumed(existing, s))) {
+                    return InsertOutcome::Unchanged;
+                }
+                CondRepr::Sets(existing.to_vec())
+            }
+        };
+        let outcome = Self::merge_repr(&mut self.conds[idx], &mut repr, row.stored, incoming_sets);
+        match repr {
+            CondRepr::Sets(sets) if sets.len() <= dnf::DEFAULT_SET_BUDGET => {
+                dnf::record_normal_form(self.conds[idx], sets);
+            }
+            wide_or_opaque => {
+                self.side.insert(key, wide_or_opaque);
+            }
+        }
+        outcome
+    }
+
+    /// Merges an incoming condition (`incoming` is the id it stores
+    /// under, `incoming_sets` its antichain unless it is over budget)
+    /// into an existing row's disjunction.
     ///
     /// Computes the same condition *trees* as the old row-major table
     /// (pooled `disj` mirrors [`Condition::or`] exactly), then stores
     /// their ids — so materialised rows stay bit-identical.
-    fn merge_into_row(
+    fn merge_repr(
         cond: &mut CondId,
         repr: &mut CondRepr,
-        incoming_id: CondId,
-        incoming_sets: Option<Vec<crate::dnf::AtomSet>>,
+        incoming: CondId,
+        incoming_sets: Option<&[AtomSet]>,
     ) -> InsertOutcome {
-        if *cond == CondId::TRUE {
-            return InsertOutcome::Unchanged;
-        }
         match (&mut *repr, incoming_sets) {
             (CondRepr::Sets(existing), Some(new_sets)) => {
                 let mut changed = false;
                 for set in new_sets {
-                    if crate::dnf::antichain_insert(existing, set) {
-                        changed = true;
+                    if !dnf::subsumed(existing, set) {
+                        changed |= dnf::antichain_insert(existing, set.clone());
                     }
                 }
                 if changed {
-                    *cond = pool::intern(&crate::dnf::condition_of(existing));
+                    *cond = pool::intern(&dnf::condition_of(existing));
                     InsertOutcome::Merged
                 } else {
                     InsertOutcome::Unchanged
@@ -520,9 +640,9 @@ impl Table {
                 // Degrade to the opaque representation.
                 let disjuncts: Vec<CondId> = existing
                     .iter()
-                    .map(|s| pool::intern(&crate::dnf::condition_of(std::slice::from_ref(s))))
+                    .map(|s| pool::intern(&dnf::condition_of(std::slice::from_ref(s))))
                     .collect();
-                if disjuncts.contains(&incoming_id) {
+                if disjuncts.contains(&incoming) {
                     *repr = CondRepr::Opaque(disjuncts);
                     return InsertOutcome::Unchanged;
                 }
@@ -530,17 +650,13 @@ impl Table {
                 let folded = disjuncts
                     .iter()
                     .fold(CondId::FALSE, |acc, &d| pool::disj(acc, d));
-                *cond = pool::disj(folded, incoming_id);
+                *cond = pool::disj(folded, incoming);
                 let mut disjuncts = disjuncts;
-                disjuncts.push(incoming_id);
+                disjuncts.push(incoming);
                 *repr = CondRepr::Opaque(disjuncts);
                 InsertOutcome::Merged
             }
-            (CondRepr::Opaque(disjuncts), maybe_sets) => {
-                let incoming = match maybe_sets {
-                    Some(sets) => pool::intern(&crate::dnf::condition_of(&sets)),
-                    None => incoming_id,
-                };
+            (CondRepr::Opaque(disjuncts), _) => {
                 if incoming == CondId::TRUE {
                     *cond = CondId::TRUE;
                     *disjuncts = vec![CondId::TRUE];
@@ -708,106 +824,149 @@ impl Table {
     }
 
     /// Solver phase: removes rows with unsatisfiable conditions and
-    /// simplifies the remaining ones. Returns the number of rows
-    /// removed. Indexes are rebuilt if any row is dropped.
+    /// simplifies the remaining ones, in place. Returns the number of
+    /// rows removed for an unsatisfiable condition. Columns and indexes
+    /// are touched (compacted, rebuilt) only if some row goes.
     ///
-    /// Rows in the antichain representation are pruned **per disjunct**
-    /// (each disjunct is a plain conjunction — a single theory query);
-    /// opaque rows go through the budget-guarded whole-condition
-    /// simplification.
+    /// Whether a condition survives, and as what, is a fact about the
+    /// condition: it is decided once per distinct [`CondId`] and the
+    /// rows are then a walk over the condition column. Antichain
+    /// conditions are pruned **per disjunct** (each disjunct is a plain
+    /// conjunction — a single theory query); opaque conditions go
+    /// through the budget-guarded whole-condition simplification, row
+    /// by row. The outcome is what draining the table and re-inserting
+    /// every simplified survivor used to leave, kept to the letter:
+    /// survivors stay in order, every support count restarts at one,
+    /// and a survivor whose simplified condition normalises to the
+    /// empty DNF goes without being counted.
     pub fn prune(
         &mut self,
         reg: &CVarRegistry,
         session: &mut Session,
     ) -> Result<usize, SolverError> {
-        let work = self.take_rows();
-        let mut kept_rows = Vec::with_capacity(work.len());
-        let mut removed = 0usize;
-        for (row, repr) in work {
-            match Self::prune_row(reg, session, row, repr)? {
-                Some(kept) => kept_rows.push(kept),
-                None => removed += 1,
-            }
-        }
-        self.rebuild_from(kept_rows);
-        Ok(removed)
+        self.prune_decided(reg, session, HashMap::new())
     }
 
-    /// Drains the table into `(materialised row, repr)` work items,
-    /// leaving it empty (columns and indexes cleared).
-    fn take_rows(&mut self) -> Vec<(CTuple, CondRepr)> {
-        let rows: Vec<CTuple> = self.iter().collect();
-        let reprs = std::mem::take(&mut self.reprs);
-        self.conds.clear();
-        self.by_terms.clear();
-        self.support.clear();
-        for c in &mut self.cols {
-            c.cells.clear();
-            c.by_const.clear();
-            c.var_rows.clear();
-        }
-        rows.into_iter().zip(reprs).collect()
-    }
-
-    /// Prunes one row: `None` if its condition is unsatisfiable,
-    /// otherwise the row with its condition simplified. This is the
-    /// unit of work shared by [`prune`](Table::prune) and
-    /// [`prune_parallel`](Table::prune_parallel) — a deterministic
-    /// function of the row (solver results are ground truth), which is
-    /// what makes the parallel split bit-identical to the serial walk.
-    fn prune_row(
+    /// [`prune`](Table::prune) with some conditions already decided.
+    fn prune_decided(
+        &mut self,
         reg: &CVarRegistry,
         session: &mut Session,
-        row: CTuple,
-        repr: CondRepr,
-    ) -> Result<Option<CTuple>, SolverError> {
-        let simplified = match repr {
-            CondRepr::Sets(sets) => {
-                let mut live = Vec::with_capacity(sets.len());
-                for set in sets {
-                    let conj = crate::dnf::condition_of(std::slice::from_ref(&set));
-                    if session.satisfiable(reg, &conj)? {
-                        live.push(set);
-                    }
-                }
-                let cond = crate::dnf::condition_of(&live);
-                if cond == Condition::False {
-                    Condition::False
-                } else if cond.size() <= 128 {
-                    // Small survivor: also detect validity (e.g.
-                    // {x̄=0} ∨ {x̄=1} over {0,1} → empty condition).
-                    session.simplify_pruned(reg, &cond)?
-                } else {
-                    cond
-                }
-            }
-            CondRepr::Opaque(_) => session.simplify_pruned(reg, &row.cond)?,
-        };
-        Ok(if simplified == Condition::False {
-            None
-        } else {
-            Some(CTuple {
-                terms: row.terms,
-                cond: simplified,
-            })
-        })
+        decided: HashMap<CondId, Fate>,
+    ) -> Result<usize, SolverError> {
+        let [unsat, _] = self.prune_in_place(reg, session, 0..self.len(), decided)?;
+        self.support.fill(1);
+        Ok(unsat)
     }
 
-    /// Parallel variant of [`prune`](Table::prune): splits the rows
-    /// into contiguous chunks across `threads` scoped workers, each
-    /// running its own [`Session`] over the shared lock-sharded `memo`,
-    /// then merges the kept-row lists **in partition order** — the same
-    /// determinism recipe as [`absorb_partitions`](Table::absorb_partitions),
-    /// so the resulting table is bit-identical to the serial walk.
+    /// Decides and applies the fate of the rows at `indices`, then
+    /// compacts the dead ones away. Returns how many went for an
+    /// unsatisfiable condition and how many for a simplified condition
+    /// that normalises to the empty DNF.
+    fn prune_in_place(
+        &mut self,
+        reg: &CVarRegistry,
+        session: &mut Session,
+        indices: impl IntoIterator<Item = usize>,
+        mut decided: HashMap<CondId, Fate>,
+    ) -> Result<[usize; 2], SolverError> {
+        let mut kill: Vec<bool> = Vec::new();
+        let mut gone = [0usize; 2];
+        for idx in indices {
+            let id = self.conds[idx];
+            let fate = match self.side.get(&(idx as u32)) {
+                Some(CondRepr::Sets(sets)) => {
+                    Fate::of(Self::prune_cond(reg, session, id, Some(sets))?)
+                }
+                Some(CondRepr::Opaque(_)) => Fate::of(Self::prune_cond(reg, session, id, None)?),
+                None => match decided.get(&id) {
+                    Some(&fate) => fate,
+                    None => {
+                        let fate = Fate::of_id(reg, session, id)?;
+                        decided.insert(id, fate);
+                        fate
+                    }
+                },
+            };
+            match fate {
+                Fate::Store { cond, opaque } => self.store(idx, cond, opaque),
+                dead => {
+                    if kill.is_empty() {
+                        kill = vec![false; self.len()];
+                    }
+                    if !std::mem::replace(&mut kill[idx], true) {
+                        gone[usize::from(matches!(dead, Fate::Vanish))] += 1;
+                    }
+                }
+            }
+        }
+        if !kill.is_empty() {
+            self.compact(&kill);
+        }
+        Ok(gone)
+    }
+
+    /// The simplified condition of a row whose condition is `cond`:
+    /// [`CondId::FALSE`] if it is unsatisfiable. `sets` is the row's
+    /// antichain (`cond == intern(condition_of(sets))`), `None` for an
+    /// opaque row. A deterministic function of its arguments (solver
+    /// results are ground truth), which is what lets one decision stand
+    /// for every row sharing the condition, on any thread.
+    fn prune_cond(
+        reg: &CVarRegistry,
+        session: &mut Session,
+        cond: CondId,
+        sets: Option<&[AtomSet]>,
+    ) -> Result<CondId, SolverError> {
+        let Some(sets) = sets else {
+            return session.simplify_pruned_id(reg, cond);
+        };
+        let mut live: Vec<&AtomSet> = Vec::with_capacity(sets.len());
+        for set in sets {
+            // A lone disjunct *is* the condition: nothing to rebuild.
+            let conj = match sets.len() {
+                1 => cond,
+                _ => pool::intern(&dnf::condition_of(std::slice::from_ref(set))),
+            };
+            if session.satisfiable_id(reg, conj)? {
+                live.push(set);
+            }
+        }
+        if live.is_empty() {
+            return Ok(CondId::FALSE);
+        }
+        let survivor = if live.len() == sets.len() {
+            cond
+        } else {
+            let live: Vec<AtomSet> = live.into_iter().cloned().collect();
+            pool::intern(&dnf::condition_of(&live))
+        };
+        if pool::resolve(survivor).size() <= 128 {
+            // Small survivor: also detect validity (e.g.
+            // {x̄=0} ∨ {x̄=1} over {0,1} → empty condition).
+            session.simplify_pruned_id(reg, survivor)
+        } else {
+            Ok(survivor)
+        }
+    }
+
+    /// Parallel variant of [`prune`](Table::prune): the *distinct
+    /// conditions* of the table are split into contiguous chunks across
+    /// `threads` scoped workers, each deciding its chunk with its own
+    /// [`Session`] over the shared lock-sharded `memo`; the rows are
+    /// then walked once on the calling thread. A decision is a function
+    /// of the condition alone, so the resulting table is bit-identical
+    /// to the serial walk.
     ///
     /// Per-worker [`faure_solver::SolverStats`] (including latency
     /// histograms) are folded into `session` in chunk order; the
     /// deterministic counters (`sat_calls`, `sat_true`,
-    /// `simplify_calls`, hit+miss total) match serial, only the
-    /// hit/miss *split* depends on scheduling.
+    /// `simplify_calls`, hit+miss total) match serial — every distinct
+    /// condition is decided exactly once either way — only the hit/miss
+    /// *split* depends on scheduling.
     ///
-    /// Falls back to the serial walk when `threads <= 1` or the table
-    /// has fewer than two rows.
+    /// Falls back to the serial walk when `threads <= 1` or there are
+    /// fewer than two distinct conditions to decide.
     pub fn prune_parallel(
         &mut self,
         reg: &CVarRegistry,
@@ -815,45 +974,30 @@ impl Table {
         memo: &std::sync::Arc<faure_solver::SharedMemo>,
         threads: usize,
     ) -> Result<usize, SolverError> {
-        if threads <= 1 || self.len() < 2 {
+        // Rows on the side list are decided row by row, in the walk.
+        let mut seen = HashSet::new();
+        let ids: Vec<CondId> = (0..self.len())
+            .filter(|&i| self.side.is_empty() || !self.side.contains_key(&(i as u32)))
+            .map(|i| self.conds[i])
+            .filter(|&id| seen.insert(id))
+            .collect();
+        let workers = threads.min(ids.len());
+        if workers < 2 {
             return self.prune(reg, session);
         }
-        let work = self.take_rows();
-        let workers = threads.min(work.len());
-        // Balanced contiguous split: the first `extra` chunks get one
-        // extra row.
-        let base = work.len() / workers;
-        let extra = work.len() % workers;
-        let mut chunks: Vec<Vec<(CTuple, CondRepr)>> = Vec::with_capacity(workers);
-        let mut it = work.into_iter();
-        for w in 0..workers {
-            let take = base + usize::from(w < extra);
-            chunks.push(it.by_ref().take(take).collect());
-        }
-        type ChunkOut = Result<(Vec<CTuple>, usize), SolverError>;
-        let results: Vec<(ChunkOut, faure_solver::SolverStats)> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .into_iter()
+        type ChunkOut = (Result<Vec<Fate>, SolverError>, faure_solver::SolverStats);
+        let chunk = ids.len().div_ceil(workers);
+        let results: Vec<ChunkOut> = std::thread::scope(|s| {
+            let handles: Vec<_> = ids
+                .chunks(chunk)
                 .map(|chunk| {
                     s.spawn(move || {
                         let mut worker = Session::with_shared(std::sync::Arc::clone(memo));
-                        let mut kept = Vec::with_capacity(chunk.len());
-                        let mut removed = 0usize;
-                        let mut out: ChunkOut = Ok((Vec::new(), 0));
-                        for (row, repr) in chunk {
-                            match Self::prune_row(reg, &mut worker, row, repr) {
-                                Ok(Some(row)) => kept.push(row),
-                                Ok(None) => removed += 1,
-                                Err(e) => {
-                                    out = Err(e);
-                                    break;
-                                }
-                            }
-                        }
-                        if out.is_ok() {
-                            out = Ok((kept, removed));
-                        }
-                        (out, worker.stats())
+                        let fates = chunk
+                            .iter()
+                            .map(|&id| Fate::of_id(reg, &mut worker, id))
+                            .collect();
+                        (fates, worker.stats())
                     })
                 })
                 .collect();
@@ -862,34 +1006,18 @@ impl Table {
                 .map(|h| h.join().expect("prune worker panicked"))
                 .collect()
         });
-        let mut kept_rows = Vec::new();
-        let mut removed = 0usize;
+        let mut decided = HashMap::with_capacity(ids.len());
         let mut first_err = None;
-        for (out, stats) in results {
+        for (chunk, (fates, stats)) in ids.chunks(chunk).zip(results) {
             session.absorb_stats(&stats);
-            match out {
-                Ok((kept, n)) => {
-                    kept_rows.extend(kept);
-                    removed += n;
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
+            match fates {
+                Ok(fates) => decided.extend(chunk.iter().copied().zip(fates)),
+                Err(e) => first_err = first_err.or(Some(e)),
             }
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        self.rebuild_from(kept_rows);
-        Ok(removed)
-    }
-
-    fn rebuild_from(&mut self, rows: Vec<CTuple>) {
-        for row in rows {
-            self.insert(row)
-                .expect("rebuilt rows came from this table and match its arity");
+        match first_err {
+            Some(e) => Err(e),
+            None => self.prune_decided(reg, session, decided),
         }
     }
 
@@ -897,7 +1025,12 @@ impl Table {
     /// dedup-index lookup on the injective cell encoding).
     pub fn find_row(&self, terms: &[Term]) -> Option<usize> {
         let cells: Box<[Cell]> = terms.iter().map(Cell::encode).collect();
-        self.by_terms.get(&cells).map(|&i| i as usize)
+        self.find_row_cells(&cells)
+    }
+
+    /// [`find_row`](Table::find_row) on already encoded cells.
+    pub fn find_row_cells(&self, cells: &[Cell]) -> Option<usize> {
+        self.by_terms.get(cells).map(|&i| i as usize)
     }
 
     /// The support count of one row (see the field doc: an upper bound
@@ -912,7 +1045,7 @@ impl Table {
     /// propagate upward as just its new disjuncts — when this holds;
     /// opaque conditions fall back to delete-and-reinsert propagation.
     pub fn has_sets_repr(&self, idx: usize) -> bool {
-        matches!(self.reprs[idx], CondRepr::Sets(_))
+        !matches!(self.side.get(&(idx as u32)), Some(CondRepr::Opaque(_)))
     }
 
     /// Whether any row stores a c-variable in a *cell* (conditions may
@@ -930,10 +1063,10 @@ impl Table {
     /// Removes the rows at `indices` (duplicates and any order are
     /// fine), returning the removed rows materialised in index order.
     ///
-    /// Columnar removal: the surviving cells, conditions, reprs and
-    /// support counts are compacted in place — **no re-normalisation**,
-    /// so surviving rows keep their exact condition representation —
-    /// and the probe/dedup indexes are rebuilt.
+    /// Columnar removal: the surviving cells, conditions and support
+    /// counts are compacted in place — **no re-normalisation**, so
+    /// surviving rows keep their exact condition representation — and
+    /// the probe/dedup indexes are rebuilt.
     pub fn remove_rows(&mut self, indices: &[usize]) -> Vec<CTuple> {
         if indices.is_empty() {
             return Vec::new();
@@ -946,9 +1079,13 @@ impl Table {
             .filter(|&i| kill[i])
             .map(|i| self.row(i))
             .collect();
-        if removed.is_empty() {
-            return removed;
-        }
+        self.compact(&kill);
+        removed
+    }
+
+    /// Compacts away every row `r` with `kill[r]` set and rebuilds the
+    /// indexes over the survivors.
+    fn compact(&mut self, kill: &[bool]) {
         fn keep<T>(v: &mut Vec<T>, kill: &[bool]) {
             let mut w = 0usize;
             for (r, &dead) in kill.iter().enumerate() {
@@ -960,13 +1097,21 @@ impl Table {
             v.truncate(w);
         }
         for col in &mut self.cols {
-            keep(&mut col.cells, &kill);
+            keep(&mut col.cells, kill);
         }
-        keep(&mut self.conds, &kill);
-        keep(&mut self.reprs, &kill);
-        keep(&mut self.support, &kill);
+        keep(&mut self.conds, kill);
+        keep(&mut self.support, kill);
+        if !self.side.is_empty() {
+            // Side entries follow their rows to the new indices.
+            let mut old = std::mem::take(&mut self.side);
+            let survivors = kill.iter().enumerate().filter(|(_, &dead)| !dead);
+            for (new_idx, (old_idx, _)) in survivors.enumerate() {
+                if let Some(repr) = old.remove(&(old_idx as u32)) {
+                    self.side.insert(new_idx as u32, repr);
+                }
+            }
+        }
         self.reindex();
-        removed
     }
 
     /// Rebuilds the probe and dedup indexes from the column vectors.
@@ -989,62 +1134,46 @@ impl Table {
         }
     }
 
-    /// Replaces one row's condition in place, recomputing its pooled
-    /// id and (antichain or opaque) representation exactly as a fresh
-    /// insert of that condition would. Returns `false` when the new
-    /// condition is `False` or normalises to the empty DNF — the row
-    /// is then dead and the caller must [`remove_rows`](Table::remove_rows) it.
+    /// Replaces one row's condition in place, leaving its pooled id and
+    /// (antichain or opaque) representation exactly as a fresh insert
+    /// of that condition would. Returns `false` when the new condition
+    /// is `False` or normalises to the empty DNF — the row is then dead
+    /// and the caller must [`remove_rows`](Table::remove_rows) it.
     pub fn adjust_condition(&mut self, idx: usize, cond: &Condition) -> bool {
-        let sets = if *cond == Condition::False {
-            Some(Vec::new())
-        } else {
-            crate::dnf::to_min_dnf(cond, crate::dnf::DEFAULT_SET_BUDGET)
-        };
-        match sets {
-            Some(s) if s.is_empty() => false,
-            Some(s) => {
-                self.conds[idx] = pool::intern(&crate::dnf::condition_of(&s));
-                self.reprs[idx] = CondRepr::Sets(s);
+        match Fate::of(pool::intern(cond)) {
+            Fate::Store { cond, opaque } => {
+                self.store(idx, cond, opaque);
                 true
             }
-            None => {
-                let id = pool::intern(cond);
-                self.conds[idx] = id;
-                self.reprs[idx] = CondRepr::Opaque(vec![id]);
-                true
-            }
+            Fate::Drop | Fate::Vanish => false,
+        }
+    }
+
+    /// Writes a [`Fate::Store`] into row `idx`.
+    fn store(&mut self, idx: usize, cond: CondId, opaque: bool) {
+        self.conds[idx] = cond;
+        if opaque {
+            self.side.insert(idx as u32, CondRepr::Opaque(vec![cond]));
+        } else if !self.side.is_empty() {
+            self.side.remove(&(idx as u32));
         }
     }
 
     /// Row-targeted [`prune`](Table::prune): solver-prunes only the
-    /// rows at `indices`, adjusting surviving conditions in place and
-    /// removing rows whose condition is unsatisfiable. Returns the
-    /// number of rows removed. Each row goes through the same
-    /// [`prune_row`](Table::prune) unit of work as a full prune, so a
-    /// row's outcome depends only on its own condition — pruning a
-    /// subset leaves the rest bit-identical to never having pruned.
+    /// rows at `indices` (distinct), adjusting surviving conditions in
+    /// place and removing rows whose condition is unsatisfiable or
+    /// simplifies to an empty DNF. Returns the number of rows removed.
+    /// Each row's fate is the same function of its condition as in a
+    /// full prune, so pruning a subset leaves the rest bit-identical to
+    /// never having pruned. Support counts are left alone.
     pub fn prune_rows(
         &mut self,
         reg: &CVarRegistry,
         session: &mut Session,
         indices: &[usize],
     ) -> Result<usize, SolverError> {
-        let mut dead = Vec::new();
-        for &idx in indices {
-            let row = self.row(idx);
-            let repr = self.reprs[idx].clone();
-            match Self::prune_row(reg, session, row, repr)? {
-                Some(kept) => {
-                    if !self.adjust_condition(idx, &kept.cond) {
-                        dead.push(idx);
-                    }
-                }
-                None => dead.push(idx),
-            }
-        }
-        let n = dead.len();
-        self.remove_rows(&dead);
-        Ok(n)
+        let gone = self.prune_in_place(reg, session, indices.iter().copied(), HashMap::new())?;
+        Ok(gone.iter().sum())
     }
 
     /// Applies one §5-style deletion pattern: `cols[i] = Some(c)`
@@ -1101,6 +1230,62 @@ impl Table {
         // materialises the old versions.
         let removed = self.remove_rows(&drop_idx);
         DeletionEffect { removed, weakened }
+    }
+}
+
+/// The prune this table ran before conditions stayed interned, kept as
+/// the reference the in-place walk is tested against: drain every row,
+/// decide it on its own, re-insert the survivors into the emptied table.
+#[cfg(test)]
+impl Table {
+    fn prune_by_reinsertion(
+        &mut self,
+        reg: &CVarRegistry,
+        session: &mut Session,
+    ) -> Result<usize, SolverError> {
+        let work = self.take_rows();
+        let mut kept_rows = Vec::with_capacity(work.len());
+        let mut removed = 0usize;
+        for (row, repr) in work {
+            let sets = match &repr {
+                CondRepr::Sets(sets) => Some(sets.as_slice()),
+                CondRepr::Opaque(_) => None,
+            };
+            let simplified = Self::prune_cond(reg, session, pool::intern(&row.cond), sets)?;
+            if simplified.is_false() {
+                removed += 1;
+            } else {
+                kept_rows.push(CTuple {
+                    terms: row.terms,
+                    cond: pool::resolve(simplified),
+                });
+            }
+        }
+        self.rebuild_from(kept_rows);
+        Ok(removed)
+    }
+
+    /// Drains the table into `(materialised row, repr)` work items,
+    /// leaving it empty (columns and indexes cleared).
+    fn take_rows(&mut self) -> Vec<(CTuple, CondRepr)> {
+        let work = (0..self.len())
+            .map(|i| {
+                let repr = self.side.get(&(i as u32)).cloned().unwrap_or_else(|| {
+                    let form = dnf::normal_form(self.conds[i]);
+                    CondRepr::Sets(form.sets.clone().expect("antichain of a row by id"))
+                });
+                (self.row(i), repr)
+            })
+            .collect();
+        *self = Table::new(self.schema.clone());
+        work
+    }
+
+    fn rebuild_from(&mut self, rows: Vec<CTuple>) {
+        for row in rows {
+            self.insert(row)
+                .expect("rebuilt rows came from this table and match its arity");
+        }
     }
 }
 
@@ -1653,6 +1838,319 @@ mod tests {
         t.insert(CTuple::new([Term::int(2)])).unwrap();
         let _ = t.remove_rows(&[0]);
         assert_eq!(t.support(0), 1); // counts travel with their rows
+    }
+
+    // ---- what the drain-and-reinsert prune did, pinned -----------------
+
+    /// `n` fresh `{0,1}` c-variables named `{prefix}{i}`.
+    fn bool_vars(db: &mut Database, prefix: &str, n: usize) -> Vec<faure_ctable::CVarId> {
+        (0..n)
+            .map(|i| db.fresh_cvar(format!("{prefix}{i}"), Domain::Bool01))
+            .collect()
+    }
+
+    /// `⋀ᵢ (āᵢ = 1 ∨ b̄ᵢ = 1)` over nine variable pairs: satisfiable, but
+    /// its DNF has 512 disjuncts — over the 256-set budget, so a row
+    /// carrying it is stored opaque.
+    fn over_budget(a: &[faure_ctable::CVarId], b: &[faure_ctable::CVarId]) -> Condition {
+        Condition::conj(
+            a.iter()
+                .zip(b)
+                .map(|(&a, &b)| {
+                    Condition::eq(Term::Var(a), Term::int(1))
+                        .or(Condition::eq(Term::Var(b), Term::int(1)))
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn prune_resets_every_support_count_to_one() {
+        let (reg, x, _) = db_with_xy();
+        let mut t = Table::new(Schema::new("T", &["a"]));
+        let c0 = Condition::eq(Term::Var(x), Term::int(0));
+        t.insert(CTuple::with_cond([Term::int(1)], c0.clone()))
+            .unwrap();
+        t.insert(CTuple::with_cond([Term::int(1)], c0)).unwrap();
+        t.insert(CTuple::new([Term::int(2)])).unwrap();
+        assert_eq!(t.support(0), 2);
+        t.prune(&reg, &mut Session::new()).unwrap();
+        assert_eq!(t.len(), 2);
+        assert!((0..t.len()).all(|i| t.support(i) == 1));
+    }
+
+    #[test]
+    fn prune_survivors_keep_their_row_order() {
+        use faure_ctable::{CmpOp, LinExpr};
+        let mut db = Database::new();
+        let x = db.fresh_cvar("x", Domain::Bool01);
+        let y = db.fresh_cvar("y", Domain::Bool01);
+        let reg = db.cvars.clone();
+        let unsat = Condition::cmp(
+            LinExpr::var(x).plus_var(1, y),
+            CmpOp::Eq,
+            LinExpr::constant(3),
+        );
+        let mut t = Table::new(Schema::new("T", &["a"]));
+        for i in 0..9i64 {
+            let cond = match i % 3 {
+                0 => unsat.clone(),
+                1 => Condition::eq(Term::Var(x), Term::int(i % 2)),
+                _ => Condition::True,
+            };
+            t.insert(CTuple::with_cond([Term::int(i)], cond)).unwrap();
+        }
+        assert_eq!(t.prune(&reg, &mut Session::new()).unwrap(), 3);
+        let kept: Vec<Term> = t.iter().map(|r| r.terms[0].clone()).collect();
+        assert_eq!(kept, [1, 2, 4, 5, 7, 8].map(Term::int).to_vec());
+        for i in 0..t.len() {
+            assert_eq!(t.find_row(&t.row(i).terms), Some(i), "dedup index follows");
+        }
+    }
+
+    #[test]
+    fn prune_survivor_with_empty_renormalised_dnf_vanishes_uncounted() {
+        // The solver keeps the row (its only disjunct is satisfiable),
+        // but the simplified condition it hands back normalises to the
+        // empty DNF: the row is gone, and `removed` does not count it.
+        // A complete solver never answers like this; a seeded memo does.
+        let (reg, x, _) = db_with_xy();
+        let mut t = Table::new(Schema::new("T", &["a"]));
+        t.insert(CTuple::with_cond(
+            [Term::int(1)],
+            Condition::eq(Term::Var(x), Term::int(1)),
+        ))
+        .unwrap();
+        t.insert(CTuple::new([Term::int(2)])).unwrap();
+        let memo = std::sync::Arc::new(faure_solver::SharedMemo::for_registry(&reg));
+        let contradictory = Condition::eq(Term::Var(x), Term::int(0))
+            .and(Condition::eq(Term::Var(x), Term::int(1)));
+        memo.simplify_put(t.cond_id(0), &contradictory);
+        let mut session = Session::with_shared(memo);
+        assert_eq!(t.prune(&reg, &mut session).unwrap(), 0);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.row(0).terms, vec![Term::int(2)]);
+    }
+
+    #[test]
+    fn prune_rewrites_a_row_whose_representation_kind_changes() {
+        use faure_ctable::{CmpOp, LinExpr};
+        // Sets -> Opaque with the id unchanged: 257 single-atom
+        // disjuncts are an antichain the table built by merging, but a
+        // fresh normalisation of their disjunction is over budget.
+        let mut db = Database::new();
+        let vs = bool_vars(&mut db, "v", 257);
+        let reg = db.cvars.clone();
+        let mut t = Table::new(Schema::new("T", &["a"]));
+        for &v in &vs {
+            t.insert(CTuple::with_cond(
+                [Term::int(1)],
+                Condition::eq(Term::Var(v), Term::int(1)),
+            ))
+            .unwrap();
+        }
+        assert!(t.has_sets_repr(0));
+        let before = t.cond_id(0);
+        assert_eq!(t.prune(&reg, &mut Session::new()).unwrap(), 0);
+        assert_eq!(t.cond_id(0), before);
+        assert!(!t.has_sets_repr(0));
+
+        // Opaque -> Sets: the over-budget disjunct is unsatisfiable, so
+        // simplification leaves the small one.
+        let mut db = Database::new();
+        let a = bool_vars(&mut db, "a", 9);
+        let b = bool_vars(&mut db, "b", 9);
+        let x = db.fresh_cvar("x", Domain::Bool01);
+        let y = db.fresh_cvar("y", Domain::Bool01);
+        let reg = db.cvars.clone();
+        let small = Condition::eq(Term::Var(x), Term::int(1));
+        let dead = over_budget(&a, &b).and(Condition::cmp(
+            LinExpr::var(x).plus_var(1, y),
+            CmpOp::Eq,
+            LinExpr::constant(3),
+        ));
+        let mut t = Table::new(Schema::new("T", &["a"]));
+        t.insert(CTuple::with_cond([Term::int(1)], small.clone()))
+            .unwrap();
+        assert_eq!(
+            t.insert(CTuple::with_cond([Term::int(1)], dead)).unwrap(),
+            InsertOutcome::Merged
+        );
+        assert!(!t.has_sets_repr(0));
+        assert_eq!(t.prune(&reg, &mut Session::new()).unwrap(), 0);
+        assert!(t.has_sets_repr(0));
+        assert_eq!(t.row(0).cond, normalized(&small));
+    }
+
+    #[test]
+    fn prune_decides_opaque_rows_one_by_one() {
+        let mut db = Database::new();
+        let a = bool_vars(&mut db, "a", 9);
+        let b = bool_vars(&mut db, "b", 9);
+        let reg = db.cvars.clone();
+        let mut t = Table::new(Schema::new("T", &["a"]));
+        for i in 0..3i64 {
+            t.insert(CTuple::with_cond([Term::int(i)], over_budget(&a, &b)))
+                .unwrap();
+        }
+        assert!((0..3).all(|i| !t.has_sets_repr(i)));
+        let mut session = Session::new();
+        assert_eq!(t.prune(&reg, &mut session).unwrap(), 0);
+        assert_eq!(t.len(), 3);
+        assert_eq!(session.stats().simplify_calls, 3);
+        assert_eq!(session.stats().sat_calls, 0);
+    }
+
+    // ---- the id-keyed paths against the tree paths ------------------------
+
+    #[test]
+    fn prune_asks_the_solver_once_per_distinct_condition() {
+        let (reg, x, _) = db_with_xy();
+        let mut t = Table::new(Schema::new("T", &["a"]));
+        for i in 0..5i64 {
+            t.insert(CTuple::with_cond(
+                [Term::int(i)],
+                Condition::eq(Term::Var(x), Term::int(i % 2)),
+            ))
+            .unwrap();
+        }
+        let mut session = Session::new();
+        assert_eq!(t.prune(&reg, &mut session).unwrap(), 0);
+        // Two distinct conditions over five rows.
+        assert_eq!(session.stats().sat_calls, 2);
+        assert_eq!(session.stats().simplify_calls, 2);
+    }
+
+    mod differential {
+        use super::*;
+        use faure_ctable::{CVarId, CmpOp, LinExpr};
+        use proptest::prelude::*;
+
+        /// 18 `{0,1}` variables: enough for the over-budget product.
+        fn registry() -> CVarRegistry {
+            let mut reg = CVarRegistry::new();
+            for i in 0..18 {
+                reg.fresh(format!("d{i}"), Domain::Bool01);
+            }
+            reg
+        }
+
+        fn var(i: u32) -> Term {
+            Term::Var(CVarId(i))
+        }
+
+        /// Conditions of every kind the solver phase tells apart:
+        /// plain atoms, a disjunct only the solver refutes, a valid
+        /// disjunction, an over-budget product, `False`, and small
+        /// conjunctions and disjunctions of those.
+        fn arb_cond() -> impl Strategy<Value = Condition> {
+            let vars: Vec<CVarId> = (0..18).map(CVarId).collect();
+            let product = over_budget(&vars[..9], &vars[9..]);
+            let leaf = prop_oneof![
+                (0u32..4, 0i64..2).prop_map(|(v, k)| Condition::eq(var(v), Term::int(k))),
+                (0u32..4, 0i64..2).prop_map(|(v, k)| Condition::ne(var(v), Term::int(k))),
+                (0u32..3).prop_map(|v| Condition::cmp(
+                    LinExpr::var(CVarId(v)).plus_var(1, CVarId(v + 1)),
+                    CmpOp::Eq,
+                    LinExpr::constant(3),
+                )),
+                (0u32..4)
+                    .prop_map(|v| Condition::eq(var(v), Term::int(0))
+                        .or(Condition::eq(var(v), Term::int(1)))),
+                Just(product),
+                Just(Condition::False),
+                Just(Condition::True),
+            ];
+            leaf.prop_recursive(2, 6, 3, |inner| {
+                prop_oneof![
+                    prop::collection::vec(inner.clone(), 1..3).prop_map(Condition::conj),
+                    prop::collection::vec(inner, 1..3).prop_map(Condition::disj),
+                ]
+            })
+        }
+
+        fn arb_rows() -> impl Strategy<Value = Vec<CTuple>> {
+            prop::collection::vec(
+                (0i64..6, arb_cond()).prop_map(|(k, c)| CTuple::with_cond([Term::int(k)], c)),
+                1..14,
+            )
+        }
+
+        /// Everything a prune can change, row by row.
+        fn state(t: &Table) -> Vec<(Vec<Term>, CondId, bool, u64)> {
+            (0..t.len())
+                .map(|i| {
+                    (
+                        t.row(i).terms,
+                        t.cond_id(i),
+                        t.has_sets_repr(i),
+                        t.support(i),
+                    )
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// The in-place prune, serial and parallel, leaves what the
+            /// drain-and-reinsert prune leaves: rows, order, ids,
+            /// representation kinds, supports and the removal count.
+            #[test]
+            fn in_place_prune_matches_reinsertion(rows in arb_rows()) {
+                let reg = registry();
+                let build = || {
+                    let mut t = Table::new(Schema::new("T", &["a"]));
+                    for row in &rows {
+                        t.insert(row.clone()).unwrap();
+                    }
+                    t
+                };
+                let mut reference = build();
+                let removed = reference
+                    .prune_by_reinsertion(&reg, &mut Session::new())
+                    .unwrap();
+                for threads in [1usize, 2, 4] {
+                    let mut t = build();
+                    let memo = std::sync::Arc::new(faure_solver::SharedMemo::for_registry(&reg));
+                    let got = t
+                        .prune_parallel(&reg, &mut Session::new(), &memo, threads)
+                        .unwrap();
+                    prop_assert_eq!(got, removed, "removed, threads={}", threads);
+                    prop_assert_eq!(state(&t), state(&reference), "threads={}", threads);
+                    for i in 0..t.len() {
+                        prop_assert_eq!(t.find_row(&t.row(i).terms), Some(i));
+                    }
+                }
+            }
+
+            /// A row built from an id is the row built from the tuple,
+            /// and both carry what normalising the tree by hand gives.
+            #[test]
+            fn prepared_row_from_id_matches_from_tuple(cond in arb_cond()) {
+                let tuple = CTuple::with_cond([Term::int(1), var(2)], cond.clone());
+                let cells: Box<[Cell]> = tuple.terms.iter().map(Cell::encode).collect();
+                let by_tuple = PreparedRow::new(tuple);
+                let by_id = PreparedRow::from_id(cells.clone(), pool::intern(&cond));
+                let sets = dnf::to_min_dnf(&cond, dnf::DEFAULT_SET_BUDGET);
+                let stored = match &sets {
+                    Some(sets) => pool::intern(&dnf::condition_of(sets)),
+                    None => pool::intern(&cond),
+                };
+                for row in [&by_tuple, &by_id] {
+                    prop_assert_eq!(row.cells(), &cells[..]);
+                    prop_assert_eq!(row.cond_id(), pool::intern(&cond));
+                    prop_assert_eq!(row.stored_id(), stored);
+                    prop_assert_eq!(row.is_false(), sets.as_ref().is_some_and(Vec::is_empty));
+                    prop_assert_eq!(&dnf::normal_form(row.cond_id()).sets, &sets);
+                    // The stored id is a fixed point with the same antichain.
+                    if sets.is_some() {
+                        prop_assert_eq!(&dnf::normal_form(stored).sets, &sets);
+                        prop_assert_eq!(dnf::normal_form(stored).stored, stored);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
