@@ -74,11 +74,7 @@ pub(super) fn eval_stratum_semi_naive(
             let mut rows = 0usize;
             for t in delta.values_mut() {
                 rows += t.len();
-                removed += if opts.threads > 1 {
-                    t.prune_parallel(ctx.reg, session, &ctx.shared_memo, opts.threads)?
-                } else {
-                    t.prune(ctx.reg, session)?
-                };
+                removed += t.prune(ctx.reg, session)?;
             }
             stats.prune_wall += wall.elapsed();
             super::publish::publish_prune(rows, removed);
@@ -87,7 +83,7 @@ pub(super) fn eval_stratum_semi_naive(
                     ("pred", "(delta)".into()),
                     ("rows", rows.into()),
                     ("removed", removed.into()),
-                    ("threads", opts.threads.into()),
+                    ("threads", 1usize.into()),
                 ]
             });
             delta.retain(|_, t| !t.is_empty());

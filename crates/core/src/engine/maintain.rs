@@ -85,6 +85,7 @@ use crate::plan::{DeletionStrategy, PlanCache};
 use crate::update::{DeletePattern, Update};
 use faure_ctable::{CTuple, CVarId, Const, Database, Relation, Schema, Term};
 use faure_solver::{Session, SharedMemo};
+use faure_storage::table::Cell;
 use faure_storage::{PhaseStats, PreparedRow, Table};
 use faure_trace::Tracer;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -258,8 +259,8 @@ impl MaterializedState {
 #[derive(Default)]
 struct ChangeLog {
     /// Old row version at first sight this apply (`None` = the row did
-    /// not exist), keyed by terms. Captured *before* any merge.
-    old: HashMap<Vec<Term>, Option<CTuple>>,
+    /// not exist), keyed by encoded terms. Captured *before* any merge.
+    old: HashMap<Box<[Cell]>, Option<CTuple>>,
     /// Terms whose row actually changed (new row or new disjunct).
     dirty: BTreeSet<Vec<Term>>,
 }
@@ -957,11 +958,7 @@ fn run_one_stratum(
             let t = tables.get_mut(*p).expect("table created above");
             let rows = t.len();
             let wall = Instant::now();
-            let removed = if opts.threads > 1 {
-                t.prune_parallel(ctx.reg, session, &ctx.shared_memo, opts.threads)?
-            } else {
-                t.prune(ctx.reg, session)?
-            };
+            let removed = t.prune(ctx.reg, session)?;
             stats.prune_wall += wall.elapsed();
             stats.pruned += removed;
             super::publish::publish_prune(rows, removed);
@@ -970,7 +967,7 @@ fn run_one_stratum(
                     ("pred", (*p).into()),
                     ("rows", rows.into()),
                     ("removed", removed.into()),
-                    ("threads", opts.threads.into()),
+                    ("threads", 1usize.into()),
                 ]
             });
         }
@@ -1112,9 +1109,10 @@ fn merge_tracked(
     let table = tables.get_mut(pred).expect("table created in setup");
     let log = changed.entry(pred.to_owned()).or_default();
     for prow in derived.iter().flatten() {
-        log.old
-            .entry(prow.terms())
-            .or_insert_with(|| table.find_row_cells(prow.cells()).map(|i| table.row(i)));
+        if !log.old.contains_key(prow.cells()) {
+            let old = table.find_row_cells(prow.cells()).map(|i| table.row(i));
+            log.old.insert(prow.cells().into(), old);
+        }
     }
     let schema = table.schema.clone();
     let ob = outbound
@@ -1306,7 +1304,8 @@ fn settle_stratum(
 
         let ob = outbound.get(p);
         for terms in &log.dirty {
-            let old = log.old.get(terms).cloned().flatten();
+            let cells: Vec<Cell> = terms.iter().map(Cell::encode).collect();
+            let old = log.old.get(cells.as_slice()).cloned().flatten();
             match table.find_row(terms) {
                 None => {
                     // Died (pruned away). If it existed before this

@@ -40,10 +40,9 @@
 //! [`faure_storage::Table::absorb_partitions`] — the insert sequence
 //! equals the serial enumeration order, so parallel results (conditions
 //! included) are **bit-identical** to a serial run. The solver phase
-//! scales the same way: end-of-stratum pruning runs through
-//! [`faure_storage::Table::prune_parallel`], which splits the rows
-//! across workers over the same shared memo and merges kept rows in
-//! partition order.
+//! stays on the driver thread: [`faure_storage::Table::prune`] asks the
+//! solver once per distinct condition, which leaves too little to
+//! share out.
 //!
 //! ## Cross-run memo reuse
 //!

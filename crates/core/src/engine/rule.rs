@@ -36,17 +36,11 @@ use std::sync::Mutex;
 #[derive(Default)]
 pub(crate) struct LeafMemo {
     seen: Mutex<HashMap<Box<[CondId]>, CondId>>,
-    #[cfg(test)]
-    _live: tests::LiveMemo,
 }
 
 impl LeafMemo {
     /// The id of `canonicalize(simplify(acc.materialize()))`.
     fn conjoin(&self, acc: &CondAcc) -> CondId {
-        #[cfg(test)]
-        if tests::memo_bypassed() {
-            return conjoin_trees(acc);
-        }
         let stack = acc.ids();
         if let Some(&id) = self.seen.lock().expect("leaf memo poisoned").get(stack) {
             return id;
@@ -125,7 +119,7 @@ fn build_patterns(ctx: &Ctx<'_>, atom: &RuleAtom, theta: &HashMap<&str, Term>) -
 ///
 /// Each pass is recorded as one `fixpoint`/`rule-pass` span carrying
 /// the rule index, depth-0 match count, rows derived, and the summed
-/// structural size of the derived conditions.
+/// structural size of the derived conditions as a table stores them.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn eval_rule(
     ctx: &Ctx<'_>,
@@ -160,7 +154,11 @@ pub(super) fn eval_rule(
     ctx.tracer
         .emit_span("fixpoint", "rule-pass", t_pass, 0, || {
             let rows_out: usize = partitions.iter().map(Vec::len).sum();
-            let cond_size: usize = partitions.iter().flatten().map(|r| r.cond().size()).sum();
+            let cond_size: usize = partitions
+                .iter()
+                .flatten()
+                .map(|r| pool::resolve(r.cond_id()).size())
+                .sum();
             let mut args = vec![
                 ("rule", ri.into()),
                 ("head", rule.head.pred.as_str().into()),
@@ -609,55 +607,16 @@ pub fn canonicalize(c: Condition) -> Condition {
 }
 
 #[cfg(test)]
-pub(super) mod tests {
+mod tests {
     use super::*;
-    use crate::engine::{evaluate_with, EvalOptions};
+    use crate::ast::Program;
     use crate::parser::parse_program;
+    use crate::plan::{compile_rule, ShardPlan};
     use faure_ctable::{CTuple, CVarId, CmpOp, Database, Domain, Schema};
+    use faure_solver::SharedMemo;
+    use faure_trace::Tracer;
     use proptest::prelude::*;
-    use std::cell::Cell as Flag;
-
-    thread_local! {
-        /// Leaf memos alive on this thread.
-        static LIVE: Flag<usize> = const { Flag::new(0) };
-        /// Set while [`without_leaf_memo`] runs on this thread.
-        static BYPASSED: Flag<bool> = const { Flag::new(false) };
-    }
-
-    /// Rides in every [`LeafMemo`] of a test build and counts the memos
-    /// alive on the thread that made them, so a test can see that a
-    /// finished evaluation left none behind.
-    pub(crate) struct LiveMemo;
-
-    impl Default for LiveMemo {
-        fn default() -> Self {
-            LIVE.with(|n| n.set(n.get() + 1));
-            LiveMemo
-        }
-    }
-
-    impl Drop for LiveMemo {
-        fn drop(&mut self) {
-            LIVE.with(|n| n.set(n.get() - 1));
-        }
-    }
-
-    pub(crate) fn live_memos() -> usize {
-        LIVE.with(Flag::get)
-    }
-
-    pub(crate) fn memo_bypassed() -> bool {
-        BYPASSED.with(Flag::get)
-    }
-
-    /// Runs `f` with every join leaf of this thread taking the tree
-    /// path: the reference the memoised leaf is compared with.
-    pub(crate) fn without_leaf_memo<R>(f: impl FnOnce() -> R) -> R {
-        let before = BYPASSED.with(|b| b.replace(true));
-        let out = f();
-        BYPASSED.with(|b| b.set(before));
-        out
-    }
+    use std::sync::Arc;
 
     fn arb_fragment() -> impl Strategy<Value = Condition> {
         let atom = (0u32..4, 0i64..3, any::<bool>()).prop_map(|(v, k, eq)| {
@@ -681,7 +640,8 @@ pub(super) mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// A memo miss, the hit that follows it and the tree path over
-        /// the fragments as trees all name one condition.
+        /// the fragments as trees all name one condition; the memo
+        /// starts empty and keeps one entry per distinct stack.
         #[test]
         fn leaf_hit_equals_miss_equals_tree_path(
             parts in prop::collection::vec(arb_fragment(), 0..4),
@@ -698,23 +658,27 @@ pub(super) mod tests {
             };
             let expected = canonicalize(faure_solver::simplify(&tree));
             let memo = LeafMemo::default();
+            prop_assert!(memo.seen.lock().unwrap().is_empty());
             let miss = memo.conjoin(&acc);
             let hit = memo.conjoin(&acc);
             prop_assert_eq!(pool::resolve(miss), expected);
             prop_assert_eq!(hit, miss);
-            prop_assert_eq!(without_leaf_memo(|| memo.conjoin(&acc)), miss);
+            prop_assert_eq!(conjoin_trees(&acc), miss);
+            prop_assert_eq!(memo.seen.lock().unwrap().len(), 1);
         }
     }
 
     /// Two links per hop, each guarded by a `{0,1}` variable, one hop
-    /// blocked conditionally: recursion, merging and negation at once.
+    /// blocked conditionally.
     fn guarded_db() -> Database {
         let mut db = Database::new();
         db.create_relation(Schema::new("F", &["a", "b"])).unwrap();
         db.create_relation(Schema::new("Block", &["a"])).unwrap();
-        let vars: Vec<CVarId> = (0..6)
+        let vars: Vec<CVarId> = (0..3)
             .map(|i| db.fresh_cvar(format!("l{i}"), Domain::Bool01))
             .collect();
+        // Three guards over six links: conditions, and so id stacks,
+        // repeat within one rule pass.
         for (i, (a, b)) in [(1, 2), (2, 3), (3, 1), (1, 3), (3, 4), (2, 4)]
             .into_iter()
             .enumerate()
@@ -723,7 +687,7 @@ pub(super) mod tests {
                 "F",
                 CTuple::with_cond(
                     [Term::int(a), Term::int(b)],
-                    Condition::eq(Term::Var(vars[i]), Term::int(1)),
+                    Condition::eq(Term::Var(vars[i % 3]), Term::int(1)),
                 ),
             )
             .unwrap();
@@ -739,89 +703,114 @@ pub(super) mod tests {
         db
     }
 
-    /// Whole evaluations with the memo and on the tree path agree bit
-    /// for bit — rows, row order, conditions and every counter — under
-    /// each prune policy, with and without negation in the program.
-    #[test]
-    fn memoised_leaves_match_the_tree_path_end_to_end() {
-        let db = guarded_db();
-        let program = parse_program(
-            "R(a, b) :- F(a, b).\n\
-             R(a, b) :- F(a, c), R(c, b).\n\
-             Open(a, b) :- R(a, b), !Block(b).\n\
-             Far(a) :- R(a, b), R(b, a), a < b.\n",
-        )
-        .unwrap();
-        for prune in [
-            PrunePolicy::Never,
-            PrunePolicy::EndOfStratum,
-            PrunePolicy::EveryIteration,
-            PrunePolicy::Eager,
-        ] {
-            let opts = EvalOptions {
-                prune,
-                threads: 1,
-                shards: 1,
-                ..EvalOptions::default()
-            };
-            let memoised = evaluate_with(&program, &db, &opts).unwrap();
-            let trees = without_leaf_memo(|| evaluate_with(&program, &db, &opts)).unwrap();
-            for pred in ["R", "Open", "Far"] {
-                assert_eq!(
-                    memoised.relation(pred).unwrap().tuples,
-                    trees.relation(pred).unwrap().tuples,
-                    "{pred} under {prune:?}"
-                );
-            }
-            assert_eq!(memoised.stats.ops, trees.stats.ops, "{prune:?}");
-            assert_eq!(memoised.stats.delta_sizes, trees.stats.delta_sizes);
-            let (a, b) = (memoised.stats.solver_stats, trees.stats.solver_stats);
-            assert_eq!(
-                (a.sat_calls, a.sat_true, a.simplify_calls),
-                (b.sat_calls, b.sat_true, b.simplify_calls),
-                "{prune:?}"
-            );
-        }
-    }
-
-    /// Run-scoped memos die with their run; id-keyed tables grow with
-    /// the pool and never past it.
-    #[test]
-    fn memos_do_not_outlive_their_run() {
-        let program = parse_program(
-            "R(a, b) :- F(a, b).\n\
-             R(a, b) :- F(a, c), R(c, b).\n",
-        )
-        .unwrap();
+    /// One pass of rule `ri` of `program` over `tables`, as sorted
+    /// `(terms, stored condition id)` pairs.
+    fn rule_pass(
+        program: &Program,
+        ri: usize,
+        db: &Database,
+        tables: &HashMap<String, Table>,
+        leaves: &LeafMemo,
+        prune: PrunePolicy,
+    ) -> Vec<(Vec<Term>, CondId)> {
+        let cvmap = HashMap::new();
+        let shard_plan = ShardPlan::default();
+        let ctx = Ctx {
+            cvmap: &cvmap,
+            reg: &db.cvars,
+            shared_memo: Arc::new(SharedMemo::for_registry(&db.cvars)),
+            tracer: Tracer::disabled(),
+            shard_plan: &shard_plan,
+            leaves,
+        };
         let opts = EvalOptions {
+            prune,
             threads: 1,
             shards: 1,
             ..EvalOptions::default()
         };
-        assert_eq!(live_memos(), 0);
-        for round in 0..8 {
-            // A fresh registry every time: new variables, new
-            // conditions, nothing the earlier rounds can be reused for.
-            let mut db = Database::new();
-            db.create_relation(Schema::new("F", &["a", "b"])).unwrap();
-            for hop in 0..4i64 {
-                let v = db.fresh_cvar(format!("r{round}h{hop}"), Domain::Bool01);
-                db.insert(
-                    "F",
-                    CTuple::with_cond(
-                        [Term::int(hop), Term::int(hop + 1)],
-                        Condition::eq(Term::Var(v), Term::int(round % 2)),
-                    ),
-                )
-                .unwrap();
+        let rule = &program.rules[ri];
+        let mut rows: Vec<(Vec<Term>, CondId)> = eval_rule(
+            &ctx,
+            ri,
+            rule,
+            &compile_rule(rule, None),
+            tables,
+            None,
+            &mut Session::new(),
+            &opts,
+            &mut OpStats::default(),
+        )
+        .unwrap()
+        .into_iter()
+        .flatten()
+        .map(|row| (row.terms(), row.cond_id()))
+        .collect();
+        rows.sort();
+        rows
+    }
+
+    /// What a table stores for `terms` under the tree `cond`.
+    fn stored(terms: Vec<Term>, cond: Condition) -> (Vec<Term>, CondId) {
+        let tree = canonicalize(faure_solver::simplify(&cond));
+        (
+            terms.clone(),
+            PreparedRow::new(CTuple { terms, cond: tree }).cond_id(),
+        )
+    }
+
+    /// Rule passes through the memo — all misses, then all hits — give
+    /// the rows of the same joins written out over condition trees,
+    /// with negation and under `PrunePolicy::Eager` too; and a rule
+    /// with a negated literal never touches the memo.
+    #[test]
+    fn rule_passes_match_hand_joined_trees() {
+        let db = guarded_db();
+        let program = parse_program(
+            "Two(a, b) :- F(a, c), F(c, b).\n\
+             Open(a, b) :- F(a, b), !Block(b).\n",
+        )
+        .unwrap();
+        let tables: HashMap<String, Table> = db
+            .relations()
+            .map(|rel| (rel.schema.name.clone(), Table::from_relation(rel)))
+            .collect();
+        let (f, block) = (&tables["F"], &tables["Block"]);
+
+        let mut two = Vec::new();
+        let mut open = Vec::new();
+        for r1 in f.iter() {
+            for r2 in f.iter().filter(|r2| r2.terms[0] == r1.terms[1]) {
+                let cond = Condition::conj(vec![r1.cond.clone(), r2.cond.clone()]);
+                two.push(stored(vec![r1.terms[0].clone(), r2.terms[1].clone()], cond));
             }
-            let out = evaluate_with(&program, &db, &opts).unwrap();
-            assert_eq!(out.relation("R").unwrap().len(), 10);
-            assert_eq!(live_memos(), 0, "round {round} left a leaf memo alive");
-            assert!(
-                faure_storage::dnf::normal_form_count() <= pool::pool_stats().size,
-                "more normal forms than pool nodes"
+            let unblocked = block.negation_condition(&db.cvars, &r1.terms[1..]);
+            open.push(stored(r1.terms.clone(), r1.cond.clone().and(unblocked)));
+        }
+        two.retain(|(_, id)| !id.is_false());
+        open.retain(|(_, id)| !id.is_false());
+        two.sort();
+        open.sort();
+        assert!(two.len() >= 6 && open.len() == 6);
+
+        // Every condition here is satisfiable, so `Eager` keeps them all.
+        for prune in [PrunePolicy::EndOfStratum, PrunePolicy::Eager] {
+            let leaves = LeafMemo::default();
+            let misses = rule_pass(&program, 0, &db, &tables, &leaves, prune);
+            let entries = leaves.seen.lock().unwrap().len();
+            assert!(0 < entries && entries < two.len(), "stacks repeat");
+            let hits = rule_pass(&program, 0, &db, &tables, &leaves, prune);
+            assert_eq!(leaves.seen.lock().unwrap().len(), entries);
+            assert_eq!(misses, two, "{prune:?}");
+            assert_eq!(hits, two, "{prune:?}");
+
+            let leaves = LeafMemo::default();
+            assert_eq!(
+                rule_pass(&program, 1, &db, &tables, &leaves, prune),
+                open,
+                "{prune:?}"
             );
+            assert!(leaves.seen.lock().unwrap().is_empty());
         }
     }
 }

@@ -163,11 +163,7 @@ pub(super) fn eval_stratum_sharded<'a>(
                 for m in parts.iter_mut() {
                     let Some(t) = m.get_mut(*p) else { continue };
                     rows += t.len();
-                    removed += if opts.threads > 1 {
-                        t.prune_parallel(ctx.reg, session, &ctx.shared_memo, opts.threads)?
-                    } else {
-                        t.prune(ctx.reg, session)?
-                    };
+                    removed += t.prune(ctx.reg, session)?;
                 }
             }
             stats.prune_wall += wall.elapsed();
@@ -177,7 +173,7 @@ pub(super) fn eval_stratum_sharded<'a>(
                     ("pred", "(delta)".into()),
                     ("rows", rows.into()),
                     ("removed", removed.into()),
-                    ("threads", opts.threads.into()),
+                    ("threads", 1usize.into()),
                 ]
             });
             for m in parts.iter_mut() {

@@ -308,6 +308,12 @@ pub fn normal_form(id: CondId) -> Arc<NormalForm> {
         Some(sets) => pool::intern(&condition_of(sets)),
         None => id,
     };
+    // `stored` is entered below under this same form, unasked: it has
+    // to normalise to this antichain on its own account.
+    debug_assert!(
+        stored == id || to_min_dnf(&pool::resolve(stored), DEFAULT_SET_BUDGET) == sets,
+        "the stored condition is not a fixed point of normalisation"
+    );
     let form = Arc::new(NormalForm { sets, stored });
     let mut forms = normal_forms().write().expect("normal-form table poisoned");
     forms.entry(stored).or_insert_with(|| Arc::clone(&form));
@@ -347,7 +353,8 @@ pub(crate) fn record_normal_form(id: CondId, sets: Vec<AtomSet>) {
 }
 
 /// Number of conditions whose normal form is on record.
-pub fn normal_form_count() -> usize {
+#[cfg(test)]
+fn normal_form_count() -> usize {
     normal_forms()
         .read()
         .expect("normal-form table poisoned")
@@ -460,6 +467,25 @@ mod tests {
         let sets = to_min_dnf(&c, 64).unwrap();
         let back = condition_of(&sets);
         assert!(faure_solver::equivalent(&reg, &c, &back).unwrap());
+    }
+
+    #[test]
+    fn normal_forms_never_outnumber_pool_nodes() {
+        // Fresh variables every round: nothing an earlier round
+        // normalised can be reused, so the table has to grow — by at
+        // most the pool nodes the round interned.
+        let mut reg = CVarRegistry::new();
+        for round in 0..8 {
+            let vs: Vec<_> = (0..4)
+                .map(|i| reg.fresh(format!("nf{round}_{i}"), Domain::Bool01))
+                .collect();
+            for w in vs.windows(2) {
+                let c = eq(w[0], 1).and(eq(w[1], 0)).or(eq(w[1], 1));
+                let form = normal_form(pool::intern(&c));
+                assert_eq!(normal_form(form.stored).stored, form.stored);
+            }
+            assert!(normal_form_count() <= pool::pool_stats().size);
+        }
     }
 
     #[test]

@@ -28,10 +28,8 @@ pub struct PhaseStats {
     pub pruned: usize,
     /// Elapsed wall-clock time of the prune phase alone. Unlike
     /// `solver` (which sums per-worker CPU time under parallel
-    /// evaluation), this is measured around each `Table::prune` /
-    /// `Table::prune_parallel` call on the driver thread, so
-    /// `prune_wall` shrinking while `solver` stays flat is exactly the
-    /// signature of parallel pruning paying off.
+    /// evaluation), this is measured around each `Table::prune` call
+    /// on the driver thread.
     pub prune_wall: Duration,
     /// Fine-grained solver counters.
     pub solver_stats: SolverStats,

@@ -20,7 +20,7 @@ use faure_ctable::{
     CTuple, CVarId, CVarRegistry, Condition, Const, Relation, Schema, Symbol, Term,
 };
 use faure_solver::{Session, SolverError};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// A tuple's arity disagrees with the table schema.
@@ -161,23 +161,22 @@ struct Column {
     var_rows: Vec<u32>,
 }
 
-/// A derived row ready for insertion: its encoded cells and the id of
-/// its condition.
+/// A derived row ready for insertion: its encoded cells and the id a
+/// table stores for its condition.
 ///
-/// Everything else the table needs — the minimal-DNF antichain, the id
-/// it stores, whether the condition is over budget — is a function of
-/// that id ([`dnf::normal_form`]), looked up once when the row is built
-/// (inside the worker thread, under parallel evaluation) and shared by
-/// reference with every other row carrying the same condition. The
-/// serialised merge ([`Table::absorb_partitions`]) is then hash lookups
-/// on interned data and `Copy` cell appends — no term clones, no tree
+/// That id, and whether the condition is over the DNF budget, are read
+/// off the condition's [normal form](dnf::normal_form) once when the
+/// row is built (inside the worker thread, under parallel evaluation);
+/// the minimal-DNF antichain stays where it is, shared by reference
+/// with every other row carrying the same condition. The serialised
+/// merge ([`Table::absorb_partitions`]) is then hash lookups on
+/// interned data and `Copy` cell appends — no term clones, no tree
 /// walks, no per-row copy of the antichain.
 #[derive(Clone, Debug)]
 pub struct PreparedRow {
     cells: Box<[Cell]>,
-    /// The condition as derived.
-    cond_id: CondId,
-    /// Its normal form's [`stored`](dnf::NormalForm::stored) id.
+    /// The [`stored`](dnf::NormalForm::stored) id of the condition's
+    /// normal form: what a table keeps for the row.
     stored: CondId,
     /// Whether the condition is over the DNF budget (stored opaque).
     opaque: bool,
@@ -206,7 +205,6 @@ impl PreparedRow {
         let form = dnf::normal_form(cond_id);
         PreparedRow {
             cells,
-            cond_id,
             stored: form.stored,
             opaque: form.sets.is_none(),
         }
@@ -222,18 +220,8 @@ impl PreparedRow {
         &self.cells
     }
 
-    /// The row's (un-normalised) condition.
-    pub fn cond(&self) -> Condition {
-        pool::resolve(self.cond_id)
-    }
-
-    /// The pooled id of the row's condition, as derived.
+    /// The pooled id a table stores for the row's condition.
     pub fn cond_id(&self) -> CondId {
-        self.cond_id
-    }
-
-    /// The id a table stores for this row's condition.
-    pub fn stored_id(&self) -> CondId {
         self.stored
     }
 
@@ -331,11 +319,9 @@ impl DeletionEffect {
 /// its simplified condition would produce.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Fate {
-    /// The condition is unsatisfiable.
-    Drop,
-    /// The solver kept the condition, but what it simplified to
+    /// The condition is unsatisfiable, or what it simplified to
     /// normalises to the empty DNF.
-    Vanish,
+    Drop,
     /// The row stays, storing `cond` (opaque when over budget).
     Store { cond: CondId, opaque: bool },
 }
@@ -343,25 +329,15 @@ enum Fate {
 impl Fate {
     /// The fate of a row whose condition simplified to `simplified`.
     fn of(simplified: CondId) -> Fate {
-        if simplified.is_false() {
-            return Fate::Drop;
-        }
         let form = dnf::normal_form(simplified);
         if form.stored.is_false() {
-            Fate::Vanish
+            Fate::Drop
         } else {
             Fate::Store {
                 cond: form.stored,
                 opaque: form.sets.is_none(),
             }
         }
-    }
-
-    /// The fate of every row outside the side list whose condition is
-    /// `id` (its antichain is the normal form of `id`).
-    fn of_id(reg: &CVarRegistry, session: &mut Session, id: CondId) -> Result<Fate, SolverError> {
-        let form = dnf::normal_form(id);
-        Table::prune_cond(reg, session, id, form.sets.as_deref()).map(Fate::of)
     }
 }
 
@@ -426,7 +402,9 @@ impl Table {
         // What lets the table keep an id and nothing else per row: the
         // id of a row outside the side list is a normal-form fixed
         // point with an antichain. Checked at every export of a debug
-        // build, which is every evaluation of the test suites.
+        // build, which is every evaluation of the test suites; that a
+        // form's `stored` id really normalises to the form's antichain
+        // is checked where the form is entered (`dnf::normal_form`).
         debug_assert!((0..self.len())
             .filter(|&i| !self.side.contains_key(&(i as u32)))
             .all(|i| {
@@ -825,8 +803,8 @@ impl Table {
 
     /// Solver phase: removes rows with unsatisfiable conditions and
     /// simplifies the remaining ones, in place. Returns the number of
-    /// rows removed for an unsatisfiable condition. Columns and indexes
-    /// are touched (compacted, rebuilt) only if some row goes.
+    /// rows removed. Columns and indexes are touched (compacted,
+    /// rebuilt) only if some row goes.
     ///
     /// Whether a condition survives, and as what, is a fact about the
     /// condition: it is decided once per distinct [`CondId`] and the
@@ -835,43 +813,29 @@ impl Table {
     /// conjunction — a single theory query); opaque conditions go
     /// through the budget-guarded whole-condition simplification, row
     /// by row. The outcome is what draining the table and re-inserting
-    /// every simplified survivor used to leave, kept to the letter:
-    /// survivors stay in order, every support count restarts at one,
-    /// and a survivor whose simplified condition normalises to the
-    /// empty DNF goes without being counted.
+    /// every simplified survivor used to leave: survivors stay in
+    /// order and every support count restarts at one.
     pub fn prune(
         &mut self,
         reg: &CVarRegistry,
         session: &mut Session,
     ) -> Result<usize, SolverError> {
-        self.prune_decided(reg, session, HashMap::new())
-    }
-
-    /// [`prune`](Table::prune) with some conditions already decided.
-    fn prune_decided(
-        &mut self,
-        reg: &CVarRegistry,
-        session: &mut Session,
-        decided: HashMap<CondId, Fate>,
-    ) -> Result<usize, SolverError> {
-        let [unsat, _] = self.prune_in_place(reg, session, 0..self.len(), decided)?;
+        let removed = self.prune_in_place(reg, session, 0..self.len())?;
         self.support.fill(1);
-        Ok(unsat)
+        Ok(removed)
     }
 
     /// Decides and applies the fate of the rows at `indices`, then
-    /// compacts the dead ones away. Returns how many went for an
-    /// unsatisfiable condition and how many for a simplified condition
-    /// that normalises to the empty DNF.
+    /// compacts the dead ones away. Returns how many went.
     fn prune_in_place(
         &mut self,
         reg: &CVarRegistry,
         session: &mut Session,
         indices: impl IntoIterator<Item = usize>,
-        mut decided: HashMap<CondId, Fate>,
-    ) -> Result<[usize; 2], SolverError> {
+    ) -> Result<usize, SolverError> {
+        let mut decided: HashMap<CondId, Fate> = HashMap::new();
         let mut kill: Vec<bool> = Vec::new();
-        let mut gone = [0usize; 2];
+        let mut removed = 0usize;
         for idx in indices {
             let id = self.conds[idx];
             let fate = match self.side.get(&(idx as u32)) {
@@ -882,7 +846,9 @@ impl Table {
                 None => match decided.get(&id) {
                     Some(&fate) => fate,
                     None => {
-                        let fate = Fate::of_id(reg, session, id)?;
+                        let form = dnf::normal_form(id);
+                        let fate =
+                            Fate::of(Self::prune_cond(reg, session, id, form.sets.as_deref())?);
                         decided.insert(id, fate);
                         fate
                     }
@@ -890,12 +856,12 @@ impl Table {
             };
             match fate {
                 Fate::Store { cond, opaque } => self.store(idx, cond, opaque),
-                dead => {
+                Fate::Drop => {
                     if kill.is_empty() {
                         kill = vec![false; self.len()];
                     }
                     if !std::mem::replace(&mut kill[idx], true) {
-                        gone[usize::from(matches!(dead, Fate::Vanish))] += 1;
+                        removed += 1;
                     }
                 }
             }
@@ -903,7 +869,7 @@ impl Table {
         if !kill.is_empty() {
             self.compact(&kill);
         }
-        Ok(gone)
+        Ok(removed)
     }
 
     /// The simplified condition of a row whose condition is `cond`:
@@ -950,75 +916,23 @@ impl Table {
         }
     }
 
-    /// Parallel variant of [`prune`](Table::prune): the *distinct
-    /// conditions* of the table are split into contiguous chunks across
-    /// `threads` scoped workers, each deciding its chunk with its own
-    /// [`Session`] over the shared lock-sharded `memo`; the rows are
-    /// then walked once on the calling thread. A decision is a function
-    /// of the condition alone, so the resulting table is bit-identical
-    /// to the serial walk.
+    /// [`prune`](Table::prune) under its old parallel signature.
     ///
-    /// Per-worker [`faure_solver::SolverStats`] (including latency
-    /// histograms) are folded into `session` in chunk order; the
-    /// deterministic counters (`sat_calls`, `sat_true`,
-    /// `simplify_calls`, hit+miss total) match serial — every distinct
-    /// condition is decided exactly once either way — only the hit/miss
-    /// *split* depends on scheduling.
-    ///
-    /// Falls back to the serial walk when `threads <= 1` or there are
-    /// fewer than two distinct conditions to decide.
+    /// The row-chunked split this used to run had one solver query per
+    /// row to share out; with one decision per distinct condition the
+    /// solver is a fraction of a prune that is itself a fraction of a
+    /// run, and nothing measured says a second thread pays for its
+    /// spawn. So there is one prune: the result and every counter are
+    /// the serial ones at any `threads`. Verdicts land in the memo
+    /// `session` was built over.
     pub fn prune_parallel(
         &mut self,
         reg: &CVarRegistry,
         session: &mut Session,
-        memo: &std::sync::Arc<faure_solver::SharedMemo>,
-        threads: usize,
+        _memo: &std::sync::Arc<faure_solver::SharedMemo>,
+        _threads: usize,
     ) -> Result<usize, SolverError> {
-        // Rows on the side list are decided row by row, in the walk.
-        let mut seen = HashSet::new();
-        let ids: Vec<CondId> = (0..self.len())
-            .filter(|&i| self.side.is_empty() || !self.side.contains_key(&(i as u32)))
-            .map(|i| self.conds[i])
-            .filter(|&id| seen.insert(id))
-            .collect();
-        let workers = threads.min(ids.len());
-        if workers < 2 {
-            return self.prune(reg, session);
-        }
-        type ChunkOut = (Result<Vec<Fate>, SolverError>, faure_solver::SolverStats);
-        let chunk = ids.len().div_ceil(workers);
-        let results: Vec<ChunkOut> = std::thread::scope(|s| {
-            let handles: Vec<_> = ids
-                .chunks(chunk)
-                .map(|chunk| {
-                    s.spawn(move || {
-                        let mut worker = Session::with_shared(std::sync::Arc::clone(memo));
-                        let fates = chunk
-                            .iter()
-                            .map(|&id| Fate::of_id(reg, &mut worker, id))
-                            .collect();
-                        (fates, worker.stats())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("prune worker panicked"))
-                .collect()
-        });
-        let mut decided = HashMap::with_capacity(ids.len());
-        let mut first_err = None;
-        for (chunk, (fates, stats)) in ids.chunks(chunk).zip(results) {
-            session.absorb_stats(&stats);
-            match fates {
-                Ok(fates) => decided.extend(chunk.iter().copied().zip(fates)),
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => self.prune_decided(reg, session, decided),
-        }
+        self.prune(reg, session)
     }
 
     /// The row index holding exactly these terms, if present (O(1)
@@ -1145,7 +1059,7 @@ impl Table {
                 self.store(idx, cond, opaque);
                 true
             }
-            Fate::Drop | Fate::Vanish => false,
+            Fate::Drop => false,
         }
     }
 
@@ -1172,8 +1086,7 @@ impl Table {
         session: &mut Session,
         indices: &[usize],
     ) -> Result<usize, SolverError> {
-        let gone = self.prune_in_place(reg, session, indices.iter().copied(), HashMap::new())?;
-        Ok(gone.iter().sum())
+        self.prune_in_place(reg, session, indices.iter().copied())
     }
 
     /// Applies one §5-style deletion pattern: `cols[i] = Some(c)`
@@ -1235,7 +1148,9 @@ impl Table {
 
 /// The prune this table ran before conditions stayed interned, kept as
 /// the reference the in-place walk is tested against: drain every row,
-/// decide it on its own, re-insert the survivors into the emptied table.
+/// decide it on its own through the condition *trees*, re-insert the
+/// survivors into the emptied table. Nothing here goes through
+/// [`Table::prune_cond`] or the id-taking [`Session`] entry points.
 #[cfg(test)]
 impl Table {
     fn prune_by_reinsertion(
@@ -1247,18 +1162,9 @@ impl Table {
         let mut kept_rows = Vec::with_capacity(work.len());
         let mut removed = 0usize;
         for (row, repr) in work {
-            let sets = match &repr {
-                CondRepr::Sets(sets) => Some(sets.as_slice()),
-                CondRepr::Opaque(_) => None,
-            };
-            let simplified = Self::prune_cond(reg, session, pool::intern(&row.cond), sets)?;
-            if simplified.is_false() {
-                removed += 1;
-            } else {
-                kept_rows.push(CTuple {
-                    terms: row.terms,
-                    cond: pool::resolve(simplified),
-                });
+            match Self::prune_row(reg, session, row, repr)? {
+                Some(kept) => kept_rows.push(kept),
+                None => removed += 1,
             }
         }
         self.rebuild_from(kept_rows);
@@ -1279,6 +1185,40 @@ impl Table {
             .collect();
         *self = Table::new(self.schema.clone());
         work
+    }
+
+    /// Prunes one row: `None` if its condition is unsatisfiable,
+    /// otherwise the row with its condition simplified.
+    fn prune_row(
+        reg: &CVarRegistry,
+        session: &mut Session,
+        row: CTuple,
+        repr: CondRepr,
+    ) -> Result<Option<CTuple>, SolverError> {
+        let simplified = match repr {
+            CondRepr::Sets(sets) => {
+                let mut live = Vec::with_capacity(sets.len());
+                for set in sets {
+                    let conj = dnf::condition_of(std::slice::from_ref(&set));
+                    if session.satisfiable(reg, &conj)? {
+                        live.push(set);
+                    }
+                }
+                let cond = dnf::condition_of(&live);
+                if cond == Condition::False {
+                    Condition::False
+                } else if cond.size() <= 128 {
+                    session.simplify_pruned(reg, &cond)?
+                } else {
+                    cond
+                }
+            }
+            CondRepr::Opaque(_) => session.simplify_pruned(reg, &row.cond)?,
+        };
+        Ok((simplified != Condition::False).then_some(CTuple {
+            terms: row.terms,
+            cond: simplified,
+        }))
     }
 
     fn rebuild_from(&mut self, rows: Vec<CTuple>) {
@@ -1909,11 +1849,12 @@ mod tests {
     }
 
     #[test]
-    fn prune_survivor_with_empty_renormalised_dnf_vanishes_uncounted() {
+    fn prune_counts_a_survivor_whose_renormalised_dnf_is_empty() {
         // The solver keeps the row (its only disjunct is satisfiable),
         // but the simplified condition it hands back normalises to the
-        // empty DNF: the row is gone, and `removed` does not count it.
-        // A complete solver never answers like this; a seeded memo does.
+        // empty DNF. Re-insertion used to lose such a row without
+        // counting it; it is now removed like any other dead row. A
+        // complete solver never answers like this; a seeded memo does.
         let (reg, x, _) = db_with_xy();
         let mut t = Table::new(Schema::new("T", &["a"]));
         t.insert(CTuple::with_cond(
@@ -1927,7 +1868,7 @@ mod tests {
             .and(Condition::eq(Term::Var(x), Term::int(1)));
         memo.simplify_put(t.cond_id(0), &contradictory);
         let mut session = Session::with_shared(memo);
-        assert_eq!(t.prune(&reg, &mut session).unwrap(), 0);
+        assert_eq!(t.prune(&reg, &mut session).unwrap(), 1);
         assert_eq!(t.len(), 1);
         assert_eq!(t.row(0).terms, vec![Term::int(2)]);
     }
@@ -2125,7 +2066,8 @@ mod tests {
             }
 
             /// A row built from an id is the row built from the tuple,
-            /// and both carry what normalising the tree by hand gives.
+            /// and both carry what normalising the tree by hand gives —
+            /// computed here without the normal-form table.
             #[test]
             fn prepared_row_from_id_matches_from_tuple(cond in arb_cond()) {
                 let tuple = CTuple::with_cond([Term::int(1), var(2)], cond.clone());
@@ -2139,15 +2081,18 @@ mod tests {
                 };
                 for row in [&by_tuple, &by_id] {
                     prop_assert_eq!(row.cells(), &cells[..]);
-                    prop_assert_eq!(row.cond_id(), pool::intern(&cond));
-                    prop_assert_eq!(row.stored_id(), stored);
+                    prop_assert_eq!(row.cond_id(), stored);
                     prop_assert_eq!(row.is_false(), sets.as_ref().is_some_and(Vec::is_empty));
-                    prop_assert_eq!(&dnf::normal_form(row.cond_id()).sets, &sets);
-                    // The stored id is a fixed point with the same antichain.
-                    if sets.is_some() {
-                        prop_assert_eq!(&dnf::normal_form(stored).sets, &sets);
-                        prop_assert_eq!(dnf::normal_form(stored).stored, stored);
-                    }
+                }
+                prop_assert_eq!(&dnf::normal_form(pool::intern(&cond)).sets, &sets);
+                // What lets a table keep `stored` and nothing else: the
+                // stored condition normalises to the same antichain, so
+                // its id is a fixed point.
+                if sets.is_some() {
+                    let again = dnf::to_min_dnf(&pool::resolve(stored), dnf::DEFAULT_SET_BUDGET);
+                    prop_assert_eq!(&again, &sets);
+                    prop_assert_eq!(&dnf::normal_form(stored).sets, &sets);
+                    prop_assert_eq!(dnf::normal_form(stored).stored, stored);
                 }
             }
         }

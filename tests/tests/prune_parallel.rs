@@ -1,14 +1,14 @@
-//! Differential testing of the parallel solver-phase prune.
+//! Differential testing of `Table::prune_parallel` against the serial
+//! solver-phase prune.
 //!
-//! `Table::prune_parallel` splits a table's rows into contiguous
-//! chunks across scoped workers (each with its own `Session` over the
-//! shared lock-sharded memo) and merges the kept rows in partition
-//! order, which must make it *bit-identical* to the serial
-//! `Table::prune` walk: same kept rows, same simplified conditions, in
-//! the same stored order — at every thread count. The deterministic
-//! solver counters (`sat_calls`, `sat_true`, `simplify_calls`, and the
-//! hit+miss total) must also match; only the memo hit/miss *split*
-//! may depend on scheduling.
+//! `Table::prune_parallel` once split a table's rows across scoped
+//! workers; since the prune decides each distinct condition once it is
+//! `Table::prune` under the old signature. What callers were promised
+//! still has to hold at every thread count: *bit-identical* to the
+//! serial walk — same kept rows, same simplified conditions, in the
+//! same stored order — with the deterministic solver counters
+//! (`sat_calls`, `sat_true`, `simplify_calls`, and the hit+miss total)
+//! matching too.
 //!
 //! The tables are built from the shared random corpus databases, with
 //! extra rows whose conditions only the solver can refute (linear
