@@ -812,9 +812,9 @@ impl Table {
     /// conditions are pruned **per disjunct** (each disjunct is a plain
     /// conjunction — a single theory query); opaque conditions go
     /// through the budget-guarded whole-condition simplification, row
-    /// by row. The outcome is what draining the table and re-inserting
-    /// every simplified survivor used to leave: survivors stay in
-    /// order and every support count restarts at one.
+    /// by row. Survivors stay in order, each as a fresh insert of its
+    /// simplified condition would store it, and every support count
+    /// restarts at one.
     pub fn prune(
         &mut self,
         reg: &CVarRegistry,
@@ -916,15 +916,14 @@ impl Table {
         }
     }
 
-    /// [`prune`](Table::prune) under its old parallel signature.
+    /// [`prune`](Table::prune), for callers holding a thread budget.
     ///
-    /// The row-chunked split this used to run had one solver query per
-    /// row to share out; with one decision per distinct condition the
-    /// solver is a fraction of a prune that is itself a fraction of a
-    /// run, and nothing measured says a second thread pays for its
-    /// spawn. So there is one prune: the result and every counter are
-    /// the serial ones at any `threads`. Verdicts land in the memo
-    /// `session` was built over.
+    /// With one decision per distinct condition the solver is a
+    /// fraction of a prune that is itself a fraction of a run, and no
+    /// measurement says a second thread pays for its spawn. So there is
+    /// one prune: the result and every counter are the serial ones at
+    /// any `threads`, and verdicts land in the memo `session` was built
+    /// over.
     pub fn prune_parallel(
         &mut self,
         reg: &CVarRegistry,
