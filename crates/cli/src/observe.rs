@@ -1358,10 +1358,20 @@ R(f, a, b) :- F(f, a, c), R(f, c, b).
         assert!(report.contains("R(f, a, b)"), "{report}");
     }
 
+    /// Threads and shards pinned to one: the defaults read
+    /// `FAURE_THREADS` / `FAURE_SHARDS`, which a serial shape must not
+    /// inherit.
+    fn serial_knobs() -> EngineKnobs {
+        EngineKnobs {
+            threads: Some(1),
+            shards: Some(1),
+            ..EngineKnobs::default()
+        }
+    }
+
     #[test]
     fn profile_serial_run_omits_shard_section() {
-        let report =
-            cmd_profile("reach.fl", REACH, "fig1.fdb", FIG1, &EngineKnobs::default()).unwrap();
+        let report = cmd_profile("reach.fl", REACH, "fig1.fdb", FIG1, &serial_knobs()).unwrap();
         assert!(!report.contains("\nshards:"), "{report}");
     }
 
@@ -1416,7 +1426,7 @@ E(4, 5).
             rows.sort_unstable();
             (rows, report.metrics_json.unwrap())
         };
-        let (serial_rows, serial_metrics) = run(&EngineKnobs::default());
+        let (serial_rows, serial_metrics) = run(&serial_knobs());
         let (sharded_rows, sharded_metrics) = run(&EngineKnobs {
             shards: Some(4),
             ..EngineKnobs::default()

@@ -78,7 +78,12 @@ fn profile_report_matches_golden_file() {
         &program,
         "ground.fdb",
         &db,
-        &EngineKnobs::threads(Some(1)),
+        // Both pinned: the defaults read `FAURE_THREADS`/`FAURE_SHARDS`.
+        &EngineKnobs {
+            threads: Some(1),
+            shards: Some(1),
+            ..EngineKnobs::default()
+        },
         Arc::new(ManualClock::new()),
     )
     .expect("profile succeeds");

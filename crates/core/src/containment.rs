@@ -48,7 +48,7 @@
 //! reported as [`ContainmentError::RecursiveConstraint`]).
 
 use crate::ast::{ArgTerm, CompExpr, Comparison, Literal, Program, Rule, RuleAtom};
-use crate::eval::{evaluate_with, EvalError, EvalOptions};
+use crate::engine::{evaluate_with, EvalError, EvalOptions};
 use faure_ctable::{CTuple, CVarRegistry, CmpOp, Condition, Database, Domain, Schema, Term};
 use faure_solver::SolverError;
 use std::collections::{BTreeSet, HashMap};
@@ -259,7 +259,7 @@ fn rule_covered(
             candidates,
             &db,
             &EvalOptions {
-                prune: crate::eval::PrunePolicy::Never,
+                prune: crate::engine::PrunePolicy::Never,
                 ..Default::default()
             },
         )

@@ -1,196 +1,316 @@
-//! Fixpoint drivers: stratified naive and semi-naive iteration.
+//! The stratum fixpoint: one semi-naive loop, and the naive loop it is
+//! tested against.
 //!
-//! Each rule pass yields its derived rows as ordered partitions (one
-//! per worker under parallel evaluation, a single partition serially);
-//! the drivers replay the partitions through
+//! Every stratum evaluation — a batch run, a sharded batch run, the
+//! in-place propagation of [`PreparedProgram::apply`] — is
+//! [`semi_naive`] with three inputs:
+//!
+//! * **a partition count**, the length of the delta it is handed. The
+//!   delta of an iteration is one `HashMap<String, Table>` per
+//!   partition. With one partition a `(rule, position)` pass runs inline
+//!   on the driver ([`Driver::pass`]) and every changed row goes to
+//!   partition 0; with more, the pass runs on one worker per partition
+//!   ([`shard::pass`]) and [`merge`] sends each changed row to the
+//!   partition that owns its key.
+//! * **a seed**: iteration 0 runs the full plans of the rules whose head
+//!   is in a given set (every rule for a batch stratum, the re-derived
+//!   heads for `apply`), merged into an initial delta (empty for a batch
+//!   stratum, the pending insertions for `apply`).
+//! * **an optional change tracker** ([`Changes`]), offered every row a
+//!   merge is about to touch and every row it changed.
+//!
+//! A pass yields its rows as ordered partitions (one per worker chunk
+//! under `threads > 1`, one serially) and [`merge`] replays them through
 //! [`Table::absorb_partitions`] in order, so the merged table — and
-//! therefore every later iteration — is independent of the thread
-//! count.
+//! every later iteration — is independent of the thread count.
+//!
+//! [`PreparedProgram::apply`]: super::PreparedProgram::apply
 
+use super::maintain::{ChangeLog, Changes};
 use super::rule::eval_rule;
-use super::{Ctx, EvalError, EvalOptions, PrunePolicy};
+use super::{shard, Ctx, EvalError, EvalOptions, PrunePolicy};
 use crate::ast::Rule;
 use crate::plan::PlanCache;
-use faure_solver::Session;
+use faure_ctable::CVarRegistry;
+use faure_solver::{Session, SolverError};
+use faure_storage::shard::Route;
 use faure_storage::{PhaseStats, PreparedRow, Table};
 use std::collections::{BTreeSet, HashMap};
+use std::time::Instant;
 
-#[allow(clippy::too_many_arguments)]
-pub(super) fn eval_stratum_semi_naive(
-    ctx: &Ctx<'_>,
-    rules: &[(usize, &Rule)],
-    stratum_preds: &BTreeSet<&str>,
-    tables: &mut HashMap<String, Table>,
-    plans: &mut PlanCache,
-    session: &mut Session,
-    opts: &EvalOptions,
-    stats: &mut PhaseStats,
-) -> Result<(), EvalError> {
-    // Iteration 0: every rule against the full tables (recursive rules
-    // see the — possibly empty — current contents of stratum IDBs).
-    let t_iter = ctx.tracer.now_ns();
-    let mut delta: HashMap<String, Table> = HashMap::new();
-    for &(ri, rule) in rules {
-        let plan = plans.get_or_compile(ri, rule, None);
-        let derived = eval_rule(
-            ctx,
+/// A delta cut into partitions: `parts[s][pred]` holds the delta rows
+/// of `pred` that partition `s` owns.
+pub(super) type Partitions = Vec<HashMap<String, Table>>;
+
+/// What a stratum is evaluated with: the run's context, the standing
+/// tables and plan cache it writes, and the driver thread's solver
+/// session, options and statistics.
+pub(super) struct Driver<'a> {
+    pub(super) ctx: Ctx<'a>,
+    pub(super) tables: &'a mut HashMap<String, Table>,
+    pub(super) plans: &'a mut PlanCache,
+    pub(super) session: Session,
+    pub(super) opts: EvalOptions,
+    pub(super) stats: PhaseStats,
+}
+
+impl Driver<'_> {
+    /// One rule pass on the driver thread, with the driver's tracer,
+    /// session and `threads`: over the full tables, or with `delta`
+    /// standing in at body position `pos`. The plan for each
+    /// `(rule, position)` is compiled on first use — later passes are
+    /// cache hits that only execute.
+    pub(super) fn pass(
+        &mut self,
+        ri: usize,
+        rule: &Rule,
+        delta: Option<(usize, &Table)>,
+    ) -> Result<Vec<Vec<PreparedRow>>, EvalError> {
+        let plan = self
+            .plans
+            .get_or_compile(ri, rule, delta.map(|(pos, _)| pos));
+        eval_rule(
+            &self.ctx,
             ri,
             rule,
             plan,
-            tables,
-            None,
-            session,
-            opts,
-            &mut stats.ops,
-        )?;
-        merge_derived(rule.head.pred.as_str(), derived, tables, &mut delta)?;
+            self.tables,
+            delta.map(|(_, table)| table),
+            &mut self.session,
+            &self.opts,
+            &mut self.stats.ops,
+        )
     }
-    let delta_rows = record_delta_size(&delta, stats);
-    super::publish::publish_iteration(delta_rows);
-    ctx.tracer
-        .emit_span("fixpoint", "iteration", t_iter, 0, || {
-            vec![
-                ("iteration", 0usize.into()),
-                ("delta_rows", delta_rows.into()),
-            ]
-        });
+}
 
-    let mut iterations = 0usize;
-    while !delta.is_empty() {
-        iterations += 1;
-        if iterations > opts.max_iterations {
+/// Runs one solver prune over `rows` rows of `pred` — the only place a
+/// prune is timed into `prune_wall`, published and traced. Returns the
+/// number of rows `prune` removed.
+pub(super) fn timed_prune(
+    ctx: &Ctx<'_>,
+    session: &mut Session,
+    stats: &mut PhaseStats,
+    pred: &str,
+    rows: usize,
+    prune: impl FnOnce(&CVarRegistry, &mut Session) -> Result<usize, SolverError>,
+) -> Result<usize, EvalError> {
+    let t_prune = ctx.tracer.now_ns();
+    let wall = Instant::now();
+    let removed = prune(ctx.reg, session)?;
+    stats.prune_wall += wall.elapsed();
+    super::publish::publish_prune(rows, removed);
+    ctx.tracer.emit_span("eval", "prune", t_prune, 0, || {
+        vec![
+            ("pred", pred.into()),
+            ("rows", rows.into()),
+            ("removed", removed.into()),
+            ("threads", 1usize.into()),
+        ]
+    });
+    Ok(removed)
+}
+
+/// Brings the stratum `rules` to its fixpoint (see the module docs).
+///
+/// Iteration 0 runs the full plan of every rule whose head is in
+/// `seed_heads` (`None`: every rule) — recursive rules see the current,
+/// possibly empty, contents of the stratum's own tables — and merges
+/// what changed into `delta`, whose length is the partition count.
+/// Each later iteration runs one pass per positive body position whose
+/// predicate has delta rows; a batch delta only ever holds the
+/// stratum's own heads, `apply`'s also EDB and lower-stratum
+/// predicates.
+pub(super) fn semi_naive(
+    d: &mut Driver<'_>,
+    rules: &[(usize, &Rule)],
+    seed_heads: Option<&BTreeSet<String>>,
+    mut delta: Partitions,
+    mut tracker: Option<&mut Changes>,
+) -> Result<(), EvalError> {
+    let n = delta.len();
+    if n > 1 {
+        d.stats.shard.shards = d.stats.shard.shards.max(n);
+    }
+    let positions = d.ctx.delta_positions;
+    for iteration in 0usize.. {
+        if iteration > d.opts.max_iterations {
             return Err(EvalError::IterationLimit {
-                limit: opts.max_iterations,
+                limit: d.opts.max_iterations,
             });
         }
-        let t_iter = ctx.tracer.now_ns();
-        if opts.prune == PrunePolicy::EveryIteration {
-            // One span for the whole delta sweep: per-table spans would
-            // follow `HashMap` iteration order, which is not
-            // deterministic across runs.
-            let t_prune = ctx.tracer.now_ns();
-            let wall = std::time::Instant::now();
-            let mut removed = 0usize;
-            let mut rows = 0usize;
-            for t in delta.values_mut() {
-                rows += t.len();
-                removed += t.prune(ctx.reg, session)?;
+        let t_iter = d.ctx.tracer.now_ns();
+        let mut next: Partitions;
+        if iteration == 0 {
+            next = std::mem::take(&mut delta);
+            for &(ri, rule) in rules {
+                let head = rule.head.pred.as_str();
+                if seed_heads.is_none_or(|heads| heads.contains(head)) {
+                    let derived = d.pass(ri, rule, None)?;
+                    merge(d, head, None, derived, &mut next, tracker.as_deref_mut())?;
+                }
             }
-            stats.prune_wall += wall.elapsed();
-            super::publish::publish_prune(rows, removed);
-            ctx.tracer.emit_span("eval", "prune", t_prune, 0, || {
-                vec![
-                    ("pred", "(delta)".into()),
-                    ("rows", rows.into()),
-                    ("removed", removed.into()),
-                    ("threads", 1usize.into()),
-                ]
-            });
-            delta.retain(|_, t| !t.is_empty());
-            if delta.is_empty() {
+        } else {
+            if d.opts.prune == PrunePolicy::EveryIteration && !sweep(d, &mut delta)? {
                 break;
             }
-        }
-        let mut next_delta: HashMap<String, Table> = HashMap::new();
-        for &(ri, rule) in rules {
-            // One pass per positive body literal whose predicate is in
-            // this stratum and has a pending delta. The plan for each
-            // (rule, delta slot) is compiled once — later iterations
-            // are cache hits that only execute.
-            for (pos, lit) in rule.body.iter().enumerate() {
-                if lit.is_negative() {
-                    continue;
+            next = (0..n).map(|_| HashMap::new()).collect();
+            for &(ri, rule) in rules {
+                for &pos in &positions[ri] {
+                    let tracker = tracker.as_deref_mut();
+                    match delta.as_slice() {
+                        // One partition: the pass runs inline.
+                        [only] => {
+                            let p = rule.body[pos].atom().pred.as_str();
+                            let Some(table) = only.get(p).filter(|t| !t.is_empty()) else {
+                                continue;
+                            };
+                            let derived = d.pass(ri, rule, Some((pos, table)))?;
+                            merge(d, &rule.head.pred, None, derived, &mut next, tracker)?;
+                        }
+                        parts => shard::pass(d, ri, rule, pos, parts, &mut next, tracker)?,
+                    }
                 }
-                let p = lit.atom().pred.as_str();
-                if !stratum_preds.contains(p) {
-                    continue;
-                }
-                let Some(d) = delta.get(p) else { continue };
-                if d.is_empty() {
-                    continue;
-                }
-                let plan = plans.get_or_compile(ri, rule, Some(pos));
-                let derived = eval_rule(
-                    ctx,
-                    ri,
-                    rule,
-                    plan,
-                    tables,
-                    Some(d),
-                    session,
-                    opts,
-                    &mut stats.ops,
-                )?;
-                merge_derived(rule.head.pred.as_str(), derived, tables, &mut next_delta)?;
             }
         }
-        delta = next_delta;
-        let delta_rows = record_delta_size(&delta, stats);
+        delta = next;
+        // The empty delta that ends the loop is not recorded.
+        let delta_rows: usize = delta.iter().flat_map(|m| m.values()).map(Table::len).sum();
+        if delta_rows > 0 {
+            d.stats.delta_sizes.push(delta_rows);
+        }
         super::publish::publish_iteration(delta_rows);
-        let iteration = iterations;
-        ctx.tracer
+        d.ctx
+            .tracer
             .emit_span("fixpoint", "iteration", t_iter, 0, || {
-                vec![
+                let mut args = vec![
                     ("iteration", iteration.into()),
                     ("delta_rows", delta_rows.into()),
-                ]
+                ];
+                if n > 1 {
+                    args.push(("shards", n.into()));
+                }
+                args
             });
+        if delta_rows == 0 {
+            break;
+        }
     }
     Ok(())
 }
 
-/// Records the total delta size of a just-finished fixpoint iteration
-/// (the empty delta that terminates the loop is not recorded); returns
-/// the size.
-fn record_delta_size(delta: &HashMap<String, Table>, stats: &mut PhaseStats) -> usize {
-    let total: usize = delta.values().map(Table::len).sum();
-    if total > 0 {
-        stats.delta_sizes.push(total);
+/// The `EveryIteration` solver pass over a delta. Returns whether any
+/// row is left.
+fn sweep(d: &mut Driver<'_>, delta: &mut Partitions) -> Result<bool, EvalError> {
+    // One span for the whole sweep, in a fixed order — predicate, then
+    // partition: `HashMap` order is not the same from run to run.
+    let mut tables: Vec<(&str, &mut Table)> = delta
+        .iter_mut()
+        .flat_map(|m| m.iter_mut().map(|(p, t)| (p.as_str(), t)))
+        .collect();
+    tables.sort_by_key(|(p, _)| *p);
+    let rows = tables.iter().map(|(_, t)| t.len()).sum();
+    timed_prune(
+        &d.ctx,
+        &mut d.session,
+        &mut d.stats,
+        "(delta)",
+        rows,
+        |reg, session| {
+            let mut removed = 0usize;
+            for (_, t) in tables {
+                removed += t.prune(reg, session)?;
+            }
+            Ok(removed)
+        },
+    )?;
+    for m in delta.iter_mut() {
+        m.retain(|_, t| !t.is_empty());
     }
-    total
+    Ok(delta.iter().any(|m| !m.is_empty()))
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(super) fn eval_stratum_naive(
-    ctx: &Ctx<'_>,
-    rules: &[(usize, &Rule)],
-    tables: &mut HashMap<String, Table>,
-    plans: &mut PlanCache,
-    session: &mut Session,
-    opts: &EvalOptions,
-    stats: &mut PhaseStats,
+/// Merges the rows one pass derived for `pred` into its accumulated
+/// table, in partition order, and sends each *changed* row (new terms
+/// or a new disjunct) to the partition of `next` that owns it: the
+/// only one; or the one its key constant hashes to; or, when the key
+/// cell is a c-variable, every one (see [`shard`]). The delta copy
+/// carries only the new disjunct — `insert_prepared` reuses the
+/// already-normalised condition, so the write costs a hash lookup, not
+/// a second DNF pass.
+///
+/// `producer` is the partition whose worker derived the rows (`None`:
+/// the driver did); with more than one partition, only copies landing
+/// on another partition count as routed.
+pub(super) fn merge(
+    d: &mut Driver<'_>,
+    pred: &str,
+    producer: Option<usize>,
+    derived: Vec<Vec<PreparedRow>>,
+    next: &mut Partitions,
+    tracker: Option<&mut Changes>,
 ) -> Result<(), EvalError> {
+    if derived.iter().all(Vec::is_empty) {
+        return Ok(());
+    }
+    let n = next.len();
+    let table = d.tables.get_mut(pred).expect("table created in setup");
+    let schema = table.schema.clone();
+    let mut log = tracker.map(|changes| ChangeLog::observe(changes, pred, table, &derived));
+    let key = shard::key_column(d.ctx.shard_plan, pred, schema.arity(), n);
+    let (mut routed, mut broadcast) = (0u64, 0u64);
+    table.absorb_partitions(derived, |prow| {
+        if let Some(log) = &mut log {
+            log.record(prow);
+        }
+        let owners = match shard::route(prow, key, n) {
+            Route::To(owner) => owner..owner + 1,
+            Route::Broadcast => {
+                broadcast += 1;
+                0..n
+            }
+        };
+        for s in owners {
+            next[s]
+                .entry(pred.to_owned())
+                .or_insert_with(|| Table::new(schema.clone()))
+                .insert_prepared(prow)
+                .expect("delta schema matches the full table");
+            if n > 1 && producer != Some(s) {
+                routed += 1;
+            }
+        }
+    })?;
+    d.stats.shard.routed_rows += routed;
+    d.stats.shard.broadcast_rows += broadcast;
+    Ok(())
+}
+
+/// The reference the semi-naive loop is tested against
+/// (`naive_matches_semi_naive`): every rule over the full tables until
+/// nothing changes.
+pub(super) fn naive(d: &mut Driver<'_>, rules: &[(usize, &Rule)]) -> Result<(), EvalError> {
     let mut iterations = 0usize;
     loop {
         iterations += 1;
-        if iterations > opts.max_iterations {
+        if iterations > d.opts.max_iterations {
             return Err(EvalError::IterationLimit {
-                limit: opts.max_iterations,
+                limit: d.opts.max_iterations,
             });
         }
-        let t_iter = ctx.tracer.now_ns();
+        let t_iter = d.ctx.tracer.now_ns();
         let mut changed = false;
         for &(ri, rule) in rules {
-            let plan = plans.get_or_compile(ri, rule, None);
-            let derived = eval_rule(
-                ctx,
-                ri,
-                rule,
-                plan,
-                tables,
-                None,
-                session,
-                opts,
-                &mut stats.ops,
-            )?;
-            let table = tables
+            let derived = d.pass(ri, rule, None)?;
+            let table = d
+                .tables
                 .get_mut(rule.head.pred.as_str())
                 .expect("table created in setup");
             table.absorb_partitions(derived, |_| changed = true)?;
         }
         let iteration = iterations - 1;
         super::publish::publish_iteration(0);
-        ctx.tracer
+        d.ctx
+            .tracer
             .emit_span("fixpoint", "iteration", t_iter, 0, || {
                 vec![
                     ("iteration", iteration.into()),
@@ -201,30 +321,4 @@ pub(super) fn eval_stratum_naive(
             return Ok(());
         }
     }
-}
-
-/// Merges derived partitions into the full table in partition order;
-/// changed rows (new terms or new disjunct) are recorded in `delta`
-/// carrying only the new disjunct — `insert_prepared` reuses the
-/// already-normalised condition, so the delta write costs a hash
-/// lookup, not a second DNF pass.
-fn merge_derived(
-    pred: &str,
-    derived: Vec<Vec<PreparedRow>>,
-    tables: &mut HashMap<String, Table>,
-    delta: &mut HashMap<String, Table>,
-) -> Result<(), EvalError> {
-    if derived.iter().all(Vec::is_empty) {
-        return Ok(());
-    }
-    let table = tables.get_mut(pred).expect("table created in setup");
-    let schema = table.schema.clone();
-    table.absorb_partitions(derived, |prow| {
-        delta
-            .entry(pred.to_owned())
-            .or_insert_with(|| Table::new(schema.clone()))
-            .insert_prepared(prow)
-            .expect("delta schema matches the full table");
-    })?;
-    Ok(())
 }

@@ -17,9 +17,9 @@
 //!
 //! Batch evaluation is "one big insertion into empty state":
 //! [`PreparedProgram::run`] materializes empty tables, loads every
-//! input tuple into them — once, by reference — and runs the exact
-//! batch fixpoint drivers, so batch results, statistics and trace
-//! streams are what the run-once evaluator produced.
+//! input tuple into them — once, by reference — and runs each stratum
+//! through the one fixpoint loop ([`fixpoint::semi_naive`]), seeded
+//! with every rule and an empty delta of `opts.shards` partitions.
 //!
 //! ## Propagation strategy, per stratum
 //!
@@ -28,27 +28,28 @@
 //!
 //! * **skip** — no rule reads a changed predicate: untouched.
 //! * **append** (insertions only, no negation over changed
-//!   predicates) — semi-naive delta passes seeded with the pending
-//!   insertions, pinned to *any* positive body position whose
-//!   predicate changed (EDB and lower-stratum slots included; their
-//!   delta plans compile lazily through the shared [`PlanCache`]).
-//!   No iteration-0 pass: standing rows already carry every old
-//!   derivation, and the antichain condition representation absorbs
-//!   the new disjuncts exactly — subsumed old disjuncts are evicted
-//!   on merge, which is what a from-scratch run would have produced.
-//! * **DRed / counting** (deletions or negation involved) —
-//!   over-delete then re-derive. Suspect rows (head rows with a
-//!   derivation reachable from a deleted or changed row, found by
-//!   running the delta plans for taint detection against the *old*
-//!   tables) are removed wholesale; survivors are exact, because
-//!   every one of their derivations avoided the changed rows. Rules
-//!   whose heads lost rows then re-run their full iteration-0 plans
-//!   and the stratum iterates to fixpoint. On non-recursive strata
-//!   ([`DeletionStrategy::Counting`]) the frontier empties after one
-//!   round and the stored support counts gate whether re-derivation
-//!   runs at all; recursive strata
-//!   ([`DeletionStrategy::Rederive`]) chase the frontier to its
-//!   transitive closure.
+//!   predicates) — the same loop, one partition, seeded with no rule
+//!   and the pending insertions as its initial delta: passes pinned to
+//!   *any* positive body position whose predicate changed (EDB and
+//!   lower-stratum slots included; their delta plans compile lazily
+//!   through the shared [`PlanCache`]). No iteration-0 pass: standing
+//!   rows already carry every old derivation, and the antichain
+//!   condition representation absorbs the new disjuncts exactly —
+//!   subsumed old disjuncts are evicted on merge, which is what a
+//!   from-scratch run would have produced.
+//! * **over-delete and re-derive** (deletions or negation involved) —
+//!   suspect rows (head rows with a derivation reachable from a deleted
+//!   or changed row, found by running the delta plans for taint
+//!   detection against the *old* tables) are removed wholesale;
+//!   survivors are exact, because every one of their derivations
+//!   avoided the changed rows. The loop is then seeded with the rules
+//!   whose heads lost rows — they re-run their full iteration-0 plans —
+//!   and the stratum iterates to fixpoint. The code is the same for
+//!   every stratum; telemetry and [`DeltaReport`] label a non-recursive
+//!   one `counting` (its over-delete frontier empties after one round,
+//!   since no rule reads an in-stratum predicate) and a recursive one
+//!   `rederive` (the frontier is chased to its transitive closure).
+//!   No per-row derivation count is kept or consulted.
 //!
 //! A changed negated predicate can strengthen *or* weaken downstream
 //! conditions without touching any term, so rules negating a changed
@@ -76,12 +77,12 @@
 //! diverge from the update oracle. [`EvalError::InvalidDelta`] rejects
 //! such deltas explicitly.
 
+use super::fixpoint::{self, timed_prune, Driver};
 use super::rule::{eval_rule, LeafMemo};
-use super::{fixpoint, shard};
 use super::{resolve_cvars, Ctx, EvalError, EvalOptions, EvalOutput, PreparedProgram, PrunePolicy};
 use crate::analysis::Finding;
 use crate::ast::{Literal, Program, Rule};
-use crate::plan::{DeletionStrategy, PlanCache};
+use crate::plan::PlanCache;
 use crate::update::{DeletePattern, Update};
 use faure_ctable::{CTuple, CVarId, Const, Database, Relation, Schema, Term};
 use faure_solver::{Session, SharedMemo};
@@ -177,9 +178,10 @@ pub struct DeltaReport {
     pub pruned: usize,
     /// Strata that did any work.
     pub strata_touched: usize,
-    /// Touched strata handled by the counting strategy.
+    /// Non-recursive strata that over-deleted and re-derived.
     pub counting_strata: usize,
-    /// Touched strata handled by DRed over-delete/re-derive.
+    /// Recursive strata that over-deleted and re-derived, plus strata
+    /// recomputed behind the order-safety gate.
     pub rederive_strata: usize,
     /// Delta rows after each propagation iteration, across strata.
     pub delta_sizes: Vec<usize>,
@@ -255,14 +257,52 @@ impl MaterializedState {
     }
 }
 
-/// Per-predicate change tracking across one stratum's propagation.
-#[derive(Default)]
-struct ChangeLog {
+/// One predicate's changes across one stratum's propagation.
+pub(super) struct ChangeLog {
     /// Old row version at first sight this apply (`None` = the row did
     /// not exist), keyed by encoded terms. Captured *before* any merge.
     old: HashMap<Box<[Cell]>, Option<CTuple>>,
     /// Terms whose row actually changed (new row or new disjunct).
     dirty: BTreeSet<Vec<Term>>,
+    /// The changed rows, carrying only their new disjuncts.
+    new_disjuncts: Table,
+}
+
+/// The change tracker [`fixpoint::merge`] reports to, by predicate.
+pub(super) type Changes = BTreeMap<String, ChangeLog>;
+
+impl ChangeLog {
+    /// Before `derived` is merged into `table`: captures the current
+    /// version of every row the merge may touch, and returns the log the
+    /// merge records its changed rows in.
+    pub(super) fn observe<'c>(
+        changes: &'c mut Changes,
+        pred: &str,
+        table: &Table,
+        derived: &[Vec<PreparedRow>],
+    ) -> &'c mut ChangeLog {
+        let log = changes.entry(pred.to_owned()).or_insert_with(|| ChangeLog {
+            old: HashMap::new(),
+            dirty: BTreeSet::new(),
+            new_disjuncts: Table::new(table.schema.clone()),
+        });
+        for prow in derived.iter().flatten() {
+            if !log.old.contains_key(prow.cells()) {
+                let old = table.find_row_cells(prow.cells()).map(|i| table.row(i));
+                log.old.insert(prow.cells().into(), old);
+            }
+        }
+        log
+    }
+
+    /// A row the merge changed (`insert_prepared` reuses the normalised
+    /// condition).
+    pub(super) fn record(&mut self, prow: &PreparedRow) {
+        self.dirty.insert(prow.terms());
+        self.new_disjuncts
+            .insert_prepared(prow)
+            .expect("rows of one predicate share its schema");
+    }
 }
 
 impl PreparedProgram {
@@ -290,38 +330,59 @@ impl PreparedProgram {
 
     /// The batch evaluation over freshly set-up state: every tuple of
     /// `db` goes into its (empty) table, converted once and by
-    /// reference, then the batch fixpoint drivers run.
+    /// reference, then every stratum runs to its fixpoint.
     fn run_batch(&self, state: &mut MaterializedState, db: &Database) -> Result<(), EvalError> {
         let wall = Instant::now();
-        let mut session = Session::with_shared(Arc::clone(&state.shared_memo));
-        let mut stats = PhaseStats::new();
         let mut report = DeltaReport::default();
-        let hits_base = state.plans.hits;
-        let miss_base = state.plans.misses;
-
         for rel in db.relations() {
             if let Some(table) = state.tables.get_mut(&rel.schema.name) {
                 report.inserted += table.extend_from(rel.iter())?;
             }
         }
-        self.run_batch_strata(state, &mut session, &mut stats)?;
-        finalize_apply(
-            self,
-            state,
-            session,
-            &mut stats,
-            &mut report,
-            &self.program,
-            wall,
-            hits_base,
-            miss_base,
-        );
-        report.rederived = stats.tuples;
-        report.delta_sizes = stats.delta_sizes.clone();
-        report.pruned = stats.pruned;
+        let leaves = LeafMemo::default();
+        let mut d = self.driver(state, &leaves);
+        for (si, stratum) in self.strat.strata.iter().enumerate() {
+            run_one_stratum(&mut d, si, &self.rules_of(stratum))?;
+        }
+        let Driver { session, stats, .. } = d;
+        finalize_apply(self, state, session, stats, &mut report, wall);
+        report.rederived = report.stats.tuples;
+        report.pruned = report.stats.pruned;
         report.strata_touched = self.strat.strata.len();
         publish_finished_apply(&report, true);
         Ok(())
+    }
+
+    /// The rules of one stratum, by index into the program.
+    fn rules_of(&self, stratum: &[usize]) -> Vec<(usize, &Rule)> {
+        stratum
+            .iter()
+            .map(|&i| (i, &self.program.rules[i]))
+            .collect()
+    }
+
+    /// A driver over `state`'s tables and plans with a fresh session and
+    /// zeroed statistics; the plan cache's counters restart, so what
+    /// they read afterwards is this apply's own traffic.
+    fn driver<'a>(&'a self, state: &'a mut MaterializedState, leaves: &'a LeafMemo) -> Driver<'a> {
+        state.plans.hits = 0;
+        state.plans.misses = 0;
+        Driver {
+            ctx: Ctx {
+                cvmap: &state.cvmap,
+                reg: &state.database.cvars,
+                shared_memo: Arc::clone(&state.shared_memo),
+                tracer: state.tracer.clone(),
+                shard_plan: &self.shard_plan,
+                delta_positions: &self.maint.delta_positions,
+                leaves,
+            },
+            tables: &mut state.tables,
+            plans: &mut state.plans,
+            session: Session::with_shared(Arc::clone(&state.shared_memo)),
+            opts: state.opts,
+            stats: PhaseStats::new(),
+        }
     }
 
     /// The setup phase factored out of the old run-once path: lint,
@@ -422,19 +483,13 @@ impl PreparedProgram {
         state: &mut MaterializedState,
         delta: Delta,
     ) -> Result<DeltaReport, EvalError> {
-        let program = &self.program;
         let tracer = state.tracer.clone();
-        let opts = state.opts;
         let t_delta = tracer.now_ns();
         let wall = Instant::now();
         state.shared_memo.begin_run();
-        let mut session = Session::with_shared(Arc::clone(&state.shared_memo));
-        let mut stats = PhaseStats::new();
         let mut report = DeltaReport::default();
-        let hits_base = state.plans.hits;
-        let miss_base = state.plans.misses;
 
-        let idb: BTreeSet<&str> = program.idb_predicates();
+        let idb: BTreeSet<&str> = self.program.idb_predicates();
 
         // --- phase A: apply the delta to the EDB tables ---------------
         // Pending change sets flowing upward through the strata: new
@@ -519,24 +574,10 @@ impl PreparedProgram {
             pend_ins.keys().chain(pend_del.keys()).cloned().collect();
 
         let leaves = LeafMemo::default();
-        let ctx = Ctx {
-            cvmap: &state.cvmap,
-            reg: &state.database.cvars,
-            shared_memo: Arc::clone(&state.shared_memo),
-            tracer: tracer.clone(),
-            shard_plan: &self.shard_plan,
-            leaves: &leaves,
-        };
-        let tables = &mut state.tables;
-        let plans = &mut state.plans;
+        let mut d = self.driver(state, &leaves);
 
-        for (si, stratum_rules) in self.strat.strata.iter().enumerate() {
-            let rules: Vec<(usize, &Rule)> = stratum_rules
-                .iter()
-                .map(|&i| (i, &program.rules[i]))
-                .collect();
-            let head_preds: BTreeSet<&str> =
-                rules.iter().map(|(_, r)| r.head.pred.as_str()).collect();
+        for (si, stratum) in self.strat.strata.iter().enumerate() {
+            let rules = self.rules_of(stratum);
             let reads_changed = rules.iter().any(|(_, r)| {
                 r.body
                     .iter()
@@ -560,17 +601,12 @@ impl PreparedProgram {
             // in a deleted row forces recomputation of the whole
             // stratum through the batch loop, which is bit-identical
             // by construction.
-            if !stratum_order_safe(&rules, tables, &pend_del) {
+            if !stratum_order_safe(&rules, d.tables, &pend_del) {
                 report.rederive_strata += 1;
                 let changed_rows = recompute_stratum(
-                    &ctx,
+                    &mut d,
                     si,
                     &rules,
-                    tables,
-                    plans,
-                    &mut session,
-                    &opts,
-                    &mut stats,
                     &mut report,
                     &mut pend_ins,
                     &mut pend_del,
@@ -598,8 +634,7 @@ impl PreparedProgram {
                     .any(|l| l.is_negative() && changed_preds.contains(l.atom().pred.as_str()))
             });
 
-            let mut changed: BTreeMap<String, ChangeLog> = BTreeMap::new();
-            let mut outbound: BTreeMap<String, Table> = BTreeMap::new();
+            let mut changes = Changes::new();
             let mut removed_old: BTreeMap<String, Vec<CTuple>> = BTreeMap::new();
 
             // Seed the propagation delta: pending insertions on every
@@ -622,18 +657,12 @@ impl PreparedProgram {
             let mode;
             let mut iter0: BTreeSet<String> = BTreeSet::new();
             if del_relevant || neg_involved {
-                mode = match self
-                    .maint
-                    .strategies
-                    .get(*head_preds.iter().next().unwrap_or(&""))
-                {
-                    Some(DeletionStrategy::Counting) => "counting",
-                    _ => "rederive",
-                };
-                if self.maint.recursive_strata.get(si) == Some(&false) {
-                    report.counting_strata += 1;
-                } else {
+                if self.maint.recursive_strata[si] {
+                    mode = "rederive";
                     report.rederive_strata += 1;
+                } else {
+                    mode = "counting";
+                    report.counting_strata += 1;
                 }
 
                 // 1. Suspects: rows of negation-affected heads, plus
@@ -650,7 +679,7 @@ impl PreparedProgram {
                         // Negation can also *unlock* brand-new rows, so
                         // these rules always re-run iteration 0.
                         iter0.insert(h.to_owned());
-                        let ht = tables.get(h).expect("table created in setup");
+                        let ht = d.tables.get(h).expect("table created in setup");
                         let set = suspects.entry(h.to_owned()).or_default();
                         let f = frontier
                             .entry(h.to_owned())
@@ -671,7 +700,8 @@ impl PreparedProgram {
                     if !read {
                         continue;
                     }
-                    let schema = tables.get(p.as_str()).expect("table exists").schema.clone();
+                    let t = d.tables.get(p.as_str()).expect("table exists");
+                    let schema = t.schema.clone();
                     let f = frontier
                         .entry(p.clone())
                         .or_insert_with(|| Table::new(schema));
@@ -692,14 +722,14 @@ impl PreparedProgram {
                 // are irrelevant — and the tables restored afterwards.
                 let od_opts = EvalOptions {
                     prune: PrunePolicy::Never,
-                    ..opts
+                    ..d.opts
                 };
                 let mut saved_tables: Vec<(String, Table)> = Vec::new();
                 for (p, old_rows) in &pend_del {
                     if !frontier.contains_key(p) {
                         continue;
                     }
-                    let t = tables.get_mut(p.as_str()).expect("table exists");
+                    let t = d.tables.get_mut(p.as_str()).expect("table exists");
                     saved_tables.push((p.clone(), t.clone()));
                     for row in old_rows {
                         t.insert(row.clone()).expect("old rows match their schema");
@@ -709,33 +739,33 @@ impl PreparedProgram {
                 let mut rounds = 0usize;
                 while !frontier.is_empty() {
                     rounds += 1;
-                    if rounds > opts.max_iterations {
+                    if rounds > d.opts.max_iterations {
                         return Err(EvalError::IterationLimit {
-                            limit: opts.max_iterations,
+                            limit: d.opts.max_iterations,
                         });
                     }
                     let mut next: HashMap<String, Table> = HashMap::new();
                     for &(ri, rule) in &rules {
                         for &pos in &self.maint.delta_positions[ri] {
                             let p = rule.body[pos].atom().pred.as_str();
-                            let Some(d) = frontier.get(p) else { continue };
-                            if d.is_empty() {
+                            let Some(f) = frontier.get(p) else { continue };
+                            if f.is_empty() {
                                 continue;
                             }
-                            let plan = plans.get_or_compile(ri, rule, Some(pos));
+                            let plan = d.plans.get_or_compile(ri, rule, Some(pos));
                             let derived = eval_rule(
-                                &ctx,
+                                &d.ctx,
                                 ri,
                                 rule,
                                 plan,
-                                tables,
-                                Some(d),
-                                &mut session,
+                                d.tables,
+                                Some(f),
+                                &mut d.session,
                                 &od_opts,
-                                &mut stats.ops,
+                                &mut d.stats.ops,
                             )?;
                             let h = rule.head.pred.as_str();
-                            let ht = tables.get(h).expect("table created in setup");
+                            let ht = d.tables.get(h).expect("table created in setup");
                             let set = suspects.entry(h.to_owned()).or_default();
                             for prow in derived.iter().flatten() {
                                 if let Some(idx) = ht.find_row_cells(prow.cells()) {
@@ -752,7 +782,7 @@ impl PreparedProgram {
                     frontier = next;
                 }
                 for (p, t) in saved_tables {
-                    tables.insert(p, t);
+                    d.tables.insert(p, t);
                 }
 
                 // 3. Physically remove every suspect; removed heads
@@ -761,7 +791,7 @@ impl PreparedProgram {
                     if idxs.is_empty() {
                         continue;
                     }
-                    let t = tables.get_mut(p.as_str()).expect("table exists");
+                    let t = d.tables.get_mut(p.as_str()).expect("table exists");
                     let sorted: Vec<usize> = idxs.iter().copied().collect();
                     let old_rows = t.remove_rows(&sorted);
                     report.overdeleted += old_rows.len();
@@ -780,43 +810,24 @@ impl PreparedProgram {
                 mode = "append";
             }
 
-            // 4. Propagate to fixpoint: iteration-0 full passes for
-            // re-derived heads, then semi-naive delta passes pinned to
-            // every changed body position.
-            stratum_fixpoint(
-                &ctx,
-                &rules,
-                &self.maint.delta_positions,
-                &iter0,
-                seed,
-                tables,
-                plans,
-                &mut session,
-                &opts,
-                &mut stats,
-                &mut report,
-                &mut changed,
-                &mut outbound,
-            )?;
+            // 4. Propagate to fixpoint, in place: iteration-0 full
+            // passes for re-derived heads, then delta passes pinned to
+            // every changed body position — one partition, tracked.
+            fixpoint::semi_naive(&mut d, &rules, Some(&iter0), vec![seed], Some(&mut changes))?;
 
             // 5. Settle: prune changed rows, certify, and queue the
             // upward change sets.
             settle_stratum(
-                &ctx,
-                &opts,
-                tables,
-                &mut session,
-                &mut stats,
+                &mut d,
                 &mut report,
-                &changed,
-                &outbound,
+                &changes,
                 &removed_old,
                 &mut pend_ins,
                 &mut pend_del,
                 &mut changed_preds,
             )?;
 
-            let changed_rows: usize = changed.values().map(|l| l.dirty.len()).sum();
+            let changed_rows: usize = changes.values().map(|l| l.dirty.len()).sum();
             super::publish::publish_maintain_stratum(mode, changed_rows);
             tracer.emit_span("maintain", "stratum", t_stratum, 0, || {
                 vec![
@@ -827,17 +838,8 @@ impl PreparedProgram {
             });
         }
 
-        finalize_apply(
-            self,
-            state,
-            session,
-            &mut stats,
-            &mut report,
-            program,
-            wall,
-            hits_base,
-            miss_base,
-        );
+        let Driver { session, stats, .. } = d;
+        finalize_apply(self, state, session, stats, &mut report, wall);
         let (ins, del, od, rd) = (
             report.inserted,
             report.deleted,
@@ -857,123 +859,46 @@ impl PreparedProgram {
         });
         Ok(report)
     }
-
-    /// The batch stratum loop, bit-for-bit the old run-once path:
-    /// naive or semi-naive fixpoint per stratum, then whole-table
-    /// pruning in deterministic predicate order.
-    fn run_batch_strata(
-        &self,
-        state: &mut MaterializedState,
-        session: &mut Session,
-        stats: &mut PhaseStats,
-    ) -> Result<(), EvalError> {
-        let program = &self.program;
-        let opts = state.opts;
-        let tracer = state.tracer.clone();
-        let leaves = LeafMemo::default();
-        let ctx = Ctx {
-            cvmap: &state.cvmap,
-            reg: &state.database.cvars,
-            shared_memo: Arc::clone(&state.shared_memo),
-            tracer: tracer.clone(),
-            shard_plan: &self.shard_plan,
-            leaves: &leaves,
-        };
-        let tables = &mut state.tables;
-        let plans = &mut state.plans;
-        for (stratum_idx, stratum_rules) in self.strat.strata.iter().enumerate() {
-            let rules: Vec<(usize, &Rule)> = stratum_rules
-                .iter()
-                .map(|&i| (i, &program.rules[i]))
-                .collect();
-            run_one_stratum(
-                &ctx,
-                stratum_idx,
-                &rules,
-                tables,
-                plans,
-                session,
-                &opts,
-                stats,
-            )?;
-        }
-        Ok(())
-    }
 }
 
-/// One stratum of the batch fixpoint: naive or semi-naive iteration
-/// over the current tables, then whole-table pruning in deterministic
-/// predicate order. This is the unit shared by the fresh-materialize
-/// path and the maintenance recomputation fallback, so both produce
-/// bit-identical tables and trace spans for the same inputs.
-#[allow(clippy::too_many_arguments)]
+/// One stratum of the batch evaluation: the fixpoint loop (or the naive
+/// reference), then whole-table pruning in deterministic predicate
+/// order. This is the unit shared by the fresh-materialize path and the
+/// maintenance recomputation fallback, so both produce bit-identical
+/// tables and trace spans for the same inputs.
 fn run_one_stratum(
-    ctx: &Ctx<'_>,
+    d: &mut Driver<'_>,
     stratum_idx: usize,
     rules: &[(usize, &Rule)],
-    tables: &mut HashMap<String, Table>,
-    plans: &mut PlanCache,
-    session: &mut Session,
-    opts: &EvalOptions,
-    stats: &mut PhaseStats,
 ) -> Result<(), EvalError> {
-    let tracer = &ctx.tracer;
-    let t_stratum = tracer.now_ns();
-    let stratum_preds: BTreeSet<&str> = rules.iter().map(|(_, r)| r.head.pred.as_str()).collect();
-
-    if opts.semi_naive && opts.shards > 1 {
-        shard::eval_stratum_sharded(
-            ctx,
-            rules,
-            &stratum_preds,
-            tables,
-            plans,
-            session,
-            opts,
-            stats,
-        )?;
-    } else if opts.semi_naive {
-        fixpoint::eval_stratum_semi_naive(
-            ctx,
-            rules,
-            &stratum_preds,
-            tables,
-            plans,
-            session,
-            opts,
-            stats,
-        )?;
+    let t_stratum = d.ctx.tracer.now_ns();
+    if d.opts.semi_naive {
+        // Every rule seeds; the delta starts empty, one partition per
+        // shard.
+        let delta = (0..d.opts.shards.max(1)).map(|_| HashMap::new()).collect();
+        fixpoint::semi_naive(d, rules, None, delta, None)?;
     } else {
-        fixpoint::eval_stratum_naive(ctx, rules, tables, plans, session, opts, stats)?;
+        fixpoint::naive(d, rules)?;
     }
 
     if matches!(
-        opts.prune,
+        d.opts.prune,
         PrunePolicy::EndOfStratum | PrunePolicy::EveryIteration
     ) {
-        // `stratum_preds` is a BTreeSet, so prune order — and
-        // therefore the trace event stream — is deterministic.
-        for p in &stratum_preds {
-            let t_prune = tracer.now_ns();
-            let t = tables.get_mut(*p).expect("table created above");
+        // A BTreeSet, so prune order — and therefore the trace event
+        // stream — is deterministic.
+        let heads: BTreeSet<&str> = rules.iter().map(|(_, r)| r.head.pred.as_str()).collect();
+        for p in heads {
+            let t = d.tables.get_mut(p).expect("table created in setup");
             let rows = t.len();
-            let wall = Instant::now();
-            let removed = t.prune(ctx.reg, session)?;
-            stats.prune_wall += wall.elapsed();
-            stats.pruned += removed;
-            super::publish::publish_prune(rows, removed);
-            tracer.emit_span("eval", "prune", t_prune, 0, || {
-                vec![
-                    ("pred", (*p).into()),
-                    ("rows", rows.into()),
-                    ("removed", removed.into()),
-                    ("threads", 1usize.into()),
-                ]
-            });
+            let removed = timed_prune(&d.ctx, &mut d.session, &mut d.stats, p, rows, |reg, s| {
+                t.prune(reg, s)
+            })?;
+            d.stats.pruned += removed;
         }
     }
     let rule_count = rules.len();
-    tracer.emit_span("eval", "stratum", t_stratum, 0, || {
+    d.ctx.tracer.emit_span("eval", "stratum", t_stratum, 0, || {
         vec![
             ("stratum", stratum_idx.into()),
             ("rules", rule_count.into()),
@@ -1014,16 +939,10 @@ fn stratum_order_safe(
 /// Inputs are bit-identical to what a from-scratch batch run would see
 /// at this stratum, so the recomputed tables are too. Returns the
 /// number of rows that differ.
-#[allow(clippy::too_many_arguments)]
 fn recompute_stratum(
-    ctx: &Ctx<'_>,
+    d: &mut Driver<'_>,
     si: usize,
     rules: &[(usize, &Rule)],
-    tables: &mut HashMap<String, Table>,
-    plans: &mut PlanCache,
-    session: &mut Session,
-    opts: &EvalOptions,
-    stats: &mut PhaseStats,
     report: &mut DeltaReport,
     pend_ins: &mut BTreeMap<String, Table>,
     pend_del: &mut BTreeMap<String, Vec<CTuple>>,
@@ -1032,15 +951,15 @@ fn recompute_stratum(
     let head_preds: BTreeSet<&str> = rules.iter().map(|(_, r)| r.head.pred.as_str()).collect();
     let mut old: BTreeMap<String, Table> = BTreeMap::new();
     for p in &head_preds {
-        let t = tables.get_mut(*p).expect("table created in setup");
+        let t = d.tables.get_mut(*p).expect("table created in setup");
         let empty = Table::new(t.schema.clone());
         old.insert((*p).to_owned(), std::mem::replace(t, empty));
     }
-    run_one_stratum(ctx, si, rules, tables, plans, session, opts, stats)?;
+    run_one_stratum(d, si, rules)?;
 
     let mut changed_rows = 0usize;
     for (p, old_t) in &old {
-        let new_t = tables.get(p.as_str()).expect("table created in setup");
+        let new_t = d.tables.get(p.as_str()).expect("table created in setup");
         let schema = new_t.schema.clone();
         report.rederived += new_t.len();
         let mut ins: Vec<CTuple> = Vec::new();
@@ -1090,159 +1009,12 @@ fn push_ins(pend_ins: &mut BTreeMap<String, Table>, pred: &str, schema: &Schema,
         .expect("pending rows match their table's schema");
 }
 
-/// Merges derived partitions into the full table, capturing old row
-/// versions at first sight and recording every actually-changed row in
-/// the change log, the next-iteration delta, and the per-stratum
-/// outbound table (new disjuncts only — `insert_prepared` reuses the
-/// normalised condition).
-fn merge_tracked(
-    pred: &str,
-    derived: Vec<Vec<PreparedRow>>,
-    tables: &mut HashMap<String, Table>,
-    next_delta: &mut HashMap<String, Table>,
-    changed: &mut BTreeMap<String, ChangeLog>,
-    outbound: &mut BTreeMap<String, Table>,
-) -> Result<(), EvalError> {
-    if derived.iter().all(Vec::is_empty) {
-        return Ok(());
-    }
-    let table = tables.get_mut(pred).expect("table created in setup");
-    let log = changed.entry(pred.to_owned()).or_default();
-    for prow in derived.iter().flatten() {
-        if !log.old.contains_key(prow.cells()) {
-            let old = table.find_row_cells(prow.cells()).map(|i| table.row(i));
-            log.old.insert(prow.cells().into(), old);
-        }
-    }
-    let schema = table.schema.clone();
-    let ob = outbound
-        .entry(pred.to_owned())
-        .or_insert_with(|| Table::new(schema.clone()));
-    table.absorb_partitions(derived, |prow| {
-        log.dirty.insert(prow.terms());
-        next_delta
-            .entry(pred.to_owned())
-            .or_insert_with(|| Table::new(schema.clone()))
-            .insert_prepared(prow)
-            .expect("delta schema matches the full table");
-        ob.insert_prepared(prow)
-            .expect("outbound schema matches the full table");
-    })?;
-    Ok(())
-}
-
-/// One stratum's incremental fixpoint: optional iteration-0 full
-/// passes for re-derived heads, then semi-naive delta passes pinned to
-/// every positive body position whose predicate has a pending delta —
-/// EDB and lower-stratum slots included (their plans compile lazily).
-#[allow(clippy::too_many_arguments)]
-fn stratum_fixpoint(
-    ctx: &Ctx<'_>,
-    rules: &[(usize, &Rule)],
-    delta_positions: &[Vec<usize>],
-    iter0: &BTreeSet<String>,
-    mut delta: HashMap<String, Table>,
-    tables: &mut HashMap<String, Table>,
-    plans: &mut PlanCache,
-    session: &mut Session,
-    opts: &EvalOptions,
-    stats: &mut PhaseStats,
-    report: &mut DeltaReport,
-    changed: &mut BTreeMap<String, ChangeLog>,
-    outbound: &mut BTreeMap<String, Table>,
-) -> Result<(), EvalError> {
-    if !iter0.is_empty() {
-        for &(ri, rule) in rules {
-            if !iter0.contains(rule.head.pred.as_str()) {
-                continue;
-            }
-            let plan = plans.get_or_compile(ri, rule, None);
-            let derived = eval_rule(
-                ctx,
-                ri,
-                rule,
-                plan,
-                tables,
-                None,
-                session,
-                opts,
-                &mut stats.ops,
-            )?;
-            merge_tracked(
-                rule.head.pred.as_str(),
-                derived,
-                tables,
-                &mut delta,
-                changed,
-                outbound,
-            )?;
-        }
-    }
-    record_delta(&delta, stats, report);
-    let mut iterations = 0usize;
-    while !delta.is_empty() {
-        iterations += 1;
-        if iterations > opts.max_iterations {
-            return Err(EvalError::IterationLimit {
-                limit: opts.max_iterations,
-            });
-        }
-        let mut next_delta: HashMap<String, Table> = HashMap::new();
-        for &(ri, rule) in rules {
-            for &pos in &delta_positions[ri] {
-                let p = rule.body[pos].atom().pred.as_str();
-                let Some(d) = delta.get(p) else { continue };
-                if d.is_empty() {
-                    continue;
-                }
-                let plan = plans.get_or_compile(ri, rule, Some(pos));
-                let derived = eval_rule(
-                    ctx,
-                    ri,
-                    rule,
-                    plan,
-                    tables,
-                    Some(d),
-                    session,
-                    opts,
-                    &mut stats.ops,
-                )?;
-                merge_tracked(
-                    rule.head.pred.as_str(),
-                    derived,
-                    tables,
-                    &mut next_delta,
-                    changed,
-                    outbound,
-                )?;
-            }
-        }
-        delta = next_delta;
-        record_delta(&delta, stats, report);
-    }
-    Ok(())
-}
-
-fn record_delta(delta: &HashMap<String, Table>, stats: &mut PhaseStats, report: &mut DeltaReport) {
-    let total: usize = delta.values().map(Table::len).sum();
-    if total > 0 {
-        stats.delta_sizes.push(total);
-        report.delta_sizes.push(total);
-    }
-}
-
 /// End-of-stratum settlement: prune the changed rows, then certify
 /// each one and queue the upward change sets (see the module docs).
-#[allow(clippy::too_many_arguments)]
 fn settle_stratum(
-    ctx: &Ctx<'_>,
-    opts: &EvalOptions,
-    tables: &mut HashMap<String, Table>,
-    session: &mut Session,
-    stats: &mut PhaseStats,
+    d: &mut Driver<'_>,
     report: &mut DeltaReport,
-    changed: &BTreeMap<String, ChangeLog>,
-    outbound: &BTreeMap<String, Table>,
+    changes: &Changes,
     removed_old: &BTreeMap<String, Vec<CTuple>>,
     pend_ins: &mut BTreeMap<String, Table>,
     pend_del: &mut BTreeMap<String, Vec<CTuple>>,
@@ -1261,12 +1033,15 @@ fn settle_stratum(
         changed_preds.insert(p.clone());
     }
 
-    for (p, log) in changed {
+    for (p, log) in changes {
         if log.dirty.is_empty() {
             continue;
         }
         report.rederived += log.dirty.len();
-        let table = tables.get_mut(p.as_str()).expect("table created in setup");
+        let table = d
+            .tables
+            .get_mut(p.as_str())
+            .expect("table created in setup");
         let schema = table.schema.clone();
 
         // Pre-prune condition ids per changed row: certification
@@ -1280,29 +1055,22 @@ fn settle_stratum(
             }
         }
         if matches!(
-            opts.prune,
+            d.opts.prune,
             PrunePolicy::EndOfStratum | PrunePolicy::EveryIteration
         ) && !idxs.is_empty()
         {
-            let t_prune = ctx.tracer.now_ns();
-            let rows = idxs.len();
-            let wall = Instant::now();
-            let removed = table.prune_rows(ctx.reg, session, &idxs)?;
-            stats.prune_wall += wall.elapsed();
-            stats.pruned += removed;
+            let removed = timed_prune(
+                &d.ctx,
+                &mut d.session,
+                &mut d.stats,
+                p,
+                idxs.len(),
+                |reg, session| table.prune_rows(reg, session, &idxs),
+            )?;
+            d.stats.pruned += removed;
             report.pruned += removed;
-            super::publish::publish_prune(rows, removed);
-            ctx.tracer.emit_span("eval", "prune", t_prune, 0, || {
-                vec![
-                    ("pred", p.as_str().into()),
-                    ("rows", rows.into()),
-                    ("removed", removed.into()),
-                    ("threads", 1usize.into()),
-                ]
-            });
         }
 
-        let ob = outbound.get(p);
         for terms in &log.dirty {
             let cells: Vec<Cell> = terms.iter().map(Cell::encode).collect();
             let old = log.old.get(cells.as_slice()).cloned().flatten();
@@ -1328,10 +1096,9 @@ fn settle_stratum(
                             if certified {
                                 // Pure antichain append: only the new
                                 // disjuncts travel upward.
-                                let ob_row = ob
-                                    .and_then(|t| t.find_row(terms).map(|i| t.row(i)))
-                                    .expect("dirty rows were recorded in outbound");
-                                push_ins(pend_ins, p, &schema, ob_row);
+                                let new = &log.new_disjuncts;
+                                let idx = new.find_row(terms).expect("recorded with `dirty`");
+                                push_ins(pend_ins, p, &schema, new.row(idx));
                             } else {
                                 pend_del.entry(p.clone()).or_default().push(old_row);
                                 push_ins(pend_ins, p, &schema, table.row(idx));
@@ -1347,34 +1114,32 @@ fn settle_stratum(
 
 /// Shared tail of every apply: solver/plan statistics and report
 /// totals.
-#[allow(clippy::too_many_arguments)]
 fn finalize_apply(
     prepared: &PreparedProgram,
     state: &mut MaterializedState,
     session: Session,
-    stats: &mut PhaseStats,
+    mut stats: PhaseStats,
     report: &mut DeltaReport,
-    program: &Program,
     wall: Instant,
-    hits_base: u64,
-    miss_base: u64,
 ) {
     let total = wall.elapsed();
     let solver_time = session.stats().time;
     stats.relational = total.saturating_sub(solver_time);
     stats.solver = solver_time;
     stats.solver_stats = session.stats();
-    stats.plan_cache_hits = state.plans.hits - hits_base;
-    stats.plan_cache_misses = prepared.compiled + (state.plans.misses - miss_base);
-    stats.tuples = program
+    stats.plan_cache_hits = state.plans.hits;
+    stats.plan_cache_misses = prepared.compiled + state.plans.misses;
+    stats.tuples = prepared
+        .program
         .idb_predicates()
         .iter()
         .filter_map(|p| state.tables.get(*p))
         .map(Table::len)
         .sum();
     report.wall = total;
+    report.delta_sizes = stats.delta_sizes.clone();
     report.stats = stats.clone();
-    state.stats = stats.clone();
+    state.stats = stats;
 }
 
 /// The telemetry boundary shared by both apply exits: every finished
@@ -1437,10 +1202,31 @@ mod tests {
 
     /// Applies every delta through `apply` on a standing state AND
     /// through the §5 oracle (update + full re-eval), asserting the
-    /// maintained tables match the re-evaluation after every step.
+    /// maintained tables match the re-evaluation after every step —
+    /// under both stratum-level prune policies and at one and two delta
+    /// partitions.
     fn check_differential(program_src: &str, db: &Database, deltas: Vec<Delta>, preds: &[&str]) {
+        for prune in [PrunePolicy::EndOfStratum, PrunePolicy::EveryIteration] {
+            for shards in [1, 2] {
+                let opts = EvalOptions {
+                    prune,
+                    shards,
+                    ..EvalOptions::default()
+                };
+                check_differential_with(opts, program_src, db, deltas.clone(), preds);
+            }
+        }
+    }
+
+    fn check_differential_with(
+        opts: EvalOptions,
+        program_src: &str,
+        db: &Database,
+        deltas: Vec<Delta>,
+        preds: &[&str],
+    ) {
         let program = parse_program(program_src).unwrap();
-        let prepared = Engine::new().prepare(&program).unwrap();
+        let prepared = Engine::with_options(opts).prepare(&program).unwrap();
         let mut state = prepared.materialize(db).unwrap();
         let mut oracle_db = db.clone();
         for (step, delta) in deltas.into_iter().enumerate() {
@@ -1492,7 +1278,7 @@ mod tests {
                 assert_eq!(
                     snapshot(&maintained),
                     snapshot(reeval),
-                    "step {step}: maintained `{p}` diverged from full re-eval"
+                    "step {step}: maintained `{p}` diverged from full re-eval under {opts:?}"
                 );
             }
         }

@@ -22,10 +22,18 @@
 //! ## Layout
 //!
 //! * [`mod@self`] — options, errors, the prepare/run lifecycle;
-//! * [`fixpoint`] (private) — the naive and semi-naive stratum drivers;
+//! * [`fixpoint`] (private) — the one semi-naive stratum loop every
+//!   evaluation runs (batch, sharded, incremental), its merge, and the
+//!   naive reference loop;
+//! * [`shard`] (private) — what more than one delta partition adds to
+//!   that loop: the key lookup and the one-worker-per-partition pass;
+//! * [`maintain`] (private) — materialized state, batch evaluation as
+//!   the first apply, and incremental [`Delta`] propagation;
 //! * [`rule`] (private) — compiled-plan execution: the c-valuation,
 //!   comparison pushdown, negation, head instantiation;
-//! * [`parallel`] (private) — the data-parallel inner loop (see below).
+//! * [`parallel`] (private) — the data-parallel inner loop (see below);
+//! * [`publish`] (private) — the bridge from per-run statistics to the
+//!   process-global telemetry registry.
 //!
 //! ## Parallel fixpoint execution
 //!
@@ -108,14 +116,14 @@ pub struct EvalOptions {
     /// serial run at any thread count. Defaults to the `FAURE_THREADS`
     /// environment variable when set.
     pub threads: usize,
-    /// Evaluation shards for the semi-naive fixpoint. `1` (the
-    /// default) keeps the single-space driver; larger values partition
-    /// each stratum's delta on the [`ShardPlan`] key and run the delta
-    /// passes on per-shard worker threads, exchanging cross-shard rows
-    /// through bounded channels at iteration barriers. Derived rows and
-    /// canonicalized conditions are identical to the single-space run
-    /// at any shard count. Defaults to the `FAURE_SHARDS` environment
-    /// variable when set.
+    /// Delta partitions of the semi-naive fixpoint. `1` (the default)
+    /// runs every delta pass inline on the driver; larger values
+    /// partition each stratum's delta on the [`ShardPlan`] key and run
+    /// the delta passes on one worker thread per partition, exchanging
+    /// cross-shard rows through bounded channels at iteration barriers.
+    /// Derived rows and canonicalized conditions are identical to the
+    /// one-partition run at any shard count. Defaults to the
+    /// `FAURE_SHARDS` environment variable when set.
     pub shards: usize,
 }
 
@@ -382,9 +390,9 @@ pub struct PreparedProgram {
     /// domains) replaces it. Clones of a prepared program share the
     /// pool, like they share the compiled plans.
     memo_pool: Arc<Mutex<Option<Arc<SharedMemo>>>>,
-    /// Incremental-maintenance metadata: per-rule delta positions,
-    /// per-stratum recursion flags, and the per-predicate deletion
-    /// strategy (counting vs. DRed re-derivation).
+    /// Per-rule delta positions (read by every fixpoint) and
+    /// per-stratum recursion flags (the label incremental maintenance
+    /// reports a stratum under).
     maint: MaintenanceMeta,
     /// Partition keys for sharded evaluation, compiled at prepare time
     /// (first bound head column per predicate; overridable via
@@ -579,9 +587,12 @@ pub(crate) struct Ctx<'a> {
     /// buffer events locally and the driver submits them in chunk
     /// order, so tracing never perturbs results.
     pub(crate) tracer: Tracer,
-    /// Partition keys for the sharded fixpoint driver (unused when
-    /// `opts.shards <= 1`).
+    /// Partition keys of a delta cut into more than one partition
+    /// (unused when `opts.shards <= 1`).
     pub(crate) shard_plan: &'a ShardPlan,
+    /// Per rule, the body positions a delta pass can be pinned to
+    /// ([`MaintenanceMeta::delta_positions`]).
+    pub(crate) delta_positions: &'a [Vec<usize>],
     /// The run's join-leaf memo: born with the run, dropped with it.
     pub(crate) leaves: &'a rule::LeafMemo,
 }

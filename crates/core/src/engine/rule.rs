@@ -721,6 +721,7 @@ mod tests {
             shared_memo: Arc::new(SharedMemo::for_registry(&db.cvars)),
             tracer: Tracer::disabled(),
             shard_plan: &shard_plan,
+            delta_positions: &[],
             leaves,
         };
         let opts = EvalOptions {

@@ -1,64 +1,66 @@
-//! Sharded semi-naive fixpoint: partitioned deltas with routed
-//! exchange.
+//! Sharding: what [`fixpoint::semi_naive`] adds to a delta pass when
+//! its delta has more than one partition.
 //!
-//! The single-space driver ([`super::fixpoint`]) runs every delta pass
-//! on one thread (parallelising only *inside* a pass) and keeps one
-//! delta table per predicate. This driver partitions each predicate's
-//! delta across `opts.shards` **worker shards** on the
-//! [`ShardPlan`](crate::plan::ShardPlan) key column: every shard owns a
-//! real columnar [`Table`] per predicate holding exactly the delta rows
-//! whose key hashes to it, runs the pass locally against the shared
-//! accumulated tables, and the changed rows it derives are *routed* to
-//! the shard that owns them — not recomputed there.
+//! The loop, its seed, the merge and the iteration barrier are the
+//! single-partition ones. Two things live here: **which partition owns
+//! a changed row** ([`key_column`], [`route`]) and **how a pass runs on
+//! one worker per partition** ([`pass`]). Every partition holds, per
+//! predicate, a real columnar [`Table`] of exactly the delta rows whose
+//! [`ShardPlan`] key hashes to it; its worker runs the pass over that
+//! table against the shared accumulated tables, and the changed rows it
+//! derives are *routed* to the partition that owns them — not
+//! recomputed there.
 //!
 //! ## Delta exchange
 //!
 //! Workers stream their derived rows to the driver through one bounded
 //! [`sync_channel`] in fixed-size [`Batch`]es (`(producer, seq)`
-//! stamped), so a fast shard blocks on a slow consumer instead of
+//! stamped), so a fast worker blocks on a slow consumer instead of
 //! buffering unboundedly. The driver drains the channel while the
 //! workers run, then — at the pass barrier — replays the batches in
-//! **`(producer, seq)` order** into the accumulated table and the next
-//! delta partitions. That replay order is fixed by the shard plan, not
-//! by thread scheduling, which is the sharded analogue of
-//! [`Table::absorb_partitions`]' chunk-order merge.
+//! **`(producer, seq)` order** through [`fixpoint::merge`]. That replay
+//! order is fixed by the shard plan, not by thread scheduling, which is
+//! the sharded analogue of [`Table::absorb_partitions`]' chunk-order
+//! merge.
 //!
 //! ## Determinism
 //!
 //! Routing is a pure function of the row's key constant
 //! ([`faure_storage::shard::route_term`] — a stable FNV-1a hash), so a
-//! fixed shard count always partitions the same rows the same way, and
-//! the barrier merge order above is schedule-independent. Derived rows
-//! and their *canonicalized* conditions are identical to the
-//! single-space run at every shard count; stored-condition spelling and
-//! row order may differ (the merge interleaves producers differently
-//! than one serial scan), as may delta-size and solver counters when
+//! fixed partition count always partitions the same rows the same way,
+//! and the barrier merge order above is schedule-independent. Derived
+//! rows and their *canonicalized* conditions are identical to the
+//! one-partition run at every count; stored-condition spelling and row
+//! order may differ (the merge interleaves producers differently than
+//! one serial scan), as may delta-size and solver counters when
 //! broadcasts duplicate work — all of it deterministic for a fixed
-//! shard count. The `shard_differential` suite pins this down at
-//! 1/2/4/8 shards on the shared corpus, composed with incremental
-//! `apply`.
+//! count. The `shard_differential` suite pins this down at 1/2/4/8
+//! shards on the shared corpus, composed with incremental `apply`.
 //!
-//! ## Broadcast fallback
+//! ## Broadcast, and rows without a key
 //!
 //! A changed row whose key cell holds a **c-variable** has no ground
-//! value to hash, so no single shard can own it: it is appended to
-//! *every* shard's partition. The duplicate downstream derivations this
-//! causes are absorbed by the table's dedup-by-terms insert and the
-//! idempotent condition merge, so results are unaffected.
+//! value to hash, so no single partition can own it: it is appended to
+//! *every* partition. The duplicate downstream derivations this causes
+//! are absorbed by the table's dedup-by-terms insert and the idempotent
+//! condition merge, so results are unaffected. A predicate with no
+//! columns (`panic`) has no key cell at all: partition 0 owns its row.
 //!
 //! Negation needs no special handling: stratification guarantees
 //! negated predicates are complete before this stratum runs, and the
 //! accumulated tables workers read are only mutated at pass barriers.
 
+use super::fixpoint::{self, Driver, Partitions};
+use super::maintain::Changes;
 use super::rule::eval_rule;
-use super::{Ctx, EvalError, EvalOptions, PrunePolicy};
+use super::{Ctx, EvalError, EvalOptions};
 use crate::ast::Rule;
-use crate::plan::PlanCache;
+use crate::plan::ShardPlan;
 use faure_solver::Session;
 use faure_storage::shard::{route_term, Route};
-use faure_storage::{OpStats, PhaseStats, PreparedRow, Table};
+use faure_storage::{OpStats, PreparedRow, Table};
 use faure_trace::Tracer;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::Instant;
@@ -68,8 +70,8 @@ use std::time::Instant;
 /// per-batch overhead (one channel rendezvous) stays negligible.
 const BATCH_ROWS: usize = 2048;
 
-/// One delta exchange message: `rows` derived by shard `producer`,
-/// `seq`-numbered so the barrier merge can replay batches in a
+/// One delta exchange message: `rows` derived by partition `producer`'s
+/// worker, `seq`-numbered so the barrier merge can replay batches in a
 /// schedule-independent order.
 struct Batch {
     producer: usize,
@@ -77,184 +79,69 @@ struct Batch {
     rows: Vec<PreparedRow>,
 }
 
-/// Per-shard delta partitions: `parts[s][pred]` holds the delta rows
-/// shard `s` owns for `pred`.
-type Partitions = Vec<HashMap<String, Table>>;
-
-#[allow(clippy::too_many_arguments)]
-pub(super) fn eval_stratum_sharded<'a>(
-    ctx: &Ctx<'a>,
-    rules: &[(usize, &Rule)],
-    stratum_preds: &BTreeSet<&str>,
-    tables: &mut HashMap<String, Table>,
-    plans: &mut PlanCache,
-    session: &mut Session,
-    opts: &EvalOptions,
-    stats: &mut PhaseStats,
-) -> Result<(), EvalError> {
-    let n = opts.shards;
-    debug_assert!(n > 1);
-    stats.shard.shards = stats.shard.shards.max(n);
-    // Workers must not re-partition their pass (they *are* the
-    // partitioning) nor emit trace events (event order would depend on
-    // scheduling); each gets a disabled tracer and a serial option set.
-    let wopts = EvalOptions {
-        threads: 1,
-        ..*opts
-    };
-    let shard_ctxs: Vec<Ctx<'a>> = (0..n)
-        .map(|_| Ctx {
-            tracer: Tracer::disabled(),
-            ..ctx.clone()
-        })
-        .collect();
-
-    // Iteration 0: exactly the single-space seed pass (every rule over
-    // the full tables, driver session, in-pass parallelism per
-    // `opts.threads`) — only the changed rows are routed into per-shard
-    // partitions instead of one delta map.
-    let t_iter = ctx.tracer.now_ns();
-    let mut parts: Partitions = (0..n).map(|_| HashMap::new()).collect();
-    for &(ri, rule) in rules {
-        let plan = plans.get_or_compile(ri, rule, None);
-        let derived = eval_rule(
-            ctx,
-            ri,
-            rule,
-            plan,
-            tables,
-            None,
-            session,
-            opts,
-            &mut stats.ops,
-        )?;
-        let head = rule.head.pred.as_str();
-        merge_routed(ctx, head, None, derived, tables, &mut parts, stats)?;
+/// The column the changed rows of `pred` are routed on; `None` when
+/// they all have one owner — there is one partition, or the predicate
+/// has no columns.
+pub(super) fn key_column(
+    plan: &ShardPlan,
+    pred: &str,
+    arity: usize,
+    partitions: usize,
+) -> Option<usize> {
+    if partitions < 2 || arity == 0 {
+        return None;
     }
-    let delta_rows = record_delta_size(&parts, stats);
-    super::publish::publish_iteration(delta_rows);
-    ctx.tracer
-        .emit_span("fixpoint", "iteration", t_iter, 0, || {
-            vec![
-                ("iteration", 0usize.into()),
-                ("delta_rows", delta_rows.into()),
-                ("shards", n.into()),
-            ]
-        });
-
-    let mut iterations = 0usize;
-    while parts.iter().any(|m| !m.is_empty()) {
-        iterations += 1;
-        if iterations > opts.max_iterations {
-            return Err(EvalError::IterationLimit {
-                limit: opts.max_iterations,
-            });
-        }
-        let t_iter = ctx.tracer.now_ns();
-        if opts.prune == PrunePolicy::EveryIteration {
-            // Deterministic sweep order: predicate (BTreeSet), then
-            // shard 0..n; one span for the whole sweep, like the
-            // single-space driver.
-            let t_prune = ctx.tracer.now_ns();
-            let wall = Instant::now();
-            let mut removed = 0usize;
-            let mut rows = 0usize;
-            for p in stratum_preds {
-                for m in parts.iter_mut() {
-                    let Some(t) = m.get_mut(*p) else { continue };
-                    rows += t.len();
-                    removed += t.prune(ctx.reg, session)?;
-                }
-            }
-            stats.prune_wall += wall.elapsed();
-            super::publish::publish_prune(rows, removed);
-            ctx.tracer.emit_span("eval", "prune", t_prune, 0, || {
-                vec![
-                    ("pred", "(delta)".into()),
-                    ("rows", rows.into()),
-                    ("removed", removed.into()),
-                    ("threads", 1usize.into()),
-                ]
-            });
-            for m in parts.iter_mut() {
-                m.retain(|_, t| !t.is_empty());
-            }
-            if parts.iter().all(HashMap::is_empty) {
-                break;
-            }
-        }
-        let mut next: Partitions = (0..n).map(|_| HashMap::new()).collect();
-        for &(ri, rule) in rules {
-            for (pos, lit) in rule.body.iter().enumerate() {
-                if lit.is_negative() {
-                    continue;
-                }
-                let p = lit.atom().pred.as_str();
-                if !stratum_preds.contains(p) {
-                    continue;
-                }
-                if parts.iter().all(|m| m.get(p).is_none_or(Table::is_empty)) {
-                    continue;
-                }
-                let plan = plans.get_or_compile(ri, rule, Some(pos));
-                run_sharded_pass(
-                    ctx,
-                    &shard_ctxs,
-                    ri,
-                    rule,
-                    plan,
-                    p,
-                    tables,
-                    &parts,
-                    &mut next,
-                    session,
-                    &wopts,
-                    stats,
-                )?;
-            }
-        }
-        parts = next;
-        let delta_rows = record_delta_size(&parts, stats);
-        super::publish::publish_iteration(delta_rows);
-        let iteration = iterations;
-        ctx.tracer
-            .emit_span("fixpoint", "iteration", t_iter, 0, || {
-                vec![
-                    ("iteration", iteration.into()),
-                    ("delta_rows", delta_rows.into()),
-                    ("shards", n.into()),
-                ]
-            });
-    }
-    Ok(())
+    // An out-of-range key cannot come through `set_shard_keys`, which
+    // validates: fall back to column 0.
+    let key = plan.key_for(pred);
+    Some(if key < arity { key } else { 0 })
 }
 
-/// One sharded `(rule, delta slot)` pass: every shard with a non-empty
-/// delta partition for `delta_pred` evaluates the rule against it on
-/// its own thread, streaming derived rows back in bounded batches; at
-/// the barrier the driver replays the batches in `(producer, seq)`
-/// order into the accumulated table and routes the changed rows into
-/// `next`.
-#[allow(clippy::too_many_arguments)]
-fn run_sharded_pass<'a>(
-    ctx: &Ctx<'a>,
-    shard_ctxs: &[Ctx<'a>],
+/// Where a changed row goes, given its predicate's [`key_column`].
+pub(super) fn route(prow: &PreparedRow, key: Option<usize>, partitions: usize) -> Route {
+    match key {
+        Some(k) => route_term(&prow.cells()[k].decode(), partitions),
+        None => Route::To(0),
+    }
+}
+
+/// One `(rule, position)` delta pass over a partitioned delta: every
+/// partition holding rows of the body predicate at `pos` evaluates the
+/// rule against them on its own thread, streaming derived rows back in
+/// bounded batches; at the barrier the driver replays the batches in
+/// `(producer, seq)` order into the accumulated table and routes the
+/// changed rows into `next`.
+pub(super) fn pass(
+    d: &mut Driver<'_>,
     ri: usize,
     rule: &Rule,
-    plan: &crate::plan::RulePlan,
-    delta_pred: &str,
-    tables: &mut HashMap<String, Table>,
-    parts: &Partitions,
+    pos: usize,
+    delta: &[HashMap<String, Table>],
     next: &mut Partitions,
-    session: &mut Session,
-    wopts: &EvalOptions,
-    stats: &mut PhaseStats,
+    mut tracker: Option<&mut Changes>,
 ) -> Result<(), EvalError> {
-    let n = shard_ctxs.len();
-    let t_pass = ctx.tracer.now_ns();
+    let n = delta.len();
+    let delta_pred = rule.body[pos].atom().pred.as_str();
+    let live = |s: usize| delta[s].get(delta_pred).filter(|t| !t.is_empty());
+    if (0..n).all(|s| live(s).is_none()) {
+        return Ok(());
+    }
+    // Workers must not re-partition their pass (they *are* the
+    // partitioning) nor emit trace events (event order would depend on
+    // scheduling): a disabled tracer and a serial option set.
+    let wctx = Ctx {
+        tracer: Tracer::disabled(),
+        ..d.ctx.clone()
+    };
+    let wopts = EvalOptions {
+        threads: 1,
+        ..d.opts
+    };
+    let t_pass = d.ctx.tracer.now_ns();
+    let plan = d.plans.get_or_compile(ri, rule, Some(pos));
+    let tables: &HashMap<String, Table> = d.tables;
     let mut batches: Vec<Batch> = Vec::new();
     let mut worker_errs: Vec<Option<EvalError>> = Vec::new();
-    let tables_ref: &HashMap<String, Table> = tables;
 
     std::thread::scope(|scope| {
         // Capacity n: every live worker can have one batch in flight
@@ -262,12 +149,13 @@ fn run_sharded_pass<'a>(
         // real backpressure.
         let (tx, rx) = sync_channel::<Batch>(n);
         let mut handles = Vec::with_capacity(n);
-        for (s, wctx) in shard_ctxs.iter().enumerate() {
-            let Some(delta) = parts[s].get(delta_pred).filter(|t| !t.is_empty()) else {
+        for s in 0..n {
+            let Some(delta) = live(s) else {
                 handles.push(None);
                 continue;
             };
             let tx = tx.clone();
+            let (wctx, wopts) = (&wctx, &wopts);
             handles.push(Some(scope.spawn(move || {
                 let wall = Instant::now();
                 let mut wsession = Session::with_shared(Arc::clone(&wctx.shared_memo));
@@ -278,7 +166,7 @@ fn run_sharded_pass<'a>(
                     ri,
                     rule,
                     plan,
-                    tables_ref,
+                    tables,
                     Some(delta),
                     &mut wsession,
                     wopts,
@@ -331,45 +219,39 @@ fn run_sharded_pass<'a>(
                 continue;
             };
             let (wstats, wops, wall, err) = handle.join().expect("shard worker panicked");
-            // Shard-order absorption keeps the stats merge order
+            // Partition-order absorption keeps the stats merge order
             // deterministic even though completion order is not.
-            session.absorb_stats(&wstats);
-            stats.ops.absorb(&wops);
-            stats.shard.record_wall(s, wall);
+            d.session.absorb_stats(&wstats);
+            d.stats.ops.absorb(&wops);
+            d.stats.shard.record_wall(s, wall);
             worker_errs.push(err);
         }
     });
-    // First error by lowest shard index, mirroring the parallel rule
-    // pass's lowest-chunk rule.
+    // First error by lowest partition index, mirroring the parallel
+    // rule pass's lowest-chunk rule.
     if let Some(e) = worker_errs.into_iter().flatten().next() {
         return Err(e);
     }
 
     batches.sort_by_key(|b| (b.producer, b.seq));
-    stats.shard.exchanged_batches += batches.len() as u64;
-    stats.shard.passes += 1;
-    let head = rule.head.pred.as_str();
-    let routed_before = stats.shard.routed_rows;
-    let broadcast_before = stats.shard.broadcast_rows;
     let batch_count = batches.len();
+    d.stats.shard.exchanged_batches += batch_count as u64;
+    d.stats.shard.passes += 1;
+    let head = rule.head.pred.as_str();
+    let routed_before = d.stats.shard.routed_rows;
+    let broadcast_before = d.stats.shard.broadcast_rows;
     let mut rows_out = 0usize;
     for batch in batches {
         rows_out += batch.rows.len();
-        let producer = batch.producer;
-        merge_routed(
-            ctx,
-            head,
-            Some(producer),
-            vec![batch.rows],
-            tables,
-            next,
-            stats,
-        )?;
+        let producer = Some(batch.producer);
+        let tracker = tracker.as_deref_mut();
+        fixpoint::merge(d, head, producer, vec![batch.rows], next, tracker)?;
     }
-    let routed = stats.shard.routed_rows - routed_before;
-    let broadcast = stats.shard.broadcast_rows - broadcast_before;
+    let routed = d.stats.shard.routed_rows - routed_before;
+    let broadcast = d.stats.shard.broadcast_rows - broadcast_before;
     super::publish::publish_shard_pass(n, batch_count as u64, rows_out, routed, broadcast);
-    ctx.tracer
+    d.ctx
+        .tracer
         .emit_span("fixpoint", "shard-pass", t_pass, 0, || {
             vec![
                 ("rule", ri.into()),
@@ -383,76 +265,6 @@ fn run_sharded_pass<'a>(
             ]
         });
     Ok(())
-}
-
-/// Merges derived partitions into the accumulated table in partition
-/// order and routes each *changed* row (new terms or new disjunct) into
-/// the delta partition of the shard that owns its key — or into every
-/// partition when the key cell is a c-variable (broadcast). `producer`
-/// is the shard that derived the rows (`None` for the seed pass, which
-/// the driver runs itself); only copies landing on a different shard
-/// count as routed.
-fn merge_routed(
-    ctx: &Ctx<'_>,
-    pred: &str,
-    producer: Option<usize>,
-    derived: Vec<Vec<PreparedRow>>,
-    tables: &mut HashMap<String, Table>,
-    parts: &mut Partitions,
-    stats: &mut PhaseStats,
-) -> Result<(), EvalError> {
-    if derived.iter().all(Vec::is_empty) {
-        return Ok(());
-    }
-    let n = parts.len();
-    let key = ctx.shard_plan.key_for(pred);
-    let table = tables.get_mut(pred).expect("table created in setup");
-    let schema = table.schema.clone();
-    // Guard against an out-of-range key (cannot happen through
-    // `set_shard_keys`, which validates): fall back to column 0.
-    let key = if key < schema.arity() { key } else { 0 };
-    let mut routed = 0u64;
-    let mut broadcast = 0u64;
-    let route = |prow: &PreparedRow| route_term(&prow.cells()[key].decode(), n);
-    table.absorb_partitions(derived, |prow| match route(prow) {
-        Route::To(owner) => {
-            parts[owner]
-                .entry(pred.to_owned())
-                .or_insert_with(|| Table::new(schema.clone()))
-                .insert_prepared(prow)
-                .expect("delta schema matches the full table");
-            if producer != Some(owner) {
-                routed += 1;
-            }
-        }
-        Route::Broadcast => {
-            broadcast += 1;
-            for (s, part) in parts.iter_mut().enumerate() {
-                part.entry(pred.to_owned())
-                    .or_insert_with(|| Table::new(schema.clone()))
-                    .insert_prepared(prow)
-                    .expect("delta schema matches the full table");
-                if producer != Some(s) {
-                    routed += 1;
-                }
-            }
-        }
-    })?;
-    stats.shard.routed_rows += routed;
-    stats.shard.broadcast_rows += broadcast;
-    Ok(())
-}
-
-/// Records the total delta size of a just-finished iteration across
-/// all shard partitions (broadcast rows count once per partition; the
-/// sum is deterministic for a fixed shard count). The terminating
-/// empty delta is not recorded, like the single-space driver.
-fn record_delta_size(parts: &Partitions, stats: &mut PhaseStats) -> usize {
-    let total: usize = parts.iter().flat_map(|m| m.values().map(Table::len)).sum();
-    if total > 0 {
-        stats.delta_sizes.push(total);
-    }
-    total
 }
 
 #[cfg(test)]
@@ -552,6 +364,35 @@ mod tests {
         );
         // And the broadcast copies count as routed to non-producers.
         assert!(sharded.stats.shard.routed_rows >= sharded.stats.shard.broadcast_rows);
+    }
+
+    /// Regression: a 0-ary head (`panic`) has no key cell to hash — its
+    /// row has one owner, partition 0 — and its c-variable condition
+    /// must come out the same at every partition count.
+    #[test]
+    fn zero_ary_heads_have_one_owner() {
+        let mut db = Database::new();
+        let x = db.fresh_cvar("x", Domain::Ints(vec![0, 1, 2]));
+        db.create_relation(Schema::new("E", &["a", "b"])).unwrap();
+        db.insert("E", CTuple::new([Term::Var(x), Term::int(1)]))
+            .unwrap();
+        db.insert("E", CTuple::new([Term::int(1), Term::int(2)]))
+            .unwrap();
+        // `panic` and `alarm` are mutually recursive, so the 0-ary rows
+        // also travel as a delta through a partitioned pass.
+        let src = format!("{TC}panic :- R(2, b).\npanic :- alarm.\nalarm :- panic.\n");
+        let serial = eval_at(&db, &src, 1);
+        assert_eq!(snapshot(&serial, "panic").len(), 1);
+        for shards in [2, 4] {
+            let sharded = eval_at(&db, &src, shards);
+            for pred in ["R", "panic", "alarm"] {
+                assert_eq!(
+                    snapshot(&serial, pred),
+                    snapshot(&sharded, pred),
+                    "{pred} at {shards} shards"
+                );
+            }
+        }
     }
 
     /// A ground-keyed run routes without broadcasting.

@@ -20,8 +20,6 @@
 //!   [run](engine::PreparedProgram::run) against many databases, and
 //!   the fixpoint inner loop parallelises across threads
 //!   ([`EvalOptions::threads`]) with bit-identical results;
-//! * [`eval`] — the historical paths of the evaluation API
-//!   (re-exports from [`engine`]);
 //! * [`mod@reference`] — an independent pure-datalog evaluator over single
 //!   possible worlds, the ground truth for **loss-less modeling** (§4);
 //! * [`containment`] — constraint subsumption by the paper's reduction
@@ -51,7 +49,6 @@ pub mod analysis;
 pub mod ast;
 pub mod containment;
 pub mod engine;
-pub mod eval;
 pub mod parser;
 pub mod plan;
 pub mod reference;
@@ -70,7 +67,7 @@ pub use parser::{
 };
 pub use plan::{
     compile_rule, compile_rule_hinted, explain_program, explain_program_json, maintenance_meta,
-    DeletionStrategy, Hints, JoinStep, MaintenanceMeta, PlanCache, RulePlan,
+    Hints, JoinStep, MaintenanceMeta, PlanCache, RulePlan,
 };
 pub use update::{
     apply_to_database, expand_constraint, rewrite_constraint, DeletePattern, Update, UpdateError,

@@ -407,49 +407,26 @@ impl PlanCache {
     }
 }
 
-/// How incremental maintenance handles deletions reaching a predicate
-/// (see `engine::maintain`). The decision is purely structural — it
-/// depends on the stratification, not the data — so it is compiled
-/// here, once, alongside the rule plans.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeletionStrategy {
-    /// Non-recursive stratum: a counting-gated single pass. Support
-    /// counts on the stored rows bound the suspect set, and
-    /// re-derivation runs only for rules whose heads actually lost
-    /// rows; the over-delete frontier empties after one round because
-    /// no rule reads an in-stratum predicate.
-    Counting,
-    /// Recursive stratum: DRed. Over-delete to the transitive closure
-    /// of suspect rows (derivations reachable from the deleted
-    /// tuples), then re-derive the survivors' contributions through
-    /// the stratum fixpoint.
-    Rederive,
-}
-
-/// Per-program maintenance metadata: which body positions can carry a
-/// delta, which strata are recursive, and the deletion strategy per
-/// derived predicate. Compiled once at prepare time (like the rule
-/// plans); the `engine::maintain` module consumes it on every
-/// [`Delta`](../engine/struct.Delta.html) application.
+/// Per-program fixpoint metadata: which body positions can carry a
+/// delta, and which strata are recursive. Compiled once at prepare
+/// time (like the rule plans) from the program's structure alone.
 #[derive(Clone, Debug, Default)]
 pub struct MaintenanceMeta {
     /// For each rule (by index into `Program::rules`): the body
     /// positions of its positive literals — every slot a delta pass
-    /// can be pinned to. Unlike the prepare-time plan set (which only
-    /// covers in-stratum recursion), maintenance deltas arrive on EDB
-    /// and lower-stratum predicates too; the plans for those slots
-    /// compile lazily through the same [`PlanCache`].
+    /// can be pinned to. A batch delta only ever holds the stratum's
+    /// own heads, and the prepare-time plan set covers exactly those
+    /// slots; maintenance deltas arrive on EDB and lower-stratum
+    /// predicates too, and the plans for those slots compile lazily
+    /// through the same [`PlanCache`].
     pub delta_positions: Vec<Vec<usize>>,
     /// Per stratum: whether some rule reads an in-stratum predicate
-    /// positively (the stratum needs fixpoint iteration).
+    /// positively (the stratum needs fixpoint iteration). Incremental
+    /// maintenance over-deletes and re-derives the same way either way;
+    /// the flag only picks the label a stratum is reported under
+    /// (`rederive` when set, `counting` when not — a non-recursive
+    /// stratum's over-delete frontier empties after one round).
     pub recursive_strata: Vec<bool>,
-    /// Deletion strategy per derived predicate, keyed by name.
-    pub strategies: BTreeMap<String, DeletionStrategy>,
-    /// For each predicate: indices of rules that negate it. A change
-    /// to such a predicate can strengthen *or* weaken the negated
-    /// condition, so the affected stratum falls back to
-    /// over-deleting every row of those rules' heads.
-    pub negated_by: BTreeMap<String, BTreeSet<usize>>,
 }
 
 /// Partition keys for sharded evaluation: one key column per derived
@@ -512,8 +489,8 @@ impl ShardPlan {
     }
 }
 
-/// Compiles the maintenance metadata for `program` under `strata`
-/// (rule indices per stratum, as produced by `analysis::stratify`).
+/// Compiles the fixpoint metadata for `program` under `strata` (rule
+/// indices per stratum, as produced by `analysis::stratify`).
 pub fn maintenance_meta(program: &Program, strata: &[Vec<usize>]) -> MaintenanceMeta {
     let delta_positions: Vec<Vec<usize>> = program
         .rules
@@ -527,45 +504,24 @@ pub fn maintenance_meta(program: &Program, strata: &[Vec<usize>]) -> Maintenance
                 .collect()
         })
         .collect();
-    let mut recursive_strata = Vec::with_capacity(strata.len());
-    let mut strategies = BTreeMap::new();
-    for stratum_rules in strata {
-        let heads: BTreeSet<&str> = stratum_rules
-            .iter()
-            .map(|&ri| program.rules[ri].head.pred.as_str())
-            .collect();
-        let recursive = stratum_rules.iter().any(|&ri| {
-            program.rules[ri]
-                .body
+    let recursive_strata = strata
+        .iter()
+        .map(|stratum_rules| {
+            let heads: BTreeSet<&str> = stratum_rules
                 .iter()
-                .any(|l| !l.is_negative() && heads.contains(l.atom().pred.as_str()))
-        });
-        recursive_strata.push(recursive);
-        let strategy = if recursive {
-            DeletionStrategy::Rederive
-        } else {
-            DeletionStrategy::Counting
-        };
-        for h in heads {
-            strategies.insert(h.to_owned(), strategy);
-        }
-    }
-    let mut negated_by: BTreeMap<String, BTreeSet<usize>> = BTreeMap::new();
-    for (ri, rule) in program.rules.iter().enumerate() {
-        for lit in &rule.body {
-            if lit.is_negative() {
-                negated_by
-                    .entry(lit.atom().pred.clone())
-                    .or_default()
-                    .insert(ri);
-            }
-        }
-    }
+                .map(|&ri| program.rules[ri].head.pred.as_str())
+                .collect();
+            stratum_rules.iter().any(|&ri| {
+                program.rules[ri]
+                    .body
+                    .iter()
+                    .any(|l| !l.is_negative() && heads.contains(l.atom().pred.as_str()))
+            })
+        })
+        .collect();
     MaintenanceMeta {
         delta_positions,
         recursive_strata,
-        strategies,
-        negated_by,
     }
 }
 

@@ -324,7 +324,7 @@ impl Atom {
 ///
 /// The derived [`Ord`] is a total *structural* order; it has no
 /// semantic meaning but gives canonicalisation a collision-free sort
-/// key (see `faure_core::eval::canonicalize`).
+/// key (see `faure_core::engine::canonicalize`).
 #[derive(Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum Condition {
     /// Always true (empty condition).

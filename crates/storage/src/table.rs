@@ -283,14 +283,6 @@ pub struct Table {
     /// equal term vectors by construction — no collision buckets, no
     /// re-verification against the stored rows.
     by_terms: HashMap<Box<[Cell]>, u32>,
-    /// Support count per row: how many insertion events (new row,
-    /// merged disjunct, or duplicate derivation) have landed on it.
-    /// Semi-naive passes can enumerate the same derivation more than
-    /// once, so this is an upper bound on the number of distinct
-    /// derivations — incremental maintenance uses it as a fast
-    /// "does anything even support this row" gate, never as an exact
-    /// count to delete by.
-    support: Vec<u64>,
 }
 
 /// What a [`Table::delete_where`] pass did to the table, in terms of
@@ -351,7 +343,6 @@ impl Table {
             conds: Vec::new(),
             side: HashMap::new(),
             by_terms: HashMap::new(),
-            support: Vec::new(),
         }
     }
 
@@ -491,11 +482,7 @@ impl Table {
             return Ok(InsertOutcome::Unchanged);
         }
         match self.by_terms.get(&row.cells).copied() {
-            Some(idx) => {
-                let idx = idx as usize;
-                self.support[idx] = self.support[idx].saturating_add(1);
-                Ok(self.merge_into_row(idx, row))
-            }
+            Some(idx) => Ok(self.merge_into_row(idx as usize, row)),
             None => {
                 let idx = u32::try_from(self.conds.len()).expect("row count overflow");
                 self.by_terms.insert(row.cells.clone(), idx);
@@ -510,7 +497,6 @@ impl Table {
                     self.side.insert(idx, CondRepr::Opaque(vec![row.stored]));
                 }
                 self.conds.push(row.stored);
-                self.support.push(1);
                 Ok(InsertOutcome::New)
             }
         }
@@ -813,16 +799,13 @@ impl Table {
     /// conjunction — a single theory query); opaque conditions go
     /// through the budget-guarded whole-condition simplification, row
     /// by row. Survivors stay in order, each as a fresh insert of its
-    /// simplified condition would store it, and every support count
-    /// restarts at one.
+    /// simplified condition would store it.
     pub fn prune(
         &mut self,
         reg: &CVarRegistry,
         session: &mut Session,
     ) -> Result<usize, SolverError> {
-        let removed = self.prune_in_place(reg, session, 0..self.len())?;
-        self.support.fill(1);
-        Ok(removed)
+        self.prune_in_place(reg, session, 0..self.len())
     }
 
     /// Decides and applies the fate of the rows at `indices`, then
@@ -916,24 +899,6 @@ impl Table {
         }
     }
 
-    /// [`prune`](Table::prune), for callers holding a thread budget.
-    ///
-    /// With one decision per distinct condition the solver is a
-    /// fraction of a prune that is itself a fraction of a run, and no
-    /// measurement says a second thread pays for its spawn. So there is
-    /// one prune: the result and every counter are the serial ones at
-    /// any `threads`, and verdicts land in the memo `session` was built
-    /// over.
-    pub fn prune_parallel(
-        &mut self,
-        reg: &CVarRegistry,
-        session: &mut Session,
-        _memo: &std::sync::Arc<faure_solver::SharedMemo>,
-        _threads: usize,
-    ) -> Result<usize, SolverError> {
-        self.prune(reg, session)
-    }
-
     /// The row index holding exactly these terms, if present (O(1)
     /// dedup-index lookup on the injective cell encoding).
     pub fn find_row(&self, terms: &[Term]) -> Option<usize> {
@@ -944,12 +909,6 @@ impl Table {
     /// [`find_row`](Table::find_row) on already encoded cells.
     pub fn find_row_cells(&self, cells: &[Cell]) -> Option<usize> {
         self.by_terms.get(cells).map(|&i| i as usize)
-    }
-
-    /// The support count of one row (see the field doc: an upper bound
-    /// on distinct derivations, for gating — not for exact deletion).
-    pub fn support(&self, idx: usize) -> u64 {
-        self.support[idx]
     }
 
     /// Whether row `idx` stores its condition as a minimal-DNF
@@ -976,8 +935,8 @@ impl Table {
     /// Removes the rows at `indices` (duplicates and any order are
     /// fine), returning the removed rows materialised in index order.
     ///
-    /// Columnar removal: the surviving cells, conditions and support
-    /// counts are compacted in place — **no re-normalisation**, so
+    /// Columnar removal: the surviving cells and conditions are
+    /// compacted in place — **no re-normalisation**, so
     /// surviving rows keep their exact condition representation — and
     /// the probe/dedup indexes are rebuilt.
     pub fn remove_rows(&mut self, indices: &[usize]) -> Vec<CTuple> {
@@ -1013,7 +972,6 @@ impl Table {
             keep(&mut col.cells, kill);
         }
         keep(&mut self.conds, kill);
-        keep(&mut self.support, kill);
         if !self.side.is_empty() {
             // Side entries follow their rows to the new indices.
             let mut old = std::mem::take(&mut self.side);
@@ -1078,7 +1036,7 @@ impl Table {
     /// simplifies to an empty DNF. Returns the number of rows removed.
     /// Each row's fate is the same function of its condition as in a
     /// full prune, so pruning a subset leaves the rest bit-identical to
-    /// never having pruned. Support counts are left alone.
+    /// never having pruned.
     pub fn prune_rows(
         &mut self,
         reg: &CVarRegistry,
@@ -1503,67 +1461,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_parallel_matches_serial() {
-        use faure_ctable::{CmpOp, LinExpr};
-        let mut db = Database::new();
-        let x = db.fresh_cvar("x", Domain::Bool01);
-        let y = db.fresh_cvar("y", Domain::Bool01);
-        let reg = db.cvars.clone();
-        let build = || {
-            let mut t = Table::new(Schema::new("T", &["a"]));
-            for i in 0..12i64 {
-                let cond = match i % 4 {
-                    // x̄ + ȳ = 3 over {0,1}²: solver-only unsat.
-                    0 => Condition::cmp(
-                        LinExpr::var(x).plus_var(1, y),
-                        CmpOp::Eq,
-                        LinExpr::constant(3),
-                    ),
-                    1 => Condition::eq(Term::Var(x), Term::int(0)),
-                    // Valid: simplifies to True.
-                    2 => Condition::eq(Term::Var(y), Term::int(0))
-                        .or(Condition::eq(Term::Var(y), Term::int(1))),
-                    _ => Condition::eq(Term::Var(x), Term::int(1))
-                        .and(Condition::ne(Term::Var(y), Term::int(0))),
-                };
-                t.insert(CTuple::with_cond([Term::int(i)], cond)).unwrap();
-            }
-            t
-        };
-
-        let mut serial = build();
-        let mut serial_session = Session::new();
-        let serial_removed = serial.prune(&reg, &mut serial_session).unwrap();
-
-        for threads in [1usize, 2, 4] {
-            let mut par = build();
-            let memo = std::sync::Arc::new(faure_solver::SharedMemo::for_registry(&reg));
-            let mut session = Session::new();
-            let removed = par
-                .prune_parallel(&reg, &mut session, &memo, threads)
-                .unwrap();
-            assert_eq!(removed, serial_removed, "threads={threads}");
-            assert_eq!(par.len(), serial.len());
-            for i in 0..serial.len() {
-                assert_eq!(par.row(i).terms, serial.row(i).terms);
-                assert_eq!(par.row(i).cond, serial.row(i).cond);
-                assert_eq!(par.cond_id(i), serial.cond_id(i), "pooled ids match too");
-            }
-            // Deterministic counters match serial; only the memo
-            // hit/miss split depends on scheduling.
-            let s = session.stats();
-            let base = serial_session.stats();
-            assert_eq!(s.sat_calls, base.sat_calls);
-            assert_eq!(s.sat_true, base.sat_true);
-            assert_eq!(s.simplify_calls, base.simplify_calls);
-            assert_eq!(
-                s.memo_hits + s.memo_misses,
-                base.memo_hits + base.memo_misses
-            );
-        }
-    }
-
-    #[test]
     fn prune_turns_valid_conditions_into_true() {
         let (reg, x, _) = db_with_xy();
         let mut t = Table::new(Schema::new("T", &["a"]));
@@ -1762,23 +1659,6 @@ mod tests {
         assert_eq!(t.len(), 2);
     }
 
-    #[test]
-    fn support_counts_gate_not_count() {
-        let (_, x, _) = db_with_xy();
-        let mut t = Table::new(Schema::new("T", &["a"]));
-        t.insert(CTuple::new([Term::int(1)])).unwrap();
-        assert_eq!(t.support(0), 1);
-        t.insert(CTuple::with_cond(
-            [Term::int(1)],
-            Condition::eq(Term::Var(x), Term::int(0)),
-        ))
-        .unwrap(); // absorbed (row is True) but still a support event
-        assert_eq!(t.support(0), 2);
-        t.insert(CTuple::new([Term::int(2)])).unwrap();
-        let _ = t.remove_rows(&[0]);
-        assert_eq!(t.support(0), 1); // counts travel with their rows
-    }
-
     // ---- what the drain-and-reinsert prune did, pinned -----------------
 
     /// `n` fresh `{0,1}` c-variables named `{prefix}{i}`.
@@ -1801,21 +1681,6 @@ mod tests {
                 })
                 .collect(),
         )
-    }
-
-    #[test]
-    fn prune_resets_every_support_count_to_one() {
-        let (reg, x, _) = db_with_xy();
-        let mut t = Table::new(Schema::new("T", &["a"]));
-        let c0 = Condition::eq(Term::Var(x), Term::int(0));
-        t.insert(CTuple::with_cond([Term::int(1)], c0.clone()))
-            .unwrap();
-        t.insert(CTuple::with_cond([Term::int(1)], c0)).unwrap();
-        t.insert(CTuple::new([Term::int(2)])).unwrap();
-        assert_eq!(t.support(0), 2);
-        t.prune(&reg, &mut Session::new()).unwrap();
-        assert_eq!(t.len(), 2);
-        assert!((0..t.len()).all(|i| t.support(i) == 1));
     }
 
     #[test]
@@ -1966,11 +1831,15 @@ mod tests {
         use faure_ctable::{CVarId, CmpOp, LinExpr};
         use proptest::prelude::*;
 
-        /// 18 `{0,1}` variables: enough for the over-budget product.
+        /// 18 `{0,1}` variables — enough for the over-budget product —
+        /// then two over `{0,1,2}` for the linear shapes.
         fn registry() -> CVarRegistry {
             let mut reg = CVarRegistry::new();
             for i in 0..18 {
                 reg.fresh(format!("d{i}"), Domain::Bool01);
+            }
+            for i in 18..20 {
+                reg.fresh(format!("d{i}"), Domain::Ints(vec![0, 1, 2]));
             }
             reg
         }
@@ -1980,13 +1849,21 @@ mod tests {
         }
 
         /// Conditions of every kind the solver phase tells apart:
-        /// plain atoms, a disjunct only the solver refutes, a valid
-        /// disjunction, an over-budget product, `False`, and small
+        /// plain atoms, disjuncts only the solver refutes (`d̄ᵥ + d̄ᵥ₊₁ = 3`
+        /// over `{0,1}²`, `d̄18 + d̄19 = 5` over `{0,1,2}²`), a tight but
+        /// satisfiable sum (`= 4`), valid disjunctions (`= 0 ∨ = 1`,
+        /// `= 0 ∨ ≠ 0`), an over-budget product, `False`, and small
         /// conjunctions and disjunctions of those.
         fn arb_cond() -> impl Strategy<Value = Condition> {
             let vars: Vec<CVarId> = (0..18).map(CVarId).collect();
             let product = over_budget(&vars[..9], &vars[9..]);
             let leaf = prop_oneof![
+                (4i64..6).prop_map(|k| Condition::cmp(
+                    LinExpr::var(CVarId(18)).plus_var(1, CVarId(19)),
+                    CmpOp::Eq,
+                    LinExpr::constant(k),
+                )),
+                Just(Condition::eq(var(18), Term::int(0)).or(Condition::ne(var(18), Term::int(0)))),
                 (0u32..4, 0i64..2).prop_map(|(v, k)| Condition::eq(var(v), Term::int(k))),
                 (0u32..4, 0i64..2).prop_map(|(v, k)| Condition::ne(var(v), Term::int(k))),
                 (0u32..3).prop_map(|v| Condition::cmp(
@@ -2017,25 +1894,18 @@ mod tests {
         }
 
         /// Everything a prune can change, row by row.
-        fn state(t: &Table) -> Vec<(Vec<Term>, CondId, bool, u64)> {
+        fn state(t: &Table) -> Vec<(Vec<Term>, CondId, bool)> {
             (0..t.len())
-                .map(|i| {
-                    (
-                        t.row(i).terms,
-                        t.cond_id(i),
-                        t.has_sets_repr(i),
-                        t.support(i),
-                    )
-                })
+                .map(|i| (t.row(i).terms, t.cond_id(i), t.has_sets_repr(i)))
                 .collect()
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
-            /// The in-place prune, serial and parallel, leaves what the
-            /// drain-and-reinsert prune leaves: rows, order, ids,
-            /// representation kinds, supports and the removal count.
+            /// The in-place prune leaves what the drain-and-reinsert
+            /// prune leaves: rows, order, ids, representation kinds and
+            /// the removal count.
             #[test]
             fn in_place_prune_matches_reinsertion(rows in arb_rows()) {
                 let reg = registry();
@@ -2050,17 +1920,12 @@ mod tests {
                 let removed = reference
                     .prune_by_reinsertion(&reg, &mut Session::new())
                     .unwrap();
-                for threads in [1usize, 2, 4] {
-                    let mut t = build();
-                    let memo = std::sync::Arc::new(faure_solver::SharedMemo::for_registry(&reg));
-                    let got = t
-                        .prune_parallel(&reg, &mut Session::new(), &memo, threads)
-                        .unwrap();
-                    prop_assert_eq!(got, removed, "removed, threads={}", threads);
-                    prop_assert_eq!(state(&t), state(&reference), "threads={}", threads);
-                    for i in 0..t.len() {
-                        prop_assert_eq!(t.find_row(&t.row(i).terms), Some(i));
-                    }
+                let mut t = build();
+                let got = t.prune(&reg, &mut Session::new()).unwrap();
+                prop_assert_eq!(got, removed, "removed");
+                prop_assert_eq!(state(&t), state(&reference));
+                for i in 0..t.len() {
+                    prop_assert_eq!(t.find_row(&t.row(i).terms), Some(i));
                 }
             }
 

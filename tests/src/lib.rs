@@ -4,7 +4,7 @@
 //! defining semantic property (§4): *fauré-log query evaluation on a
 //! c-table database is equivalent to iterating pure datalog over every
 //! possible world*. The left side runs the production engine
-//! (`faure-core::eval`); the right side runs the independent ground
+//! (`faure-core::engine`); the right side runs the independent ground
 //! evaluator (`faure-core::reference`); the two share no evaluation
 //! code.
 

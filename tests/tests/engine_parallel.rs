@@ -10,7 +10,7 @@
 //! negated programs over random c-table databases), at 2, 4, and 8
 //! worker threads.
 
-use faure_core::eval::canonicalize;
+use faure_core::engine::canonicalize;
 use faure_core::{evaluate_with, EvalOptions, EvalOutput, Program};
 use faure_ctable::{Condition, Database, Term};
 use faure_tests::corpus::{arb_db, arb_program};

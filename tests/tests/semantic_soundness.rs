@@ -22,7 +22,7 @@
 //!    derive nothing.
 
 use faure_analyze::{infer, plan_hints, Inference};
-use faure_core::eval::canonicalize;
+use faure_core::engine::canonicalize;
 use faure_core::{Engine, EvalOutput, Program};
 use faure_ctable::worlds::WorldIter;
 use faure_ctable::{Condition, Database, Term};

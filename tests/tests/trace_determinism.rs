@@ -14,7 +14,7 @@
 //!   (and the racy memo hit/miss *split* under the shared parallel
 //!   memo) may differ between runs.
 
-use faure_core::eval::canonicalize;
+use faure_core::engine::canonicalize;
 use faure_core::{evaluate_traced, evaluate_with, EvalOptions, EvalOutput, Program};
 use faure_ctable::{Condition, Database, Term};
 use faure_tests::corpus::{arb_db, arb_program};
