@@ -12,10 +12,13 @@
 //!   partition 0; with more, the pass runs on one worker per partition
 //!   ([`shard::pass`]) and [`merge`] sends each changed row to the
 //!   partition that owns its key.
-//! * **a seed**: iteration 0 runs the full plans of the rules whose head
-//!   is in a given set (every rule for a batch stratum, the re-derived
-//!   heads for `apply`), merged into an initial delta (empty for a batch
-//!   stratum, the pending insertions for `apply`).
+//! * **a seed**: what iteration 0 runs, merged into an initial delta.
+//!   A batch stratum runs every rule's full plan over an empty delta.
+//!   `apply` hands over a [`Seed`] and the pending insertions: a head
+//!   that lost rows runs its rules' head-bound plans over the lost keys
+//!   (work proportional to those keys), a head behind a changed negated
+//!   predicate runs its rules' full plans, every other rule runs
+//!   nothing.
 //! * **an optional change tracker** ([`Changes`]), offered every row a
 //!   merge is about to touch and every row it changed.
 //!
@@ -41,6 +44,21 @@ use std::time::Instant;
 /// A delta cut into partitions: `parts[s][pred]` holds the delta rows
 /// of `pred` that partition `s` owns.
 pub(super) type Partitions = Vec<HashMap<String, Table>>;
+
+/// What iteration 0 of an `apply` stratum runs; a batch stratum has no
+/// seed and runs every rule's full plan.
+#[derive(Default)]
+pub(super) struct Seed {
+    /// Heads whose rules run their full plans: a changed negated
+    /// predicate can unlock rows that never existed, which no set of
+    /// lost keys names.
+    pub(super) full: BTreeSet<String>,
+    /// Per head that only lost rows: the lost keys, every condition
+    /// `True`. Its rules run their head-bound plans
+    /// ([`MaintenanceMeta::head_bound`](crate::plan::MaintenanceMeta))
+    /// with this table as the delta, so only those keys are re-derived.
+    pub(super) lost: HashMap<String, Table>,
+}
 
 /// What a stratum is evaluated with: the run's context, the standing
 /// tables and plan cache it writes, and the driver thread's solver
@@ -112,18 +130,17 @@ pub(super) fn timed_prune(
 
 /// Brings the stratum `rules` to its fixpoint (see the module docs).
 ///
-/// Iteration 0 runs the full plan of every rule whose head is in
-/// `seed_heads` (`None`: every rule) — recursive rules see the current,
-/// possibly empty, contents of the stratum's own tables — and merges
-/// what changed into `delta`, whose length is the partition count.
-/// Each later iteration runs one pass per positive body position whose
+/// Iteration 0 runs what `seed` says (`None`: every rule's full plan) —
+/// recursive rules see the current, possibly empty, contents of the
+/// stratum's own tables — and merges what changed into `delta`, whose
+/// length is the partition count. Each later iteration runs one pass per positive body position whose
 /// predicate has delta rows; a batch delta only ever holds the
 /// stratum's own heads, `apply`'s also EDB and lower-stratum
 /// predicates.
 pub(super) fn semi_naive(
     d: &mut Driver<'_>,
     rules: &[(usize, &Rule)],
-    seed_heads: Option<&BTreeSet<String>>,
+    seed: Option<&Seed>,
     mut delta: Partitions,
     mut tracker: Option<&mut Changes>,
 ) -> Result<(), EvalError> {
@@ -131,7 +148,7 @@ pub(super) fn semi_naive(
     if n > 1 {
         d.stats.shard.shards = d.stats.shard.shards.max(n);
     }
-    let positions = d.ctx.delta_positions;
+    let (positions, head_bound) = (d.ctx.delta_positions, d.ctx.head_bound);
     for iteration in 0usize.. {
         if iteration > d.opts.max_iterations {
             return Err(EvalError::IterationLimit {
@@ -144,10 +161,16 @@ pub(super) fn semi_naive(
             next = std::mem::take(&mut delta);
             for &(ri, rule) in rules {
                 let head = rule.head.pred.as_str();
-                if seed_heads.is_none_or(|heads| heads.contains(head)) {
-                    let derived = d.pass(ri, rule, None)?;
-                    merge(d, head, None, derived, &mut next, tracker.as_deref_mut())?;
-                }
+                let derived = match seed {
+                    Some(seed) if !seed.full.contains(head) => {
+                        let Some(keys) = seed.lost.get(head) else {
+                            continue;
+                        };
+                        d.pass(ri, &head_bound[ri], Some((rule.body.len(), keys)))?
+                    }
+                    _ => d.pass(ri, rule, None)?,
+                };
+                merge(d, head, None, derived, &mut next, tracker.as_deref_mut())?;
             }
         } else {
             if d.opts.prune == PrunePolicy::EveryIteration && !sweep(d, &mut delta)? {

@@ -40,11 +40,20 @@
 //! * **over-delete and re-derive** (deletions or negation involved) —
 //!   suspect rows (head rows with a derivation reachable from a deleted
 //!   or changed row, found by running the delta plans for taint
-//!   detection against the *old* tables) are removed wholesale;
-//!   survivors are exact, because every one of their derivations
-//!   avoided the changed rows. The loop is then seeded with the rules
-//!   whose heads lost rows — they re-run their full iteration-0 plans —
-//!   and the stratum iterates to fixpoint. The code is the same for
+//!   detection against the *old* tables — the old versions of deleted
+//!   rows overlaid on their tables for the duration, see
+//!   [`Table::overlay`]) are removed wholesale; survivors are exact,
+//!   because every one of their derivations avoided the changed rows.
+//!   The loop is then seeded with the keys each head lost: iteration 0
+//!   runs every rule's *head-bound* plan
+//!   ([`MaintenanceMeta::head_bound`](crate::plan::MaintenanceMeta)) —
+//!   the rule restricted to those keys, every body literal a key-bound
+//!   probe — so re-derivation costs what the lost rows' own derivations
+//!   cost, and the keys that come back propagate as an ordinary append
+//!   delta until the stratum is at its fixpoint. Removal itself
+//!   ([`Table::remove_rows`], [`Table::delete_where`]) patches the
+//!   indexes of the rows it takes. A withdraw therefore costs what it
+//!   over-deleted, not what is materialized. The code is the same for
 //!   every stratum; telemetry and [`DeltaReport`] label a non-recursive
 //!   one `counting` (its over-delete frontier empties after one round,
 //!   since no rule reads an in-stratum predicate) and a recursive one
@@ -52,8 +61,16 @@
 //!   No per-row derivation count is kept or consulted.
 //!
 //! A changed negated predicate can strengthen *or* weaken downstream
-//! conditions without touching any term, so rules negating a changed
-//! predicate over-delete their whole head and re-derive it.
+//! conditions without touching any term — and unlock rows that never
+//! existed, which no set of lost keys names — so rules negating a
+//! changed predicate over-delete their whole head and re-run their full
+//! plans.
+//!
+//! A stratum whose tables hold a c-variable *cell*, or that reads a
+//! deleted row with one, is not maintained in place at all: it is
+//! recomputed through the batch loop (mode `recompute`, with the reason
+//! — `var_cells` / `deleted_var_row` — on its span and in telemetry;
+//! see the gate comment in [`PreparedProgram::apply`]).
 //!
 //! ## Upward propagation and certification
 //!
@@ -77,11 +94,11 @@
 //! diverge from the update oracle. [`EvalError::InvalidDelta`] rejects
 //! such deltas explicitly.
 
-use super::fixpoint::{self, timed_prune, Driver};
+use super::fixpoint::{self, timed_prune, Driver, Seed};
 use super::rule::{eval_rule, LeafMemo};
 use super::{resolve_cvars, Ctx, EvalError, EvalOptions, EvalOutput, PreparedProgram, PrunePolicy};
 use crate::analysis::Finding;
-use crate::ast::{Literal, Program, Rule};
+use crate::ast::{Literal, Rule};
 use crate::plan::PlanCache;
 use crate::update::{DeletePattern, Update};
 use faure_ctable::{CTuple, CVarId, Const, Database, Relation, Schema, Term};
@@ -232,16 +249,10 @@ impl MaterializedState {
 
     /// Consumes the state into the classic [`EvalOutput`]: the input
     /// database extended with every derived relation.
-    pub(super) fn into_output(mut self, program: &Program) -> EvalOutput {
-        let idb_names: Vec<String> = program
-            .idb_predicates()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        self.tables
-            .retain(|name, _| idb_names.iter().any(|p| p == name));
+    pub(super) fn into_output(mut self, idb: &BTreeSet<String>) -> EvalOutput {
+        self.tables.retain(|name, _| idb.contains(name));
         let mut derived_tuples = 0usize;
-        for p in &idb_names {
+        for p in idb {
             let t = self.tables.remove(p).expect("table created in setup");
             derived_tuples += t.len();
             self.database.set_relation(t.into_relation());
@@ -375,6 +386,7 @@ impl PreparedProgram {
                 tracer: state.tracer.clone(),
                 shard_plan: &self.shard_plan,
                 delta_positions: &self.maint.delta_positions,
+                head_bound: &self.maint.head_bound,
                 leaves,
             },
             tables: &mut state.tables,
@@ -489,7 +501,7 @@ impl PreparedProgram {
         state.shared_memo.begin_run();
         let mut report = DeltaReport::default();
 
-        let idb: BTreeSet<&str> = self.program.idb_predicates();
+        let idb = &self.idb;
 
         // --- phase A: apply the delta to the EDB tables ---------------
         // Pending change sets flowing upward through the strata: new
@@ -499,7 +511,7 @@ impl PreparedProgram {
         let mut pend_del: BTreeMap<String, Vec<CTuple>> = BTreeMap::new();
 
         for (rel_name, pattern) in &delta.delete {
-            if idb.contains(rel_name.as_str()) {
+            if idb.contains(rel_name) {
                 return Err(EvalError::InvalidDelta(format!(
                     "cannot delete from `{rel_name}`: it is derived by rules \
                      (facts and derivations share one table)"
@@ -534,7 +546,7 @@ impl PreparedProgram {
             }
         }
         for (rel_name, tuple) in &delta.insert {
-            if idb.contains(rel_name.as_str()) {
+            if idb.contains(rel_name) {
                 return Err(EvalError::InvalidDelta(format!(
                     "cannot insert into `{rel_name}`: it is derived by rules \
                      (facts and derivations share one table)"
@@ -601,7 +613,7 @@ impl PreparedProgram {
             // in a deleted row forces recomputation of the whole
             // stratum through the batch loop, which is bit-identical
             // by construction.
-            if !stratum_order_safe(&rules, d.tables, &pend_del) {
+            if let Some(reason) = order_hazard(&rules, d.tables, &pend_del) {
                 report.rederive_strata += 1;
                 let changed_rows = recompute_stratum(
                     &mut d,
@@ -612,11 +624,12 @@ impl PreparedProgram {
                     &mut pend_del,
                     &mut changed_preds,
                 )?;
-                super::publish::publish_maintain_stratum("recompute", changed_rows);
+                super::publish::publish_maintain_stratum("recompute", Some(reason), changed_rows);
                 tracer.emit_span("maintain", "stratum", t_stratum, 0, || {
                     vec![
                         ("stratum", si.into()),
                         ("mode", "recompute".into()),
+                        ("reason", reason.into()),
                         ("changed", changed_rows.into()),
                     ]
                 });
@@ -637,25 +650,27 @@ impl PreparedProgram {
             let mut changes = Changes::new();
             let mut removed_old: BTreeMap<String, Vec<CTuple>> = BTreeMap::new();
 
-            // Seed the propagation delta: pending insertions on every
-            // predicate some rule reads positively.
-            let mut seed: HashMap<String, Table> = HashMap::new();
+            // The initial propagation delta: pending insertions on
+            // every predicate some rule reads positively.
+            let mut pending: HashMap<String, Table> = HashMap::new();
             for (_, rule) in &rules {
                 for lit in &rule.body {
                     if lit.is_negative() {
                         continue;
                     }
                     let p = lit.atom().pred.as_str();
-                    if !seed.contains_key(p) {
+                    if !pending.contains_key(p) {
                         if let Some(t) = pend_ins.get(p) {
-                            seed.insert(p.to_owned(), t.clone());
+                            pending.insert(p.to_owned(), t.clone());
                         }
                     }
                 }
             }
 
             let mode;
-            let mut iter0: BTreeSet<String> = BTreeSet::new();
+            let mut seed = Seed::default();
+            // The open `maintain/rederive` span: start and round count.
+            let mut rederive_span = None;
             if del_relevant || neg_involved {
                 if self.maint.recursive_strata[si] {
                     mode = "rederive";
@@ -664,6 +679,7 @@ impl PreparedProgram {
                     mode = "counting";
                     report.counting_strata += 1;
                 }
+                let t_od = tracer.now_ns();
 
                 // 1. Suspects: rows of negation-affected heads, plus
                 // everything derivation-reachable from deleted rows.
@@ -677,8 +693,8 @@ impl PreparedProgram {
                     if negated {
                         let h = rule.head.pred.as_str();
                         // Negation can also *unlock* brand-new rows, so
-                        // these rules always re-run iteration 0.
-                        iter0.insert(h.to_owned());
+                        // these rules always re-run their full plans.
+                        seed.full.insert(h.to_owned());
                         let ht = d.tables.get(h).expect("table created in setup");
                         let set = suspects.entry(h.to_owned()).or_default();
                         let f = frontier
@@ -711,82 +727,31 @@ impl PreparedProgram {
                 }
 
                 // 2. Over-delete rounds: taint detection by terms, run
-                // against the *old* (pre-removal) tables. Prune must be
-                // off here — an eagerly-skipped unsatisfiable candidate
-                // would hide a taint. Deleted rows were already removed
-                // or weakened from their tables in phase A, but a
-                // derivation can use the same deleted row at *two* join
-                // positions (only one of which is the delta slot), so
-                // the old versions are temporarily unioned back in —
-                // taint detection is term-level, so merged conditions
-                // are irrelevant — and the tables restored afterwards.
-                let od_opts = EvalOptions {
-                    prune: PrunePolicy::Never,
-                    ..d.opts
-                };
-                let mut saved_tables: Vec<(String, Table)> = Vec::new();
+                // against the *old* (pre-removal) tables. Deleted rows
+                // were already removed or rewritten in their tables, but
+                // a derivation can use the same deleted row at *two*
+                // join positions (only one of which is the delta slot),
+                // so the old versions are overlaid on their tables for
+                // the rounds and taken off again — whether or not the
+                // rounds succeed, and leaving each table exactly as it
+                // was (see [`Table::overlay`]).
+                let mut overlays = Vec::new();
                 for (p, old_rows) in &pend_del {
-                    if !frontier.contains_key(p) {
-                        continue;
-                    }
-                    let t = d.tables.get_mut(p.as_str()).expect("table exists");
-                    saved_tables.push((p.clone(), t.clone()));
-                    for row in old_rows {
-                        t.insert(row.clone()).expect("old rows match their schema");
+                    if frontier.contains_key(p) {
+                        let t = d.tables.get_mut(p.as_str()).expect("table exists");
+                        let overlay = t.overlay(old_rows).expect("old rows match their schema");
+                        overlays.push((p.as_str(), overlay));
                     }
                 }
-                let t_od = tracer.now_ns();
-                let mut rounds = 0usize;
-                while !frontier.is_empty() {
-                    rounds += 1;
-                    if rounds > d.opts.max_iterations {
-                        return Err(EvalError::IterationLimit {
-                            limit: d.opts.max_iterations,
-                        });
-                    }
-                    let mut next: HashMap<String, Table> = HashMap::new();
-                    for &(ri, rule) in &rules {
-                        for &pos in &self.maint.delta_positions[ri] {
-                            let p = rule.body[pos].atom().pred.as_str();
-                            let Some(f) = frontier.get(p) else { continue };
-                            if f.is_empty() {
-                                continue;
-                            }
-                            let plan = d.plans.get_or_compile(ri, rule, Some(pos));
-                            let derived = eval_rule(
-                                &d.ctx,
-                                ri,
-                                rule,
-                                plan,
-                                d.tables,
-                                Some(f),
-                                &mut d.session,
-                                &od_opts,
-                                &mut d.stats.ops,
-                            )?;
-                            let h = rule.head.pred.as_str();
-                            let ht = d.tables.get(h).expect("table created in setup");
-                            let set = suspects.entry(h.to_owned()).or_default();
-                            for prow in derived.iter().flatten() {
-                                if let Some(idx) = ht.find_row_cells(prow.cells()) {
-                                    if set.insert(idx) {
-                                        next.entry(h.to_owned())
-                                            .or_insert_with(|| Table::new(ht.schema.clone()))
-                                            .insert(ht.row(idx))
-                                            .expect("same schema");
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    frontier = next;
+                let rounds = over_delete(&mut d, &rules, frontier, &mut suspects);
+                for (p, overlay) in overlays {
+                    let t = d.tables.get_mut(p).expect("table exists");
+                    t.remove_overlay(overlay);
                 }
-                for (p, t) in saved_tables {
-                    d.tables.insert(p, t);
-                }
+                rederive_span = Some((t_od, rounds?));
 
-                // 3. Physically remove every suspect; removed heads
-                // re-run their full iteration-0 plans.
+                // 3. Physically remove every suspect. The keys a head
+                // lost are what its head-bound plans re-derive.
                 for (p, idxs) in &suspects {
                     if idxs.is_empty() {
                         continue;
@@ -795,25 +760,54 @@ impl PreparedProgram {
                     let sorted: Vec<usize> = idxs.iter().copied().collect();
                     let old_rows = t.remove_rows(&sorted);
                     report.overdeleted += old_rows.len();
-                    iter0.insert(p.clone());
+                    if !seed.full.contains(p) {
+                        let mut keys = Table::new(t.schema.clone());
+                        for row in &old_rows {
+                            keys.insert(CTuple::new(row.terms.iter().cloned()))
+                                .expect("same schema");
+                        }
+                        seed.lost.insert(p.clone(), keys);
+                    }
                     removed_old.insert(p.clone(), old_rows);
                 }
-                let overdeleted = report.overdeleted;
-                tracer.emit_span("maintain", "rederive", t_od, 0, || {
-                    vec![
-                        ("stratum", si.into()),
-                        ("rounds", rounds.into()),
-                        ("overdeleted", overdeleted.into()),
-                    ]
-                });
             } else {
                 mode = "append";
             }
 
-            // 4. Propagate to fixpoint, in place: iteration-0 full
-            // passes for re-derived heads, then delta passes pinned to
-            // every changed body position — one partition, tracked.
-            fixpoint::semi_naive(&mut d, &rules, Some(&iter0), vec![seed], Some(&mut changes))?;
+            // 4. Propagate to fixpoint, in place: the seed's iteration 0
+            // (lost keys through head-bound plans, negation-affected
+            // heads in full), then delta passes pinned to every changed
+            // body position — one partition, tracked.
+            fixpoint::semi_naive(
+                &mut d,
+                &rules,
+                Some(&seed),
+                vec![pending],
+                Some(&mut changes),
+            )?;
+            if let Some((t_od, rounds)) = rederive_span {
+                let overdeleted = report.overdeleted;
+                tracer.emit_span("maintain", "rederive", t_od, 0, || {
+                    let keys: usize = seed.lost.values().map(Table::len).sum();
+                    let rederived: usize = seed
+                        .lost
+                        .iter()
+                        .map(|(p, keys)| {
+                            let t = d.tables.get(p).expect("table exists");
+                            keys.iter()
+                                .filter(|key| t.find_row(&key.terms).is_some())
+                                .count()
+                        })
+                        .sum();
+                    vec![
+                        ("stratum", si.into()),
+                        ("rounds", rounds.into()),
+                        ("overdeleted", overdeleted.into()),
+                        ("keys", keys.into()),
+                        ("rederived", rederived.into()),
+                    ]
+                });
+            }
 
             // 5. Settle: prune changed rows, certify, and queue the
             // upward change sets.
@@ -828,7 +822,7 @@ impl PreparedProgram {
             )?;
 
             let changed_rows: usize = changes.values().map(|l| l.dirty.len()).sum();
-            super::publish::publish_maintain_stratum(mode, changed_rows);
+            super::publish::publish_maintain_stratum(mode, None, changed_rows);
             tracer.emit_span("maintain", "stratum", t_stratum, 0, || {
                 vec![
                     ("stratum", si.into()),
@@ -907,16 +901,18 @@ fn run_one_stratum(
     Ok(())
 }
 
-/// Whether every table a stratum touches (head and body predicates) is
-/// free of c-variable *cells*, and every pending deleted row has ground
-/// terms. Under this condition the in-place delta passes derive exactly
-/// the rows and conditions batch evaluation would, regardless of join
-/// order (see the gate comment in [`PreparedProgram::apply`]).
-fn stratum_order_safe(
+/// Why a stratum's in-place delta passes could derive something batch
+/// evaluation would not, or `None` when they cannot: every table the
+/// stratum touches (head and body predicates) is free of c-variable
+/// *cells* and every pending deleted row has ground terms, so the
+/// derived rows and conditions do not depend on the join order (see the
+/// gate comment in [`PreparedProgram::apply`]). The reason labels the
+/// recomputed stratum in its span and in telemetry.
+fn order_hazard(
     rules: &[(usize, &Rule)],
     tables: &HashMap<String, Table>,
     pend_del: &BTreeMap<String, Vec<CTuple>>,
-) -> bool {
+) -> Option<&'static str> {
     let mut preds: BTreeSet<&str> = BTreeSet::new();
     for (_, rule) in rules {
         preds.insert(rule.head.pred.as_str());
@@ -924,13 +920,85 @@ fn stratum_order_safe(
             preds.insert(lit.atom().pred.as_str());
         }
     }
-    preds.iter().all(|p| {
-        tables.get(*p).is_none_or(|t| !t.has_var_cells())
-            && pend_del.get(*p).is_none_or(|rows| {
-                rows.iter()
-                    .all(|r| r.terms.iter().all(|t| matches!(t, Term::Const(_))))
-            })
-    })
+    if preds
+        .iter()
+        .any(|p| tables.get(*p).is_some_and(Table::has_var_cells))
+    {
+        return Some("var_cells");
+    }
+    let ground = |row: &CTuple| row.terms.iter().all(|t| matches!(t, Term::Const(_)));
+    preds
+        .iter()
+        .any(|p| {
+            pend_del
+                .get(*p)
+                .is_some_and(|rows| !rows.iter().all(ground))
+        })
+        .then_some("deleted_var_row")
+}
+
+/// The over-delete rounds of one stratum: runs the delta plans over the
+/// `frontier` (deleted and tainted rows) until no new head row is
+/// reached, collecting the row indices reached in `suspects`. Returns
+/// the number of rounds.
+fn over_delete(
+    d: &mut Driver<'_>,
+    rules: &[(usize, &Rule)],
+    mut frontier: HashMap<String, Table>,
+    suspects: &mut BTreeMap<String, BTreeSet<usize>>,
+) -> Result<usize, EvalError> {
+    // Prune must be off here — an eagerly-skipped unsatisfiable
+    // candidate would hide a taint.
+    let od_opts = EvalOptions {
+        prune: PrunePolicy::Never,
+        ..d.opts
+    };
+    let mut rounds = 0usize;
+    while !frontier.is_empty() {
+        rounds += 1;
+        if rounds > d.opts.max_iterations {
+            return Err(EvalError::IterationLimit {
+                limit: d.opts.max_iterations,
+            });
+        }
+        let mut next: HashMap<String, Table> = HashMap::new();
+        for &(ri, rule) in rules {
+            for &pos in &d.ctx.delta_positions[ri] {
+                let p = rule.body[pos].atom().pred.as_str();
+                let Some(f) = frontier.get(p) else { continue };
+                if f.is_empty() {
+                    continue;
+                }
+                let plan = d.plans.get_or_compile(ri, rule, Some(pos));
+                let derived = eval_rule(
+                    &d.ctx,
+                    ri,
+                    rule,
+                    plan,
+                    d.tables,
+                    Some(f),
+                    &mut d.session,
+                    &od_opts,
+                    &mut d.stats.ops,
+                )?;
+                let h = rule.head.pred.as_str();
+                let ht = d.tables.get(h).expect("table created in setup");
+                let set = suspects.entry(h.to_owned()).or_default();
+                for prow in derived.iter().flatten() {
+                    if let Some(idx) = ht.find_row_cells(prow.cells()) {
+                        if set.insert(idx) {
+                            next.entry(h.to_owned())
+                                .or_insert_with(|| Table::new(ht.schema.clone()))
+                                .insert(ht.row(idx))
+                                .expect("same schema");
+                        }
+                    }
+                }
+            }
+        }
+        frontier = next;
+    }
+    Ok(rounds)
 }
 
 /// Maintenance fallback for order-sensitive strata: drains the head
@@ -1130,10 +1198,9 @@ fn finalize_apply(
     stats.plan_cache_hits = state.plans.hits;
     stats.plan_cache_misses = prepared.compiled + state.plans.misses;
     stats.tuples = prepared
-        .program
-        .idb_predicates()
+        .idb
         .iter()
-        .filter_map(|p| state.tables.get(*p))
+        .filter_map(|p| state.tables.get(p))
         .map(Table::len)
         .sum();
     report.wall = total;
@@ -1356,6 +1423,104 @@ mod tests {
         d.push_delete_exact("E", [Const::Int(2), Const::Int(3)]);
         // 2→3 survives via 2→4→3; the cycle must be re-derived, not lost.
         check_differential(TC, &db, vec![d], &["R"]);
+    }
+
+    #[test]
+    fn delete_and_reinsert_of_one_tuple_leaves_it_standing() {
+        // The withdrawn row is back in `E` by the time its old version
+        // is overlaid for taint detection: the overlay finds it there
+        // unchanged and must leave it there.
+        let db = chain_db(5);
+        let mut d = Delta::new();
+        d.push_delete_exact("E", [Const::Int(2), Const::Int(3)]);
+        d.push_insert_fact("E", [Const::Int(2), Const::Int(3)]);
+        check_differential(TC, &db, vec![d], &["R", "E"]);
+    }
+
+    #[test]
+    fn one_row_named_by_two_patterns_is_deleted_once() {
+        let db = chain_db(5);
+        let by_source = DeletePattern {
+            cols: vec![Some(Const::Int(2)), None],
+        };
+        let by_target = DeletePattern {
+            cols: vec![None, Some(Const::Int(3))],
+        };
+        // Both patterns match E(2, 3); with and without announcing it
+        // again in the same delta.
+        let mut d1 = Delta::new();
+        d1.push_delete("E", by_source.clone());
+        d1.push_delete("E", by_target.clone());
+        d1.push_insert_fact("E", [Const::Int(2), Const::Int(3)]);
+        let mut d2 = Delta::new();
+        d2.push_delete("E", by_source);
+        d2.push_delete("E", by_target);
+        check_differential(TC, &db, vec![d1, d2], &["R", "E"]);
+    }
+
+    #[test]
+    fn diamond_row_survives_a_withdraw_with_a_narrower_condition() {
+        let mut db = Database::new();
+        let x = db.fresh_cvar("x", Domain::Bool01);
+        let y = db.fresh_cvar("y", Domain::Bool01);
+        for name in ["A", "B", "Zed"] {
+            db.create_relation(Schema::new(name, &["a"])).unwrap();
+        }
+        for (rel, var) in [("A", x), ("B", y)] {
+            db.insert(
+                rel,
+                CTuple::with_cond([Term::int(1)], Condition::eq(Term::Var(var), Term::int(1))),
+            )
+            .unwrap();
+        }
+        db.insert("A", CTuple::new([Term::int(2)])).unwrap();
+        // P(1) holds under x̄ = 1 ∨ ȳ = 1 and must come back as ȳ = 1.
+        // S reads P from the stratum above: it sees the old P(1) overlaid
+        // on the narrowed one, and P must be the narrowed one afterwards.
+        let program = "P(a) :- A(a).\n\
+                       P(a) :- B(a).\n\
+                       Z(a) :- Zed(a).\n\
+                       S(a) :- P(a), !Z(a).\n";
+        let mut d1 = Delta::new();
+        d1.push_delete_exact("A", [Const::Int(1)]);
+        let mut d2 = Delta::new();
+        d2.push_delete_exact("B", [Const::Int(1)]);
+        check_differential(program, &db, vec![d1, d2], &["P", "S"]);
+    }
+
+    #[test]
+    fn mutually_supporting_rows_are_not_resurrected() {
+        let mut db = Database::new();
+        db.create_relation(Schema::new("Src", &["a"])).unwrap();
+        db.create_relation(Schema::new("Link", &["a", "b"]))
+            .unwrap();
+        db.insert("Src", CTuple::new([Term::int(1)])).unwrap();
+        for (a, b) in [(1, 2), (2, 1), (3, 1)] {
+            db.insert("Link", CTuple::new([Term::int(a), Term::int(b)]))
+                .unwrap();
+        }
+        let program = "P(a) :- Src(a).\nP(a) :- Link(a, b), P(b).\n";
+        // P(1) and P(2) derive each other through the Link cycle; once
+        // Src(1) goes neither has support from outside it.
+        let mut d1 = Delta::new();
+        d1.push_delete_exact("Src", [Const::Int(1)]);
+        let mut d2 = Delta::new();
+        d2.push_insert_fact("Src", [Const::Int(2)]);
+        // P(2) is over-deleted through the cycle and comes back from
+        // Src(2); P(1) and P(3) do not.
+        let mut d3 = Delta::new();
+        d3.push_delete_exact("Link", [Const::Int(1), Const::Int(2)]);
+        check_differential(program, &db, vec![d1, d2, d3], &["P"]);
+
+        let prepared = Engine::new()
+            .prepare(&parse_program(program).unwrap())
+            .unwrap();
+        let mut state = prepared.materialize(&db).unwrap();
+        let mut d = Delta::new();
+        d.push_delete_exact("Src", [Const::Int(1)]);
+        let report = prepared.apply(&mut state, d).unwrap();
+        assert_eq!((report.overdeleted, report.rederived), (3, 0));
+        assert!(state.relation("P").unwrap().is_empty());
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub use maintain::{Delta, DeltaReport, MaterializedState};
 pub use rule::canonicalize;
 
 use crate::analysis::{check_safety, stratify, AnalysisError, Stratification};
-use crate::ast::Program;
+use crate::ast::{Program, Rule};
 use crate::plan::{maintenance_meta, MaintenanceMeta, PlanCache, ShardPlan};
 use faure_ctable::{CVarId, CVarRegistry, Database, Domain, Relation};
 use faure_solver::{SharedMemo, SolverError};
@@ -356,8 +356,14 @@ impl Engine {
         });
         let maint = maintenance_meta(program, &strat.strata);
         let shard_plan = ShardPlan::build(program, &strat.strata);
+        let idb = program
+            .idb_predicates()
+            .into_iter()
+            .map(str::to_owned)
+            .collect();
         Ok(PreparedProgram {
             program: program.clone(),
+            idb,
             strat,
             plans,
             compiled,
@@ -374,6 +380,9 @@ impl Engine {
 #[derive(Clone, Debug)]
 pub struct PreparedProgram {
     program: Program,
+    /// The predicates some rule derives: what a delta may not touch,
+    /// what `stats.tuples` counts, what an [`EvalOutput`] exports.
+    idb: BTreeSet<String>,
     strat: Stratification,
     /// Fully precompiled plan cache; runs clone it with zeroed counters
     /// so per-run hit statistics stay meaningful.
@@ -478,7 +487,7 @@ impl PreparedProgram {
         let t_run = tracer.now_ns();
         publish::publish_run(opts.threads);
         let state = self.materialize_with(db, opts, tracer)?;
-        let output = state.into_output(&self.program);
+        let output = state.into_output(&self.idb);
 
         let solver_stats = output.stats.solver_stats;
         tracer.emit_instant("solver", "session", 0, || {
@@ -593,6 +602,9 @@ pub(crate) struct Ctx<'a> {
     /// Per rule, the body positions a delta pass can be pinned to
     /// ([`MaintenanceMeta::delta_positions`]).
     pub(crate) delta_positions: &'a [Vec<usize>],
+    /// Per rule, its head-bound companion
+    /// ([`MaintenanceMeta::head_bound`]).
+    pub(crate) head_bound: &'a [Rule],
     /// The run's join-leaf memo: born with the run, dropped with it.
     pub(crate) leaves: &'a rule::LeafMemo,
 }

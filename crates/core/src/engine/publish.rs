@@ -131,14 +131,22 @@ pub(crate) fn sync_pool(reg: &Registry) {
 }
 
 /// Publishes one maintenance stratum pass, labeled by its propagation
-/// mode (`append` / `counting` / `rederive` / `recompute`).
-pub(crate) fn publish_maintain_stratum(mode: &str, changed_rows: usize) {
+/// mode (`append` / `counting` / `rederive` / `recompute`) and, for a
+/// recomputed stratum, by why the order-safety gate fired (`var_cells`
+/// / `deleted_var_row`).
+pub(crate) fn publish_maintain_stratum(mode: &str, reason: Option<&str>, changed_rows: usize) {
     if suppressed() {
         return;
     }
     let reg = global();
-    reg.counter_with("faure_maintain_strata_total", &[("mode", mode)])
-        .inc();
+    let strata = match reason {
+        Some(reason) => reg.counter_with(
+            "faure_maintain_strata_total",
+            &[("mode", mode), ("reason", reason)],
+        ),
+        None => reg.counter_with("faure_maintain_strata_total", &[("mode", mode)]),
+    };
+    strata.inc();
     reg.counter("faure_maintain_changed_rows_total")
         .add(changed_rows as u64);
 }

@@ -722,6 +722,7 @@ mod tests {
             tracer: Tracer::disabled(),
             shard_plan: &shard_plan,
             delta_positions: &[],
+            head_bound: &[],
             leaves,
         };
         let opts = EvalOptions {

@@ -30,7 +30,7 @@
 //! compiled without a database and rendered by `faure explain`.
 
 use crate::analysis::{check_safety, stratify, AnalysisError};
-use crate::ast::{ArgTerm, Program, Rule};
+use crate::ast::{ArgTerm, Literal, Program, Rule};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -420,6 +420,20 @@ pub struct MaintenanceMeta {
     /// predicates too, and the plans for those slots compile lazily
     /// through the same [`PlanCache`].
     pub delta_positions: Vec<Vec<usize>>,
+    /// For each rule `H(args) :- body`, its *head-bound* companion
+    /// `H(args) :- body, H(args)`: the same rule restricted to a given
+    /// set of head keys. Incremental maintenance re-derives the rows a
+    /// withdraw over-deleted by running the companion as a delta pass
+    /// whose delta — the lost keys, every condition `True` — is pinned
+    /// to the appended literal: that scan binds every head variable, so
+    /// the planner's bound-column greedy order turns each body literal
+    /// into a key-bound probe, and the pass costs what the lost keys'
+    /// own derivations cost, not the rule's whole join. The appended
+    /// literal sits at body position `rule.body.len()`, which no delta
+    /// plan of the rule itself is pinned to, so the companion's plan
+    /// shares the rule's [`PlanCache`] under `(rule, position)` like
+    /// any other delta plan (compiled on first use).
+    pub head_bound: Vec<Rule>,
     /// Per stratum: whether some rule reads an in-stratum predicate
     /// positively (the stratum needs fixpoint iteration). Incremental
     /// maintenance over-deletes and re-derives the same way either way;
@@ -519,8 +533,18 @@ pub fn maintenance_meta(program: &Program, strata: &[Vec<usize>]) -> Maintenance
             })
         })
         .collect();
+    let head_bound = program
+        .rules
+        .iter()
+        .map(|rule| {
+            let mut bound = rule.clone();
+            bound.body.push(Literal::Pos(rule.head.clone()));
+            bound
+        })
+        .collect();
     MaintenanceMeta {
         delta_positions,
+        head_bound,
         recursive_strata,
     }
 }

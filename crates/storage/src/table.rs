@@ -161,6 +161,51 @@ struct Column {
     var_rows: Vec<u32>,
 }
 
+impl Column {
+    /// Appends `cell` as row `row`.
+    fn push(&mut self, cell: Cell, row: u32) {
+        self.cells.push(cell);
+        match cell {
+            Cell::Var(_) => self.var_rows.push(row),
+            c => self.by_const.entry(c).or_default().push(row),
+        }
+    }
+
+    /// The posting list `cell` is indexed under, and where `row` sits
+    /// in it. Searched from the end: the rows a removal touches are
+    /// the newest ones more often than not.
+    fn posting(&mut self, cell: Cell, row: u32) -> (&mut Vec<u32>, usize) {
+        let list = match cell {
+            Cell::Var(_) => &mut self.var_rows,
+            c => self.by_const.get_mut(&c).expect("posted on insert"),
+        };
+        let at = list
+            .iter()
+            .rposition(|&r| r == row)
+            .expect("every row is posted under the cell it holds");
+        (list, at)
+    }
+
+    /// Removes row `row` by moving the last row into its place: one
+    /// pass over the posting list of each of the two cells, nothing
+    /// else. A constant's emptied list goes with it, so a stream of
+    /// inserts and removals leaves no entry behind.
+    fn swap_remove(&mut self, row: u32) {
+        let cell = self.cells[row as usize];
+        let (list, at) = self.posting(cell, row);
+        list.swap_remove(at);
+        if list.is_empty() && !matches!(cell, Cell::Var(_)) {
+            self.by_const.remove(&cell);
+        }
+        let last = (self.cells.len() - 1) as u32;
+        if row != last {
+            let (list, at) = self.posting(self.cells[last as usize], last);
+            list[at] = row;
+        }
+        self.cells.swap_remove(row as usize);
+    }
+}
+
 /// A derived row ready for insertion: its encoded cells and the id a
 /// table stores for its condition.
 ///
@@ -283,6 +328,22 @@ pub struct Table {
     /// equal term vectors by construction — no collision buckets, no
     /// re-verification against the stored rows.
     by_terms: HashMap<Box<[Cell]>, u32>,
+}
+
+/// What one row stores for its condition: the id and, for the rare row
+/// not described by its id, the side-list entry.
+#[derive(Clone, Debug)]
+struct RowCond {
+    cond: CondId,
+    side: Option<CondRepr>,
+}
+
+/// What a [`Table::overlay`] changed, by row key and oldest first: the
+/// row's condition before the overlay touched it, `None` for a row the
+/// overlay added.
+#[derive(Debug)]
+pub struct Overlay {
+    undo: Vec<(Box<[Cell]>, Option<RowCond>)>,
 }
 
 /// What a [`Table::delete_where`] pass did to the table, in terms of
@@ -487,11 +548,7 @@ impl Table {
                 let idx = u32::try_from(self.conds.len()).expect("row count overflow");
                 self.by_terms.insert(row.cells.clone(), idx);
                 for (col, &cell) in self.cols.iter_mut().zip(row.cells.iter()) {
-                    col.cells.push(cell);
-                    match cell {
-                        Cell::Var(_) => col.var_rows.push(idx),
-                        c => col.by_const.entry(c).or_default().push(idx),
-                    }
+                    col.push(cell, idx);
                 }
                 if row.opaque {
                     self.side.insert(idx, CondRepr::Opaque(vec![row.stored]));
@@ -935,24 +992,97 @@ impl Table {
     /// Removes the rows at `indices` (duplicates and any order are
     /// fine), returning the removed rows materialised in index order.
     ///
-    /// Columnar removal: the surviving cells and conditions are
-    /// compacted in place — **no re-normalisation**, so
-    /// surviving rows keep their exact condition representation — and
-    /// the probe/dedup indexes are rebuilt.
+    /// Each removal moves the table's last row into the freed slot and
+    /// patches the dedup index, the posting lists of the two rows'
+    /// cells and the side list — work proportional to the rows removed,
+    /// not to the table. Surviving rows keep their exact condition
+    /// representation; their *order* is not kept (it is not part of the
+    /// contract: the row set and the stored conditions are).
     pub fn remove_rows(&mut self, indices: &[usize]) -> Vec<CTuple> {
-        if indices.is_empty() {
-            return Vec::new();
+        let mut sorted = indices.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let removed = sorted.iter().map(|&i| self.row(i)).collect();
+        // Highest first: the row moved into a freed slot then always
+        // comes from above every index still to go.
+        for &idx in sorted.iter().rev() {
+            self.swap_remove(idx);
         }
-        let mut kill = vec![false; self.len()];
-        for &i in indices {
-            kill[i] = true;
-        }
-        let removed: Vec<CTuple> = (0..self.len())
-            .filter(|&i| kill[i])
-            .map(|i| self.row(i))
-            .collect();
-        self.compact(&kill);
         removed
+    }
+
+    /// Removes row `idx` by moving the last row into its place.
+    fn swap_remove(&mut self, idx: usize) {
+        let last = self.len() - 1;
+        let (row, moved) = (idx as u32, last as u32);
+        let key = |at: usize| -> Vec<Cell> { self.cols.iter().map(|c| c.cells[at]).collect() };
+        let (gone, mover) = (key(idx), key(last));
+        self.by_terms.remove(gone.as_slice());
+        if idx != last {
+            *self
+                .by_terms
+                .get_mut(mover.as_slice())
+                .expect("every row is in the dedup index") = row;
+        }
+        for col in &mut self.cols {
+            col.swap_remove(row);
+        }
+        self.conds.swap_remove(idx);
+        if !self.side.is_empty() {
+            self.side.remove(&row);
+            if let Some(repr) = self.side.remove(&moved) {
+                self.side.insert(row, repr);
+            }
+        }
+    }
+
+    /// Unions `rows` into the table for the time being: each is an
+    /// ordinary insert, and the returned [`Overlay`] remembers what the
+    /// inserts changed so that [`remove_overlay`](Table::remove_overlay)
+    /// can take exactly that back. Incremental maintenance overlays the
+    /// old versions of deleted rows while it looks for the rows derived
+    /// from them. Nothing else may write to the table in between.
+    pub fn overlay<'a>(
+        &mut self,
+        rows: impl IntoIterator<Item = &'a CTuple>,
+    ) -> Result<Overlay, ArityError> {
+        let mut undo = Vec::new();
+        for row in rows {
+            let prow = PreparedRow::from_tuple(row);
+            let before = self.find_row_cells(&prow.cells).map(|idx| RowCond {
+                cond: self.conds[idx],
+                side: self.side.get(&(idx as u32)).cloned(),
+            });
+            // A merge can rewrite a side-list entry without changing
+            // the condition, so such a row is put back either way.
+            let rewritable = before.as_ref().is_some_and(|b| b.side.is_some());
+            if self.insert_prepared(&prow)?.changed() || rewritable {
+                undo.push((prow.cells, before));
+            }
+        }
+        Ok(Overlay { undo })
+    }
+
+    /// Undoes an [`overlay`](Table::overlay): a row it added is removed,
+    /// a row it merged into gets back the condition (and side-list
+    /// entry) it had, a row it left unchanged is not touched.
+    pub fn remove_overlay(&mut self, overlay: Overlay) {
+        // Newest first, so a row named twice ends as it began.
+        for (cells, before) in overlay.undo.into_iter().rev() {
+            let idx = self
+                .find_row_cells(&cells)
+                .expect("an overlaid row stays until its overlay is removed");
+            match before {
+                None => self.swap_remove(idx),
+                Some(RowCond { cond, side }) => {
+                    self.conds[idx] = cond;
+                    match side {
+                        Some(repr) => self.side.insert(idx as u32, repr),
+                        None => self.side.remove(&(idx as u32)),
+                    };
+                }
+            }
+        }
     }
 
     /// Compacts away every row `r` with `kill[r]` set and rebuilds the
@@ -1059,9 +1189,30 @@ impl Table {
     ///   condition to `ψ ∧ ¬μ` (and removes it if that collapses).
     pub fn delete_where(&mut self, cols: &[Option<Const>]) -> DeletionEffect {
         assert_eq!(cols.len(), self.schema.arity(), "pattern arity mismatch");
+        // Only a row holding the constant, or a c-variable, under a
+        // constrained column can match: the shortest such list, as in
+        // `find_matches`, in row order.
+        let candidates: Vec<usize> = self
+            .cols
+            .iter()
+            .zip(cols)
+            .filter_map(|(col, want)| {
+                let posted = col.by_const.get(&Cell::encode_const(want.as_ref()?));
+                Some((posted.map_or(&[][..], Vec::as_slice), &col.var_rows[..]))
+            })
+            .min_by_key(|(posted, vars)| posted.len() + vars.len())
+            .map_or_else(
+                || (0..self.len()).collect(),
+                |(posted, vars)| {
+                    let mut rows: Vec<usize> =
+                        posted.iter().chain(vars).map(|&r| r as usize).collect();
+                    rows.sort_unstable();
+                    rows
+                },
+            );
         let mut drop_idx = Vec::new();
         let mut weakened = Vec::new();
-        for idx in 0..self.len() {
+        for idx in candidates {
             let mut mu = Condition::True;
             let mut keep = false;
             for (col, want) in self.cols.iter().zip(cols) {
@@ -1547,7 +1698,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_rows_compacts_and_reindexes() {
+    fn remove_rows_patches_the_indexes() {
         let (reg, x, _) = db_with_xy();
         let mut t = Table::new(Schema::new("T", &["a", "b"]));
         for i in 0..6i64 {
@@ -1565,7 +1716,8 @@ mod tests {
         assert_eq!(removed[1].terms, vec![Term::int(0), Term::int(4)]);
         assert_eq!(t.len(), 5);
         // Surviving rows keep their exact conditions and the indexes
-        // answer probes correctly after compaction.
+        // answer probes correctly once the last rows have moved into
+        // the freed slots.
         assert!(t.find_row(&[Term::int(1), Term::int(1)]).is_none());
         let idx = t.find_row(&[Term::Var(x), Term::int(99)]).unwrap();
         assert_eq!(
@@ -1576,6 +1728,44 @@ mod tests {
         let hits = t.find_matches(&reg, &pats);
         assert_eq!(hits.len(), 3); // rows 0,2 (consts) + the x̄ row
         assert!(t.remove_rows(&[]).is_empty());
+    }
+
+    #[test]
+    fn overlay_comes_off_without_a_trace() {
+        let (_, x, y) = db_with_xy();
+        let c0 = Condition::eq(Term::Var(x), Term::int(0));
+        let c1 = Condition::eq(Term::Var(x), Term::int(1));
+        let mut t = Table::new(Schema::new("T", &["a"]));
+        t.insert(CTuple::new([Term::int(1)])).unwrap();
+        t.insert(CTuple::with_cond([Term::int(2)], c0.clone()))
+            .unwrap();
+        t.insert(CTuple::with_cond([Term::Var(y)], c0.clone()))
+            .unwrap();
+        let before: Vec<(CTuple, CondId)> =
+            (0..t.len()).map(|i| (t.row(i), t.cond_id(i))).collect();
+        let overlaid = [
+            // Unchanged: `True` absorbs it.
+            CTuple::with_cond([Term::int(1)], c1.clone()),
+            // Merged: the row's condition widens to x̄ = 0 ∨ x̄ = 1 ...
+            CTuple::with_cond([Term::int(2)], c1.clone()),
+            // ... new, then named again: merged into the row just added.
+            CTuple::with_cond([Term::int(3)], c0.clone()),
+            CTuple::with_cond([Term::int(3)], c1.clone()),
+            // Never stored at all.
+            CTuple::with_cond([Term::int(4)], Condition::False),
+        ];
+        let overlay = t.overlay(&overlaid).unwrap();
+        assert_eq!(t.len(), 4);
+        assert_ne!(t.cond_id(1), before[1].1);
+        assert!(t.find_row(&[Term::int(3)]).is_some());
+        t.remove_overlay(overlay);
+        let after: Vec<(CTuple, CondId)> = (0..t.len()).map(|i| (t.row(i), t.cond_id(i))).collect();
+        assert_eq!(after, before);
+        assert!(t.find_row(&[Term::int(3)]).is_none());
+        assert!(t.has_var_cells());
+        // An overlay of nothing new is empty.
+        let overlay = t.overlay(&before.iter().map(|(r, _)| r.clone()).collect::<Vec<_>>());
+        assert!(overlay.unwrap().undo.is_empty());
     }
 
     #[test]
@@ -1830,6 +2020,7 @@ mod tests {
         use super::*;
         use faure_ctable::{CVarId, CmpOp, LinExpr};
         use proptest::prelude::*;
+        use std::collections::{BTreeMap, BTreeSet};
 
         /// 18 `{0,1}` variables — enough for the over-budget product —
         /// then two over `{0,1,2}` for the linear shapes.
@@ -1900,6 +2091,81 @@ mod tests {
                 .collect()
         }
 
+        /// A cell of the two-column table under test: a small integer
+        /// or one of two c-variables.
+        fn arb_cell() -> impl Strategy<Value = Term> {
+            prop_oneof![
+                (0i64..3).prop_map(Term::int),
+                (0i64..3).prop_map(Term::int),
+                (0u32..2).prop_map(var),
+            ]
+        }
+
+        fn arb_row() -> impl Strategy<Value = CTuple> {
+            (arb_cell(), arb_cell(), arb_cond())
+                .prop_map(|(a, b, cond)| CTuple::with_cond([a, b], cond))
+        }
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            Insert(CTuple),
+            /// Row picks, taken modulo the table's length.
+            Remove(Vec<usize>),
+            Delete(Vec<Option<Const>>),
+            Overlay(Vec<CTuple>),
+        }
+
+        fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+            let want = || prop_oneof![Just(None), (0i64..3).prop_map(|k| Some(Const::Int(k)))];
+            let op = prop_oneof![
+                arb_row().prop_map(Op::Insert),
+                arb_row().prop_map(Op::Insert),
+                arb_row().prop_map(Op::Insert),
+                prop::collection::vec(0usize..64, 1..4).prop_map(Op::Remove),
+                (want(), want()).prop_map(|(a, b)| Op::Delete(vec![a, b])),
+                prop::collection::vec(arb_row(), 1..4).prop_map(Op::Overlay),
+            ];
+            prop::collection::vec(op, 1..24)
+        }
+
+        /// What the table holds, by row key: the stored condition and
+        /// its representation kind.
+        fn row_map(t: &Table) -> BTreeMap<Vec<Term>, (CondId, bool)> {
+            let rows: BTreeMap<_, _> = (0..t.len())
+                .map(|i| (t.row(i).terms, (t.cond_id(i), t.has_sets_repr(i))))
+                .collect();
+            assert_eq!(rows.len(), t.len(), "one row per key");
+            rows
+        }
+
+        /// Every index of `t` agrees with a table built afresh from
+        /// `t`'s rows: the dedup index, the posting lists behind
+        /// `find_matches` (every pattern over the cell alphabet), the
+        /// c-variable lists behind `has_var_cells`.
+        fn answers_like_a_rebuilt_table(reg: &CVarRegistry, t: &Table) {
+            let rebuilt = Table::from_relation(&t.to_relation());
+            assert_eq!(row_map(t), row_map(&rebuilt));
+            assert_eq!(t.has_var_cells(), rebuilt.has_var_cells());
+            for i in 0..t.len() {
+                assert_eq!(t.find_row(&t.row(i).terms), Some(i));
+            }
+            let mut pats = vec![Pattern::Any];
+            pats.extend((0..3).map(|k| Pattern::Exact(Term::int(k))));
+            pats.extend((0..2).map(|v| Pattern::Exact(var(v))));
+            let matches = |t: &Table, pats: &[Pattern]| -> BTreeSet<String> {
+                t.find_matches(reg, pats)
+                    .into_iter()
+                    .map(|(i, mu)| format!("{:?} if {mu:?}", t.row(i).terms))
+                    .collect()
+            };
+            for a in &pats {
+                for b in &pats {
+                    let pats = [a.clone(), b.clone()];
+                    assert_eq!(matches(t, &pats), matches(&rebuilt, &pats), "{pats:?}");
+                }
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -1926,6 +2192,76 @@ mod tests {
                 prop_assert_eq!(state(&t), state(&reference));
                 for i in 0..t.len() {
                     prop_assert_eq!(t.find_row(&t.row(i).terms), Some(i));
+                }
+            }
+
+            /// Inserts, removals, pattern deletions and overlays in any
+            /// order leave a table that answers like one rebuilt from
+            /// its rows, and each of them changes the row set the way
+            /// its contract says.
+            #[test]
+            fn interleaved_removals_keep_the_indexes_true(ops in arb_ops()) {
+                let reg = registry();
+                let mut t = Table::new(Schema::new("T", &["a", "b"]));
+                for op in ops {
+                    let before = row_map(&t);
+                    match op {
+                        Op::Insert(row) => {
+                            let mut rebuilt = Table::from_relation(&t.to_relation());
+                            let outcome = t.insert(row.clone()).unwrap();
+                            prop_assert_eq!(outcome, rebuilt.insert(row).unwrap());
+                            prop_assert_eq!(row_map(&t), row_map(&rebuilt));
+                        }
+                        Op::Remove(picks) if !t.is_empty() => {
+                            let idxs: Vec<usize> = picks.iter().map(|p| p % t.len()).collect();
+                            let mut sorted = idxs.clone();
+                            sorted.sort_unstable();
+                            sorted.dedup();
+                            let expected: Vec<CTuple> = sorted.iter().map(|&i| t.row(i)).collect();
+                            prop_assert_eq!(t.remove_rows(&idxs), expected.clone());
+                            let mut left = before;
+                            for row in &expected {
+                                prop_assert!(left.remove(&row.terms).is_some());
+                            }
+                            prop_assert_eq!(row_map(&t), left);
+                        }
+                        Op::Remove(_) => {}
+                        Op::Delete(cols) => {
+                            // A row is affected unless a constant cell
+                            // disagrees with its constraint.
+                            let affected = |terms: &[Term]| {
+                                terms.iter().zip(&cols).all(|(term, want)| match (term, want) {
+                                    (Term::Const(c), Some(w)) => c == w,
+                                    _ => true,
+                                })
+                            };
+                            let eff = t.delete_where(&cols);
+                            let after = row_map(&t);
+                            let mut reported = BTreeSet::new();
+                            for old in &eff.removed {
+                                prop_assert!(!after.contains_key(&old.terms));
+                                prop_assert!(reported.insert(old.terms.clone()));
+                            }
+                            for old in &eff.weakened {
+                                prop_assert!(after.contains_key(&old.terms));
+                                prop_assert!(reported.insert(old.terms.clone()));
+                            }
+                            for (terms, kept) in &before {
+                                prop_assert_eq!(affected(terms), reported.contains(terms));
+                                if !affected(terms) {
+                                    prop_assert_eq!(after.get(terms), Some(kept));
+                                }
+                            }
+                            prop_assert_eq!(after.len(), before.len() - eff.removed.len());
+                        }
+                        Op::Overlay(rows) => {
+                            let overlay = t.overlay(&rows).unwrap();
+                            answers_like_a_rebuilt_table(&reg, &t);
+                            t.remove_overlay(overlay);
+                            prop_assert_eq!(row_map(&t), before);
+                        }
+                    }
+                    answers_like_a_rebuilt_table(&reg, &t);
                 }
             }
 
