@@ -133,10 +133,10 @@ pub(super) fn timed_prune(
 /// Iteration 0 runs what `seed` says (`None`: every rule's full plan) —
 /// recursive rules see the current, possibly empty, contents of the
 /// stratum's own tables — and merges what changed into `delta`, whose
-/// length is the partition count. Each later iteration runs one pass per positive body position whose
-/// predicate has delta rows; a batch delta only ever holds the
-/// stratum's own heads, `apply`'s also EDB and lower-stratum
-/// predicates.
+/// length is the partition count. Each later iteration runs one pass
+/// per positive body position whose predicate has delta rows; a batch
+/// delta only ever holds the stratum's own heads, `apply`'s also EDB
+/// and lower-stratum predicates.
 pub(super) fn semi_naive(
     d: &mut Driver<'_>,
     rules: &[(usize, &Rule)],

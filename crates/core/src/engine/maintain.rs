@@ -95,7 +95,7 @@
 //! such deltas explicitly.
 
 use super::fixpoint::{self, timed_prune, Driver, Seed};
-use super::rule::{eval_rule, LeafMemo};
+use super::rule::LeafMemo;
 use super::{resolve_cvars, Ctx, EvalError, EvalOptions, EvalOutput, PreparedProgram, PrunePolicy};
 use crate::analysis::Finding;
 use crate::ast::{Literal, Rule};
@@ -940,19 +940,19 @@ fn order_hazard(
 /// The over-delete rounds of one stratum: runs the delta plans over the
 /// `frontier` (deleted and tainted rows) until no new head row is
 /// reached, collecting the row indices reached in `suspects`. Returns
-/// the number of rounds.
+/// the number of rounds. Taint is decided by terms, so the solver stays
+/// out of it — an eagerly-skipped unsatisfiable candidate would hide a
+/// taint — whatever the prune policy.
 fn over_delete(
     d: &mut Driver<'_>,
     rules: &[(usize, &Rule)],
     mut frontier: HashMap<String, Table>,
     suspects: &mut BTreeMap<String, BTreeSet<usize>>,
 ) -> Result<usize, EvalError> {
-    // Prune must be off here — an eagerly-skipped unsatisfiable
-    // candidate would hide a taint.
-    let od_opts = EvalOptions {
-        prune: PrunePolicy::Never,
-        ..d.opts
-    };
+    // Put back on the way out; an error ends the apply, and with it
+    // the driver these options belong to.
+    let policy = std::mem::replace(&mut d.opts.prune, PrunePolicy::Never);
+    let positions = d.ctx.delta_positions;
     let mut rounds = 0usize;
     while !frontier.is_empty() {
         rounds += 1;
@@ -963,24 +963,12 @@ fn over_delete(
         }
         let mut next: HashMap<String, Table> = HashMap::new();
         for &(ri, rule) in rules {
-            for &pos in &d.ctx.delta_positions[ri] {
+            for &pos in &positions[ri] {
                 let p = rule.body[pos].atom().pred.as_str();
-                let Some(f) = frontier.get(p) else { continue };
-                if f.is_empty() {
+                let Some(f) = frontier.get(p).filter(|f| !f.is_empty()) else {
                     continue;
-                }
-                let plan = d.plans.get_or_compile(ri, rule, Some(pos));
-                let derived = eval_rule(
-                    &d.ctx,
-                    ri,
-                    rule,
-                    plan,
-                    d.tables,
-                    Some(f),
-                    &mut d.session,
-                    &od_opts,
-                    &mut d.stats.ops,
-                )?;
+                };
+                let derived = d.pass(ri, rule, Some((pos, f)))?;
                 let h = rule.head.pred.as_str();
                 let ht = d.tables.get(h).expect("table created in setup");
                 let set = suspects.entry(h.to_owned()).or_default();
@@ -998,6 +986,7 @@ fn over_delete(
         }
         frontier = next;
     }
+    d.opts.prune = policy;
     Ok(rounds)
 }
 

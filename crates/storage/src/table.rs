@@ -162,9 +162,8 @@ struct Column {
 }
 
 impl Column {
-    /// Appends `cell` as row `row`.
-    fn push(&mut self, cell: Cell, row: u32) {
-        self.cells.push(cell);
+    /// Indexes row `row` under the cell it holds.
+    fn post(&mut self, cell: Cell, row: u32) {
         match cell {
             Cell::Var(_) => self.var_rows.push(row),
             c => self.by_const.entry(c).or_default().push(row),
@@ -548,7 +547,8 @@ impl Table {
                 let idx = u32::try_from(self.conds.len()).expect("row count overflow");
                 self.by_terms.insert(row.cells.clone(), idx);
                 for (col, &cell) in self.cols.iter_mut().zip(row.cells.iter()) {
-                    col.push(cell, idx);
+                    col.cells.push(cell);
+                    col.post(cell, idx);
                 }
                 if row.opaque {
                     self.side.insert(idx, CondRepr::Opaque(vec![row.stored]));
@@ -1016,12 +1016,11 @@ impl Table {
         let last = self.len() - 1;
         let (row, moved) = (idx as u32, last as u32);
         let key = |at: usize| -> Vec<Cell> { self.cols.iter().map(|c| c.cells[at]).collect() };
-        let (gone, mover) = (key(idx), key(last));
-        self.by_terms.remove(gone.as_slice());
+        self.by_terms.remove(key(idx).as_slice());
         if idx != last {
             *self
                 .by_terms
-                .get_mut(mover.as_slice())
+                .get_mut(key(last).as_slice())
                 .expect("every row is in the dedup index") = row;
         }
         for col in &mut self.cols {
@@ -1126,10 +1125,7 @@ impl Table {
             let idx32 = idx as u32;
             let cells: Box<[Cell]> = self.cols.iter().map(|c| c.cells[idx]).collect();
             for (col, &cell) in self.cols.iter_mut().zip(cells.iter()) {
-                match cell {
-                    Cell::Var(_) => col.var_rows.push(idx32),
-                    c => col.by_const.entry(c).or_default().push(idx32),
-                }
+                col.post(cell, idx32);
             }
             self.by_terms.insert(cells, idx32);
         }

@@ -44,7 +44,7 @@ fn ground_rows(db: &Database) -> Vec<Vec<Const>> {
         .filter_map(|t| t.terms.iter().map(|t| t.as_const().cloned()).collect())
         .collect();
     let mut seen = std::collections::BTreeSet::new();
-    rows.retain(|row| seen.insert(format!("{row:?}")));
+    rows.retain(|row| seen.insert(row.clone()));
     rows
 }
 
