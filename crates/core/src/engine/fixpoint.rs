@@ -55,7 +55,7 @@ pub(super) struct Seed {
     pub(super) full: BTreeSet<String>,
     /// Per head that only lost rows: the lost keys, every condition
     /// `True`. Its rules run their head-bound plans
-    /// ([`MaintenanceMeta::head_bound`](crate::plan::MaintenanceMeta))
+    /// ([`head_bound_rules`](crate::plan::head_bound_rules))
     /// with this table as the delta, so only those keys are re-derived.
     pub(super) lost: HashMap<String, Table>,
 }

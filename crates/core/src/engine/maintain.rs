@@ -45,9 +45,8 @@
 //!   [`Table::overlay`]) are removed wholesale; survivors are exact,
 //!   because every one of their derivations avoided the changed rows.
 //!   The loop is then seeded with the keys each head lost: iteration 0
-//!   runs every rule's *head-bound* plan
-//!   ([`MaintenanceMeta::head_bound`](crate::plan::MaintenanceMeta)) —
-//!   the rule restricted to those keys, every body literal a key-bound
+//!   runs every rule's *head-bound* plan ([`head_bound_rules`]) — the
+//!   rule restricted to those keys, every body literal a key-bound
 //!   probe — so re-derivation costs what the lost rows' own derivations
 //!   cost, and the keys that come back propagate as an ordinary append
 //!   delta until the stratum is at its fixpoint. Removal itself
@@ -99,7 +98,7 @@ use super::rule::LeafMemo;
 use super::{resolve_cvars, Ctx, EvalError, EvalOptions, EvalOutput, PreparedProgram, PrunePolicy};
 use crate::analysis::Finding;
 use crate::ast::{Literal, Rule};
-use crate::plan::PlanCache;
+use crate::plan::{head_bound_rules, PlanCache};
 use crate::update::{DeletePattern, Update};
 use faure_ctable::{CTuple, CVarId, Const, Database, Relation, Schema, Term};
 use faure_solver::{Session, SharedMemo};
@@ -351,7 +350,7 @@ impl PreparedProgram {
             }
         }
         let leaves = LeafMemo::default();
-        let mut d = self.driver(state, &leaves);
+        let mut d = self.driver(state, &leaves, &[]);
         for (si, stratum) in self.strat.strata.iter().enumerate() {
             run_one_stratum(&mut d, si, &self.rules_of(stratum))?;
         }
@@ -375,7 +374,12 @@ impl PreparedProgram {
     /// A driver over `state`'s tables and plans with a fresh session and
     /// zeroed statistics; the plan cache's counters restart, so what
     /// they read afterwards is this apply's own traffic.
-    fn driver<'a>(&'a self, state: &'a mut MaterializedState, leaves: &'a LeafMemo) -> Driver<'a> {
+    fn driver<'a>(
+        &'a self,
+        state: &'a mut MaterializedState,
+        leaves: &'a LeafMemo,
+        head_bound: &'a [Rule],
+    ) -> Driver<'a> {
         state.plans.hits = 0;
         state.plans.misses = 0;
         Driver {
@@ -386,7 +390,7 @@ impl PreparedProgram {
                 tracer: state.tracer.clone(),
                 shard_plan: &self.shard_plan,
                 delta_positions: &self.maint.delta_positions,
-                head_bound: &self.maint.head_bound,
+                head_bound,
                 leaves,
             },
             tables: &mut state.tables,
@@ -586,7 +590,10 @@ impl PreparedProgram {
             pend_ins.keys().chain(pend_del.keys()).cloned().collect();
 
         let leaves = LeafMemo::default();
-        let mut d = self.driver(state, &leaves);
+        let head_bound = self
+            .head_bound
+            .get_or_init(|| head_bound_rules(&self.program));
+        let mut d = self.driver(state, &leaves, head_bound);
 
         for (si, stratum) in self.strat.strata.iter().enumerate() {
             let rules = self.rules_of(stratum);

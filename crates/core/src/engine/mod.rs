@@ -83,7 +83,7 @@ use faure_storage::{ArityError, PhaseStats};
 use faure_trace::Tracer;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// When the solver phase (the paper's "Z3 step") runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -370,6 +370,7 @@ impl Engine {
             opts: self.opts,
             memo_pool: Arc::new(Mutex::new(None)),
             maint,
+            head_bound: OnceLock::new(),
             shard_plan,
         })
     }
@@ -403,6 +404,10 @@ pub struct PreparedProgram {
     /// per-stratum recursion flags (the label incremental maintenance
     /// reports a stratum under).
     maint: MaintenanceMeta,
+    /// Per rule, its head-bound companion
+    /// ([`crate::plan::head_bound_rules`]), built at the first `apply`:
+    /// a program that is only ever run never pays for them.
+    head_bound: OnceLock<Vec<Rule>>,
     /// Partition keys for sharded evaluation, compiled at prepare time
     /// (first bound head column per predicate; overridable via
     /// [`set_shard_keys`](PreparedProgram::set_shard_keys)).
@@ -603,7 +608,8 @@ pub(crate) struct Ctx<'a> {
     /// ([`MaintenanceMeta::delta_positions`]).
     pub(crate) delta_positions: &'a [Vec<usize>],
     /// Per rule, its head-bound companion
-    /// ([`MaintenanceMeta::head_bound`]).
+    /// ([`crate::plan::head_bound_rules`]); empty for a batch run, which
+    /// seeds with full plans only.
     pub(crate) head_bound: &'a [Rule],
     /// The run's join-leaf memo: born with the run, dropped with it.
     pub(crate) leaves: &'a rule::LeafMemo,

@@ -420,20 +420,6 @@ pub struct MaintenanceMeta {
     /// predicates too, and the plans for those slots compile lazily
     /// through the same [`PlanCache`].
     pub delta_positions: Vec<Vec<usize>>,
-    /// For each rule `H(args) :- body`, its *head-bound* companion
-    /// `H(args) :- body, H(args)`: the same rule restricted to a given
-    /// set of head keys. Incremental maintenance re-derives the rows a
-    /// withdraw over-deleted by running the companion as a delta pass
-    /// whose delta — the lost keys, every condition `True` — is pinned
-    /// to the appended literal: that scan binds every head variable, so
-    /// the planner's bound-column greedy order turns each body literal
-    /// into a key-bound probe, and the pass costs what the lost keys'
-    /// own derivations cost, not the rule's whole join. The appended
-    /// literal sits at body position `rule.body.len()`, which no delta
-    /// plan of the rule itself is pinned to, so the companion's plan
-    /// shares the rule's [`PlanCache`] under `(rule, position)` like
-    /// any other delta plan (compiled on first use).
-    pub head_bound: Vec<Rule>,
     /// Per stratum: whether some rule reads an in-stratum predicate
     /// positively (the stratum needs fixpoint iteration). Incremental
     /// maintenance over-deletes and re-derives the same way either way;
@@ -533,7 +519,30 @@ pub fn maintenance_meta(program: &Program, strata: &[Vec<usize>]) -> Maintenance
             })
         })
         .collect();
-    let head_bound = program
+    MaintenanceMeta {
+        delta_positions,
+        recursive_strata,
+    }
+}
+
+/// For each rule `H(args) :- body`, its *head-bound* companion
+/// `H(args) :- body, H(args)`: the same rule restricted to a given set
+/// of head keys. Incremental maintenance re-derives the rows a withdraw
+/// over-deleted by running the companion as a delta pass whose delta —
+/// the lost keys, every condition `True` — is pinned to the appended
+/// literal: that scan binds every head variable, so the planner's
+/// bound-column greedy order turns each body literal into a key-bound
+/// probe, and the pass costs what the lost keys' own derivations cost,
+/// not the rule's whole join. The appended literal sits at body
+/// position `rule.body.len()`, which no delta plan of the rule itself
+/// is pinned to, so the companion's plan shares the rule's
+/// [`PlanCache`] under `(rule, position)` like any other delta plan.
+///
+/// Only `apply` needs them: a prepared program builds them at its
+/// first delta, so preparing and running a program once — all that
+/// verification does — pays nothing for them.
+pub fn head_bound_rules(program: &Program) -> Vec<Rule> {
+    program
         .rules
         .iter()
         .map(|rule| {
@@ -541,12 +550,7 @@ pub fn maintenance_meta(program: &Program, strata: &[Vec<usize>]) -> Maintenance
             bound.body.push(Literal::Pos(rule.head.clone()));
             bound
         })
-        .collect();
-    MaintenanceMeta {
-        delta_positions,
-        head_bound,
-        recursive_strata,
-    }
+        .collect()
 }
 
 /// Renders the compiled plans for a whole program, stratum by stratum:
