@@ -128,46 +128,26 @@ impl Report {
     ///   "file":"prog.fl","line":1,"col":6,"span":{"start":5,"end":6}}]
     /// ```
     pub fn to_json(&self, src: &str, filename: &str) -> String {
-        let mut out = String::from("[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        use faure_trace::json::{array, Str};
+        let mut out = array(|items| {
+            for d in &self.diagnostics {
+                let (line, col) = line_col(src, d.span.start);
+                items.object(|o| {
+                    o.field("code", Str(d.code))
+                        .field("severity", Str(d.severity))
+                        .field("message", Str(&d.message))
+                        .field("file", Str(filename))
+                        .field("line", line)
+                        .field("col", col);
+                    o.object("span", |s| {
+                        s.field("start", d.span.start).field("end", d.span.end);
+                    });
+                });
             }
-            let (line, col) = line_col(src, d.span.start);
-            out.push_str(&format!(
-                "{{\"code\":{},\"severity\":{},\"message\":{},\"file\":{},\
-                 \"line\":{line},\"col\":{col},\
-                 \"span\":{{\"start\":{},\"end\":{}}}}}",
-                json_str(d.code),
-                json_str(&d.severity.to_string()),
-                json_str(&d.message),
-                json_str(filename),
-                d.span.start,
-                d.span.end,
-            ));
-        }
-        out.push_str("]\n");
+        });
+        out.push('\n');
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Checks program text with the text-only passes.

@@ -206,7 +206,7 @@ fn main() {
                     "    done in {:.1}s ({} F-tuples, {} R-tuples{}{}{})",
                     row.total,
                     row.f_tuples,
-                    row.q45.tuples,
+                    row.q45.phase.tuples,
                     row.speedup_q45
                         .map(|s| format!(", q4-q5 speedup {s:.2}x"))
                         .unwrap_or_default(),
@@ -216,8 +216,8 @@ fn main() {
                     if row.shards > 1 {
                         format!(
                             ", {} routed deltas, imbalance {}",
-                            row.routed_deltas,
-                            row.shard_imbalance
+                            row.routed_deltas(),
+                            row.shard_imbalance()
                                 .map(|r| format!("{r:.2}"))
                                 .unwrap_or_else(|| "n/a".into())
                         )

@@ -17,116 +17,63 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use faure_core::{evaluate_with, Delta, Engine, EvalError, EvalOptions, PrunePolicy};
-use faure_ctable::Const;
+use faure_core::{evaluate_with, Delta, Engine, EvalError, EvalOptions, EvalOutput, PrunePolicy};
+use faure_ctable::{Const, PoolStats};
 use faure_net::{queries, rib};
-use faure_solver::session::SolverStats;
-use faure_storage::OpStats;
-use std::time::Duration;
+use faure_storage::PhaseStats;
+use faure_trace::json::{self, Obj, Str};
 
 /// Timing + size numbers for one query (one cell group of Table 4).
 #[derive(Clone, Debug, Default)]
 pub struct QueryStats {
-    /// Relational-phase time ("sql" column), seconds.
-    pub sql: f64,
-    /// Solver-phase time ("Z3" column), seconds.
-    pub solver: f64,
-    /// Number of tuples produced ("#tuples" column).
-    pub tuples: usize,
-    /// Solver memo hit rate over the evaluation (0.0 when the solver
-    /// was never consulted).
-    pub memo_hit_rate: f64,
-    /// Fraction of memo queries answered by an entry from an earlier
-    /// run of the same memo (batch-mode reuse; 0.0 for the one-shot
-    /// evaluations this harness runs).
-    pub memo_cross_run_hit_rate: f64,
-    /// Elapsed wall-clock of the prune phase alone, seconds. Shrinks
-    /// with the thread count under parallel pruning while `solver`
-    /// (per-worker CPU time) stays flat.
-    pub prune_wall: f64,
-    /// Delta rows after each semi-naive iteration (across strata, in
-    /// evaluation order) — the convergence profile of the fixpoint.
-    pub delta_sizes: Vec<usize>,
-    /// Per-operator execution counters (probes, rows matched,
-    /// conditions conjoined, comparison-pruned branches, negation
-    /// checks) — the relational half of the aggregated-metrics block.
-    pub ops: OpStats,
-    /// Fine-grained solver counters (sat calls, memo hits/misses,
-    /// per-check latency histogram) — the solver half.
-    pub solver_stats: SolverStats,
-    /// Rule plans served from the per-evaluation plan cache.
-    pub plan_cache_hits: u64,
-    /// Rule plans compiled because no cached plan existed.
-    pub plan_cache_misses: u64,
+    /// The evaluation's statistics as the engine returned them: the
+    /// paper's "sql" (`relational`), "Z3" (`solver`) and "#tuples"
+    /// columns, the convergence profile (`delta_sizes`) and every
+    /// counter of the `metrics` block.
+    pub phase: PhaseStats,
     /// Condition-pool counters snapshotted when the query finished
     /// (the pool is process-global, so these are cumulative: `size`
     /// is the number of distinct condition nodes ever interned and
     /// `hits` the dedup lookups answered by an existing node).
-    pub pool: faure_ctable::PoolStats,
+    pub pool: PoolStats,
 }
 
 impl QueryStats {
-    fn from_phase(stats: &faure_storage::PhaseStats) -> Self {
+    fn from_phase(stats: &PhaseStats) -> Self {
         QueryStats {
-            sql: stats.relational.as_secs_f64(),
-            solver: stats.solver.as_secs_f64(),
-            tuples: stats.tuples,
-            memo_hit_rate: stats.solver_stats.memo_hit_rate(),
-            memo_cross_run_hit_rate: stats.solver_stats.memo_cross_run_hit_rate(),
-            prune_wall: stats.prune_wall.as_secs_f64(),
-            delta_sizes: stats.delta_sizes.clone(),
-            ops: stats.ops.clone(),
-            solver_stats: stats.solver_stats,
-            plan_cache_hits: stats.plan_cache_hits,
-            plan_cache_misses: stats.plan_cache_misses,
+            phase: stats.clone(),
             pool: faure_ctable::pool::pool_stats(),
         }
     }
 
-    /// JSON object for this cell group (no external serializer in the
-    /// offline build, so the encoding is by hand). The `metrics` block
-    /// mirrors the CLI's `--metrics` per-database schema (ops, solver,
-    /// plan-cache counters, solve-latency histogram).
-    pub fn to_json(&self) -> String {
-        let deltas: Vec<String> = self.delta_sizes.iter().map(|d| d.to_string()).collect();
-        let ops = &self.ops;
-        let sv = &self.solver_stats;
-        format!(
-            "{{\"sql\":{},\"solver\":{},\"prune_wall\":{},\"tuples\":{},\"memo_hit_rate\":{:.4},\"memo_cross_run_hit_rate\":{:.4},\"delta_sizes\":[{}],\
-             \"metrics\":{{\
-             \"ops\":{{\"probes\":{},\"rows_matched\":{},\"conds_conjoined\":{},\"cmp_pruned\":{},\"neg_checks\":{},\"static_cut\":{}}},\
-             \"solver\":{{\"sat_calls\":{},\"sat_true\":{},\"simplify_calls\":{},\"memo_hits\":{},\"cross_run_hits\":{},\"memo_misses\":{},\"memo_cross_run_hit_rate\":{:.4},\"time_ns\":{},\"latency_ns\":{}}},\
-             \"plan_cache\":{{\"hits\":{},\"misses\":{}}},\
-             \"pool\":{{\"pool_hits\":{},\"pool_misses\":{},\"pool_size\":{},\"hit_rate\":{:.4}}}}}}}",
-            self.sql,
-            self.solver,
-            self.prune_wall,
-            self.tuples,
-            self.memo_hit_rate,
-            self.memo_cross_run_hit_rate,
-            deltas.join(","),
-            ops.probes,
-            ops.rows_matched,
-            ops.conds_conjoined,
-            ops.cmp_pruned,
-            ops.neg_checks,
-            ops.static_cut,
-            sv.sat_calls,
-            sv.sat_true,
-            sv.simplify_calls,
-            sv.memo_hits,
-            sv.cross_run_hits,
-            sv.memo_misses,
-            sv.memo_cross_run_hit_rate(),
-            sv.time.as_nanos(),
-            sv.latency.to_json(),
-            self.plan_cache_hits,
-            self.plan_cache_misses,
-            self.pool.hits,
-            self.pool.misses,
-            self.pool.size,
-            self.pool.hit_rate(),
-        )
+    /// Relational-phase time ("sql" column), seconds.
+    pub fn sql(&self) -> f64 {
+        self.phase.relational.as_secs_f64()
+    }
+
+    /// Solver-phase time ("Z3" column), seconds.
+    pub fn solver(&self) -> f64 {
+        self.phase.solver.as_secs_f64()
+    }
+
+    /// The fields of this cell group. The `metrics` block is the CLI's
+    /// `--metrics` per-database blocks (ops, solver, plan-cache and
+    /// pool counters, solve-latency histogram), from the same writer.
+    fn write(&self, o: &mut Obj<'_>) {
+        let sv = &self.phase.solver_stats;
+        o.field("sql", self.sql())
+            .field("solver", self.solver())
+            .field("prune_wall", self.phase.prune_wall.as_secs_f64())
+            .field("tuples", self.phase.tuples)
+            .field("memo_hit_rate", format_args!("{:.4}", sv.memo_hit_rate()))
+            .field(
+                "memo_cross_run_hit_rate",
+                format_args!("{:.4}", sv.memo_cross_run_hit_rate()),
+            );
+        o.array("delta_sizes", |a| {
+            a.items(&self.phase.delta_sizes);
+        });
+        o.object("metrics", |m| self.phase.write_blocks(m, &self.pool));
     }
 }
 
@@ -141,12 +88,6 @@ pub struct Table4Row {
     pub threads: usize,
     /// Worker shards of the partitioned fixpoint (1 = single-space).
     pub shards: usize,
-    /// q4–q5 delta rows routed to a non-producing shard (0 for
-    /// single-space rows) — the cross-shard communication volume.
-    pub routed_deltas: u64,
-    /// Max/mean per-shard wall ratio of the q4–q5 sharded passes
-    /// (`None` for single-space rows): 1.0 is perfect balance.
-    pub shard_imbalance: Option<f64>,
     /// q4–q5 wall-clock (sql+solver) of the serial row divided by this
     /// row's — filled by the `table4` binary when it ran a serial
     /// baseline for the same size, `None` otherwise.
@@ -192,52 +133,59 @@ impl Table4Row {
     /// (and the CI jq asserts) can tell Table 4 rows from churn rows
     /// when both share one array.
     pub fn to_json(&self) -> String {
-        let opt = |v: Option<f64>| match v {
-            Some(s) => format!("{s:.3}"),
-            None => "null".to_owned(),
-        };
-        format!(
-            "{{\"bench\":\"table4\",\"prefixes\":{},\"seed\":{},\"threads\":{},\"shards\":{},\"routed_deltas\":{},\"shard_imbalance\":{},\"speedup_q45\":{},\"speedup_valid\":{},\"host_cores\":{},\"prune_wall\":{},\"prune_speedup\":{},\"f_tuples\":{},\"q45\":{},\"q6\":{},\"q7\":{},\"q8\":{},\"total\":{},\"peak_rss_kb\":{}}}",
-            self.prefixes,
-            self.seed,
-            self.threads,
-            self.shards,
-            self.routed_deltas,
-            opt(self.shard_imbalance),
-            opt(self.speedup_q45),
-            self.speedup_valid,
-            self.host_cores,
-            self.prune_wall(),
-            opt(self.prune_speedup),
-            self.f_tuples,
-            self.q45.to_json(),
-            self.q6.to_json(),
-            self.q7.to_json(),
-            self.q8.to_json(),
-            self.total,
-            self.peak_rss_kb
-        )
+        let ratio = |v: Option<f64>| v.map_or("null".to_owned(), |v| format!("{v:.3}"));
+        json::object(|o| {
+            o.field("bench", Str("table4"))
+                .field("prefixes", self.prefixes)
+                .field("seed", self.seed)
+                .field("threads", self.threads)
+                .field("shards", self.shards)
+                .field("routed_deltas", self.routed_deltas())
+                .field("shard_imbalance", ratio(self.shard_imbalance()))
+                .field("speedup_q45", ratio(self.speedup_q45))
+                .field("speedup_valid", self.speedup_valid)
+                .field("host_cores", self.host_cores)
+                .field("prune_wall", self.prune_wall())
+                .field("prune_speedup", ratio(self.prune_speedup))
+                .field("f_tuples", self.f_tuples);
+            for (key, q) in [
+                ("q45", &self.q45),
+                ("q6", &self.q6),
+                ("q7", &self.q7),
+                ("q8", &self.q8),
+            ] {
+                o.object(key, |cell| q.write(cell));
+            }
+            o.field("total", self.total)
+                .field("peak_rss_kb", self.peak_rss_kb);
+        })
+    }
+
+    /// q4–q5 delta rows routed to a non-producing shard (0 for
+    /// single-space rows) — the cross-shard communication volume of
+    /// the one stage sharding targets (q6–q8 are non-recursive).
+    pub fn routed_deltas(&self) -> u64 {
+        self.q45.phase.shard.routed_rows
+    }
+
+    /// Max/mean per-shard wall ratio of the q4–q5 sharded passes
+    /// (`None` for single-space rows): 1.0 is perfect balance.
+    pub fn shard_imbalance(&self) -> Option<f64> {
+        self.q45.phase.shard.imbalance()
     }
 
     /// q4–q5 wall-clock (the relational and solver phases together),
     /// seconds — the quantity `speedup_q45` compares across thread
     /// counts.
     pub fn q45_wall(&self) -> f64 {
-        self.q45.sql + self.q45.solver
+        self.q45.sql() + self.q45.solver()
     }
 
     /// q4–q5 prune-phase wall-clock, seconds — the quantity
     /// `prune_speedup` compares across thread counts.
     pub fn prune_wall(&self) -> f64 {
-        self.q45.prune_wall
+        self.q45.phase.prune_wall.as_secs_f64()
     }
-}
-
-/// JSON array over rows, one row per line (the `--json` dump format of
-/// the `table4` binary).
-pub fn rows_to_json(rows: &[Table4Row]) -> String {
-    let body: Vec<String> = rows.iter().map(|r| format!("  {}", r.to_json())).collect();
-    format!("[\n{}\n]\n", body.join(",\n"))
 }
 
 /// Harness options.
@@ -271,23 +219,48 @@ pub fn workload(prefixes: usize, seed: u64) -> rib::RibWorkload {
     })
 }
 
-/// Runs the full Listing 2 pipeline for one input size and returns the
-/// Table 4 row.
-pub fn run_table4_row(prefixes: usize, opts: &HarnessOptions) -> Result<Table4Row, EvalError> {
+/// Evaluates the recursive q4–q5 stage over a fresh workload and opens
+/// the row with it: q6–q8 zeroed, `total` and `peak_rss_kb` as of the
+/// end of this stage. Also hands back the stage's output and the
+/// workload's most frequent node pair, which q6–q8 read.
+fn q45_stage(
+    prefixes: usize,
+    opts: &HarnessOptions,
+) -> Result<(Table4Row, EvalOutput, (i64, i64)), EvalError> {
     let started = std::time::Instant::now();
     let w = workload(prefixes, opts.seed);
     let f_tuples = w.db.relation("F").map(|r| r.len()).unwrap_or(0);
     let pair = rib::frequent_pair(&w).unwrap_or((0, 1));
+    let out_r = evaluate_with(&queries::reachability_program(), &w.db, &opts.eval)?;
+    drop(w);
+    let row = Table4Row {
+        prefixes,
+        seed: opts.seed,
+        threads: opts.eval.threads,
+        shards: opts.eval.shards.max(1),
+        speedup_q45: None,
+        speedup_valid: false,
+        host_cores: host_cores(),
+        prune_speedup: None,
+        f_tuples,
+        q45: QueryStats::from_phase(&out_r.stats),
+        q6: QueryStats::default(),
+        q7: QueryStats::default(),
+        q8: QueryStats::default(),
+        total: started.elapsed().as_secs_f64(),
+        peak_rss_kb: peak_rss_kb(),
+    };
+    Ok((row, out_r, pair))
+}
 
+/// Runs the full Listing 2 pipeline for one input size and returns the
+/// Table 4 row.
+pub fn run_table4_row(prefixes: usize, opts: &HarnessOptions) -> Result<Table4Row, EvalError> {
+    let started = std::time::Instant::now();
     // q4–q5: recursion over the whole workload. The stage order and
     // explicit drops below keep at most two R-sized databases alive at
     // once — the 100 000-prefix row otherwise exhausts a 16 GB machine.
-    let mut out_r = evaluate_with(&queries::reachability_program(), &w.db, &opts.eval)?;
-    drop(w);
-    let q45 = QueryStats::from_phase(&out_r.stats);
-    // The sharded-fixpoint counters of the recursive stage — the only
-    // stage sharding targets (q6–q8 are non-recursive filters over R).
-    let shard_stats = out_r.stats.shard.clone();
+    let (mut row, mut out_r, pair) = q45_stage(prefixes, opts)?;
 
     // The downstream queries read only R: strip F and move R into a
     // slim database.
@@ -303,12 +276,12 @@ pub fn run_table4_row(prefixes: usize, opts: &HarnessOptions) -> Result<Table4Ro
 
     // q8 reads R (run before q6 so only one derived stage is alive).
     let out8 = evaluate_with(&queries::q8_reach_with_failure(pair.0), &r_db, &opts.eval)?;
-    let q8 = QueryStats::from_phase(&out8.stats);
+    row.q8 = QueryStats::from_phase(&out8.stats);
     drop(out8);
 
     // q6 reads R.
     let mut out6 = evaluate_with(&queries::q6_two_link_failure(), &r_db, &opts.eval)?;
-    let q6 = QueryStats::from_phase(&out6.stats);
+    row.q6 = QueryStats::from_phase(&out6.stats);
     drop(r_db);
 
     // q7 reads T1 (nested query): strip everything else.
@@ -321,27 +294,11 @@ pub fn run_table4_row(prefixes: usize, opts: &HarnessOptions) -> Result<Table4Ro
         &t1_db,
         &opts.eval,
     )?;
-    let q7 = QueryStats::from_phase(&out7.stats);
+    row.q7 = QueryStats::from_phase(&out7.stats);
 
-    Ok(Table4Row {
-        prefixes,
-        seed: opts.seed,
-        threads: opts.eval.threads,
-        shards: opts.eval.shards.max(1),
-        routed_deltas: shard_stats.routed_rows,
-        shard_imbalance: shard_stats.imbalance(),
-        speedup_q45: None,
-        speedup_valid: false,
-        host_cores: host_cores(),
-        prune_speedup: None,
-        f_tuples,
-        q45,
-        q6,
-        q7,
-        q8,
-        total: started.elapsed().as_secs_f64(),
-        peak_rss_kb: peak_rss_kb(),
-    })
+    row.total = started.elapsed().as_secs_f64();
+    row.peak_rss_kb = peak_rss_kb();
+    Ok(row)
 }
 
 /// Like [`run_table4_row`] but evaluates only the recursive q4–q5
@@ -352,32 +309,7 @@ pub fn run_table4_row(prefixes: usize, opts: &HarnessOptions) -> Result<Table4Ro
 /// peak at one derived database so the row completes (and records
 /// `peak_rss_kb`) on hardware that the full row would exhaust.
 pub fn run_table4_q45_row(prefixes: usize, opts: &HarnessOptions) -> Result<Table4Row, EvalError> {
-    let started = std::time::Instant::now();
-    let w = workload(prefixes, opts.seed);
-    let f_tuples = w.db.relation("F").map(|r| r.len()).unwrap_or(0);
-    let out_r = evaluate_with(&queries::reachability_program(), &w.db, &opts.eval)?;
-    drop(w);
-    let q45 = QueryStats::from_phase(&out_r.stats);
-    let shard_stats = out_r.stats.shard.clone();
-    Ok(Table4Row {
-        prefixes,
-        seed: opts.seed,
-        threads: opts.eval.threads,
-        shards: opts.eval.shards.max(1),
-        routed_deltas: shard_stats.routed_rows,
-        shard_imbalance: shard_stats.imbalance(),
-        speedup_q45: None,
-        speedup_valid: false,
-        host_cores: host_cores(),
-        prune_speedup: None,
-        f_tuples,
-        q45,
-        q6: QueryStats::default(),
-        q7: QueryStats::default(),
-        q8: QueryStats::default(),
-        total: started.elapsed().as_secs_f64(),
-        peak_rss_kb: peak_rss_kb(),
-    })
+    Ok(q45_stage(prefixes, opts)?.0)
 }
 
 /// One row of the `churn` benchmark: a standing Table 4 materialization
@@ -432,31 +364,26 @@ impl ChurnRow {
     /// (and the CI jq asserts) can tell churn rows from Table 4 rows
     /// when both share one array.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"bench\":\"churn\",\"prefixes\":{},\"seed\":{},\"threads\":{},\"host_cores\":{},\
-             \"updates\":{},\
-             \"inserts\":{},\"deletes\":{},\"f_tuples\":{},\"r_tuples\":{},\
-             \"materialize_wall_ns\":{},\"total_update_wall_ns\":{},\"per_update_wall_ns\":{},\
-             \"max_update_wall_ns\":{},\"full_reeval_wall_ns\":{},\"speedup\":{:.2},\
-             \"rederived\":{},\"overdeleted\":{}}}",
-            self.prefixes,
-            self.seed,
-            self.threads,
-            self.host_cores,
-            self.updates,
-            self.inserts,
-            self.deletes,
-            self.f_tuples,
-            self.r_tuples,
-            self.materialize_wall_ns,
-            self.total_update_wall_ns,
-            self.per_update_wall_ns,
-            self.max_update_wall_ns,
-            self.full_reeval_wall_ns,
-            self.speedup,
-            self.rederived,
-            self.overdeleted
-        )
+        json::object(|o| {
+            o.field("bench", Str("churn"))
+                .field("prefixes", self.prefixes)
+                .field("seed", self.seed)
+                .field("threads", self.threads)
+                .field("host_cores", self.host_cores)
+                .field("updates", self.updates)
+                .field("inserts", self.inserts)
+                .field("deletes", self.deletes)
+                .field("f_tuples", self.f_tuples)
+                .field("r_tuples", self.r_tuples)
+                .field("materialize_wall_ns", self.materialize_wall_ns)
+                .field("total_update_wall_ns", self.total_update_wall_ns)
+                .field("per_update_wall_ns", self.per_update_wall_ns)
+                .field("max_update_wall_ns", self.max_update_wall_ns)
+                .field("full_reeval_wall_ns", self.full_reeval_wall_ns)
+                .field("speedup", format_args!("{:.2}", self.speedup))
+                .field("rederived", self.rederived)
+                .field("overdeleted", self.overdeleted);
+        })
     }
 }
 
@@ -562,8 +489,9 @@ pub fn run_churn_row(
     })
 }
 
-/// JSON array over pre-encoded row objects, one per line — lets the
-/// `table4` binary mix [`Table4Row`] and [`ChurnRow`] dumps in one file.
+/// JSON array over pre-encoded row objects, one per line (the `--json`
+/// dump format of the `table4` binary) — lets it mix [`Table4Row`] and
+/// [`ChurnRow`] dumps in one file.
 pub fn mixed_rows_to_json(rows: &[String]) -> String {
     let body: Vec<String> = rows.iter().map(|r| format!("  {r}")).collect();
     format!("[\n{}\n]\n", body.join(",\n"))
@@ -603,23 +531,18 @@ pub fn print_table(rows: &[Table4Row]) {
         println!(
             "{:>9} | {:>8} | {:>8} {:>8} {:>9} | {:>8} {:>8} {:>7} | {:>8} {:>8} {:>8}",
             r.prefixes,
-            fmt_secs(r.q45.sql + r.q45.solver),
-            fmt_secs(r.q6.sql),
-            fmt_secs(r.q6.solver),
-            r.q6.tuples,
-            fmt_secs(r.q7.sql),
-            fmt_secs(r.q7.solver),
-            r.q7.tuples,
-            fmt_secs(r.q8.sql),
-            fmt_secs(r.q8.solver),
-            r.q8.tuples,
+            fmt_secs(r.q45_wall()),
+            fmt_secs(r.q6.sql()),
+            fmt_secs(r.q6.solver()),
+            r.q6.phase.tuples,
+            fmt_secs(r.q7.sql()),
+            fmt_secs(r.q7.solver()),
+            r.q7.phase.tuples,
+            fmt_secs(r.q8.sql()),
+            fmt_secs(r.q8.solver()),
+            r.q8.phase.tuples,
         );
     }
-}
-
-/// Duration helper for the benches.
-pub fn secs(d: Duration) -> f64 {
-    d.as_secs_f64()
 }
 
 /// Logical cores available to this process — the `host_cores` column
@@ -653,14 +576,18 @@ mod tests {
         .unwrap();
         assert_eq!(row.prefixes, 25);
         assert!(row.f_tuples > 0);
-        assert!(row.q45.tuples >= row.f_tuples);
+        assert!(row.q45.phase.tuples >= row.f_tuples);
         assert!(row.total > 0.0);
         // q6 filters R: never more tuples than R.
-        assert!(row.q6.tuples <= row.q45.tuples);
+        assert!(row.q6.phase.tuples <= row.q45.phase.tuples);
         // The recursive q4-q5 stage iterates: its convergence profile
         // must be present and strictly decreasing after the seed pass.
-        assert!(row.q45.delta_sizes.len() >= 2, "{:?}", row.q45.delta_sizes);
-        assert!((0.0..=1.0).contains(&row.q45.memo_hit_rate));
+        assert!(
+            row.q45.phase.delta_sizes.len() >= 2,
+            "{:?}",
+            row.q45.phase.delta_sizes
+        );
+        assert!((0.0..=1.0).contains(&row.q45.phase.solver_stats.memo_hit_rate()));
     }
 
     #[test]
@@ -671,7 +598,7 @@ mod tests {
         opts.eval.threads = 1;
         opts.eval.shards = 1;
         let mut row = run_table4_row(10, &opts).unwrap();
-        let json = rows_to_json(&[row.clone()]);
+        let json = mixed_rows_to_json(&[row.to_json()]);
         assert!(json.contains("\"bench\":\"table4\""));
         assert!(json.contains("\"prefixes\":10"));
         assert!(json.contains("\"threads\":1"));
@@ -721,11 +648,11 @@ mod tests {
         opts.eval.threads = 4;
         let parallel = run_table4_row(10, &opts).unwrap();
         assert_eq!(parallel.threads, 4);
-        assert_eq!(serial.q45.tuples, parallel.q45.tuples);
-        assert_eq!(serial.q6.tuples, parallel.q6.tuples);
-        assert_eq!(serial.q7.tuples, parallel.q7.tuples);
-        assert_eq!(serial.q8.tuples, parallel.q8.tuples);
-        assert_eq!(serial.q45.delta_sizes, parallel.q45.delta_sizes);
+        assert_eq!(serial.q45.phase.tuples, parallel.q45.phase.tuples);
+        assert_eq!(serial.q6.phase.tuples, parallel.q6.phase.tuples);
+        assert_eq!(serial.q7.phase.tuples, parallel.q7.phase.tuples);
+        assert_eq!(serial.q8.phase.tuples, parallel.q8.phase.tuples);
+        assert_eq!(serial.q45.phase.delta_sizes, parallel.q45.phase.delta_sizes);
     }
 
     #[test]
@@ -739,14 +666,14 @@ mod tests {
         opts.eval.shards = 4;
         let sharded = run_table4_row(10, &opts).unwrap();
         assert_eq!(sharded.shards, 4);
-        assert_eq!(serial.q45.tuples, sharded.q45.tuples);
-        assert_eq!(serial.q6.tuples, sharded.q6.tuples);
-        assert_eq!(serial.q7.tuples, sharded.q7.tuples);
-        assert_eq!(serial.q8.tuples, sharded.q8.tuples);
+        assert_eq!(serial.q45.phase.tuples, sharded.q45.phase.tuples);
+        assert_eq!(serial.q6.phase.tuples, sharded.q6.phase.tuples);
+        assert_eq!(serial.q7.phase.tuples, sharded.q7.phase.tuples);
+        assert_eq!(serial.q8.phase.tuples, sharded.q8.phase.tuples);
         // The recursive stage exchanged rows across shards and its
         // balance figure is recorded for the JSON dump.
-        assert!(sharded.routed_deltas > 0, "{sharded:?}");
-        assert!(sharded.shard_imbalance.is_some(), "{sharded:?}");
+        assert!(sharded.routed_deltas() > 0, "{sharded:?}");
+        assert!(sharded.shard_imbalance().is_some(), "{sharded:?}");
         let json = sharded.to_json();
         assert!(json.contains("\"shards\":4"), "{json}");
         assert!(json.contains("\"routed_deltas\":"), "{json}");

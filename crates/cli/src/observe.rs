@@ -12,26 +12,28 @@
 //!   time, iteration table, solver memo hit rate).
 //!
 //! Batch `eval` prepares the program **once** (`Engine::prepare`) and
-//! runs it against every database — the cross-query plan-reuse path the
-//! engine refactor introduced — with per-database spans grouped in one
-//! trace. Preparation is *hinted*: the databases are loaded first, the
-//! semantic analyzer infers per-column domains against each, and the
-//! intersection of their facts (a hint must hold for every database in
-//! the batch) drives plan compilation — provably-infeasible rules
+//! runs it against every database, with per-database spans grouped in
+//! one trace. Preparation is *hinted*: the databases are loaded first,
+//! the semantic analyzer infers per-column domains against each, and
+//! the intersection of their facts (a hint must hold for every database
+//! in the batch) drives plan compilation — provably-infeasible rules
 //! become statically-pruned empty plans, counted in the metrics
 //! document's `ops.static_cut`.
 
 use crate::{err, load_database, render_relation, CliError, EngineKnobs};
 use faure_core::plan::Hints;
 use faure_core::{
-    parse_program, DeletePattern, Delta, DeltaReport, Engine, EvalOptions, PrunePolicy,
+    parse_program, Applies, DeletePattern, Delta, DeltaReport, Engine, EvalOptions, PrunePolicy,
 };
-use faure_ctable::{Const, Database};
+use faure_ctable::pool::pool_stats;
+use faure_ctable::{Const, Database, PoolStats};
 use faure_storage::PhaseStats;
+use faure_trace::json::{self, Arr, Obj, Str};
 use faure_trace::metrics::{rollup_by_arg, rollup_spans, Rollup};
+use faure_trace::stat::{write_fields, Kind, Stat};
 use faure_trace::{
-    chrome, json_escape, prom, telemetry, Clock, Event, FlightRecorder, MonotonicClock, Recorder,
-    Tee, TraceSink, Tracer,
+    chrome, prom, telemetry, Clock, Event, FlightRecorder, MonotonicClock, Recorder, Tee,
+    TraceSink, Tracer,
 };
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -62,8 +64,8 @@ impl ObsOptions {
         Self::default()
     }
 
-    /// Switches matching the old positional `(want_trace,
-    /// want_metrics)` call shape.
+    /// Switches for a run that builds the named artifacts and nothing
+    /// else: no flight ring, no progress stream.
     pub fn artifacts(want_trace: bool, want_metrics: bool) -> Self {
         ObsOptions {
             want_trace,
@@ -104,10 +106,12 @@ pub struct EvalReport {
 }
 
 /// One database's worth of recorded evaluation, used to build the
-/// metrics document.
+/// metrics document: the run's statistics and spans, and the
+/// process-wide condition pool as it stood when the run ended.
 struct DbRun {
     label: String,
     stats: PhaseStats,
+    pool: PoolStats,
     events: Vec<Event>,
 }
 
@@ -168,6 +172,7 @@ pub fn cmd_eval_batch(
         let out = prepared
             .run_with_traced(db, &opts, &tracer)
             .map_err(|e| err(format!("{label}: {e}")))?;
+        let pool = pool_stats();
         let events = recorder.take();
 
         if dbs.len() > 1 {
@@ -192,6 +197,7 @@ pub fn cmd_eval_batch(
         runs.push(DbRun {
             label: (*label).clone(),
             stats: out.stats,
+            pool,
             events,
         });
     }
@@ -324,12 +330,16 @@ pub fn cmd_eval_updates(
         .materialize_with(&db, &opts, &tracer)
         .map_err(|e| err(format!("{db_label}: {e}")))?;
     let materialize_wall = t0.elapsed();
-    let initial_events = recorder.take();
-    let initial_stats = state.stats().clone();
+    let runs = [DbRun {
+        label: db_label.to_owned(),
+        stats: state.stats().clone(),
+        pool: pool_stats(),
+        events: recorder.take(),
+    }];
 
     let mut rendered = String::new();
     let mut all_events = prepare_events.clone();
-    all_events.extend(initial_events.iter().cloned());
+    all_events.extend(runs[0].events.iter().cloned());
     writeln!(
         rendered,
         "-- materialized {} in {}",
@@ -385,16 +395,7 @@ pub fn cmd_eval_updates(
             }
         }
     }
-    let total_ns: u64 = applied
-        .iter()
-        .map(|u| u.report.wall.as_nanos() as u64)
-        .sum();
-    let mean_ns = total_ns / applied.len().max(1) as u64;
-    let max_ns = applied
-        .iter()
-        .map(|u| u.report.wall.as_nanos() as u64)
-        .max()
-        .unwrap_or(0);
+    let (total_ns, mean_ns, max_ns) = wall_summary(&applied);
     writeln!(
         rendered,
         "-- {} updates applied: per-update mean {}, max {}, total {}",
@@ -405,11 +406,6 @@ pub fn cmd_eval_updates(
     )
     .map_err(|e| err(e.to_string()))?;
 
-    let runs = [DbRun {
-        label: db_label.to_owned(),
-        stats: initial_stats,
-        events: initial_events,
-    }];
     let trace_json = obs.want_trace.then(|| chrome::trace_json(&all_events));
     let metrics_json = obs
         .want_metrics
@@ -419,6 +415,15 @@ pub fn cmd_eval_updates(
         trace_json,
         metrics_json,
     })
+}
+
+/// Total, mean and worst apply wall of an update stream, in
+/// nanoseconds (what the rendered footer and `updates_summary` report).
+fn wall_summary(updates: &[UpdateRun]) -> (u64, u64, u64) {
+    let walls = updates.iter().map(|u| u.report.wall.as_nanos() as u64);
+    let total: u64 = walls.clone().sum();
+    let mean = total / updates.len().max(1) as u64;
+    (total, mean, walls.max().unwrap_or(0))
 }
 
 /// Renders a predicate's current contents out of the standing
@@ -479,9 +484,16 @@ fn batch_hints<'a>(
     merged.unwrap_or_default()
 }
 
-/// Builds the `faure_metrics_version: 1` JSON document. The schema is
-/// documented in DESIGN.md ("Observability") and asserted by CI; keep
-/// the two in sync.
+/// Whether a stat belongs in `totals`: the registry carries it, and
+/// folding the per-apply records reproduces the registry's value
+/// (counts do; `relational_ns` is re-measured when a run is exported).
+fn in_totals<S>(stat: &Stat<S>) -> bool {
+    stat.published() && stat.kind != Kind::Nanos
+}
+
+/// Builds the `faure_metrics_version: 1` JSON document. Every counter
+/// in it is written from its struct's stat table; README "Metrics
+/// schema" documents the layout and CI asserts it.
 fn metrics_document(
     program_label: &str,
     program: &faure_core::Program,
@@ -489,234 +501,118 @@ fn metrics_document(
     runs: &[DbRun],
     updates: &[UpdateRun],
 ) -> String {
-    let mut s = String::with_capacity(1024);
-    s.push_str("{\"faure_metrics_version\":1,");
-    let _ = write!(s, "\"program\":\"{}\",", json_escape(program_label));
+    json::object(|doc| {
+        doc.field("faure_metrics_version", 1)
+            .field("program", Str(program_label));
+        // Prepare-phase rollup (safety / stratify / plan-compile).
+        doc.array("prepare", |a| {
+            push_rollups(a, &rollup_spans(prepare_events))
+        });
+        doc.array("databases", |a| {
+            for run in runs {
+                a.object(|o| push_db_metrics(o, program, run));
+            }
+        });
 
-    // Prepare-phase rollup (safety / stratify / plan-compile).
-    s.push_str("\"prepare\":[");
-    push_rollups(&mut s, &rollup_spans(prepare_events));
-    s.push_str("],");
-
-    s.push_str("\"databases\":[");
-    for (i, run) in runs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+        // Per-delta maintenance latency (`eval --updates`): one entry
+        // per applied update line, in order. Empty for plain batch eval.
+        doc.array("updates", |a| {
+            for (seq, u) in updates.iter().enumerate() {
+                a.object(|o| {
+                    o.field("seq", seq)
+                        .field("line", u.line)
+                        .field("update", Str(&u.text));
+                    write_fields(o, &u.report, |_| true);
+                    o.field("per_update_wall_ns", u.report.wall.as_nanos());
+                });
+            }
+        });
+        if !updates.is_empty() {
+            let (total, mean, max) = wall_summary(updates);
+            doc.object("updates_summary", |o| {
+                o.field("count", updates.len())
+                    .field("total_wall_ns", total)
+                    .field("mean_wall_ns", mean)
+                    .field("max_wall_ns", max);
+            });
         }
-        push_db_metrics(&mut s, program, run);
-    }
-    s.push_str("],");
 
-    // Per-delta maintenance latency (`eval --updates`): one entry per
-    // applied update line, in order. Empty for plain batch eval.
-    s.push_str("\"updates\":[");
-    for (i, u) in updates.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let r = &u.report;
-        let _ = write!(
-            s,
-            "{{\"seq\":{},\"line\":{},\"update\":\"{}\",\"inserted\":{},\"deleted\":{},\
-             \"overdeleted\":{},\"rederived\":{},\"pruned\":{},\"strata_touched\":{},\
-             \"counting_strata\":{},\"rederive_strata\":{},\"per_update_wall_ns\":{}}}",
-            i,
-            u.line,
-            json_escape(&u.text),
-            r.inserted,
-            r.deleted,
-            r.overdeleted,
-            r.rederived,
-            r.pruned,
-            r.strata_touched,
-            r.counting_strata,
-            r.rederive_strata,
-            r.wall.as_nanos()
-        );
-    }
-    s.push(']');
-    if !updates.is_empty() {
-        let total: u128 = updates.iter().map(|u| u.report.wall.as_nanos()).sum();
-        let max = updates
+        // Whole-process totals: every apply (initial materializations
+        // plus per-update maintenance) folded together. These are the
+        // same increments the live telemetry registry accumulates at
+        // apply boundaries, so a final `--telemetry-jsonl` snapshot (or
+        // a last `/metrics` scrape) agrees with this block
+        // counter-for-counter. `idb_tuples` is the absolute row count
+        // after the last apply — a gauge, not a sum.
+        let applied = runs
             .iter()
-            .map(|u| u.report.wall.as_nanos())
-            .max()
-            .unwrap_or(0);
-        let _ = write!(
-            s,
-            ",\"updates_summary\":{{\"count\":{},\"total_wall_ns\":{},\
-             \"mean_wall_ns\":{},\"max_wall_ns\":{}}}",
-            updates.len(),
-            total,
-            total / updates.len() as u128,
-            max
-        );
-    }
-
-    // Whole-process totals: every apply (initial materializations plus
-    // per-update maintenance) folded together. These are the same
-    // increments the live telemetry registry accumulates at apply
-    // boundaries, so a final `--telemetry-jsonl` snapshot (or a last
-    // `/metrics` scrape) agrees with this block counter-for-counter.
-    // `idb_tuples` is the absolute row count after the last apply — a
-    // gauge, not a sum.
-    let mut tot = PhaseStats::new();
-    for run in runs {
-        tot.absorb(&run.stats);
-    }
-    for u in updates {
-        tot.absorb(&u.report.stats);
-    }
-    let idb_tuples = updates
-        .last()
-        .map(|u| u.report.stats.tuples)
-        .or_else(|| runs.last().map(|r| r.stats.tuples))
-        .unwrap_or(0);
-    let _ = write!(
-        s,
-        ",\"totals\":{{\"runs\":{},\"updates_applied\":{},\"idb_tuples\":{},\
-         \"probes\":{},\"rows_matched\":{},\"sat_calls\":{},\"sat_true\":{},\
-         \"simplify_calls\":{},\"memo_hits\":{},\"cross_run_hits\":{},\"memo_misses\":{},\
-         \"pruned\":{},\"plan_cache_hits\":{},\"plan_cache_misses\":{}}}",
-        runs.len(),
-        updates.len(),
-        idb_tuples,
-        tot.ops.probes,
-        tot.ops.rows_matched,
-        tot.solver_stats.sat_calls,
-        tot.solver_stats.sat_true,
-        tot.solver_stats.simplify_calls,
-        tot.solver_stats.memo_hits,
-        tot.solver_stats.cross_run_hits,
-        tot.solver_stats.memo_misses,
-        tot.pruned,
-        tot.plan_cache_hits,
-        tot.plan_cache_misses
-    );
-    s.push('}');
-    s
+            .map(|r| &r.stats)
+            .chain(updates.iter().map(|u| &u.report.stats));
+        let applies = Applies {
+            runs: runs.len() as u64,
+            updates_applied: updates.len() as u64,
+            idb_tuples: applied.clone().last().map_or(0, |s| s.tuples),
+        };
+        let mut tot = PhaseStats::new();
+        applied.for_each(|s| tot.absorb(s));
+        doc.object("totals", |o| {
+            write_fields(o, &applies, in_totals);
+            write_fields(o, &tot.ops, in_totals);
+            write_fields(o, &tot.solver_stats, in_totals);
+            write_fields(o, &tot, in_totals);
+        });
+    })
 }
 
-fn push_rollups(s: &mut String, rollups: &[Rollup]) {
-    for (i, r) in rollups.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"cat\":\"{}\",\"name\":\"{}\",\"count\":{},\"wall_ns\":{}}}",
-            json_escape(r.cat),
-            json_escape(r.name),
-            r.count,
-            r.wall_ns
-        );
+fn push_rollups(a: &mut Arr<'_>, rollups: &[Rollup]) {
+    for r in rollups {
+        a.object(|o| {
+            o.field("cat", Str(r.cat))
+                .field("name", Str(r.name))
+                .field("count", r.count)
+                .field("wall_ns", r.wall_ns);
+        });
     }
 }
 
-fn push_db_metrics(s: &mut String, program: &faure_core::Program, run: &DbRun) {
+fn push_db_metrics(o: &mut Obj<'_>, program: &faure_core::Program, run: &DbRun) {
     let st = &run.stats;
-    let sv = &st.solver_stats;
-    let _ = write!(s, "{{\"label\":\"{}\",", json_escape(&run.label));
-    let _ = write!(
-        s,
-        "\"relational_ns\":{},\"solver_ns\":{},\"prune_wall_ns\":{},\"tuples\":{},\"pruned\":{},",
-        st.relational.as_nanos(),
-        st.solver.as_nanos(),
-        st.prune_wall.as_nanos(),
-        st.tuples,
-        st.pruned
-    );
-    let _ = write!(
-        s,
-        "\"ops\":{{\"probes\":{},\"rows_matched\":{},\"conds_conjoined\":{},\
-         \"cmp_pruned\":{},\"neg_checks\":{},\"static_cut\":{}}},",
-        st.ops.probes,
-        st.ops.rows_matched,
-        st.ops.conds_conjoined,
-        st.ops.cmp_pruned,
-        st.ops.neg_checks,
-        st.ops.static_cut
-    );
-    let _ = write!(
-        s,
-        "\"solver\":{{\"sat_calls\":{},\"sat_true\":{},\"simplify_calls\":{},\
-         \"memo_hits\":{},\"cross_run_hits\":{},\"memo_misses\":{},\"memo_hit_rate\":{:.4},\
-         \"memo_cross_run_hit_rate\":{:.4},\"time_ns\":{},\"latency_ns\":{}}},",
-        sv.sat_calls,
-        sv.sat_true,
-        sv.simplify_calls,
-        sv.memo_hits,
-        sv.cross_run_hits,
-        sv.memo_misses,
-        sv.memo_hit_rate(),
-        sv.memo_cross_run_hit_rate(),
-        sv.time.as_nanos(),
-        sv.latency.to_json()
-    );
-    let _ = write!(
-        s,
-        "\"plan_cache\":{{\"hits\":{},\"misses\":{}}},",
-        st.plan_cache_hits, st.plan_cache_misses
-    );
-    let pool = faure_ctable::pool::pool_stats();
-    let _ = write!(
-        s,
-        "\"pool\":{{\"pool_hits\":{},\"pool_misses\":{},\"pool_size\":{},\"hit_rate\":{:.4}}},",
-        pool.hits,
-        pool.misses,
-        pool.size,
-        pool.hit_rate()
-    );
-    let sizes: Vec<String> = st.delta_sizes.iter().map(usize::to_string).collect();
-    let _ = write!(s, "\"delta_sizes\":[{}],", sizes.join(","));
+    o.field("label", Str(&run.label));
+    write_fields(o, st, |s| !s.key.starts_with("plan_cache_"));
+    st.write_blocks(o, &run.pool);
+    o.array("delta_sizes", |a| {
+        a.items(&st.delta_sizes);
+    });
 
-    // Sharded-fixpoint counters (additive to schema v1; all-zero with
-    // `count` 0 and `imbalance` null when the run was not sharded).
-    let sh = &st.shard;
-    let imbalance = sh
-        .imbalance()
-        .map_or_else(|| "null".to_owned(), |r| format!("{r:.4}"));
-    let _ = write!(
-        s,
-        "\"shards\":{{\"count\":{},\"routed_rows\":{},\"broadcast_rows\":{},\
-         \"exchanged_batches\":{},\"passes\":{},\"imbalance\":{}}},",
-        sh.shards, sh.routed_rows, sh.broadcast_rows, sh.exchanged_batches, sh.passes, imbalance
-    );
-
-    s.push_str("\"phases\":[");
-    push_rollups(s, &rollup_spans(&run.events));
-    s.push_str("],");
-
-    s.push_str("\"rules\":[");
-    let per_rule = rollup_by_arg(&run.events, "fixpoint", "rule-pass", "rule");
-    for (i, (ri, r)) in per_rule.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let head = r
-            .label("head")
-            .map(str::to_owned)
-            .or_else(|| {
-                program
-                    .rules
-                    .get(*ri as usize)
-                    .map(|rule| rule.head.pred.clone())
-            })
-            .unwrap_or_default();
-        let _ = write!(
-            s,
-            "{{\"rule\":{},\"head\":\"{}\",\"passes\":{},\"wall_ns\":{},\
-             \"matches\":{},\"rows_out\":{},\"cond_size\":{}}}",
-            ri,
-            json_escape(&head),
-            r.count,
-            r.wall_ns,
-            r.sum("matches"),
-            r.sum("rows_out"),
-            r.sum("cond_size")
+    // Sharded-fixpoint counters (all-zero with `count` 0 and
+    // `imbalance` null when the run was not sharded).
+    o.object("shards", |b| {
+        write_fields(b, &st.shard, |_| true);
+        let imbalance = st.shard.imbalance();
+        b.field(
+            "imbalance",
+            imbalance.map_or("null".to_owned(), |r| format!("{r:.4}")),
         );
-    }
-    s.push_str("]}");
+    });
+
+    o.array("phases", |a| push_rollups(a, &rollup_spans(&run.events)));
+    o.array("rules", |a| {
+        for (ri, r) in rollup_by_arg(&run.events, "fixpoint", "rule-pass", "rule") {
+            let head = r.label("head").map(str::to_owned).unwrap_or_else(|| {
+                let rule = program.rules.get(ri as usize);
+                rule.map(|rule| rule.head.pred.clone()).unwrap_or_default()
+            });
+            a.object(|o| {
+                o.field("rule", ri)
+                    .field("head", Str(&head))
+                    .field("passes", r.count)
+                    .field("wall_ns", r.wall_ns)
+                    .field("matches", r.sum("matches"))
+                    .field("rows_out", r.sum("rows_out"))
+                    .field("cond_size", r.sum("cond_size"));
+            });
+        }
+    });
 }
 
 /// Formats nanoseconds human-readably (ns → µs → ms → s).
@@ -1142,6 +1038,41 @@ R(f, a, b) :- F(f, a, c), R(f, c, b).
             metrics.contains("\"memo_cross_run_hit_rate\":0.0000"),
             "{metrics}"
         );
+    }
+
+    #[test]
+    fn each_database_reports_the_pool_as_its_run_left_it() {
+        // The second database derives a conjunction over constants no
+        // other test uses, so its run interns at least one node the
+        // first run's snapshot cannot hold.
+        let second = FIG1
+            .replace("@cvar x in {0, 1}", "@cvar x in {0, 1, 7001}")
+            .replace("@cvar y in {0, 1}", "@cvar y in {0, 1, 7002}")
+            + "F(1, 8, 9) :- $x = 7001.\nF(1, 9, 10) :- $y = 7002.\n";
+        let dbs = vec![
+            ("a.fdb".to_owned(), FIG1.to_owned()),
+            ("b.fdb".to_owned(), second),
+        ];
+        let report = cmd_eval_batch(
+            &dbs,
+            "reach.fl",
+            REACH,
+            PrunePolicy::EndOfStratum,
+            Some("R"),
+            &EngineKnobs::default(),
+            &ObsOptions::artifacts(false, true),
+        )
+        .unwrap();
+        let metrics = report.metrics_json.unwrap();
+        let sizes: Vec<u64> = metrics
+            .match_indices("\"pool_size\":")
+            .map(|(i, key)| {
+                let rest = &metrics[i + key.len()..];
+                rest[..rest.find(',').unwrap()].parse().unwrap()
+            })
+            .collect();
+        assert_eq!(sizes.len(), 2, "{metrics}");
+        assert!(sizes[0] < sizes[1], "pool sizes {sizes:?} in {metrics}");
     }
 
     #[test]

@@ -1,5 +1,11 @@
 //! End-to-end tests driving the built `faure` binary as a subprocess.
 
+use faure_core::{Applies, DeltaReport};
+use faure_ctable::PoolStats;
+use faure_solver::SolverStats;
+use faure_storage::{OpStats, PhaseStats, ShardStats};
+use faure_trace::stat::{Kind, Stat, Stats};
+use faure_trace::{prom, telemetry};
 use std::io::Write;
 use std::process::Command;
 
@@ -147,11 +153,29 @@ fn json_u64(s: &str, key: &str) -> u64 {
         .unwrap_or_else(|_| panic!("key {key} not an integer in {s}"))
 }
 
-/// The ISSUE's live-telemetry acceptance check: after a churn run, the
-/// engine counters the background JSONL writer last snapshotted must
-/// agree with the `--metrics` document's whole-process `totals` block.
-/// Runs in a spawned process so no other test's evaluation can bump
-/// the process-global registry mid-comparison.
+/// One row of a stat table, with the struct's type erased.
+struct Row {
+    key: &'static str,
+    family: &'static str,
+    kind: Kind,
+}
+
+fn rows<S: Stats>() -> Vec<Row> {
+    let row = |s: &Stat<S>| Row {
+        key: s.key,
+        family: s.family,
+        kind: s.kind,
+    };
+    S::STATS.iter().filter(|s| s.published()).map(row).collect()
+}
+
+/// The schema test, driven by the stat tables: after a churn run, for
+/// every declared counter the background JSONL writer's last snapshot
+/// agrees with the `--metrics` document's whole-process `totals`
+/// block; every declared family is typed in the Prometheus text; and
+/// README's mapping table lists every (family, key) pair. The run is a
+/// spawned process so no other test's evaluation can bump the
+/// process-global registry mid-comparison.
 #[test]
 fn telemetry_jsonl_final_line_agrees_with_metrics_totals() {
     let db = write_temp("tele.fdb", FIG1);
@@ -199,40 +223,71 @@ fn telemetry_jsonl_final_line_agrees_with_metrics_totals() {
         .find(|l| !l.trim().is_empty())
         .expect("at least one snapshot line");
 
-    // Counter-for-counter agreement between the final telemetry
-    // snapshot and the metrics totals.
-    for (metric, key) in [
-        ("faure_probes_total", "probes"),
-        ("faure_rows_matched_total", "rows_matched"),
-        ("faure_sat_calls_total", "sat_calls"),
-        ("faure_sat_true_total", "sat_true"),
-        ("faure_memo_hits_total", "memo_hits"),
-        ("faure_memo_misses_total", "memo_misses"),
-        ("faure_updates_applied_total", "updates_applied"),
-        ("faure_plan_cache_hits_total", "plan_cache_hits"),
-        ("faure_plan_cache_misses_total", "plan_cache_misses"),
-    ] {
+    // Counter-for-counter (and the absolute IDB row-count gauge): what
+    // `totals` folds from the per-apply records is what the registry
+    // accumulated. Times are left out: `relational_ns` is measured
+    // again when a run is exported.
+    let in_totals = [
+        rows::<Applies>(),
+        rows::<OpStats>(),
+        rows::<SolverStats>(),
+        rows::<PhaseStats>(),
+    ];
+    for row in in_totals.iter().flatten().filter(|r| r.kind != Kind::Nanos) {
         assert_eq!(
-            json_u64(last, metric),
-            json_u64(totals, key),
-            "{metric} disagrees with totals.{key}\njsonl: {last}\ntotals: {totals}"
+            json_u64(last, row.family),
+            json_u64(totals, row.key),
+            "{} disagrees with totals.{}\njsonl: {last}\ntotals: {totals}",
+            row.family,
+            row.key
         );
     }
-    // The absolute IDB row-count gauge matches too.
-    assert_eq!(
-        json_u64(last, "faure_idb_tuples"),
-        json_u64(totals, "idb_tuples"),
-        "idb tuples gauge disagrees\njsonl: {last}\ntotals: {totals}"
-    );
-    // Pool hits: the registry mirrors the process-global pool counters
-    // at publish boundaries; the metrics pool block snapshots the same
-    // source after the last apply.
+    // The pool: the registry mirrors the process-global counters at the
+    // last apply; the database's pool block is the same source when its
+    // materialization ended, two updates earlier.
     let pool_at = metrics_doc.find("\"pool\":").expect("pool block");
-    assert_eq!(
-        json_u64(last, "faure_pool_hits_total"),
-        json_u64(&metrics_doc[pool_at..], "pool_hits"),
-        "pool hits disagree\njsonl: {last}"
-    );
+    for row in rows::<PoolStats>() {
+        assert!(
+            json_u64(last, row.family) >= json_u64(&metrics_doc[pool_at..], row.key),
+            "{} behind pool.{}\njsonl: {last}",
+            row.family,
+            row.key
+        );
+    }
+
+    // Every declared family — these and the ones outside `totals` — is
+    // typed in the Prometheus text (of this process, after one
+    // evaluation resolved the handles) and listed in README's table.
+    let elsewhere = [
+        rows::<PoolStats>(),
+        rows::<ShardStats>(),
+        rows::<DeltaReport>(),
+    ];
+    faure_cli::cmd_eval(
+        FIG1,
+        REACH,
+        faure_core::PrunePolicy::EndOfStratum,
+        None,
+        None,
+    )
+    .unwrap();
+    let text = prom::render_text(&telemetry::global().snapshot());
+    let readme = include_str!("../../../README.md");
+    for row in in_totals.iter().chain(&elsewhere).flatten() {
+        let kind = match row.kind {
+            Kind::Gauge => "gauge",
+            Kind::Counter | Kind::Nanos => "counter",
+        };
+        let type_line = format!("# TYPE {} {kind}", row.family);
+        assert!(text.lines().any(|l| l == type_line), "{type_line}\n{text}");
+        let (family, key) = (format!("`{}`", row.family), format!(".{}`", row.key));
+        assert!(
+            readme
+                .lines()
+                .any(|l| l.starts_with('|') && l.contains(&family) && l.contains(&key)),
+            "README's mapping table has no row with {family} and a JSON path ending {key}"
+        );
+    }
 }
 
 #[test]

@@ -199,13 +199,23 @@ pub struct DeltaReport {
     /// Recursive strata that over-deleted and re-derived, plus strata
     /// recomputed behind the order-safety gate.
     pub rederive_strata: usize,
-    /// Delta rows after each propagation iteration, across strata.
-    pub delta_sizes: Vec<usize>,
     /// Wall-clock time of the whole apply.
     pub wall: Duration,
-    /// Full phase statistics for this apply (solver, plans, ops).
+    /// Full phase statistics for this apply (solver, plans, ops, and
+    /// `delta_sizes`: delta rows after each propagation iteration).
     pub stats: PhaseStats,
 }
+
+faure_trace::stats!(DeltaReport {
+    inserted: Counter, "inserted", "faure_rows_inserted_total", "EDB insertions that changed state.";
+    deleted: Counter, "deleted", "faure_rows_deleted_total", "EDB rows removed or weakened by deletions.";
+    overdeleted: Counter, "overdeleted", "faure_rows_overdeleted_total", "Derived rows removed during over-deletion.";
+    rederived: Counter, "rederived", "faure_rows_rederived_total", "Derived rows (re)derived or strengthened by propagation.";
+    pruned: Counter, "pruned", "", "Changed rows the settle prune removed (published with the phase's pruned rows).";
+    strata_touched: Counter, "strata_touched", "faure_strata_touched_total", "Strata that did any work.";
+    counting_strata: Counter, "counting_strata", "", "Non-recursive strata that over-deleted (published by mode).";
+    rederive_strata: Counter, "rederive_strata", "", "Recursive or recomputed strata (published by mode).";
+});
 
 /// A standing evaluation: per-predicate tables, resolved c-variables,
 /// and the pooled solver memo, kept alive between
@@ -359,7 +369,7 @@ impl PreparedProgram {
         report.rederived = report.stats.tuples;
         report.pruned = report.stats.pruned;
         report.strata_touched = self.strat.strata.len();
-        publish_finished_apply(&report, true);
+        super::publish::publish_apply(&report, true);
         Ok(())
     }
 
@@ -401,9 +411,8 @@ impl PreparedProgram {
         }
     }
 
-    /// The setup phase factored out of the old run-once path: lint,
-    /// c-variable resolution, memo checkout, and *empty* table
-    /// creation (the caller loads the EDB facts).
+    /// The setup phase: lint, c-variable resolution, memo checkout, and
+    /// *empty* table creation (the caller loads the EDB facts).
     pub(super) fn materialize_empty(
         &self,
         db: &Database,
@@ -848,7 +857,7 @@ impl PreparedProgram {
             report.rederived,
         );
         let wall_ns = u64::try_from(report.wall.as_nanos()).unwrap_or(u64::MAX);
-        publish_finished_apply(&report, false);
+        super::publish::publish_apply(&report, false);
         tracer.emit_span("maintain", "delta", t_delta, 0, || {
             vec![
                 ("inserted", ins.into()),
@@ -1200,16 +1209,8 @@ fn finalize_apply(
         .map(Table::len)
         .sum();
     report.wall = total;
-    report.delta_sizes = stats.delta_sizes.clone();
     report.stats = stats.clone();
     state.stats = stats;
-}
-
-/// The telemetry boundary shared by both apply exits: every finished
-/// apply — fresh materialization or incremental delta — publishes its
-/// statistics into the process-global registry exactly once.
-fn publish_finished_apply(report: &DeltaReport, fresh: bool) {
-    super::publish::publish_apply(&report.stats, report, fresh);
 }
 
 #[cfg(test)]

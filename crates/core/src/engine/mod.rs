@@ -1,8 +1,7 @@
 //! The fauré-log evaluation engine: reusable prepared programs and
 //! (optionally parallel) stratified fixpoint execution.
 //!
-//! This module family replaces the old monolithic `eval::evaluate`
-//! function with an explicit two-step lifecycle:
+//! Evaluation is an explicit two-step lifecycle:
 //!
 //! 1. [`Engine::prepare`] runs everything that depends only on the
 //!    *program* — safety checking, stratification, and compilation of
@@ -15,9 +14,8 @@
 //!    paper's network-monitoring loop — skip analysis and planning
 //!    entirely: every plan lookup during a run is a cache hit.
 //!
-//! The one-shot [`evaluate`] / [`evaluate_with`] entry points are kept
-//! and now route through prepare-then-run, so their behaviour
-//! (including error order and statistics) is unchanged.
+//! The one-shot [`evaluate`] / [`evaluate_with`] entry points are
+//! prepare-then-run in one call.
 //!
 //! ## Layout
 //!
@@ -72,6 +70,7 @@ mod rule;
 mod shard;
 
 pub use maintain::{Delta, DeltaReport, MaterializedState};
+pub use publish::Applies;
 pub use rule::canonicalize;
 
 use crate::analysis::{check_safety, stratify, AnalysisError, Stratification};
@@ -494,22 +493,8 @@ impl PreparedProgram {
         let state = self.materialize_with(db, opts, tracer)?;
         let output = state.into_output(&self.idb);
 
-        let solver_stats = output.stats.solver_stats;
         tracer.emit_instant("solver", "session", 0, || {
-            vec![
-                ("sat_calls", solver_stats.sat_calls.into()),
-                ("sat_true", solver_stats.sat_true.into()),
-                ("simplify_calls", solver_stats.simplify_calls.into()),
-                ("memo_hits", solver_stats.memo_hits.into()),
-                ("cross_run_hits", solver_stats.cross_run_hits.into()),
-                ("memo_misses", solver_stats.memo_misses.into()),
-                (
-                    "time_ns",
-                    u64::try_from(solver_stats.time.as_nanos())
-                        .unwrap_or(u64::MAX)
-                        .into(),
-                ),
-            ]
+            faure_trace::stat::args(&output.stats.solver_stats)
         });
         let tuples = output.stats.tuples;
         let pruned = output.stats.pruned;

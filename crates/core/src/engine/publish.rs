@@ -9,13 +9,17 @@
 //! change evaluation results; the `trace_determinism` suite pins that
 //! down.
 //!
-//! Counter names follow Prometheus conventions (`faure_` prefix,
-//! `_total` suffix for cumulative counters, `_ns` for nanosecond
-//! histograms). The JSON↔Prometheus mapping is documented in the
-//! README's metrics-schema table; keep the two in sync.
+//! The per-apply counters are not named here: each statistics struct
+//! declares its own families in its stat table
+//! ([`faure_trace::stats!`]), and [`publish_apply`] pushes whole
+//! structs through [`faure_trace::stat::publish`], whose handles are
+//! resolved once per process. What this file names itself are the
+//! families no struct carries: the run / iteration / prune / pass
+//! events and the latency histograms. The README's mapping table lists
+//! every family against its JSON key.
 
 use super::maintain::DeltaReport;
-use faure_storage::PhaseStats;
+use faure_trace::stat::{mirror, publish};
 use faure_trace::telemetry::{global, Registry};
 use std::cell::Cell;
 
@@ -31,9 +35,10 @@ thread_local! {
     static SUPPRESSED: Cell<bool> = const { Cell::new(false) };
 }
 
-/// True while publication is suppressed on this thread.
-fn suppressed() -> bool {
-    SUPPRESSED.with(Cell::get)
+/// The global registry, unless publication is suppressed on this
+/// thread.
+fn registry() -> Option<&'static Registry> {
+    (!SUPPRESSED.with(Cell::get)).then(global)
 }
 
 /// Runs `f` with registry publication suppressed on this thread,
@@ -49,85 +54,62 @@ pub(crate) fn with_publication_suppressed<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Publishes one finished delta apply (the fresh materialization or an
-/// incremental update) into the registry: the apply's [`PhaseStats`]
-/// operator/solver/plan-cache counters, the [`DeltaReport`] row
-/// movement, the solver latency histogram, and a mirror of the
-/// process-global condition-pool counters.
-pub(crate) fn publish_apply(stats: &PhaseStats, report: &DeltaReport, fresh: bool) {
-    if suppressed() {
-        return;
-    }
-    let reg = global();
-    if fresh {
-        reg.counter("faure_materializations_total").inc();
-        reg.histogram("faure_materialize_ns")
-            .observe_ns(u64::try_from(report.wall.as_nanos()).unwrap_or(u64::MAX));
-    } else {
-        reg.counter("faure_updates_applied_total").inc();
-        reg.histogram("faure_update_apply_ns")
-            .observe_ns(u64::try_from(report.wall.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    let ops = &stats.ops;
-    reg.counter("faure_probes_total").add(ops.probes);
-    reg.counter("faure_rows_matched_total")
-        .add(ops.rows_matched);
-    reg.counter("faure_conds_conjoined_total")
-        .add(ops.conds_conjoined);
-    reg.counter("faure_cmp_pruned_total").add(ops.cmp_pruned);
-    reg.counter("faure_neg_checks_total").add(ops.neg_checks);
-    reg.counter("faure_static_cut_total").add(ops.static_cut);
-
-    let sv = &stats.solver_stats;
-    reg.counter("faure_sat_calls_total").add(sv.sat_calls);
-    reg.counter("faure_sat_true_total").add(sv.sat_true);
-    reg.counter("faure_simplify_calls_total")
-        .add(sv.simplify_calls);
-    reg.counter("faure_memo_hits_total").add(sv.memo_hits);
-    reg.counter("faure_memo_cross_run_hits_total")
-        .add(sv.cross_run_hits);
-    reg.counter("faure_memo_misses_total").add(sv.memo_misses);
-    reg.counter("faure_solver_ns_total")
-        .add(u64::try_from(sv.time.as_nanos()).unwrap_or(u64::MAX));
-    reg.histogram("faure_solver_latency_ns").merge(&sv.latency);
-
-    reg.counter("faure_relational_ns_total")
-        .add(u64::try_from(stats.relational.as_nanos()).unwrap_or(u64::MAX));
-    reg.counter("faure_prune_wall_ns_total")
-        .add(u64::try_from(stats.prune_wall.as_nanos()).unwrap_or(u64::MAX));
-    reg.counter("faure_pruned_rows_total")
-        .add(stats.pruned as u64);
-    reg.counter("faure_plan_cache_hits_total")
-        .add(stats.plan_cache_hits);
-    reg.counter("faure_plan_cache_misses_total")
-        .add(stats.plan_cache_misses);
-    // Absolute, not a per-apply increment: the standing IDB row count.
-    reg.gauge("faure_idb_tuples").set(stats.tuples as i64);
-
-    reg.counter("faure_rows_inserted_total")
-        .add(report.inserted as u64);
-    reg.counter("faure_rows_deleted_total")
-        .add(report.deleted as u64);
-    reg.counter("faure_rows_overdeleted_total")
-        .add(report.overdeleted as u64);
-    reg.counter("faure_rows_rederived_total")
-        .add(report.rederived as u64);
-    reg.counter("faure_strata_touched_total")
-        .add(report.strata_touched as u64);
-
-    sync_pool(reg);
+/// Process-level apply accounting — what the `--metrics` document's
+/// `totals` block opens with. One finished apply publishes one of
+/// these: a fresh materialization counts as a run, anything else as an
+/// applied update.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Applies {
+    /// Fresh materializations (batch runs).
+    pub runs: u64,
+    /// Incremental deltas applied.
+    pub updates_applied: u64,
+    /// Derived rows standing after the last apply — absolute, not a
+    /// per-apply increment.
+    pub idb_tuples: usize,
 }
 
-/// Mirrors the condition pool's process-global hit/miss counters and
-/// size into the registry. `sync_to` (a `fetch_max`) rather than an
-/// add: the pool counters are already cumulative, so mirroring must
-/// not double count when several applies race.
-pub(crate) fn sync_pool(reg: &Registry) {
-    let pool = faure_ctable::pool::pool_stats();
-    reg.counter("faure_pool_hits_total").sync_to(pool.hits);
-    reg.counter("faure_pool_misses_total").sync_to(pool.misses);
-    reg.gauge("faure_pool_size").set(pool.size as i64);
+faure_trace::stats!(Applies {
+    runs: Counter, "runs", "faure_materializations_total", "Fresh materializations (batch runs).";
+    updates_applied: Counter, "updates_applied", "faure_updates_applied_total", "Incremental deltas applied.";
+    idb_tuples: Gauge, "idb_tuples", "faure_idb_tuples", "Derived rows standing after the last apply.";
+});
+
+/// Publishes one finished delta apply (the fresh materialization or an
+/// incremental update) into the registry: every declared stat of the
+/// report and of its [`PhaseStats`](faure_storage::PhaseStats) tree,
+/// the apply and solver latency histograms, and a mirror of the
+/// process-global condition pool.
+pub(crate) fn publish_apply(report: &DeltaReport, fresh: bool) {
+    let Some(reg) = registry() else { return };
+    let stats = &report.stats;
+    publish(&Applies {
+        runs: u64::from(fresh),
+        updates_applied: u64::from(!fresh),
+        idb_tuples: stats.tuples,
+    });
+    let wall = if fresh {
+        "faure_materialize_ns"
+    } else {
+        "faure_update_apply_ns"
+    };
+    reg.histogram(wall)
+        .observe_ns(u64::try_from(report.wall.as_nanos()).unwrap_or(u64::MAX));
+    publish(stats);
+    publish(&stats.ops);
+    publish(&stats.solver_stats);
+    reg.histogram("faure_solver_latency_ns")
+        .merge(&stats.solver_stats.latency);
+    publish(&stats.shard);
+    publish(report);
+    sync_pool();
+}
+
+/// Mirrors the condition pool's process-global, already cumulative
+/// counters and size into the registry — raised to, not added, so
+/// mirroring cannot double count when several applies race.
+fn sync_pool() {
+    mirror(&faure_ctable::pool::pool_stats());
 }
 
 /// Publishes one maintenance stratum pass, labeled by its propagation
@@ -135,68 +117,39 @@ pub(crate) fn sync_pool(reg: &Registry) {
 /// recomputed stratum, by why the order-safety gate fired (`var_cells`
 /// / `deleted_var_row`).
 pub(crate) fn publish_maintain_stratum(mode: &str, reason: Option<&str>, changed_rows: usize) {
-    if suppressed() {
-        return;
-    }
-    let reg = global();
-    let strata = match reason {
-        Some(reason) => reg.counter_with(
-            "faure_maintain_strata_total",
-            &[("mode", mode), ("reason", reason)],
-        ),
-        None => reg.counter_with("faure_maintain_strata_total", &[("mode", mode)]),
-    };
-    strata.inc();
+    let Some(reg) = registry() else { return };
+    let mut labels = vec![("mode", mode)];
+    labels.extend(reason.map(|reason| ("reason", reason)));
+    reg.counter_with("faure_maintain_strata_total", &labels)
+        .inc();
     reg.counter("faure_maintain_changed_rows_total")
         .add(changed_rows as u64);
 }
 
 /// Publishes one finished fixpoint iteration and its delta size.
 pub(crate) fn publish_iteration(delta_rows: usize) {
-    if suppressed() {
-        return;
-    }
-    let reg = global();
+    let Some(reg) = registry() else { return };
     reg.counter("faure_fixpoint_iterations_total").inc();
     reg.counter("faure_delta_rows_total").add(delta_rows as u64);
 }
 
 /// Publishes one prune pass (whole-table or delta sweep).
 pub(crate) fn publish_prune(rows: usize, removed: usize) {
-    if suppressed() {
-        return;
-    }
-    let reg = global();
+    let Some(reg) = registry() else { return };
     reg.counter("faure_prune_passes_total").inc();
     reg.counter("faure_prune_rows_seen_total").add(rows as u64);
     reg.counter("faure_prune_rows_removed_total")
         .add(removed as u64);
 }
 
-/// Publishes one sharded delta pass: the shard count, the delta
-/// batches exchanged through the bounded channels, the rows they
-/// carried, and how many changed rows were routed to a non-producing
-/// shard (broadcast copies included) or broadcast outright.
-pub(crate) fn publish_shard_pass(
-    shards: usize,
-    batches: u64,
-    rows: usize,
-    routed: u64,
-    broadcast: u64,
-) {
-    if suppressed() {
-        return;
-    }
-    let reg = global();
-    reg.counter("faure_shard_passes_total").inc();
-    reg.counter("faure_shard_batches_total").add(batches);
+/// Publishes one sharded delta pass: the rows its batches carried and,
+/// as a standing view, how many of its changed rows went to a shard
+/// other than their producer. (The pass, batch, routed and broadcast
+/// counts ride [`ShardStats`] to the end of the apply.)
+pub(crate) fn publish_shard_pass(rows: usize, routed: u64) {
+    let Some(reg) = registry() else { return };
     reg.counter("faure_shard_rows_exchanged_total")
         .add(rows as u64);
-    reg.counter("faure_shard_routed_rows_total").add(routed);
-    reg.counter("faure_shard_broadcast_rows_total")
-        .add(broadcast);
-    reg.gauge("faure_shards").set(shards as i64);
-    // Standing view of the most recent pass's routed volume.
     reg.gauge("faure_shard_routed_delta_rows")
         .set(i64::try_from(routed).unwrap_or(i64::MAX));
 }
@@ -204,10 +157,7 @@ pub(crate) fn publish_shard_pass(
 /// Publishes one data-parallel rule pass: how many chunks the match
 /// list was cut into, and on how many worker threads.
 pub(crate) fn publish_parallel(workers: usize, chunks: usize) {
-    if suppressed() {
-        return;
-    }
-    let reg = global();
+    let Some(reg) = registry() else { return };
     reg.counter("faure_parallel_rule_passes_total").inc();
     reg.counter("faure_parallel_chunks_total")
         .add(chunks as u64);
@@ -217,10 +167,7 @@ pub(crate) fn publish_parallel(workers: usize, chunks: usize) {
 /// Publishes the start of an evaluation run (batch `run()` or a fresh
 /// materialization) and its configured thread count.
 pub(crate) fn publish_run(threads: usize) {
-    if suppressed() {
-        return;
-    }
-    let reg = global();
+    let Some(reg) = registry() else { return };
     reg.counter("faure_runs_total").inc();
     reg.gauge("faure_threads").set(threads as i64);
 }

@@ -249,7 +249,7 @@ pub(super) fn pass(
     }
     let routed = d.stats.shard.routed_rows - routed_before;
     let broadcast = d.stats.shard.broadcast_rows - broadcast_before;
-    super::publish::publish_shard_pass(n, batch_count as u64, rows_out, routed, broadcast);
+    super::publish::publish_shard_pass(rows_out, routed);
     d.ctx
         .tracer
         .emit_span("fixpoint", "shard-pass", t_pass, 0, || {

@@ -31,6 +31,7 @@
 
 use crate::analysis::{check_safety, stratify, AnalysisError};
 use crate::ast::{ArgTerm, Literal, Program, Rule};
+use faure_trace::json::{self, Arr, Str};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -588,35 +589,20 @@ pub fn explain_program(program: &Program) -> Result<String, AnalysisError> {
     Ok(out)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders one plan as a JSON array of operator objects, mirroring the
-/// numbered lines of [`render_plan`].
-fn plan_to_json(rule: &Rule, plan: &RulePlan) -> String {
-    use fmt::Write;
-    let mut ops: Vec<String> = Vec::new();
+/// Writes one plan as operator objects, mirroring the numbered lines
+/// of [`render_plan`].
+fn plan_ops(ops: &mut Arr<'_>, rule: &Rule, plan: &RulePlan) {
+    let filter = |ops: &mut Arr<'_>, ci: usize, pushed: bool| {
+        ops.object(|o| {
+            o.field("op", Str("filter"))
+                .field("expr", Str(&rule.comparisons[ci]))
+                .field("pushed", pushed);
+        });
+    };
     for &ci in &plan.initial_comparisons {
-        ops.push(format!(
-            r#"{{"op":"filter","expr":"{}","pushed":false}}"#,
-            json_escape(&rule.comparisons[ci].to_string())
-        ));
+        filter(ops, ci, false);
     }
     for step in &plan.steps {
-        let atom = rule.body[step.lit_pos].atom();
         let kind = if step.is_delta {
             "scan-delta"
         } else if step.bound_cols > 0 {
@@ -624,43 +610,27 @@ fn plan_to_json(rule: &Rule, plan: &RulePlan) -> String {
         } else {
             "scan"
         };
-        let binds: Vec<String> = step
-            .binds
-            .iter()
-            .map(|b| format!("\"{}\"", json_escape(b)))
-            .collect();
-        ops.push(format!(
-            r#"{{"op":"{kind}","atom":"{}","bound_cols":{},"binds":[{}]}}"#,
-            json_escape(&atom.to_string()),
-            step.bound_cols,
-            binds.join(",")
-        ));
+        ops.object(|o| {
+            o.field("op", Str(kind))
+                .field("atom", Str(rule.body[step.lit_pos].atom()))
+                .field("bound_cols", step.bound_cols);
+            o.array("binds", |b| {
+                b.items(step.binds.iter().map(Str));
+            });
+        });
         for &ci in &step.comparisons {
-            ops.push(format!(
-                r#"{{"op":"filter","expr":"{}","pushed":true}}"#,
-                json_escape(&rule.comparisons[ci].to_string())
-            ));
+            filter(ops, ci, true);
         }
     }
     for &np in &plan.negations {
-        ops.push(format!(
-            r#"{{"op":"negate","literal":"{}"}}"#,
-            json_escape(&rule.body[np].to_string())
-        ));
+        ops.object(|o| {
+            o.field("op", Str("negate"))
+                .field("literal", Str(&rule.body[np]));
+        });
     }
-    ops.push(format!(
-        r#"{{"op":"emit","atom":"{}"}}"#,
-        json_escape(&rule.head.to_string())
-    ));
-    let mut s = String::from("[");
-    for (i, op) in ops.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{op}");
-    }
-    s.push(']');
-    s
+    ops.object(|o| {
+        o.field("op", Str("emit")).field("atom", Str(&rule.head));
+    });
 }
 
 /// The JSON form of [`explain_program`]: a JSON array with one object
@@ -669,45 +639,44 @@ fn plan_to_json(rule: &Rule, plan: &RulePlan) -> String {
 /// literal). Powers `faure explain --format json` for editor and CI
 /// integration, mirroring `faure check --format json`.
 pub fn explain_program_json(program: &Program) -> Result<String, AnalysisError> {
-    use fmt::Write;
     check_safety(program)?;
     let strat = stratify(program)?;
-    let mut out = String::from("[");
-    let mut first = true;
-    for (si, stratum_rules) in strat.strata.iter().enumerate() {
-        let stratum_preds: BTreeSet<&str> = stratum_rules
-            .iter()
-            .map(|&ri| program.rules[ri].head.pred.as_str())
-            .collect();
-        for &ri in stratum_rules {
-            let rule = &program.rules[ri];
-            if !first {
-                out.push(',');
+    let mut out = json::array(|rules| {
+        for (si, stratum_rules) in strat.strata.iter().enumerate() {
+            let stratum_preds: BTreeSet<&str> = stratum_rules
+                .iter()
+                .map(|&ri| program.rules[ri].head.pred.as_str())
+                .collect();
+            for &ri in stratum_rules {
+                let rule = &program.rules[ri];
+                rules.object(|o| {
+                    o.field("stratum", si)
+                        .field("rule", ri + 1)
+                        .field("text", Str(rule));
+                    o.array("plans", |plans| {
+                        plans.object(|p| {
+                            p.field("delta", "null");
+                            p.array("ops", |ops| plan_ops(ops, rule, &compile_rule(rule, None)));
+                        });
+                        for (pos, lit) in rule.body.iter().enumerate() {
+                            let pred = lit.atom().pred.as_str();
+                            if lit.is_negative() || !stratum_preds.contains(pred) {
+                                continue;
+                            }
+                            plans.object(|p| {
+                                p.object("delta", |d| {
+                                    d.field("pred", Str(pred)).field("body", pos + 1);
+                                });
+                                let plan = compile_rule(rule, Some(pos));
+                                p.array("ops", |ops| plan_ops(ops, rule, &plan));
+                            });
+                        }
+                    });
+                });
             }
-            first = false;
-            let _ = write!(
-                out,
-                r#"{{"stratum":{si},"rule":{},"text":"{}","plans":[{{"delta":null,"ops":{}}}"#,
-                ri + 1,
-                json_escape(&rule.to_string()),
-                plan_to_json(rule, &compile_rule(rule, None))
-            );
-            for (pos, lit) in rule.body.iter().enumerate() {
-                if lit.is_negative() || !stratum_preds.contains(lit.atom().pred.as_str()) {
-                    continue;
-                }
-                let _ = write!(
-                    out,
-                    r#",{{"delta":{{"pred":"{}","body":{}}},"ops":{}}}"#,
-                    json_escape(&lit.atom().pred),
-                    pos + 1,
-                    plan_to_json(rule, &compile_rule(rule, Some(pos)))
-                );
-            }
-            out.push_str("]}");
         }
-    }
-    out.push_str("]\n");
+    });
+    out.push('\n');
     Ok(out)
 }
 

@@ -108,6 +108,12 @@ pub struct PoolStats {
     pub size: usize,
 }
 
+faure_trace::stats!(PoolStats {
+    hits: Counter, "pool_hits", "faure_pool_hits_total", "Condition-pool dedup lookups that found an existing node.";
+    misses: Counter, "pool_misses", "faure_pool_misses_total", "Condition-pool dedup lookups that allocated a new node.";
+    size: Gauge, "pool_size", "faure_pool_size", "Distinct condition nodes interned.";
+});
+
 impl PoolStats {
     /// hits / (hits + misses), or 0 when no lookups happened.
     pub fn hit_rate(&self) -> f64 {
@@ -501,7 +507,10 @@ mod tests {
     fn scoped_stats_are_order_independent() {
         // Warm the pool with unrelated work, then assert on the delta
         // of a scoped region: the numbers must not depend on how much
-        // ran before the snapshot.
+        // ran before the snapshot. The sibling tests intern on other
+        // threads meanwhile, so only what holds under concurrency is
+        // asserted here; the exact deltas are pinned by
+        // `tests/pool_scoped.rs`, one test in a process of its own.
         let (x, y) = vars2();
         intern(&Condition::eq(Term::Var(x), Term::int(100)));
         let baseline = pool_stats();
@@ -510,18 +519,11 @@ mod tests {
         intern(&c);
         intern(&c);
         let scoped = pool_stats_since(&baseline);
-        // The second intern of `c` hits on every node; the first may
-        // hit or miss per node depending on prior process history, but
-        // the scoped delta always shows both activity and hits.
         // `c` is three nodes (two atoms + one And); the second intern
         // hits on each.
         assert!(scoped.hits >= 3, "re-intern must hit per node: {scoped:?}");
         assert!(scoped.hit_rate() > 0.0);
-        assert_eq!(scoped.size, pool_stats().size);
-        // A no-op region reads as a zero delta.
-        let quiet = pool_stats_since(&pool_stats());
-        assert_eq!(quiet.hits, 0);
-        assert_eq!(quiet.misses, 0);
+        assert!(scoped.size >= baseline.size, "the pool never shrinks");
     }
 
     #[test]

@@ -78,6 +78,17 @@ pub struct SolverStats {
     pub latency: Histogram,
 }
 
+faure_trace::stats!(SolverStats {
+    sat_calls: Counter, "sat_calls", "faure_sat_calls_total", "Satisfiability queries issued.";
+    sat_true: Counter, "sat_true", "faure_sat_true_total", "Satisfiability queries that came back satisfiable.";
+    simplify_calls: Counter, "simplify_calls", "faure_simplify_calls_total", "Solver-backed simplifications requested.";
+    memo_hits: Counter, "memo_hits", "faure_memo_hits_total", "Solver queries answered from the memo.";
+    cross_run_hits: Counter, "cross_run_hits", "faure_memo_cross_run_hits_total", "Memo hits on an entry cached by an earlier run.";
+    cross_shard_hits: Counter, "cross_shard_hits", "faure_memo_cross_shard_hits_total", "Memo hits on an entry written by another shard.";
+    memo_misses: Counter, "memo_misses", "faure_memo_misses_total", "Solver queries that missed the memo and ran the solver.";
+    time: Nanos, "time_ns", "faure_solver_ns_total", "Time inside the solver, summed over workers.";
+});
+
 impl SolverStats {
     /// Fraction of memoisable queries answered from the memo, in
     /// `[0, 1]`; `0.0` when no queries were issued.
@@ -103,18 +114,11 @@ impl SolverStats {
         }
     }
 
-    /// Folds another stats record into this one (all counters and the
-    /// accumulated time sum field-wise). This is how worker sessions'
-    /// statistics merge back into the run's totals.
+    /// Folds another stats record into this one (every declared stat,
+    /// saturating, plus the latency histogram). This is how worker
+    /// sessions' statistics merge back into the run's totals.
     pub fn absorb(&mut self, other: &SolverStats) {
-        self.sat_calls += other.sat_calls;
-        self.sat_true += other.sat_true;
-        self.simplify_calls += other.simplify_calls;
-        self.memo_hits += other.memo_hits;
-        self.cross_run_hits += other.cross_run_hits;
-        self.cross_shard_hits += other.cross_shard_hits;
-        self.memo_misses += other.memo_misses;
-        self.time += other.time;
+        faure_trace::stat::absorb(self, other);
         self.latency.merge(&other.latency);
     }
 }

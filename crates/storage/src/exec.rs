@@ -42,19 +42,20 @@ pub struct OpStats {
     pub static_cut: u64,
 }
 
+faure_trace::stats!(OpStats {
+    probes: Counter, "probes", "faure_probes_total", "Pattern-match operator invocations.";
+    rows_matched: Counter, "rows_matched", "faure_rows_matched_total", "Rows returned by probes.";
+    conds_conjoined: Counter, "conds_conjoined", "faure_conds_conjoined_total", "Condition fragments conjoined by the join.";
+    cmp_pruned: Counter, "cmp_pruned", "faure_cmp_pruned_total", "Join branches cut by a ground-false comparison.";
+    neg_checks: Counter, "neg_checks", "faure_neg_checks_total", "Negation checks performed.";
+    static_cut: Counter, "static_cut", "faure_static_cut_total", "Rule passes skipped as statically empty.";
+});
+
 impl OpStats {
-    /// Folds another counter record into this one. Saturating: the
-    /// driver folds one record per parallel worker per rule pass, and a
-    /// long-running process must clamp at `u64::MAX` rather than wrap
-    /// back towards zero (a wrapped counter reads as "cheap rule" in a
-    /// profile, the worst possible lie).
+    /// Folds another counter record into this one (saturating): the
+    /// driver folds one record per parallel worker per rule pass.
     pub fn absorb(&mut self, other: &OpStats) {
-        self.probes = self.probes.saturating_add(other.probes);
-        self.rows_matched = self.rows_matched.saturating_add(other.rows_matched);
-        self.conds_conjoined = self.conds_conjoined.saturating_add(other.conds_conjoined);
-        self.cmp_pruned = self.cmp_pruned.saturating_add(other.cmp_pruned);
-        self.neg_checks = self.neg_checks.saturating_add(other.neg_checks);
-        self.static_cut = self.static_cut.saturating_add(other.static_cut);
+        faure_trace::stat::absorb(self, other);
     }
 }
 

@@ -4,13 +4,16 @@
 //! SQL phases (data generation + condition updates) and the time spent
 //! in Z3 (pruning contradictory rows) separately. [`PhaseStats`] is the
 //! accumulator threaded through evaluation so the bench harness can
-//! print the same columns — plus, since the plan-compilation refactor,
-//! per-operator row/condition counters, per-iteration delta sizes, and
-//! plan-cache hit counters.
+//! print the same columns, plus per-operator, solver, plan-cache and
+//! shard counters and per-iteration delta sizes. Its scalars are
+//! declared in a stat table, like those of the structs it nests.
 
 use crate::exec::OpStats;
 use crate::shard::ShardStats;
+use faure_ctable::PoolStats;
 use faure_solver::session::SolverStats;
+use faure_trace::json::Obj;
+use faure_trace::stat::{write_fields, Kind, Stats};
 use std::time::Duration;
 
 /// Accumulated per-phase statistics for one query evaluation.
@@ -52,6 +55,16 @@ pub struct PhaseStats {
     pub shard: ShardStats,
 }
 
+faure_trace::stats!(PhaseStats {
+    relational: Nanos, "relational_ns", "faure_relational_ns_total", "Time in the relational phases.";
+    solver: Nanos, "solver_ns", "", "Time in the solver phase (published as the solver's own time).";
+    prune_wall: Nanos, "prune_wall_ns", "faure_prune_wall_ns_total", "Driver wall-clock of the prune phase.";
+    tuples: Counter, "tuples", "", "Tuples produced (the standing count is published per apply).";
+    pruned: Counter, "pruned", "faure_pruned_rows_total", "Tuples removed by the solver phase.";
+    plan_cache_hits: Counter, "plan_cache_hits", "faure_plan_cache_hits_total", "Rule plans served from the plan cache.";
+    plan_cache_misses: Counter, "plan_cache_misses", "faure_plan_cache_misses_total", "Rule plans compiled.";
+});
+
 impl PhaseStats {
     /// Zeroed stats.
     pub fn new() -> Self {
@@ -60,22 +73,47 @@ impl PhaseStats {
 
     /// Folds another stats record into this one.
     pub fn absorb(&mut self, other: &PhaseStats) {
-        self.relational += other.relational;
-        self.solver += other.solver;
-        self.tuples += other.tuples;
-        self.pruned += other.pruned;
-        self.prune_wall += other.prune_wall;
+        faure_trace::stat::absorb(self, other);
         self.solver_stats.absorb(&other.solver_stats);
         self.ops.absorb(&other.ops);
         self.delta_sizes.extend_from_slice(&other.delta_sizes);
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.plan_cache_misses += other.plan_cache_misses;
         self.shard.absorb(&other.shard);
     }
 
     /// Total wall-clock time (relational + solver).
     pub fn total(&self) -> Duration {
         self.relational + self.solver
+    }
+
+    /// Writes the four blocks every per-run JSON view carries (a
+    /// `--metrics` `databases[]` entry, a bench row's `metrics`):
+    /// `ops`, `solver`, `plan_cache`, and `pool` — the process-wide
+    /// condition pool as it stood when the run ended.
+    pub fn write_blocks(&self, o: &mut Obj<'_>, pool: &PoolStats) {
+        let sv = &self.solver_stats;
+        let rate = |r: f64| format!("{r:.4}");
+        o.object("ops", |b| write_fields(b, &self.ops, |_| true));
+        o.object("solver", |b| {
+            write_fields(b, sv, |s| s.kind != Kind::Nanos);
+            b.field("memo_hit_rate", rate(sv.memo_hit_rate()));
+            b.field(
+                "memo_cross_run_hit_rate",
+                rate(sv.memo_cross_run_hit_rate()),
+            );
+            write_fields(b, sv, |s| s.kind == Kind::Nanos);
+            b.field("latency_ns", sv.latency.to_json());
+        });
+        o.object("plan_cache", |b| {
+            for stat in Self::STATS {
+                if let Some(key) = stat.key.strip_prefix("plan_cache_") {
+                    b.field(key, (stat.get)(self));
+                }
+            }
+        });
+        o.object("pool", |b| {
+            write_fields(b, pool, |_| true);
+            b.field("hit_rate", rate(pool.hit_rate()));
+        });
     }
 }
 

@@ -94,6 +94,14 @@ pub struct ShardStats {
     pub shard_wall: Vec<Duration>,
 }
 
+faure_trace::stats!(ShardStats {
+    shards: Gauge, "count", "faure_shards", "Delta partitions of the last sharded run.";
+    routed_rows: Counter, "routed_rows", "faure_shard_routed_rows_total", "Changed rows routed to a shard other than their producer.";
+    broadcast_rows: Counter, "broadcast_rows", "faure_shard_broadcast_rows_total", "Changed rows broadcast because their key cell is a c-variable.";
+    exchanged_batches: Counter, "exchanged_batches", "faure_shard_batches_total", "Delta batches exchanged between shards.";
+    passes: Counter, "passes", "faure_shard_passes_total", "Sharded rule passes executed.";
+});
+
 impl ShardStats {
     /// Zeroed stats.
     pub fn new() -> Self {
@@ -123,11 +131,7 @@ impl ShardStats {
     /// Folds another record into this one (shard counts must agree; the
     /// larger wins so absorbing a serial run's zeroed stats is a no-op).
     pub fn absorb(&mut self, other: &ShardStats) {
-        self.shards = self.shards.max(other.shards);
-        self.routed_rows += other.routed_rows;
-        self.broadcast_rows += other.broadcast_rows;
-        self.exchanged_batches += other.exchanged_batches;
-        self.passes += other.passes;
+        faure_trace::stat::absorb(self, other);
         for (i, w) in other.shard_wall.iter().enumerate() {
             self.record_wall(i, *w);
         }

@@ -8,34 +8,34 @@
 //! event (`driver` for track 0, `worker N` for the parallel chunks),
 //! so a parallel run renders as one lane per worker.
 
-use crate::{json_escape, ArgValue, Event};
+use crate::json::{self, Str};
+use crate::{ArgValue, Event};
+use std::fmt;
 
-fn write_us(out: &mut String, ns: u64) {
-    // ns → µs with 3 decimals, without going through f64 (exact).
-    let whole = ns / 1000;
-    let frac = ns % 1000;
-    if frac == 0 {
-        out.push_str(&whole.to_string());
-    } else {
-        out.push_str(&format!("{whole}.{frac:03}"));
+/// Nanoseconds as µs with 3 decimals, without going through f64
+/// (exact).
+struct Micros(u64);
+
+impl fmt::Display for Micros {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match (self.0 / 1000, self.0 % 1000) {
+            (whole, 0) => write!(f, "{whole}"),
+            (whole, frac) => write!(f, "{whole}.{frac:03}"),
+        }
     }
 }
 
-fn write_arg_value(out: &mut String, v: &ArgValue) {
-    match v {
-        ArgValue::UInt(u) => out.push_str(&u.to_string()),
-        ArgValue::Int(i) => out.push_str(&i.to_string()),
-        ArgValue::Float(f) => {
-            if f.is_finite() {
-                out.push_str(&format!("{f}"));
-            } else {
-                out.push_str("null");
-            }
-        }
-        ArgValue::Str(s) => {
-            out.push('"');
-            out.push_str(&json_escape(s));
-            out.push('"');
+/// An argument as a JSON value (a non-finite float as `null`).
+struct Arg<'a>(&'a ArgValue);
+
+impl fmt::Display for Arg<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            ArgValue::UInt(u) => write!(f, "{u}"),
+            ArgValue::Int(i) => write!(f, "{i}"),
+            ArgValue::Float(x) if x.is_finite() => write!(f, "{x}"),
+            ArgValue::Float(_) => f.write_str("null"),
+            ArgValue::Str(s) => write!(f, "{}", Str(s)),
         }
     }
 }
@@ -46,59 +46,41 @@ pub fn trace_json(events: &[Event]) -> String {
     tracks.sort_unstable();
     tracks.dedup();
 
-    let mut out = String::with_capacity(events.len() * 96 + 256);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-
-    for track in &tracks {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let name = if *track == 0 {
-            "driver".to_owned()
-        } else {
-            format!("worker {track}")
-        };
-        out.push_str(&format!(
-            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{track},\"name\":\"thread_name\",\
-             \"args\":{{\"name\":\"{name}\"}}}}"
-        ));
-    }
-
-    for e in events {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("{\"ph\":\"X\",\"pid\":1,\"tid\":");
-        out.push_str(&e.track.to_string());
-        out.push_str(",\"cat\":\"");
-        out.push_str(e.cat);
-        out.push_str("\",\"name\":\"");
-        out.push_str(&json_escape(e.name));
-        out.push_str("\",\"ts\":");
-        write_us(&mut out, e.start_ns);
-        out.push_str(",\"dur\":");
-        write_us(&mut out, e.dur_ns);
-        if !e.args.is_empty() {
-            out.push_str(",\"args\":{");
-            for (i, (k, v)) in e.args.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(&json_escape(k));
-                out.push_str("\":");
-                write_arg_value(&mut out, v);
+    json::object(|doc| {
+        doc.array("traceEvents", |evs| {
+            for &track in &tracks {
+                let name = match track {
+                    0 => "driver".to_owned(),
+                    n => format!("worker {n}"),
+                };
+                evs.object(|o| {
+                    o.field("ph", Str("M")).field("pid", 1).field("tid", track);
+                    o.field("name", Str("thread_name"));
+                    o.object("args", |a| {
+                        a.field("name", Str(name));
+                    });
+                });
             }
-            out.push('}');
-        }
-        out.push('}');
-    }
-
-    out.push_str("],\"displayTimeUnit\":\"ns\"}");
-    out
+            for e in events {
+                evs.object(|o| {
+                    o.field("ph", Str("X"))
+                        .field("pid", 1)
+                        .field("tid", e.track);
+                    o.field("cat", Str(e.cat)).field("name", Str(e.name));
+                    o.field("ts", Micros(e.start_ns))
+                        .field("dur", Micros(e.dur_ns));
+                    if !e.args.is_empty() {
+                        o.object("args", |a| {
+                            for (k, v) in &e.args {
+                                a.field(k, Arg(v));
+                            }
+                        });
+                    }
+                });
+            }
+        });
+        doc.field("displayTimeUnit", Str("ns"));
+    })
 }
 
 #[cfg(test)]

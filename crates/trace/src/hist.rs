@@ -139,12 +139,13 @@ impl Histogram {
     /// JSON array of the non-empty buckets:
     /// `[{"lo_ns":..,"hi_ns":..,"count":..}, ...]`.
     pub fn to_json(&self) -> String {
-        let items: Vec<String> = self
-            .nonzero_buckets()
-            .into_iter()
-            .map(|(lo, hi, c)| format!("{{\"lo_ns\":{lo},\"hi_ns\":{hi},\"count\":{c}}}"))
-            .collect();
-        format!("[{}]", items.join(","))
+        crate::json::array(|a| {
+            for (lo, hi, c) in self.nonzero_buckets() {
+                a.object(|o| {
+                    o.field("lo_ns", lo).field("hi_ns", hi).field("count", c);
+                });
+            }
+        })
     }
 }
 

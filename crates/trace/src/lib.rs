@@ -28,7 +28,10 @@
 //! * [`metrics`] rolls spans up by `(category, name)` or by an argument
 //!   key into stable aggregate records for the `--metrics` schema;
 //! * [`Histogram`] is the power-of-two latency histogram the solver
-//!   session records per-check solve times into.
+//!   session records per-check solve times into;
+//! * [`stat`] is the table every statistics struct declares its
+//!   counters in (JSON key, Prometheus family, kind, help) and the views
+//!   derived from it; [`json`] is the workspace's one JSON writer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,14 +39,16 @@
 pub mod chrome;
 pub mod flight;
 pub mod hist;
+pub mod json;
 pub mod metrics;
 pub mod prom;
+pub mod stat;
 pub mod telemetry;
 
 pub use flight::{FlightRecorder, Tee};
 pub use hist::Histogram;
+pub use json::json_escape;
 
-use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -390,27 +395,6 @@ impl Tracer {
             }
         }
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal (used by
-/// both output writers; exposed for the CLI's hand-rolled JSON).
-pub fn json_escape(s: &str) -> Cow<'_, str> {
-    if !s.chars().any(|c| c == '"' || c == '\\' || c < '\u{20}') {
-        return Cow::Borrowed(s);
-    }
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if c < '\u{20}' => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    Cow::Owned(out)
 }
 
 #[cfg(test)]

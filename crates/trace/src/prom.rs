@@ -17,7 +17,7 @@
 //! scrapers and `curl`.
 
 use crate::hist::{Histogram, BUCKETS};
-use crate::json_escape;
+use crate::json;
 use crate::telemetry::{Key, Registry, Snapshot};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
@@ -59,34 +59,39 @@ fn label_block(key: &Key, extra: Option<(&str, &str)>) -> String {
     }
 }
 
-/// Emits one `# TYPE` header per metric name (names arrive sorted, so
-/// a family's members are contiguous).
-fn type_header(out: &mut String, last: &mut Option<String>, name: &str, kind: &str) {
-    if last.as_deref() != Some(name) {
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        *last = Some(name.to_owned());
+/// Renders one metric kind: per family (names arrive sorted, so a
+/// family's members are contiguous) its `# HELP` line when a stat table
+/// declares it and its `# TYPE` line, then `sample` for every member.
+fn render_kind<V>(
+    out: &mut String,
+    kind: &str,
+    metrics: &[(Key, V)],
+    sample: impl Fn(&mut String, &Key, &V),
+) {
+    let mut last = None;
+    for (key, v) in metrics {
+        if last != Some(key.name) {
+            if let Some(help) = crate::stat::help(key.name) {
+                let _ = writeln!(out, "# HELP {} {help}", key.name);
+            }
+            let _ = writeln!(out, "# TYPE {} {kind}", key.name);
+            last = Some(key.name);
+        }
+        sample(out, key, v);
     }
 }
 
 /// Renders a snapshot as Prometheus text exposition v0.0.4.
 pub fn render_text(snap: &Snapshot) -> String {
     let mut out = String::with_capacity(4096);
-    let mut last: Option<String> = None;
-    for (key, v) in &snap.counters {
-        type_header(&mut out, &mut last, key.name, "counter");
-        let _ = writeln!(out, "{}{} {v}", key.name, label_block(key, None));
-    }
-    last = None;
-    for (key, v) in &snap.gauges {
-        type_header(&mut out, &mut last, key.name, "gauge");
-        let _ = writeln!(out, "{}{} {v}", key.name, label_block(key, None));
-    }
-    last = None;
-    for (key, h) in &snap.hists {
-        type_header(&mut out, &mut last, key.name, "histogram");
-        render_histogram(&mut out, key, h);
-    }
+    render_kind(&mut out, "counter", &snap.counters, render_sample);
+    render_kind(&mut out, "gauge", &snap.gauges, render_sample);
+    render_kind(&mut out, "histogram", &snap.hists, render_histogram);
     out
+}
+
+fn render_sample(out: &mut String, key: &Key, v: &impl std::fmt::Display) {
+    let _ = writeln!(out, "{}{} {v}", key.name, label_block(key, None));
 }
 
 /// The cumulative `_bucket` / `_sum` / `_count` series for one
@@ -109,20 +114,9 @@ fn render_histogram(out: &mut String, key: &Key, h: &Histogram) {
             label_block(key, Some(("le", &le)))
         );
     }
-    let _ = writeln!(
-        out,
-        "{}_sum{} {}",
-        key.name,
-        label_block(key, None),
-        h.sum_ns()
-    );
-    let _ = writeln!(
-        out,
-        "{}_count{} {}",
-        key.name,
-        label_block(key, None),
-        h.count()
-    );
+    let (name, labels) = (key.name, label_block(key, None));
+    let _ = writeln!(out, "{name}_sum{labels} {}", h.sum_ns());
+    let _ = writeln!(out, "{name}_count{labels} {}", h.count());
 }
 
 /// Flattened metric name for the JSONL rendering: `name` or
@@ -137,38 +131,28 @@ fn flat_name(key: &Key) -> String {
 /// vectors live in the Prometheus endpoint; the JSONL log is for
 /// cheap time-series plotting.
 pub fn render_jsonl(snap: &Snapshot) -> String {
-    let mut s = String::with_capacity(1024);
-    let _ = write!(s, "{{\"uptime_s\":{:.3},", snap.uptime.as_secs_f64());
-    s.push_str("\"counters\":{");
-    for (i, (key, v)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\":{v}", json_escape(&flat_name(key)));
-    }
-    s.push_str("},\"gauges\":{");
-    for (i, (key, v)) in snap.gauges.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\":{v}", json_escape(&flat_name(key)));
-    }
-    s.push_str("},\"histograms\":{");
-    for (i, (key, h)) in snap.hists.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\"{}\":{{\"count\":{},\"sum_ns\":{},\"mean_ns\":{}}}",
-            json_escape(&flat_name(key)),
-            h.count(),
-            h.sum_ns(),
-            h.mean_ns()
-        );
-    }
-    s.push_str("}}");
-    s
+    json::object(|o| {
+        o.field("uptime_s", format_args!("{:.3}", snap.uptime.as_secs_f64()));
+        o.object("counters", |c| {
+            for (key, v) in &snap.counters {
+                c.field(&flat_name(key), v);
+            }
+        });
+        o.object("gauges", |g| {
+            for (key, v) in &snap.gauges {
+                g.field(&flat_name(key), v);
+            }
+        });
+        o.object("histograms", |hs| {
+            for (key, h) in &snap.hists {
+                hs.object(&flat_name(key), |o| {
+                    o.field("count", h.count())
+                        .field("sum_ns", h.sum_ns())
+                        .field("mean_ns", h.mean_ns());
+                });
+            }
+        });
+    })
 }
 
 /// Handle to a running scrape endpoint. The background thread lives

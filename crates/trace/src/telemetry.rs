@@ -156,6 +156,21 @@ impl Default for Registry {
     }
 }
 
+/// The handle stored under `key`, created on first use.
+fn intern<H: Clone + Default>(map: &Mutex<BTreeMap<Key, H>>, key: Key) -> H {
+    map.lock()
+        .expect("telemetry registry poisoned")
+        .entry(key)
+        .or_default()
+        .clone()
+}
+
+/// A copy of every metric in `map`, as `read` reads its handle.
+fn copy<H, V>(map: &Mutex<BTreeMap<Key, H>>, read: impl Fn(&H) -> V) -> Vec<(Key, V)> {
+    let map = map.lock().expect("telemetry registry poisoned");
+    map.iter().map(|(k, h)| (k.clone(), read(h))).collect()
+}
+
 impl Registry {
     /// An empty registry whose uptime starts now.
     pub fn new() -> Self {
@@ -169,63 +184,22 @@ impl Registry {
 
     /// The unlabeled counter `name`, created on first use.
     pub fn counter(&self, name: &'static str) -> Counter {
-        self.counter_key(Key::plain(name))
+        intern(&self.counters, Key::plain(name))
     }
 
     /// One member of the labeled counter family `name`.
     pub fn counter_with(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Counter {
-        self.counter_key(Key::labeled(name, labels))
-    }
-
-    fn counter_key(&self, key: Key) -> Counter {
-        self.counters
-            .lock()
-            .expect("telemetry registry poisoned")
-            .entry(key)
-            .or_default()
-            .clone()
+        intern(&self.counters, Key::labeled(name, labels))
     }
 
     /// The unlabeled gauge `name`, created on first use.
     pub fn gauge(&self, name: &'static str) -> Gauge {
-        self.gauge_key(Key::plain(name))
-    }
-
-    /// One member of the labeled gauge family `name`.
-    pub fn gauge_with(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Gauge {
-        self.gauge_key(Key::labeled(name, labels))
-    }
-
-    fn gauge_key(&self, key: Key) -> Gauge {
-        self.gauges
-            .lock()
-            .expect("telemetry registry poisoned")
-            .entry(key)
-            .or_default()
-            .clone()
+        intern(&self.gauges, Key::plain(name))
     }
 
     /// The unlabeled histogram `name`, created on first use.
     pub fn histogram(&self, name: &'static str) -> HistogramHandle {
-        self.hist_key(Key::plain(name))
-    }
-
-    /// One member of the labeled histogram family `name`.
-    pub fn histogram_with(
-        &self,
-        name: &'static str,
-        labels: &[(&'static str, &str)],
-    ) -> HistogramHandle {
-        self.hist_key(Key::labeled(name, labels))
-    }
-
-    fn hist_key(&self, key: Key) -> HistogramHandle {
-        self.hists
-            .lock()
-            .expect("telemetry registry poisoned")
-            .entry(key)
-            .or_default()
-            .clone()
+        intern(&self.hists, Key::plain(name))
     }
 
     /// Time since the registry was created.
@@ -238,27 +212,9 @@ impl Registry {
     /// `/proc/self/status` RSS / peak-RSS / thread-count readings —
     /// the same reader the bench harness's `peak_rss_kb` column uses).
     pub fn snapshot(&self) -> Snapshot {
-        let counters: Vec<(Key, u64)> = self
-            .counters
-            .lock()
-            .expect("telemetry registry poisoned")
-            .iter()
-            .map(|(k, c)| (k.clone(), c.get()))
-            .collect();
-        let mut gauges: Vec<(Key, f64)> = self
-            .gauges
-            .lock()
-            .expect("telemetry registry poisoned")
-            .iter()
-            .map(|(k, g)| (k.clone(), g.get() as f64))
-            .collect();
-        let hists: Vec<(Key, Histogram)> = self
-            .hists
-            .lock()
-            .expect("telemetry registry poisoned")
-            .iter()
-            .map(|(k, h)| (k.clone(), h.get()))
-            .collect();
+        let counters = copy(&self.counters, Counter::get);
+        let mut gauges = copy(&self.gauges, |g| g.get() as f64);
+        let hists = copy(&self.hists, HistogramHandle::get);
 
         gauges.push((
             Key::plain("faure_process_uptime_seconds"),
