@@ -532,7 +532,7 @@ fn comparisons_span(spans: &RuleSpans) -> Option<Span> {
 
 /// Distils the inference results into [`faure_core::plan::Hints`] for
 /// hinted plan compilation
-/// ([`Engine::prepare_with_hints`](faure_core::Engine::prepare_with_hints)):
+/// ([`Engine::prepare_traced_with_hints`](faure_core::Engine::prepare_traced_with_hints)):
 ///
 /// * every predicate the fixpoint proves empty goes into
 ///   `empty_preds`, and every rule with an infeasibility proof into

@@ -2,7 +2,7 @@
 //!
 //! * **fixpoint strategy** — semi-naive vs naive iteration;
 //! * **solver pruning policy** — never / end-of-stratum (the paper's
-//!   batch Z3 step) / eager per-derivation checking;
+//!   batch Z3 step);
 //! * **indexed matching** — `Table::find_matches` probe vs full scan.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -38,8 +38,6 @@ fn bench_prune_policy(c: &mut Criterion) {
     for (label, policy) in [
         ("never", PrunePolicy::Never),
         ("end_of_stratum", PrunePolicy::EndOfStratum),
-        ("every_iteration", PrunePolicy::EveryIteration),
-        ("eager", PrunePolicy::Eager),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(label), &policy, |b, &policy| {
             let opts = EvalOptions {

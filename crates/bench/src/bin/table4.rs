@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p faure-bench --release --bin table4 [-- --sizes 1000,10000] \
-//!     [--seed N] [--json out.json] [--prune eager|stratum|never] \
+//!     [--seed N] [--json out.json] [--prune stratum|never] \
 //!     [--threads 1,4] [--shards 1,2,4,8] [--churn 1000] \
 //!     [--churn-updates 200] [--churn-only] [--q45-only] \
 //!     [--telemetry-addr 127.0.0.1:9090]
@@ -77,7 +77,6 @@ fn main() {
             "--prune" => {
                 i += 1;
                 opts.eval.prune = match args[i].as_str() {
-                    "eager" => PrunePolicy::Eager,
                     "stratum" => PrunePolicy::EndOfStratum,
                     "never" => PrunePolicy::Never,
                     other => panic!("unknown prune policy {other}"),

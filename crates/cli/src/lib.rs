@@ -238,10 +238,8 @@ pub fn parse_prune(s: &str) -> Result<PrunePolicy, CliError> {
     match s {
         "never" => Ok(PrunePolicy::Never),
         "stratum" => Ok(PrunePolicy::EndOfStratum),
-        "iteration" => Ok(PrunePolicy::EveryIteration),
-        "eager" => Ok(PrunePolicy::Eager),
         other => Err(err(format!(
-            "unknown prune policy `{other}` (never|stratum|iteration|eager)"
+            "unknown prune policy `{other}` (never|stratum)"
         ))),
     }
 }

@@ -13,7 +13,7 @@ const USAGE: &str = "\
 faure — partial network analysis (HotNets '21 reproduction)
 
 USAGE:
-  faure eval <db.fdb>... <program.fl> [--prune never|stratum|iteration|eager] [--relation R]
+  faure eval <db.fdb>... <program.fl> [--prune never|stratum] [--relation R]
             [--threads N] [--shards N] [--shard-key pred=col]
             [--trace out.trace.json] [--metrics out.json]
             [--updates stream.fdl] [--flight-recorder out.trace.json]

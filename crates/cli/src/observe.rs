@@ -170,7 +170,7 @@ pub fn cmd_eval_batch(
 
     for (label, db) in &loaded {
         let out = prepared
-            .run_with_traced(db, &opts, &tracer)
+            .run_traced(db, &tracer)
             .map_err(|e| err(format!("{label}: {e}")))?;
         let pool = pool_stats();
         let events = recorder.take();

@@ -138,6 +138,27 @@ fn missing_file_fails_cleanly() {
     assert!(!out.status.success());
 }
 
+/// The per-derivation and per-iteration solver policies are gone: asking
+/// for one is a typed error that names what is left.
+#[test]
+fn retired_prune_policies_are_rejected() {
+    let db = write_temp("fig1-prune.fdb", FIG1);
+    let program = write_temp("reach-prune.fl", REACH);
+    for policy in ["eager", "iteration"] {
+        let out = faure()
+            .args(["eval", db.to_str().unwrap(), program.to_str().unwrap()])
+            .args(["--prune", policy])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "--prune {policy}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown prune policy `{policy}` (never|stratum)")),
+            "{stderr}"
+        );
+    }
+}
+
 /// Extracts the integer after `"key":` in a JSON-ish string slice.
 fn json_u64(s: &str, key: &str) -> u64 {
     let pat = format!("\"{key}\":");

@@ -30,8 +30,8 @@
 //! [`PreparedProgram::apply`]: super::PreparedProgram::apply
 
 use super::maintain::{ChangeLog, Changes};
-use super::rule::eval_rule;
-use super::{shard, Ctx, EvalError, EvalOptions, PrunePolicy};
+use super::rule::Pass;
+use super::{shard, Ctx, EvalError, EvalOptions};
 use crate::ast::Rule;
 use crate::plan::PlanCache;
 use faure_ctable::CVarRegistry;
@@ -73,8 +73,8 @@ pub(super) struct Driver<'a> {
 }
 
 impl Driver<'_> {
-    /// One rule pass on the driver thread, with the driver's tracer,
-    /// session and `threads`: over the full tables, or with `delta`
+    /// One rule pass on the driver thread, with the driver's tracer and
+    /// `threads`: over the full tables, or with `delta`
     /// standing in at body position `pos`. The plan for each
     /// `(rule, position)` is compiled on first use — later passes are
     /// cache hits that only execute.
@@ -87,15 +87,10 @@ impl Driver<'_> {
         let plan = self
             .plans
             .get_or_compile(ri, rule, delta.map(|(pos, _)| pos));
-        eval_rule(
-            &self.ctx,
+        let delta = delta.map(|(_, table)| table);
+        Pass::new(&self.ctx, rule, plan, self.tables, delta).run(
             ri,
-            rule,
-            plan,
-            self.tables,
-            delta.map(|(_, table)| table),
-            &mut self.session,
-            &self.opts,
+            self.opts.threads,
             &mut self.stats.ops,
         )
     }
@@ -173,9 +168,6 @@ pub(super) fn semi_naive(
                 merge(d, head, None, derived, &mut next, tracker.as_deref_mut())?;
             }
         } else {
-            if d.opts.prune == PrunePolicy::EveryIteration && !sweep(d, &mut delta)? {
-                break;
-            }
             next = (0..n).map(|_| HashMap::new()).collect();
             for &(ri, rule) in rules {
                 for &pos in &positions[ri] {
@@ -219,37 +211,6 @@ pub(super) fn semi_naive(
         }
     }
     Ok(())
-}
-
-/// The `EveryIteration` solver pass over a delta. Returns whether any
-/// row is left.
-fn sweep(d: &mut Driver<'_>, delta: &mut Partitions) -> Result<bool, EvalError> {
-    // One span for the whole sweep, in a fixed order — predicate, then
-    // partition: `HashMap` order is not the same from run to run.
-    let mut tables: Vec<(&str, &mut Table)> = delta
-        .iter_mut()
-        .flat_map(|m| m.iter_mut().map(|(p, t)| (p.as_str(), t)))
-        .collect();
-    tables.sort_by_key(|(p, _)| *p);
-    let rows = tables.iter().map(|(_, t)| t.len()).sum();
-    timed_prune(
-        &d.ctx,
-        &mut d.session,
-        &mut d.stats,
-        "(delta)",
-        rows,
-        |reg, session| {
-            let mut removed = 0usize;
-            for (_, t) in tables {
-                removed += t.prune(reg, session)?;
-            }
-            Ok(removed)
-        },
-    )?;
-    for m in delta.iter_mut() {
-        m.retain(|_, t| !t.is_empty());
-    }
-    Ok(delta.iter().any(|m| !m.is_empty()))
 }
 
 /// Merges the rows one pass derived for `pred` into its accumulated

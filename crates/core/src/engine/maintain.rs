@@ -396,7 +396,6 @@ impl PreparedProgram {
             ctx: Ctx {
                 cvmap: &state.cvmap,
                 reg: &state.database.cvars,
-                shared_memo: Arc::clone(&state.shared_memo),
                 tracer: state.tracer.clone(),
                 shard_plan: &self.shard_plan,
                 delta_positions: &self.maint.delta_positions,
@@ -891,10 +890,7 @@ fn run_one_stratum(
         fixpoint::naive(d, rules)?;
     }
 
-    if matches!(
-        d.opts.prune,
-        PrunePolicy::EndOfStratum | PrunePolicy::EveryIteration
-    ) {
+    if d.opts.prune == PrunePolicy::EndOfStratum {
         // A BTreeSet, so prune order — and therefore the trace event
         // stream — is deterministic.
         let heads: BTreeSet<&str> = rules.iter().map(|(_, r)| r.head.pred.as_str()).collect();
@@ -956,18 +952,14 @@ fn order_hazard(
 /// The over-delete rounds of one stratum: runs the delta plans over the
 /// `frontier` (deleted and tainted rows) until no new head row is
 /// reached, collecting the row indices reached in `suspects`. Returns
-/// the number of rounds. Taint is decided by terms, so the solver stays
-/// out of it — an eagerly-skipped unsatisfiable candidate would hide a
-/// taint — whatever the prune policy.
+/// the number of rounds. Taint is decided by terms: like every rule
+/// pass, the rounds never ask the solver.
 fn over_delete(
     d: &mut Driver<'_>,
     rules: &[(usize, &Rule)],
     mut frontier: HashMap<String, Table>,
     suspects: &mut BTreeMap<String, BTreeSet<usize>>,
 ) -> Result<usize, EvalError> {
-    // Put back on the way out; an error ends the apply, and with it
-    // the driver these options belong to.
-    let policy = std::mem::replace(&mut d.opts.prune, PrunePolicy::Never);
     let positions = d.ctx.delta_positions;
     let mut rounds = 0usize;
     while !frontier.is_empty() {
@@ -1002,7 +994,6 @@ fn over_delete(
         }
         frontier = next;
     }
-    d.opts.prune = policy;
     Ok(rounds)
 }
 
@@ -1127,11 +1118,7 @@ fn settle_stratum(
                 idxs.push(idx);
             }
         }
-        if matches!(
-            d.opts.prune,
-            PrunePolicy::EndOfStratum | PrunePolicy::EveryIteration
-        ) && !idxs.is_empty()
-        {
+        if d.opts.prune == PrunePolicy::EndOfStratum && !idxs.is_empty() {
             let removed = timed_prune(
                 &d.ctx,
                 &mut d.session,
@@ -1266,19 +1253,15 @@ mod tests {
 
     /// Applies every delta through `apply` on a standing state AND
     /// through the §5 oracle (update + full re-eval), asserting the
-    /// maintained tables match the re-evaluation after every step —
-    /// under both stratum-level prune policies and at one and two delta
-    /// partitions.
+    /// maintained tables match the re-evaluation after every step — at
+    /// one and two delta partitions.
     fn check_differential(program_src: &str, db: &Database, deltas: Vec<Delta>, preds: &[&str]) {
-        for prune in [PrunePolicy::EndOfStratum, PrunePolicy::EveryIteration] {
-            for shards in [1, 2] {
-                let opts = EvalOptions {
-                    prune,
-                    shards,
-                    ..EvalOptions::default()
-                };
-                check_differential_with(opts, program_src, db, deltas.clone(), preds);
-            }
+        for shards in [1, 2] {
+            let opts = EvalOptions {
+                shards,
+                ..EvalOptions::default()
+            };
+            check_differential_with(opts, program_src, db, deltas.clone(), preds);
         }
     }
 

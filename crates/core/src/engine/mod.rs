@@ -27,7 +27,8 @@
 //!   that loop: the key lookup and the one-worker-per-partition pass;
 //! * [`maintain`] (private) — materialized state, batch evaluation as
 //!   the first apply, and incremental [`Delta`] propagation;
-//! * [`rule`] (private) — compiled-plan execution: the c-valuation,
+//! * [`rule`] (private) — compiled-plan execution: the c-valuation as
+//!   one join step over a shared `Pass` and a per-thread `Frame`,
 //!   comparison pushdown, negation, head instantiation;
 //! * [`parallel`] (private) — the data-parallel inner loop (see below);
 //! * [`publish`] (private) — the bridge from per-run statistics to the
@@ -38,21 +39,28 @@
 //! With [`EvalOptions::threads`] > 1, each rule pass cuts the matches
 //! of its first join step into fine contiguous chunks which
 //! `std::thread::scope` workers pull from a shared atomic cursor (work
-//! stealing — see [`parallel`]). Each worker owns its substitution,
-//! condition accumulator, operator counters, and solver [`Session`];
-//! the sessions share one lock-sharded [`faure_solver::SharedMemo`] so
-//! a condition decided by one worker is a memo hit for every other.
-//! Worker outputs are replayed in chunk index order through
-//! [`faure_storage::Table::absorb_partitions`] — the insert sequence
-//! equals the serial enumeration order, so parallel results (conditions
-//! included) are **bit-identical** to a serial run. The solver phase
-//! stays on the driver thread: [`faure_storage::Table::prune`] asks the
-//! solver once per distinct condition, which leaves too little to
-//! share out.
+//! stealing — see [`parallel`]), when there are enough matches to pay
+//! for the threads. Each worker owns a frame — substitution, condition
+//! accumulator, operator counters, derived rows — and runs the serial
+//! path's join step over it. Worker outputs are replayed in chunk index
+//! order through [`faure_storage::Table::absorb_partitions`] — the
+//! insert sequence equals the serial enumeration order, so parallel
+//! results (conditions included) are **bit-identical** to a serial run.
+//!
+//! ## The solver has one caller
+//!
+//! The paper's pipeline is data, condition, then one solver pass that
+//! deletes contradictory rows. Here that pass is the end-of-stratum
+//! prune ([`PrunePolicy::EndOfStratum`]; incrementally, the settle
+//! prune over the changed rows): [`faure_storage::Table::prune`] asks
+//! the solver once per distinct condition, on the driver thread, through
+//! the driver's one [`faure_solver::Session`]. No rule pass reaches the
+//! solver, so no worker — parallel chunk or shard — has a session, and
+//! under [`PrunePolicy::Never`] a run's solver statistics are all zero.
 //!
 //! ## Cross-run memo reuse
 //!
-//! A [`PreparedProgram`] additionally pools its [`SharedMemo`] across
+//! A [`PreparedProgram`] pools the driver session's [`SharedMemo`] across
 //! `run()` calls. The memo is keyed by the c-variable registry's
 //! structural fingerprint (count + per-variable name/domain): batch
 //! evaluation over databases that share a registry shape — the
@@ -92,11 +100,6 @@ pub enum PrunePolicy {
     /// Prune each derived relation once its stratum converges
     /// (default; matches the paper's batch use of Z3).
     EndOfStratum,
-    /// Prune the delta after every fixpoint iteration (keeps
-    /// intermediate states small, costs more solver calls).
-    EveryIteration,
-    /// Check satisfiability of every candidate row before insertion.
-    Eager,
 }
 
 /// Evaluation options.
@@ -110,7 +113,8 @@ pub struct EvalOptions {
     /// Safety valve on fixpoint iterations per stratum.
     pub max_iterations: usize,
     /// Worker threads for rule evaluation. `1` (the default) runs
-    /// serially; larger values partition each rule pass across
+    /// serially; larger values partition each rule pass that has
+    /// enough depth-0 matches to pay for them across
     /// `std::thread::scope` workers. Results are bit-identical to the
     /// serial run at any thread count. Defaults to the `FAURE_THREADS`
     /// environment variable when set.
@@ -288,19 +292,6 @@ impl Engine {
         self.prepare_traced(program, &Tracer::disabled())
     }
 
-    /// [`prepare`](Engine::prepare) with semantic-analysis planner
-    /// hints: plans compile under `hints` (see [`crate::plan::Hints`]),
-    /// so provably-infeasible rules become statically-pruned empty
-    /// plans and inferred column cardinalities refine join order.
-    /// Sound hints never change results — only the work done.
-    pub fn prepare_with_hints(
-        &self,
-        program: &Program,
-        hints: crate::plan::Hints,
-    ) -> Result<PreparedProgram, EvalError> {
-        self.prepare_traced_with_hints(program, hints, &Tracer::disabled())
-    }
-
     /// [`prepare`](Engine::prepare) with the analysis and planning
     /// phases recorded as `prepare` spans on `tracer`.
     pub fn prepare_traced(
@@ -311,7 +302,12 @@ impl Engine {
         self.prepare_traced_with_hints(program, crate::plan::Hints::default(), tracer)
     }
 
-    /// [`prepare_with_hints`](Engine::prepare_with_hints) with tracing.
+    /// [`prepare_traced`](Engine::prepare_traced) with semantic-analysis
+    /// planner hints: plans compile under `hints` (see
+    /// [`crate::plan::Hints`]), so provably-infeasible rules become
+    /// statically-pruned empty plans and inferred column cardinalities
+    /// refine join order. Sound hints never change results — only the
+    /// work done.
     pub fn prepare_traced_with_hints(
         &self,
         program: &Program,
@@ -462,7 +458,7 @@ impl PreparedProgram {
     /// Executes against `db` with the options the engine was built
     /// with.
     pub fn run(&self, db: &Database) -> Result<EvalOutput, EvalError> {
-        self.run_with(db, &self.opts)
+        self.run_traced(db, &Tracer::disabled())
     }
 
     /// [`run`](PreparedProgram::run) with the pipeline recorded on
@@ -470,27 +466,9 @@ impl PreparedProgram {
     /// execution, parallel worker chunks, end-of-stratum pruning, and a
     /// solver-session summary.
     pub fn run_traced(&self, db: &Database, tracer: &Tracer) -> Result<EvalOutput, EvalError> {
-        self.run_with_traced(db, &self.opts, tracer)
-    }
-
-    /// Executes against `db` with explicit per-run options. Note the
-    /// plans were compiled at prepare time; options affecting planning
-    /// inputs (there are none today) would require re-preparing.
-    pub fn run_with(&self, db: &Database, opts: &EvalOptions) -> Result<EvalOutput, EvalError> {
-        self.run_with_traced(db, opts, &Tracer::disabled())
-    }
-
-    /// [`run_with`](PreparedProgram::run_with) +
-    /// [`run_traced`](PreparedProgram::run_traced) combined.
-    pub fn run_with_traced(
-        &self,
-        db: &Database,
-        opts: &EvalOptions,
-        tracer: &Tracer,
-    ) -> Result<EvalOutput, EvalError> {
         let t_run = tracer.now_ns();
-        publish::publish_run(opts.threads);
-        let state = self.materialize_with(db, opts, tracer)?;
+        publish::publish_run(self.opts.threads);
+        let state = self.materialize_with(db, &self.opts, tracer)?;
         let output = state.into_output(&self.idb);
 
         tracer.emit_instant("solver", "session", 0, || {
@@ -535,20 +513,6 @@ pub fn without_telemetry<R>(f: impl FnOnce() -> R) -> R {
     publish::with_publication_suppressed(f)
 }
 
-/// [`evaluate_with`], recording the prepare and run pipelines on
-/// `tracer` (a [`Tracer::disabled`] makes this identical to
-/// [`evaluate_with`] — results never depend on tracing).
-pub fn evaluate_traced(
-    program: &Program,
-    db: &Database,
-    opts: &EvalOptions,
-    tracer: &Tracer,
-) -> Result<EvalOutput, EvalError> {
-    Engine::with_options(*opts)
-        .prepare_traced(program, tracer)?
-        .run_traced(db, tracer)
-}
-
 /// Resolves c-variable names to ids, auto-registering unknown names
 /// with an open domain (batched — the registry vector grows once).
 fn resolve_cvars(program: &Program, db: &mut Database) -> HashMap<String, CVarId> {
@@ -578,10 +542,6 @@ pub(crate) struct Ctx<'a> {
     /// not mutated during evaluation). Borrowed, never copied: at a
     /// thousand prefixes a deep clone is four thousand `String`s.
     pub(crate) reg: &'a CVarRegistry,
-    /// The run's solver memo: backs the driver session, every parallel
-    /// worker session, and — via the prepared program's pool — later
-    /// runs over a fingerprint-matching registry.
-    pub(crate) shared_memo: Arc<SharedMemo>,
     /// The run's tracer (disabled unless the caller opted in). Workers
     /// buffer events locally and the driver submits them in chunk
     /// order, so tracing never perturbs results.
@@ -851,31 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn eager_prune_matches_end_of_stratum() {
-        let (db, _) = table2_path_db();
-        let program = parse_program(
-            r#"Cost(c) :- P("1.2.3.4", p), C(p, c).
-               Cheap(c) :- Cost(c), c < 4."#,
-        )
-        .unwrap();
-        let a = evaluate_with(
-            &program,
-            &db,
-            &EvalOptions {
-                prune: PrunePolicy::Eager,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let b = evaluate(&program, &db).unwrap();
-        assert_eq!(
-            a.relation("Cheap").unwrap().len(),
-            b.relation("Cheap").unwrap().len()
-        );
-        assert_eq!(a.relation("Cheap").unwrap().len(), 1);
-    }
-
-    #[test]
     fn repeated_variable_in_atom() {
         let mut db = Database::new();
         let x = db.fresh_cvar("x", Domain::Ints(vec![1, 2]));
@@ -996,7 +931,11 @@ mod tests {
 
         let rec = Arc::new(Recorder::new());
         let tracer = Tracer::with_clock(rec.clone(), Arc::new(ManualClock::new()));
-        let traced = evaluate_traced(&program, &db, &EvalOptions::default(), &tracer).unwrap();
+        let traced = Engine::new()
+            .prepare_traced(&program, &tracer)
+            .unwrap()
+            .run_traced(&db, &tracer)
+            .unwrap();
 
         // Bit-identical results and counters.
         assert_eq!(
@@ -1046,11 +985,16 @@ mod tests {
     fn parallel_traced_run_emits_worker_chunks() {
         use faure_trace::Recorder;
 
+        // 400 disjoint three-hop chains: every pass over `E` has enough
+        // depth-0 matches to be split.
         let mut db = Database::new();
         db.create_relation(Schema::new("E", &["a", "b"])).unwrap();
-        for i in 1..8 {
-            db.insert("E", CTuple::new([Term::int(i), Term::int(i + 1)]))
-                .unwrap();
+        for chain in 0..400 {
+            for hop in 0..3 {
+                let a = chain * 10 + hop;
+                db.insert("E", CTuple::new([Term::int(a), Term::int(a + 1)]))
+                    .unwrap();
+            }
         }
         let program = crate::parser::parse_program(
             "R(a, b) :- E(a, b).\n\
@@ -1065,7 +1009,11 @@ mod tests {
 
         let rec = Arc::new(Recorder::new());
         let tracer = Tracer::new(rec.clone());
-        let traced = evaluate_traced(&program, &db, &opts, &tracer).unwrap();
+        let traced = Engine::with_options(opts)
+            .prepare_traced(&program, &tracer)
+            .unwrap()
+            .run_traced(&db, &tracer)
+            .unwrap();
         assert_eq!(
             serial.relation("R").unwrap().tuples,
             traced.relation("R").unwrap().tuples
@@ -1225,6 +1173,15 @@ mod tests {
             ),
         )
         .unwrap();
+        // Bulk: 600 disjoint two-hop chains, so the passes over `E` and
+        // the first deltas have enough depth-0 matches to be split.
+        for chain in 100..700 {
+            for hop in 0..2 {
+                let a = chain * 10 + hop;
+                db.insert("E", CTuple::new([Term::int(a), Term::int(a + 1)]))
+                    .unwrap();
+            }
+        }
         let program = parse_program(
             "R(a, b) :- E(a, b).\n\
              R(a, b) :- E(a, c), R(c, b).\n\

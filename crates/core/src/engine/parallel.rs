@@ -1,15 +1,14 @@
 //! Data-parallel rule evaluation.
 //!
-//! The depth-0 match list computed by [`super::rule::eval_rule`] is cut
-//! into **fixed-size contiguous chunks** — several per worker — and the
+//! The depth-0 match list computed by [`Pass::run`] is cut into
+//! **fixed-size contiguous chunks** — several per worker — and the
 //! chunks are pulled by `std::thread::scope` workers from a shared
 //! atomic cursor (work stealing). A fixed balanced split handed each
 //! worker exactly one range, so one expensive range (recursive rules
 //! concentrate work in the first matches) left the other workers idle;
 //! with finer self-scheduled chunks a worker that finishes early simply
-//! pulls the next chunk. Each chunk runs the identical per-match code
-//! ([`super::rule::eval_match`]) over shared immutable state (tables,
-//! plan, c-variable registry).
+//! pulls the next chunk. Each chunk runs the serial path's own join
+//! step ([`Pass::join`]) over the shared immutable [`Pass`].
 //!
 //! Determinism falls out of the chunk *indexing*, not the schedule:
 //! workers tag every output with its chunk index, and the driver
@@ -19,26 +18,19 @@
 //! included) and the trace stream are bit-identical regardless of which
 //! worker ran which chunk.
 //!
-//! Each worker owns its substitution, condition accumulator, operator
-//! counters, and solver [`Session`]. The sessions are backed by the
-//! run's shared lock-sharded [`faure_solver::SharedMemo`], so a
-//! condition decided by one worker is a memo hit for every other (and
-//! for later fixpoint iterations). Sharing the memo is sound under
-//! races because it caches ground truth: satisfiability of a condition
-//! is a deterministic function of the condition given the (append-only)
-//! c-variable registry.
+//! Each worker owns a [`Frame`] — substitution, condition accumulator,
+//! operator counters, derived rows — and nothing else: no rule pass
+//! asks the solver, so a worker has no solver session. What workers
+//! share are the run's join-leaf memo and the process-wide condition
+//! pool, both keyed by structure, so a race between two workers on one
+//! key interns the same id twice.
 
-use super::rule::eval_match;
-use super::{Ctx, EvalError, EvalOptions};
-use crate::ast::Rule;
-use crate::plan::RulePlan;
-use faure_ctable::{Condition, Term};
-use faure_solver::{Session, SolverStats};
-use faure_storage::{CondAcc, OpStats, PreparedRow, Table};
+use super::rule::{Frame, Pass};
+use super::EvalError;
+use faure_ctable::Condition;
+use faure_storage::{OpStats, PreparedRow};
 use faure_trace::Event;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Chunks-per-worker granularity. Smaller chunks balance skewed match
 /// lists better but cost one cursor increment (and one partition) each;
@@ -46,36 +38,45 @@ use std::sync::Arc;
 /// bounding the idle tail to ~1/8 of one worker's share.
 const CHUNKS_PER_WORKER: usize = 8;
 
+/// The fewest depth-0 matches worth a worker thread of their own.
+/// Measured on the 2-core box (PR 24, a two-literal join over
+/// conditional rows, best of 5): a scoped worker costs ≈ 55 µs to
+/// start and join and a match ≈ 1.3 µs to evaluate, so with no floor
+/// two threads took 127 µs over 8 matches where one took 16 µs — the
+/// head-bound passes of an update, a few keys each, paid that per pass —
+/// and first came within 10 % of one thread at 1 024 matches (1 637 µs
+/// against 1 504 µs; 893 against 697 at 512).
+const MIN_MATCHES_PER_WORKER: usize = 512;
+
+/// How many threads a pass with `matches` depth-0 matches runs on when
+/// it may use `threads`: one per [`MIN_MATCHES_PER_WORKER`] matches, at
+/// most `threads`, and serial (1) below two workers' worth.
+pub(super) fn workers(threads: usize, matches: usize) -> usize {
+    threads.min(matches / MIN_MATCHES_PER_WORKER).max(1)
+}
+
 /// The fixed chunk size for `len` matches on `workers` threads:
 /// `len / (workers * CHUNKS_PER_WORKER)`, rounded up, never zero.
 fn chunk_size(len: usize, workers: usize) -> usize {
     len.div_ceil(workers * CHUNKS_PER_WORKER).max(1)
 }
 
-/// Evaluates the depth-0 matches of one rule pass across worker
-/// threads, returning the derived rows as one partition per chunk (in
-/// chunk index order). Worker statistics are folded into the caller's
-/// counters; the error from the lowest-indexed failing chunk is
-/// propagated after all workers have joined.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn run_partitioned(
-    ctx: &Ctx<'_>,
-    rule: &Rule,
-    plan: &RulePlan,
-    tables: &HashMap<String, Table>,
-    delta_table: Option<&Table>,
-    base_acc: &CondAcc,
+/// Joins the depth-0 `matches` of `pass` on `workers` threads, returning
+/// the derived rows as one partition per chunk (in chunk index order).
+/// Every worker starts from the driver's frame; worker counters are
+/// folded back into it, and the error from the lowest-indexed failing
+/// chunk is propagated after all workers have joined.
+pub(super) fn join_chunks<'a>(
+    pass: &Pass<'a>,
+    workers: usize,
     matches: &[(usize, Condition)],
-    opts: &EvalOptions,
-    session: &mut Session,
-    ops: &mut OpStats,
+    driver: &mut Frame<'a>,
 ) -> Result<Vec<Vec<PreparedRow>>, EvalError> {
-    let memo = &ctx.shared_memo;
-    let workers = opts.threads.min(matches.len());
     let size = chunk_size(matches.len(), workers);
     let n_chunks = matches.len().div_ceil(size);
     super::publish::publish_parallel(workers, n_chunks);
     let cursor = AtomicUsize::new(0);
+    let tracer = &pass.ctx.tracer;
 
     /// One chunk's output, tagged with its index for in-order reassembly.
     struct ChunkOut {
@@ -83,22 +84,13 @@ pub(super) fn run_partitioned(
         rows: Vec<PreparedRow>,
         event: Option<Event>,
     }
-    type WorkerResult = (
-        Vec<ChunkOut>,
-        OpStats,
-        SolverStats,
-        Option<(usize, EvalError)>,
-    );
+    type WorkerResult = (Vec<ChunkOut>, OpStats, Option<(usize, EvalError)>);
     let results: Vec<WorkerResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let memo = Arc::clone(memo);
-                let cursor = &cursor;
+                let (cursor, driver) = (&cursor, &*driver);
                 scope.spawn(move || -> WorkerResult {
-                    let mut worker_session = Session::with_shared(memo);
-                    let mut worker_ops = OpStats::default();
-                    let mut theta: HashMap<&str, Term> = HashMap::new();
-                    let mut acc = base_acc.clone();
+                    let mut frame = Frame::at_depth_zero(driver);
                     let mut outputs = Vec::new();
                     let mut failure: Option<(usize, EvalError)> = None;
                     // Pull chunks until the cursor runs dry (or this
@@ -112,41 +104,20 @@ pub(super) fn run_partitioned(
                         let lo = chunk_idx * size;
                         let hi = (lo + size).min(matches.len());
                         let chunk = &matches[lo..hi];
-                        let t_chunk = ctx.tracer.now_ns();
-                        let mut out = Vec::new();
-                        let mut err = None;
-                        for (row_idx, mu) in chunk {
-                            if let Err(e) = eval_match(
-                                ctx,
-                                rule,
-                                plan,
-                                tables,
-                                delta_table,
-                                *row_idx,
-                                mu,
-                                &mut theta,
-                                &mut acc,
-                                &mut worker_session,
-                                opts,
-                                &mut worker_ops,
-                                &mut out,
-                            ) {
-                                err = Some(e);
-                                break;
-                            }
-                        }
-                        if let Some(e) = err {
+                        let t_chunk = tracer.now_ns();
+                        if let Err(e) = pass.join(0, chunk, &mut frame) {
                             failure = Some((chunk_idx, e));
                             break;
                         }
+                        let rows = std::mem::take(&mut frame.out);
                         // Workers never write to the sink directly: the
                         // span is buffered here and submitted by the
                         // driver in chunk index order, keeping the event
                         // stream deterministic. The track is the chunk
                         // index, not an OS thread id, for the same
                         // reason.
-                        let event = ctx.tracer.is_enabled().then(|| {
-                            let t_end = ctx.tracer.now_ns();
+                        let event = tracer.is_enabled().then(|| {
+                            let t_end = tracer.now_ns();
                             Event {
                                 cat: "worker",
                                 name: "chunk",
@@ -156,17 +127,17 @@ pub(super) fn run_partitioned(
                                 args: vec![
                                     ("chunk", chunk_idx.into()),
                                     ("matches", chunk.len().into()),
-                                    ("rows_out", out.len().into()),
+                                    ("rows_out", rows.len().into()),
                                 ],
                             }
                         });
                         outputs.push(ChunkOut {
                             chunk_idx,
-                            rows: out,
+                            rows,
                             event,
                         });
                     }
-                    (outputs, worker_ops, worker_session.stats(), failure)
+                    (outputs, frame.ops, failure)
                 })
             })
             .collect();
@@ -178,9 +149,8 @@ pub(super) fn run_partitioned(
 
     let mut chunk_outs: Vec<ChunkOut> = Vec::with_capacity(n_chunks);
     let mut first_err: Option<(usize, EvalError)> = None;
-    for (outputs, worker_ops, worker_stats, failure) in results {
-        ops.absorb(&worker_ops);
-        session.absorb_stats(&worker_stats);
+    for (outputs, worker_ops, failure) in results {
+        driver.ops.absorb(&worker_ops);
         chunk_outs.extend(outputs);
         if let Some((idx, e)) = failure {
             if first_err.as_ref().is_none_or(|(fi, _)| idx < *fi) {
@@ -200,13 +170,28 @@ pub(super) fn run_partitioned(
         partitions.push(c.rows);
         trace_events.extend(c.event);
     }
-    ctx.tracer.submit(trace_events);
+    tracer.submit(trace_events);
     Ok(partitions)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{chunk_size, CHUNKS_PER_WORKER};
+    use super::{chunk_size, workers, CHUNKS_PER_WORKER, MIN_MATCHES_PER_WORKER};
+
+    #[test]
+    fn workers_need_a_floor_of_matches_each() {
+        let floor = MIN_MATCHES_PER_WORKER;
+        // Serial below two workers' worth, whatever `threads` allows.
+        for matches in [0, 1, 3, floor, 2 * floor - 1] {
+            assert_eq!(workers(4, matches), 1, "{matches} matches");
+        }
+        // Then one worker per floor's worth, capped at `threads`.
+        assert_eq!(workers(4, 2 * floor), 2);
+        assert_eq!(workers(4, 3 * floor + 1), 3);
+        assert_eq!(workers(4, 100 * floor), 4);
+        assert_eq!(workers(2, 100 * floor), 2);
+        assert_eq!(workers(1, 100 * floor), 1);
+    }
 
     #[test]
     fn chunk_size_is_fine_grained_and_covers_all_matches() {

@@ -1,20 +1,24 @@
 //! Single-rule plan execution — the c-valuation.
 //!
 //! A compiled [`RulePlan`] is executed as a nested-loop join over
-//! c-tables. The driver ([`eval_rule`]) probes the plan's first step
-//! once — those patterns never depend on the substitution, which is
-//! empty at depth 0 — and then evaluates each match via [`eval_match`].
-//! That split is what makes the parallel path possible: the match list
-//! can be partitioned into contiguous chunks and each chunk handed to a
-//! worker running the identical per-match code (see
-//! [`super::parallel`]).
+//! c-tables. A [`Pass`] holds what one rule pass reads — shared,
+//! immutable, the same for every thread — and a [`Frame`] what one
+//! thread of it writes: its substitution, condition stack, counters and
+//! derived rows. The join is one function, [`Pass::join`]: it takes the
+//! matches of one step and, per match, conjoins, binds, compares,
+//! descends into the next step (or finishes the head row) and undoes.
+//!
+//! The driver ([`Pass::run`]) probes the plan's first step once — those
+//! patterns never depend on the substitution, which is empty at depth 0
+//! — and joins the matches itself, or cuts the list into contiguous
+//! chunks and hands each to a worker that joins it into a frame of its
+//! own (see [`super::parallel`]).
 
-use super::{Ctx, EvalError, EvalOptions, PrunePolicy};
+use super::{Ctx, EvalError};
 use crate::ast::{ArgTerm, CompExpr, Comparison, Rule, RuleAtom};
 use crate::plan::RulePlan;
 use faure_ctable::pool::{self, CondId};
 use faure_ctable::{Atom, Condition, Expr, LinExpr, Term};
-use faure_solver::Session;
 use faure_storage::table::Cell;
 use faure_storage::{exec, CondAcc, OpStats, Pattern, PreparedRow, Table};
 use std::collections::{BTreeSet, HashMap};
@@ -61,435 +65,303 @@ fn conjoin_trees(acc: &CondAcc) -> CondId {
     pool::intern(&canonicalize(faure_solver::simplify(&acc.materialize())))
 }
 
-/// Outcome of evaluating one comparison under a substitution: either
-/// the branch dies (ground-false), or a condition fragment (possibly
-/// `True`) joins the accumulator.
-fn apply_comparison(
-    ctx: &Ctx<'_>,
-    cmp: &Comparison,
-    theta: &HashMap<&str, Term>,
-    acc: &mut CondAcc,
-    ops: &mut OpStats,
-) -> Result<bool, EvalError> {
-    let atom = comparison_atom(ctx, cmp, theta)?;
-    let mut vars = BTreeSet::new();
-    atom.cvars(&mut vars);
-    if vars.is_empty() {
-        // Ground: decide now. A false (or undefined) comparison cuts
-        // the branch before any further literal is joined.
-        match atom.eval(&|_| unreachable!("ground atom")) {
-            Some(true) => Ok(true),
-            Some(false) | None => {
-                ops.cmp_pruned += 1;
-                Ok(false)
-            }
-        }
-    } else if acc.push(Condition::Atom(atom), ops) {
-        Ok(true)
-    } else {
-        ops.cmp_pruned += 1;
-        Ok(false)
-    }
+/// What one rule pass reads: the run's context, the rule and its
+/// compiled plan, the standing tables, and — resolved once here, not
+/// per match — the literal and table behind every join step. Shared by
+/// every thread of the pass.
+pub(super) struct Pass<'a> {
+    pub(super) ctx: &'a Ctx<'a>,
+    rule: &'a Rule,
+    plan: &'a RulePlan,
+    tables: &'a HashMap<String, Table>,
+    /// Per join step, the body literal it matches and the table it
+    /// matches it against: the iteration delta for the plan's delta
+    /// slot, the accumulated table otherwise.
+    sources: Vec<(&'a RuleAtom, &'a Table)>,
 }
 
-/// Builds probe patterns for `atom` under the current substitution.
-fn build_patterns(ctx: &Ctx<'_>, atom: &RuleAtom, theta: &HashMap<&str, Term>) -> Vec<Pattern> {
-    atom.args
-        .iter()
-        .map(|arg| match arg {
-            ArgTerm::Cst(c) => Pattern::Exact(Term::Const(c.clone())),
-            ArgTerm::CVar(name) => Pattern::Exact(Term::Var(ctx.cvmap[name])),
-            ArgTerm::Var(v) => match theta.get(v.as_str()) {
-                Some(t) => Pattern::Exact(t.clone()),
-                None => Pattern::Any,
-            },
-        })
-        .collect()
+/// What one thread of a pass writes. [`Pass::join`] leaves the
+/// substitution and the condition stack as it found them, so one frame
+/// serves every match its thread evaluates.
+#[derive(Default)]
+pub(super) struct Frame<'a> {
+    theta: HashMap<&'a str, Term>,
+    /// The bound variables in binding order: a step undoes its own
+    /// bindings by popping back to where it started.
+    trail: Vec<&'a str>,
+    acc: CondAcc,
+    pub(super) ops: OpStats,
+    pub(super) out: Vec<PreparedRow>,
 }
 
-/// Executes a compiled [`RulePlan`] against the current tables. When
-/// the plan has a delta slot, `delta_table` supplies the iteration
-/// delta it reads.
-///
-/// Returns the derived head rows (conditions structurally simplified
-/// and DNF-normalised, `False` filtered out) as **ordered partitions**:
-/// one partition per worker under parallel evaluation, a single
-/// partition serially. Concatenated in order, the partitions equal the
-/// serial enumeration order exactly.
-///
-/// Each pass is recorded as one `fixpoint`/`rule-pass` span carrying
-/// the rule index, depth-0 match count, rows derived, and the summed
-/// structural size of the derived conditions as a table stores them.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn eval_rule(
-    ctx: &Ctx<'_>,
-    ri: usize,
-    rule: &Rule,
-    plan: &RulePlan,
-    tables: &HashMap<String, Table>,
-    delta_table: Option<&Table>,
-    session: &mut Session,
-    opts: &EvalOptions,
-    ops: &mut OpStats,
-) -> Result<Vec<Vec<PreparedRow>>, EvalError> {
-    if plan.static_empty {
-        // Semantic analysis proved the body can never produce a row:
-        // cut the branch before probing anything.
-        ops.static_cut += 1;
-        return Ok(Vec::new());
-    }
-    let t_pass = ctx.tracer.now_ns();
-    let mut matches_in = 0usize;
-    let partitions = eval_rule_inner(
-        ctx,
-        rule,
-        plan,
-        tables,
-        delta_table,
-        session,
-        opts,
-        ops,
-        &mut matches_in,
-    )?;
-    ctx.tracer
-        .emit_span("fixpoint", "rule-pass", t_pass, 0, || {
-            let rows_out: usize = partitions.iter().map(Vec::len).sum();
-            let cond_size: usize = partitions
-                .iter()
-                .flatten()
-                .map(|r| pool::resolve(r.cond_id()).size())
-                .sum();
-            let mut args = vec![
-                ("rule", ri.into()),
-                ("head", rule.head.pred.as_str().into()),
-                ("matches", matches_in.into()),
-                ("rows_out", rows_out.into()),
-                ("cond_size", cond_size.into()),
-            ];
-            if let Some(dp) = plan.delta_pos {
-                args.push(("delta_pos", dp.into()));
-            }
-            args
-        });
-    Ok(partitions)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_rule_inner(
-    ctx: &Ctx<'_>,
-    rule: &Rule,
-    plan: &RulePlan,
-    tables: &HashMap<String, Table>,
-    delta_table: Option<&Table>,
-    session: &mut Session,
-    opts: &EvalOptions,
-    ops: &mut OpStats,
-    matches_in: &mut usize,
-) -> Result<Vec<Vec<PreparedRow>>, EvalError> {
-    debug_assert_eq!(plan.delta_pos.is_some(), delta_table.is_some());
-    let mut theta: HashMap<&str, Term> = HashMap::new();
-    let mut acc = CondAcc::new();
-    // Comparisons with no rule variables gate the whole rule pass.
-    for &ci in &plan.initial_comparisons {
-        if !apply_comparison(ctx, &rule.comparisons[ci], &theta, &mut acc, ops)? {
-            return Ok(Vec::new());
+impl<'a> Frame<'a> {
+    /// A worker's frame at depth 0 of the pass `driver` started: no
+    /// variable is bound there, and the condition stack holds what the
+    /// pass's initial comparisons pushed.
+    pub(super) fn at_depth_zero(driver: &Frame<'_>) -> Self {
+        Frame {
+            acc: driver.acc.clone(),
+            ..Frame::default()
         }
     }
-    if plan.steps.is_empty() {
-        // Fact rule: a single (possibly negation-gated) head row.
-        let mut out = Vec::new();
-        finish_rule(
-            ctx, rule, plan, tables, &theta, &acc, session, opts, ops, &mut out,
-        )?;
-        return Ok(vec![out]);
-    }
 
-    // Probe the first step once, in the driver: depth-0 patterns are
-    // substitution-independent, so every worker would compute the same
-    // match list anyway.
-    let step = &plan.steps[0];
-    let atom = rule.body[step.lit_pos].atom();
-    let table: &Table = if step.is_delta {
-        delta_table.expect("delta plan executed with a delta table")
-    } else {
-        tables.get(&atom.pred).expect("table created in setup")
-    };
-    let patterns = build_patterns(ctx, atom, &theta);
-    let matches = exec::probe(table, ctx.reg, &patterns, ops);
-    *matches_in = matches.len();
-    if matches.is_empty() {
-        return Ok(Vec::new());
-    }
-
-    if opts.threads > 1 && matches.len() >= 2 {
-        return super::parallel::run_partitioned(
-            ctx,
-            rule,
-            plan,
-            tables,
-            delta_table,
-            &acc,
-            &matches,
-            opts,
-            session,
-            ops,
-        );
-    }
-
-    let mut out = Vec::new();
-    for (row_idx, mu) in &matches {
-        eval_match(
-            ctx,
-            rule,
-            plan,
-            tables,
-            delta_table,
-            *row_idx,
-            mu,
-            &mut theta,
-            &mut acc,
-            session,
-            opts,
-            ops,
-            &mut out,
-        )?;
-    }
-    Ok(vec![out])
-}
-
-/// Evaluates one depth-0 match: conjoins the matched row's condition
-/// and the match condition `μ`, binds the first step's variables
-/// (handling repeated variables within the atom), applies the step's
-/// pushed-down comparisons, and recurses into the remaining join steps.
-/// `theta`/`acc` are restored before returning, so a caller can reuse
-/// them across matches.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn eval_match<'r>(
-    ctx: &Ctx<'_>,
-    rule: &'r Rule,
-    plan: &RulePlan,
-    tables: &HashMap<String, Table>,
-    delta_table: Option<&Table>,
-    row_idx: usize,
-    mu: &Condition,
-    theta: &mut HashMap<&'r str, Term>,
-    acc: &mut CondAcc,
-    session: &mut Session,
-    opts: &EvalOptions,
-    ops: &mut OpStats,
-    out: &mut Vec<PreparedRow>,
-) -> Result<(), EvalError> {
-    let step = &plan.steps[0];
-    let atom = rule.body[step.lit_pos].atom();
-    let table: &Table = if step.is_delta {
-        delta_table.expect("delta plan executed with a delta table")
-    } else {
-        tables.get(&atom.pred).expect("table created in setup")
-    };
-    let mark = acc.mark();
-    let mut ok = acc.push_id(table.cond_id(row_idx), ops) && acc.push(mu.clone(), ops);
-    // Bind variables (handling repeated variables within the atom).
-    let mut bound_here: Vec<&'r str> = Vec::new();
-    if ok {
-        ok = bind_row(atom, table, row_idx, theta, acc, ops, &mut bound_here);
-    }
-    // Pushed-down comparisons: every variable they mention is bound
-    // by now, so ground-false ones cut the branch here instead of
-    // after the remaining joins.
-    if ok {
-        for &ci in &step.comparisons {
-            if !apply_comparison(ctx, &rule.comparisons[ci], theta, acc, ops)? {
-                ok = false;
-                break;
-            }
-        }
-    }
-    if ok {
-        exec_step(
-            ctx,
-            rule,
-            plan,
-            tables,
-            delta_table,
-            1,
-            theta,
-            acc,
-            session,
-            opts,
-            ops,
-            out,
-        )?;
-    }
-    acc.truncate(mark);
-    for v in bound_here {
-        theta.remove(v);
-    }
-    Ok(())
-}
-
-/// Binds `atom`'s variables against row `row_idx` of `table`, pushing
-/// explicit equalities for variables repeated *within* the atom
-/// (pre-bound variables were already covered by the probe pattern).
-/// Only the cells under variable arguments are decoded out of the
-/// columnar store — constant arguments never touch the row. Returns
-/// `false` when a binding is contradictory; `bound_here` records the
-/// fresh bindings for the caller to undo.
-fn bind_row<'r>(
-    atom: &'r RuleAtom,
-    table: &Table,
-    row_idx: usize,
-    theta: &mut HashMap<&'r str, Term>,
-    acc: &mut CondAcc,
-    ops: &mut OpStats,
-    bound_here: &mut Vec<&'r str>,
-) -> bool {
-    for (col, arg) in atom.args.iter().enumerate() {
-        if let ArgTerm::Var(v) = arg {
+    /// Binds `atom`'s variables against row `row_idx` of `table`,
+    /// pushing explicit equalities for variables repeated *within* the
+    /// atom — those bound since `start` (pre-bound variables were
+    /// already covered by the probe pattern). Only the cells under
+    /// variable arguments are decoded out of the columnar store —
+    /// constant arguments never touch the row. Returns `false` when a
+    /// binding is contradictory.
+    fn bind(&mut self, atom: &'a RuleAtom, table: &Table, row_idx: usize, start: usize) -> bool {
+        for (col, arg) in atom.args.iter().enumerate() {
+            let ArgTerm::Var(v) = arg else { continue };
             let cell = table.term(row_idx, col);
-            match theta.get(v.as_str()) {
-                Some(prev) => {
-                    if bound_here.contains(&v.as_str()) {
-                        match (prev, &cell) {
-                            (Term::Const(a), Term::Const(b)) => {
-                                if a != b {
-                                    return false;
-                                }
-                            }
-                            (a, b) => {
-                                if a != b {
-                                    let eq = Condition::eq(a.clone(), b.clone());
-                                    if !acc.push(eq, ops) {
-                                        return false;
-                                    }
-                                }
-                            }
+            match self.theta.get(v.as_str()) {
+                None => {
+                    self.theta.insert(v.as_str(), cell);
+                    self.trail.push(v.as_str());
+                }
+                Some(prev) if self.trail[start..].contains(&v.as_str()) => match (prev, &cell) {
+                    (Term::Const(a), Term::Const(b)) if a != b => return false,
+                    (a, b) if a != b => {
+                        let eq = Condition::eq(a.clone(), b.clone());
+                        if !self.acc.push(eq, &mut self.ops) {
+                            return false;
                         }
                     }
-                }
-                None => {
-                    theta.insert(v.as_str(), cell);
-                    bound_here.push(v.as_str());
-                }
+                    _ => {}
+                },
+                Some(_) => {}
             }
         }
+        true
     }
-    true
 }
 
-#[allow(clippy::too_many_arguments)]
-fn exec_step<'r>(
-    ctx: &Ctx<'_>,
-    rule: &'r Rule,
-    plan: &RulePlan,
-    tables: &HashMap<String, Table>,
-    delta_table: Option<&Table>,
-    depth: usize,
-    theta: &mut HashMap<&'r str, Term>,
-    acc: &mut CondAcc,
-    session: &mut Session,
-    opts: &EvalOptions,
-    ops: &mut OpStats,
-    out: &mut Vec<PreparedRow>,
-) -> Result<(), EvalError> {
-    if depth == plan.steps.len() {
-        return finish_rule(ctx, rule, plan, tables, theta, acc, session, opts, ops, out);
-    }
-    let step = &plan.steps[depth];
-    let atom = rule.body[step.lit_pos].atom();
-    let table: &Table = if step.is_delta {
-        delta_table.expect("delta plan executed with a delta table")
-    } else {
-        tables.get(&atom.pred).expect("table created in setup")
-    };
-
-    let patterns = build_patterns(ctx, atom, theta);
-    for (row_idx, mu) in exec::probe(table, ctx.reg, &patterns, ops) {
-        let mark = acc.mark();
-        let mut ok = acc.push_id(table.cond_id(row_idx), ops) && acc.push(mu, ops);
-        let mut bound_here: Vec<&'r str> = Vec::new();
-        if ok {
-            ok = bind_row(atom, table, row_idx, theta, acc, ops, &mut bound_here);
+impl<'a> Pass<'a> {
+    /// A pass of `rule` under `plan` over `tables`. When the plan has a
+    /// delta slot, `delta` supplies the iteration delta it reads.
+    pub(super) fn new(
+        ctx: &'a Ctx<'a>,
+        rule: &'a Rule,
+        plan: &'a RulePlan,
+        tables: &'a HashMap<String, Table>,
+        delta: Option<&'a Table>,
+    ) -> Self {
+        debug_assert_eq!(plan.delta_pos.is_some(), delta.is_some());
+        let sources = plan
+            .steps
+            .iter()
+            .map(|step| {
+                let atom = rule.body[step.lit_pos].atom();
+                let table = if step.is_delta {
+                    delta.expect("delta plan executed with a delta table")
+                } else {
+                    tables.get(&atom.pred).expect("table created in setup")
+                };
+                (atom, table)
+            })
+            .collect();
+        Pass {
+            ctx,
+            rule,
+            plan,
+            tables,
+            sources,
         }
-        // Pushed-down comparisons: every variable they mention is bound
-        // by now, so ground-false ones cut the branch here instead of
-        // after the remaining joins.
-        if ok {
-            for &ci in &step.comparisons {
-                if !apply_comparison(ctx, &rule.comparisons[ci], theta, acc, ops)? {
-                    ok = false;
-                    break;
+    }
+
+    /// Executes the pass on up to `threads` threads, folding its
+    /// operator counters into `ops`.
+    ///
+    /// Returns the derived head rows (conditions structurally simplified
+    /// and DNF-normalised, `False` filtered out) as **ordered
+    /// partitions**: one partition per worker chunk under parallel
+    /// evaluation, a single partition serially. Concatenated in order,
+    /// the partitions equal the serial enumeration order exactly.
+    ///
+    /// Each pass is recorded as one `fixpoint`/`rule-pass` span carrying
+    /// the rule index `ri`, depth-0 match count, rows derived, and the
+    /// summed structural size of the derived conditions as a table
+    /// stores them.
+    pub(super) fn run(
+        &self,
+        ri: usize,
+        threads: usize,
+        ops: &mut OpStats,
+    ) -> Result<Vec<Vec<PreparedRow>>, EvalError> {
+        if self.plan.static_empty {
+            // Semantic analysis proved the body can never produce a row:
+            // cut the branch before probing anything.
+            ops.static_cut += 1;
+            return Ok(Vec::new());
+        }
+        let t_pass = self.ctx.tracer.now_ns();
+        let mut frame = Frame::default();
+        let mut matches_in = 0usize;
+        let partitions = self.partitions(threads, &mut frame, &mut matches_in);
+        ops.absorb(&frame.ops);
+        let partitions = partitions?;
+        self.ctx
+            .tracer
+            .emit_span("fixpoint", "rule-pass", t_pass, 0, || {
+                let rows_out: usize = partitions.iter().map(Vec::len).sum();
+                let cond_size: usize = partitions
+                    .iter()
+                    .flatten()
+                    .map(|r| pool::resolve(r.cond_id()).size())
+                    .sum();
+                let mut args = vec![
+                    ("rule", ri.into()),
+                    ("head", self.rule.head.pred.as_str().into()),
+                    ("matches", matches_in.into()),
+                    ("rows_out", rows_out.into()),
+                    ("cond_size", cond_size.into()),
+                ];
+                if let Some(dp) = self.plan.delta_pos {
+                    args.push(("delta_pos", dp.into()));
+                }
+                args
+            });
+        Ok(partitions)
+    }
+
+    fn partitions(
+        &self,
+        threads: usize,
+        f: &mut Frame<'a>,
+        matches_in: &mut usize,
+    ) -> Result<Vec<Vec<PreparedRow>>, EvalError> {
+        // Comparisons with no rule variables gate the whole rule pass.
+        for &ci in &self.plan.initial_comparisons {
+            if !self.compare(ci, f)? {
+                return Ok(Vec::new());
+            }
+        }
+        if self.plan.steps.is_empty() {
+            // Fact rule: a single (possibly negation-gated) head row.
+            self.finish(f)?;
+        } else {
+            // Probe the first step once, in the driver: depth-0 patterns
+            // are substitution-independent, so every worker would
+            // compute the same match list anyway.
+            let matches = self.probe(0, f);
+            *matches_in = matches.len();
+            let workers = super::parallel::workers(threads, matches.len());
+            if workers > 1 {
+                return super::parallel::join_chunks(self, workers, &matches, f);
+            }
+            self.join(0, &matches, f)?;
+        }
+        Ok(vec![std::mem::take(&mut f.out)])
+    }
+
+    /// The rows of step `depth`'s table that match its literal under
+    /// the frame's substitution, each with its match condition `μ`.
+    fn probe(&self, depth: usize, f: &mut Frame<'a>) -> Vec<(usize, Condition)> {
+        let (atom, table) = self.sources[depth];
+        let patterns: Vec<Pattern> = atom
+            .args
+            .iter()
+            .map(|arg| match arg {
+                ArgTerm::Cst(c) => Pattern::Exact(Term::Const(c.clone())),
+                ArgTerm::CVar(name) => Pattern::Exact(Term::Var(self.ctx.cvmap[name])),
+                ArgTerm::Var(v) => match f.theta.get(v.as_str()) {
+                    Some(t) => Pattern::Exact(t.clone()),
+                    None => Pattern::Any,
+                },
+            })
+            .collect();
+        exec::probe(table, self.ctx.reg, &patterns, &mut f.ops)
+    }
+
+    /// The join step: for each of `matches` — rows of step `depth`'s
+    /// table — conjoins the row's condition and `μ`, binds the step's
+    /// variables, applies its pushed-down comparisons, descends into
+    /// the remaining steps (or, past the last one, emits the head row
+    /// into `f.out`), and undoes the bindings and the conjunction.
+    pub(super) fn join(
+        &self,
+        depth: usize,
+        matches: &[(usize, Condition)],
+        f: &mut Frame<'a>,
+    ) -> Result<(), EvalError> {
+        let (atom, table) = self.sources[depth];
+        for (row_idx, mu) in matches {
+            let (mark, start) = (f.acc.mark(), f.trail.len());
+            let mut ok = f.acc.push_id(table.cond_id(*row_idx), &mut f.ops)
+                && f.acc.push(mu.clone(), &mut f.ops)
+                && f.bind(atom, table, *row_idx, start);
+            // Pushed-down comparisons: every variable they mention is
+            // bound by now, so ground-false ones cut the branch here
+            // instead of after the remaining joins.
+            for &ci in &self.plan.steps[depth].comparisons {
+                ok = ok && self.compare(ci, f)?;
+            }
+            if ok && depth + 1 < self.sources.len() {
+                let next = self.probe(depth + 1, f);
+                self.join(depth + 1, &next, f)?;
+            } else if ok {
+                self.finish(f)?;
+            }
+            f.acc.truncate(mark);
+            for v in f.trail.drain(start..) {
+                f.theta.remove(v);
+            }
+        }
+        Ok(())
+    }
+
+    /// Evaluates comparison `ci` of the rule under the frame's
+    /// substitution: either the branch dies (ground-false; `false`), or
+    /// a condition fragment (possibly `True`) joins the accumulator.
+    fn compare(&self, ci: usize, f: &mut Frame<'a>) -> Result<bool, EvalError> {
+        let atom = comparison_atom(self.ctx, &self.rule.comparisons[ci], &f.theta)?;
+        let mut vars = BTreeSet::new();
+        atom.cvars(&mut vars);
+        let alive = if vars.is_empty() {
+            // Ground: decide now. A false (or undefined) comparison cuts
+            // the branch before any further literal is joined.
+            atom.eval(&|_| unreachable!("ground atom")) == Some(true)
+        } else {
+            f.acc.push(Condition::Atom(atom), &mut f.ops)
+        };
+        if !alive {
+            f.ops.cmp_pruned += 1;
+        }
+        Ok(alive)
+    }
+
+    /// Applies negated literals, then emits the head row.
+    fn finish(&self, f: &mut Frame<'a>) -> Result<(), EvalError> {
+        let cond_id = if self.plan.negations.is_empty() {
+            self.ctx.leaves.conjoin(&f.acc)
+        } else {
+            // Negation: "not derivable from the c-table". What it conjoins
+            // depends on the negated tables, not on the stack alone, so
+            // these leaves build their tree every time.
+            let mut cond = f.acc.materialize();
+            for &np in &self.plan.negations {
+                let atom = self.rule.body[np].atom();
+                let terms = instantiate_args(self.ctx, &atom.args, &f.theta)?;
+                let table = self.tables.get(&atom.pred).expect("table created in setup");
+                f.ops.neg_checks += 1;
+                cond = cond.and(table.negation_condition(self.ctx.reg, &terms));
+                if cond == Condition::False {
+                    return Ok(());
                 }
             }
+            pool::intern(&canonicalize(faure_solver::simplify(&cond)))
+        };
+        if cond_id.is_false() {
+            return Ok(());
         }
-        if ok {
-            exec_step(
-                ctx,
-                rule,
-                plan,
-                tables,
-                delta_table,
-                depth + 1,
-                theta,
-                acc,
-                session,
-                opts,
-                ops,
-                out,
-            )?;
-        }
-        acc.truncate(mark);
-        for v in bound_here {
-            theta.remove(v);
-        }
+        // Looking the condition's normal form up here keeps that work
+        // inside the worker thread; the serial merge is then hash lookups.
+        let cells = instantiate_cells(self.ctx, &self.rule.head.args, &f.theta)?;
+        f.out.push(PreparedRow::from_id(cells, cond_id));
+        Ok(())
     }
-    Ok(())
-}
-
-/// Applies negated literals, then emits the head row.
-#[allow(clippy::too_many_arguments)]
-fn finish_rule<'r>(
-    ctx: &Ctx<'_>,
-    rule: &'r Rule,
-    plan: &RulePlan,
-    tables: &HashMap<String, Table>,
-    theta: &HashMap<&'r str, Term>,
-    acc: &CondAcc,
-    session: &mut Session,
-    opts: &EvalOptions,
-    ops: &mut OpStats,
-    out: &mut Vec<PreparedRow>,
-) -> Result<(), EvalError> {
-    let cond_id = if plan.negations.is_empty() {
-        ctx.leaves.conjoin(acc)
-    } else {
-        // Negation: "not derivable from the c-table". What it conjoins
-        // depends on the negated tables, not on the stack alone, so
-        // these leaves build their tree every time.
-        let mut cond = acc.materialize();
-        for &np in &plan.negations {
-            let atom = rule.body[np].atom();
-            let terms = instantiate_args(ctx, &atom.args, theta)?;
-            let table = tables.get(&atom.pred).expect("table created in setup");
-            ops.neg_checks += 1;
-            cond = cond.and(table.negation_condition(ctx.reg, &terms));
-            if cond == Condition::False {
-                return Ok(());
-            }
-        }
-        pool::intern(&canonicalize(faure_solver::simplify(&cond)))
-    };
-    if cond_id.is_false() {
-        return Ok(());
-    }
-    if opts.prune == PrunePolicy::Eager && !session.satisfiable_id(ctx.reg, cond_id)? {
-        return Ok(());
-    }
-
-    // Looking the condition's normal form up here keeps that work
-    // inside the worker thread; the serial merge is then hash lookups.
-    let cells = instantiate_cells(ctx, &rule.head.args, theta)?;
-    out.push(PreparedRow::from_id(cells, cond_id));
-    Ok(())
 }
 
 /// [`instantiate_args`] straight to storage cells: no term is cloned.
@@ -613,10 +485,8 @@ mod tests {
     use crate::parser::parse_program;
     use crate::plan::{compile_rule, ShardPlan};
     use faure_ctable::{CTuple, CVarId, CmpOp, Database, Domain, Schema};
-    use faure_solver::SharedMemo;
     use faure_trace::Tracer;
     use proptest::prelude::*;
-    use std::sync::Arc;
 
     fn arb_fragment() -> impl Strategy<Value = Condition> {
         let atom = (0u32..4, 0i64..3, any::<bool>()).prop_map(|(v, k, eq)| {
@@ -711,43 +581,27 @@ mod tests {
         db: &Database,
         tables: &HashMap<String, Table>,
         leaves: &LeafMemo,
-        prune: PrunePolicy,
     ) -> Vec<(Vec<Term>, CondId)> {
         let cvmap = HashMap::new();
         let shard_plan = ShardPlan::default();
         let ctx = Ctx {
             cvmap: &cvmap,
             reg: &db.cvars,
-            shared_memo: Arc::new(SharedMemo::for_registry(&db.cvars)),
             tracer: Tracer::disabled(),
             shard_plan: &shard_plan,
             delta_positions: &[],
             head_bound: &[],
             leaves,
         };
-        let opts = EvalOptions {
-            prune,
-            threads: 1,
-            shards: 1,
-            ..EvalOptions::default()
-        };
         let rule = &program.rules[ri];
-        let mut rows: Vec<(Vec<Term>, CondId)> = eval_rule(
-            &ctx,
-            ri,
-            rule,
-            &compile_rule(rule, None),
-            tables,
-            None,
-            &mut Session::new(),
-            &opts,
-            &mut OpStats::default(),
-        )
-        .unwrap()
-        .into_iter()
-        .flatten()
-        .map(|row| (row.terms(), row.cond_id()))
-        .collect();
+        let plan = compile_rule(rule, None);
+        let mut rows: Vec<(Vec<Term>, CondId)> = Pass::new(&ctx, rule, &plan, tables, None)
+            .run(ri, 1, &mut OpStats::default())
+            .unwrap()
+            .into_iter()
+            .flatten()
+            .map(|row| (row.terms(), row.cond_id()))
+            .collect();
         rows.sort();
         rows
     }
@@ -763,8 +617,8 @@ mod tests {
 
     /// Rule passes through the memo — all misses, then all hits — give
     /// the rows of the same joins written out over condition trees,
-    /// with negation and under `PrunePolicy::Eager` too; and a rule
-    /// with a negated literal never touches the memo.
+    /// with negation too; and a rule with a negated literal never
+    /// touches the memo.
     #[test]
     fn rule_passes_match_hand_joined_trees() {
         let db = guarded_db();
@@ -795,24 +649,17 @@ mod tests {
         open.sort();
         assert!(two.len() >= 6 && open.len() == 6);
 
-        // Every condition here is satisfiable, so `Eager` keeps them all.
-        for prune in [PrunePolicy::EndOfStratum, PrunePolicy::Eager] {
-            let leaves = LeafMemo::default();
-            let misses = rule_pass(&program, 0, &db, &tables, &leaves, prune);
-            let entries = leaves.seen.lock().unwrap().len();
-            assert!(0 < entries && entries < two.len(), "stacks repeat");
-            let hits = rule_pass(&program, 0, &db, &tables, &leaves, prune);
-            assert_eq!(leaves.seen.lock().unwrap().len(), entries);
-            assert_eq!(misses, two, "{prune:?}");
-            assert_eq!(hits, two, "{prune:?}");
+        let leaves = LeafMemo::default();
+        let misses = rule_pass(&program, 0, &db, &tables, &leaves);
+        let entries = leaves.seen.lock().unwrap().len();
+        assert!(0 < entries && entries < two.len(), "stacks repeat");
+        let hits = rule_pass(&program, 0, &db, &tables, &leaves);
+        assert_eq!(leaves.seen.lock().unwrap().len(), entries);
+        assert_eq!(misses, two);
+        assert_eq!(hits, two);
 
-            let leaves = LeafMemo::default();
-            assert_eq!(
-                rule_pass(&program, 1, &db, &tables, &leaves, prune),
-                open,
-                "{prune:?}"
-            );
-            assert!(leaves.seen.lock().unwrap().is_empty());
-        }
+        let leaves = LeafMemo::default();
+        assert_eq!(rule_pass(&program, 1, &db, &tables, &leaves), open);
+        assert!(leaves.seen.lock().unwrap().is_empty());
     }
 }

@@ -52,17 +52,15 @@
 
 use super::fixpoint::{self, Driver, Partitions};
 use super::maintain::Changes;
-use super::rule::eval_rule;
-use super::{Ctx, EvalError, EvalOptions};
+use super::rule::Pass;
+use super::{Ctx, EvalError};
 use crate::ast::Rule;
 use crate::plan::ShardPlan;
-use faure_solver::Session;
 use faure_storage::shard::{route_term, Route};
 use faure_storage::{OpStats, PreparedRow, Table};
 use faure_trace::Tracer;
 use std::collections::HashMap;
 use std::sync::mpsc::sync_channel;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Rows per exchanged batch. Small enough that the bounded channel
@@ -126,16 +124,12 @@ pub(super) fn pass(
     if (0..n).all(|s| live(s).is_none()) {
         return Ok(());
     }
-    // Workers must not re-partition their pass (they *are* the
-    // partitioning) nor emit trace events (event order would depend on
-    // scheduling): a disabled tracer and a serial option set.
+    // Workers must not emit trace events (event order would depend on
+    // scheduling) nor re-partition their pass (they *are* the
+    // partitioning): a disabled tracer, and one thread each.
     let wctx = Ctx {
         tracer: Tracer::disabled(),
         ..d.ctx.clone()
-    };
-    let wopts = EvalOptions {
-        threads: 1,
-        ..d.opts
     };
     let t_pass = d.ctx.tracer.now_ns();
     let plan = d.plans.get_or_compile(ri, rule, Some(pos));
@@ -155,23 +149,11 @@ pub(super) fn pass(
                 continue;
             };
             let tx = tx.clone();
-            let (wctx, wopts) = (&wctx, &wopts);
+            let wctx = &wctx;
             handles.push(Some(scope.spawn(move || {
                 let wall = Instant::now();
-                let mut wsession = Session::with_shared(Arc::clone(&wctx.shared_memo));
-                wsession.set_shard_tag(u8::try_from(s + 1).unwrap_or(u8::MAX));
                 let mut wops = OpStats::default();
-                let out = eval_rule(
-                    wctx,
-                    ri,
-                    rule,
-                    plan,
-                    tables,
-                    Some(delta),
-                    &mut wsession,
-                    wopts,
-                    &mut wops,
-                );
+                let out = Pass::new(wctx, rule, plan, tables, Some(delta)).run(ri, 1, &mut wops);
                 let err = match out {
                     Ok(partitions) => {
                         let mut seq = 0u64;
@@ -204,7 +186,7 @@ pub(super) fn pass(
                     }
                     Err(e) => Some(e),
                 };
-                (wsession.stats(), wops, wall.elapsed(), err)
+                (wops, wall.elapsed(), err)
             })));
         }
         drop(tx);
@@ -218,10 +200,7 @@ pub(super) fn pass(
                 worker_errs.push(None);
                 continue;
             };
-            let (wstats, wops, wall, err) = handle.join().expect("shard worker panicked");
-            // Partition-order absorption keeps the stats merge order
-            // deterministic even though completion order is not.
-            d.session.absorb_stats(&wstats);
+            let (wops, wall, err) = handle.join().expect("shard worker panicked");
             d.stats.ops.absorb(&wops);
             d.stats.shard.record_wall(s, wall);
             worker_errs.push(err);

@@ -58,8 +58,8 @@ pub use analysis::{analyze, check_safety, stratify, AnalysisError, Finding, Stra
 pub use ast::{ArgTerm, CompExpr, Comparison, Literal, Program, Rule, RuleAtom};
 pub use containment::{subsumes, ContainmentError, Subsumption, GOAL};
 pub use engine::{
-    evaluate, evaluate_traced, evaluate_with, without_telemetry, Applies, Delta, DeltaReport,
-    Engine, EvalError, EvalOptions, EvalOutput, MaterializedState, PreparedProgram, PrunePolicy,
+    evaluate, evaluate_with, without_telemetry, Applies, Delta, DeltaReport, Engine, EvalError,
+    EvalOptions, EvalOutput, MaterializedState, PreparedProgram, PrunePolicy,
 };
 pub use parser::{
     parse_program, parse_program_spanned, parse_rule, AtomSpans, ParseError, RuleSpans, Span,

@@ -6,6 +6,7 @@ use faure_core::{
     evaluate, evaluate_with, parse_program, run, EvalError, EvalOptions, PrunePolicy,
 };
 use faure_ctable::{CTuple, Condition, Const, Database, Domain, Schema, Term};
+use faure_solver::SolverStats;
 
 fn edge_db() -> Database {
     let mut db = Database::new();
@@ -113,40 +114,44 @@ fn unsafe_program_rejected() {
     assert!(err.to_string().contains("unsafe"));
 }
 
+/// The solver has one caller, the stratum prune: with it off, a
+/// recursive program over conditional rows — its passes split across
+/// worker threads and delta partitions — never reaches the solver.
 #[test]
-fn every_iteration_prune_matches_default() {
-    let mut db = edge_db();
-    let x = db.fresh_cvar("x", Domain::Bool01);
-    db.insert(
-        "E",
-        CTuple::with_cond(
-            [Term::int(4), Term::int(5)],
-            Condition::eq(Term::Var(x), Term::int(1)),
-        ),
-    )
-    .unwrap();
+fn no_rule_pass_reaches_the_solver() {
+    let mut db = Database::new();
+    db.create_relation(Schema::new("E", &["a", "b"])).unwrap();
+    let vars: Vec<_> = (0..3)
+        .map(|i| db.fresh_cvar(format!("l{i}"), Domain::Bool01))
+        .collect();
+    // 300 disjoint four-hop chains: enough depth-0 matches for the
+    // parallel split, three iterations of routed deltas.
+    for chain in 0..300i64 {
+        for hop in 0..4i64 {
+            let a = chain * 10 + hop;
+            let guard = Condition::eq(Term::Var(vars[(a % 3) as usize]), Term::int(1));
+            db.insert(
+                "E",
+                CTuple::with_cond([Term::int(a), Term::int(a + 1)], guard),
+            )
+            .unwrap();
+        }
+    }
     let program = parse_program("R(a, b) :- E(a, b).\nR(a, b) :- E(a, c), R(c, b).\n").unwrap();
-    let a = evaluate(&program, &db).unwrap();
-    let b = evaluate_with(
+    let out = evaluate_with(
         &program,
         &db,
         &EvalOptions {
-            prune: PrunePolicy::EveryIteration,
+            prune: PrunePolicy::Never,
+            threads: 4,
+            shards: 2,
             ..Default::default()
         },
     )
     .unwrap();
-    let rows = |o: &faure_core::EvalOutput| {
-        let mut v: Vec<Vec<Term>> = o
-            .relation("R")
-            .unwrap()
-            .iter()
-            .map(|t| t.terms.clone())
-            .collect();
-        v.sort();
-        v
-    };
-    assert_eq!(rows(&a), rows(&b));
+    assert_eq!(out.relation("R").unwrap().len(), 300 * 10);
+    assert!(out.stats.shard.passes > 0, "partitioned passes ran");
+    assert_eq!(out.stats.solver_stats, SolverStats::default());
 }
 
 #[test]

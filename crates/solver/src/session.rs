@@ -21,9 +21,10 @@
 //! A session's memo lives in one of two places: **local** (a private
 //! `HashMap`, the default — no synchronisation cost) or **shared** (an
 //! [`Arc<SharedMemo>`] handed to [`Session::with_shared`]). The shared
-//! backend is what parallel fixpoint evaluation uses: each worker
-//! thread owns a session, all sessions consult the same lock-sharded
-//! memo, so a condition decided by one worker is a hit for every other.
+//! backend is how verdicts outlive a session: the engine's one session
+//! per evaluation — on the driver thread, the solver's only caller —
+//! is backed by the memo its prepared program keeps, so the next run
+//! over the same registry starts with this run's verdicts.
 
 use crate::error::SolverError;
 use crate::memo::SharedMemo;
@@ -56,25 +57,21 @@ pub struct SolverStats {
     /// *earlier* run of the same shared memo (batch-mode reuse; always
     /// `0` for local memos and single-run shared memos).
     pub cross_run_hits: u64,
-    /// The subset of `memo_hits` where a [tagged](Session::set_shard_tag)
-    /// session was answered by an entry written by a *different* tagged
-    /// session — sharded evaluation's cross-shard fingerprint reuse.
-    /// Always `0` outside sharded evaluation; schedule-dependent (never
-    /// asserted deterministic), like the other hit/miss counters under
-    /// parallelism.
+    /// Always `0`: shard workers have no solver session, so no memo hit
+    /// crosses shards. Kept as a declared stat for the benchmark's
+    /// reader (`shard.cross_shard_hits`).
     pub cross_shard_hits: u64,
     /// Queries that missed the memo and ran the solver.
     pub memo_misses: u64,
-    /// Total wall-clock time inside the solver. Under parallel
-    /// evaluation this sums across workers, i.e. it is solver *CPU*
-    /// time, not elapsed time.
+    /// Total wall-clock time inside the solver; summed when several
+    /// sessions' records are [absorbed](SolverStats::absorb) into one.
     pub time: Duration,
     /// Per-check solve latency. Records **memo misses only** — hits,
     /// including cross-run hits in batch mode, never enter the solver
     /// and are deliberately excluded so the quantiles measure solver
     /// cost per *solved* condition and stay comparable between a cold
     /// first run and warm reruns. Power-of-two nanosecond buckets;
-    /// merged across workers by [`absorb`](SolverStats::absorb).
+    /// merged by [`absorb`](SolverStats::absorb).
     pub latency: Histogram,
 }
 
@@ -84,7 +81,7 @@ faure_trace::stats!(SolverStats {
     simplify_calls: Counter, "simplify_calls", "faure_simplify_calls_total", "Solver-backed simplifications requested.";
     memo_hits: Counter, "memo_hits", "faure_memo_hits_total", "Solver queries answered from the memo.";
     cross_run_hits: Counter, "cross_run_hits", "faure_memo_cross_run_hits_total", "Memo hits on an entry cached by an earlier run.";
-    cross_shard_hits: Counter, "cross_shard_hits", "faure_memo_cross_shard_hits_total", "Memo hits on an entry written by another shard.";
+    cross_shard_hits: Counter, "cross_shard_hits", "faure_memo_cross_shard_hits_total", "Always 0: shard workers ask the solver nothing.";
     memo_misses: Counter, "memo_misses", "faure_memo_misses_total", "Solver queries that missed the memo and ran the solver.";
     time: Nanos, "time_ns", "faure_solver_ns_total", "Time inside the solver, summed over workers.";
 });
@@ -115,8 +112,7 @@ impl SolverStats {
     }
 
     /// Folds another stats record into this one (every declared stat,
-    /// saturating, plus the latency histogram). This is how worker
-    /// sessions' statistics merge back into the run's totals.
+    /// saturating, plus the latency histogram).
     pub fn absorb(&mut self, other: &SolverStats) {
         faure_trace::stat::absorb(self, other);
         self.latency.merge(&other.latency);
@@ -131,8 +127,8 @@ enum MemoBackend {
         sat: HashMap<CondId, bool>,
         simplify: HashMap<CondId, CondId>,
     },
-    /// A lock-sharded memo shared with sibling sessions (parallel
-    /// evaluation workers).
+    /// A memo that outlives the session (and may be shared with
+    /// sessions on other threads).
     Shared(Arc<SharedMemo>),
 }
 
@@ -149,16 +145,11 @@ impl Default for MemoBackend {
 /// condition-keyed memo (see module docs for the soundness argument).
 ///
 /// Sessions are cheap; the evaluation pipeline creates one per query
-/// run (plus one per worker thread under parallel evaluation, all
-/// backed by one [`SharedMemo`]) and folds their stats into the run
-/// report.
+/// run and copies its stats into the run report.
 #[derive(Debug, Default)]
 pub struct Session {
     stats: SolverStats,
     memo: MemoBackend,
-    /// Evaluation-shard tag stamped on shared-memo writes and compared
-    /// on reads (`0` = untagged). See [`Session::set_shard_tag`].
-    shard_tag: u8,
 }
 
 impl Session {
@@ -167,23 +158,13 @@ impl Session {
         Self::default()
     }
 
-    /// A fresh session whose memo reads and writes `memo` — used by
-    /// parallel evaluation so worker sessions share decided conditions.
+    /// A fresh session whose memo reads and writes `memo`, so what it
+    /// decides is there for whoever holds `memo` next.
     pub fn with_shared(memo: Arc<SharedMemo>) -> Self {
         Session {
             stats: SolverStats::default(),
             memo: MemoBackend::Shared(memo),
-            shard_tag: 0,
         }
-    }
-
-    /// Tags this session as evaluation shard `tag` (1-based; `0` means
-    /// untagged). Shared-memo writes carry the tag and hits on entries
-    /// written by a *different* tagged shard count as
-    /// [`SolverStats::cross_shard_hits`]. Tagging never changes
-    /// verdicts — only the statistics.
-    pub fn set_shard_tag(&mut self, tag: u8) {
-        self.shard_tag = tag;
     }
 
     /// Current statistics snapshot.
@@ -192,10 +173,9 @@ impl Session {
     }
 
     /// Accounts one memo hit and where its entry came from.
-    fn note_hit(&mut self, cross_run: bool, cross_shard: bool) {
+    fn note_hit(&mut self, cross_run: bool) {
         self.stats.memo_hits += 1;
         self.stats.cross_run_hits += u64::from(cross_run);
-        self.stats.cross_shard_hits += u64::from(cross_shard);
     }
 
     /// Accounts one solver invocation (a memo miss): total time plus
@@ -233,11 +213,11 @@ impl Session {
     pub fn satisfiable_id(&mut self, reg: &CVarRegistry, key: CondId) -> Result<bool, SolverError> {
         self.stats.sat_calls += 1;
         let hit = match &self.memo {
-            MemoBackend::Local { sat, .. } => sat.get(&key).map(|&v| (v, false, false)),
-            MemoBackend::Shared(memo) => memo.sat_get_from(key, self.shard_tag),
+            MemoBackend::Local { sat, .. } => sat.get(&key).map(|&v| (v, false)),
+            MemoBackend::Shared(memo) => memo.sat_get(key),
         };
-        if let Some((hit, cross_run, cross_shard)) = hit {
-            self.note_hit(cross_run, cross_shard);
+        if let Some((hit, cross_run)) = hit {
+            self.note_hit(cross_run);
             if hit {
                 self.stats.sat_true += 1;
             }
@@ -257,7 +237,7 @@ impl Session {
                         map.insert(key, sat);
                     }
                 }
-                MemoBackend::Shared(memo) => memo.sat_put_from(key, sat, self.shard_tag),
+                MemoBackend::Shared(memo) => memo.sat_put(key, sat),
             }
         }
         out
@@ -301,11 +281,11 @@ impl Session {
     ) -> Result<CondId, SolverError> {
         self.stats.simplify_calls += 1;
         let hit = match &self.memo {
-            MemoBackend::Local { simplify, .. } => simplify.get(&key).map(|&v| (v, false, false)),
-            MemoBackend::Shared(memo) => memo.simplify_get_from(key, self.shard_tag),
+            MemoBackend::Local { simplify, .. } => simplify.get(&key).map(|&v| (v, false)),
+            MemoBackend::Shared(memo) => memo.simplify_get(key),
         };
-        if let Some((hit, cross_run, cross_shard)) = hit {
-            self.note_hit(cross_run, cross_shard);
+        if let Some((hit, cross_run)) = hit {
+            self.note_hit(cross_run);
             return Ok(hit);
         }
         self.stats.memo_misses += 1;
@@ -319,9 +299,7 @@ impl Session {
                     map.insert(key, simplified);
                 }
             }
-            MemoBackend::Shared(memo) => {
-                memo.simplify_put_from(key, simplified, self.shard_tag);
-            }
+            MemoBackend::Shared(memo) => memo.simplify_put(key, simplified),
         }
         Ok(simplified)
     }
@@ -330,13 +308,6 @@ impl Session {
     /// not transferred — they may come from a different registry).
     pub fn absorb(&mut self, other: &Session) {
         self.stats.absorb(&other.stats);
-    }
-
-    /// Merges a raw stats record into this session's totals (the
-    /// cross-thread variant of [`absorb`](Session::absorb): workers
-    /// return their [`SolverStats`] by value).
-    pub fn absorb_stats(&mut self, stats: &SolverStats) {
-        self.stats.absorb(stats);
     }
 }
 
@@ -502,37 +473,6 @@ mod tests {
             Condition::False
         );
         assert_eq!(b.stats().memo_hits, 2);
-    }
-
-    #[test]
-    fn cross_shard_hits_require_distinct_tags() {
-        let mut reg = CVarRegistry::new();
-        let x = reg.fresh("x", Domain::Bool01);
-        let memo = Arc::new(SharedMemo::new());
-        let c = Condition::eq(Term::Var(x), Term::int(1));
-
-        // Shard 1 decides the condition.
-        let mut s1 = Session::with_shared(Arc::clone(&memo));
-        s1.set_shard_tag(1);
-        s1.satisfiable(&reg, &c).unwrap();
-        assert_eq!(s1.stats().cross_shard_hits, 0);
-
-        // Shard 1 hitting its own entry: not cross-shard.
-        s1.satisfiable(&reg, &c).unwrap();
-        assert_eq!(s1.stats().cross_shard_hits, 0);
-
-        // Shard 2 hitting shard 1's entry: cross-shard.
-        let mut s2 = Session::with_shared(Arc::clone(&memo));
-        s2.set_shard_tag(2);
-        s2.satisfiable(&reg, &c).unwrap();
-        assert_eq!(s2.stats().memo_hits, 1);
-        assert_eq!(s2.stats().cross_shard_hits, 1);
-
-        // An untagged session never counts cross-shard reuse.
-        let mut s0 = Session::with_shared(Arc::clone(&memo));
-        s0.satisfiable(&reg, &c).unwrap();
-        assert_eq!(s0.stats().memo_hits, 1);
-        assert_eq!(s0.stats().cross_shard_hits, 0);
     }
 
     #[test]

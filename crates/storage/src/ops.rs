@@ -3,10 +3,11 @@
 //! These implement the "straightforward extension of SQL" the paper
 //! recalls from the incomplete-database literature: each operator
 //! manipulates both the data part (terms) and the condition part. The
-//! fauré-log evaluation engine in `faure-core` drives most work through
-//! [`Table::find_matches`] directly, but the standalone operators are
-//! used by the update-rewrite machinery, the verifiers, and tests — and
-//! they document the c-table algebra in executable form.
+//! fauré-log evaluation engine in `faure-core` drives its work through
+//! [`Table::find_matches`] directly; the standalone operators are used
+//! by the SQL front end ([`crate::sql`]) and by
+//! `tests/tests/ops_semantics.rs` only — and they document the c-table
+//! algebra in executable form.
 
 use crate::table::{Pattern, Table};
 use faure_ctable::{CTuple, CVarRegistry, Schema};

@@ -1916,7 +1916,7 @@ mod tests {
         let memo = std::sync::Arc::new(faure_solver::SharedMemo::for_registry(&reg));
         let contradictory = Condition::eq(Term::Var(x), Term::int(0))
             .and(Condition::eq(Term::Var(x), Term::int(1)));
-        memo.simplify_put(t.cond_id(0), &contradictory);
+        memo.simplify_put(t.cond_id(0), pool::intern(&contradictory));
         let mut session = Session::with_shared(memo);
         assert_eq!(t.prune(&reg, &mut session).unwrap(), 1);
         assert_eq!(t.len(), 1);

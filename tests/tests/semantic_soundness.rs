@@ -16,7 +16,7 @@
 //!    cell `$v` guarded by `$v != 1` never instantiates to 1, and the
 //!    abstract domain is allowed to know that.)
 //! 2. **Hint transparency**: evaluation prepared with
-//!    [`Engine::prepare_with_hints`] is bit-identical (rows,
+//!    [`Engine::prepare_traced_with_hints`] is bit-identical (rows,
 //!    conditions raw and canonicalized, row order) to the unhinted
 //!    run, and hinted predicates/rules marked empty/infeasible really
 //!    derive nothing.
@@ -28,6 +28,7 @@ use faure_ctable::worlds::WorldIter;
 use faure_ctable::{Condition, Database, Term};
 use faure_tests::corpus::{arb_db, arb_program};
 use faure_tests::instantiate_derived;
+use faure_trace::Tracer;
 use proptest::prelude::*;
 
 /// Every derived row of every IDB relation, in stored order, with the
@@ -139,7 +140,7 @@ proptest! {
             .expect("evaluation succeeds");
         let hints = plan_hints(&program, Some(&db));
         let hinted = Engine::new()
-            .prepare_with_hints(&program, hints)
+            .prepare_traced_with_hints(&program, hints, &Tracer::disabled())
             .expect("hinted prepare succeeds")
             .run(&db)
             .expect("hinted evaluation succeeds");
