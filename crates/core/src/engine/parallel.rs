@@ -38,14 +38,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// bounding the idle tail to ~1/8 of one worker's share.
 const CHUNKS_PER_WORKER: usize = 8;
 
-/// The fewest depth-0 matches worth a worker thread of their own.
-/// Measured on the 2-core box (PR 24, a two-literal join over
-/// conditional rows, best of 5): a scoped worker costs ≈ 55 µs to
-/// start and join and a match ≈ 1.3 µs to evaluate, so with no floor
-/// two threads took 127 µs over 8 matches where one took 16 µs — the
-/// head-bound passes of an update, a few keys each, paid that per pass —
-/// and first came within 10 % of one thread at 1 024 matches (1 637 µs
-/// against 1 504 µs; 893 against 697 at 512).
+/// The fewest depth-0 matches a pass hands one worker thread. The
+/// floor stops small passes from losing to thread start-up; it is not
+/// the point where threads start to win, which no measurement here
+/// found. `table4 --churn-only --churn 1000 --churn-updates 100
+/// --threads 1,2` (2-core box, PR 24) reads 47 µs per update at one
+/// thread and 59 µs at two with this floor, 162 µs at two with a floor
+/// of 1: an update's head-bound passes, a few keys each, paid two
+/// scoped workers (≈ 55 µs to start and join) per pass. 512 keeps that
+/// cost under a tenth of a split pass at ≈ 1.3 µs a match.
 const MIN_MATCHES_PER_WORKER: usize = 512;
 
 /// How many threads a pass with `matches` depth-0 matches runs on when
@@ -105,7 +106,7 @@ pub(super) fn join_chunks<'a>(
                         let hi = (lo + size).min(matches.len());
                         let chunk = &matches[lo..hi];
                         let t_chunk = tracer.now_ns();
-                        if let Err(e) = pass.join(0, chunk, &mut frame) {
+                        if let Err(e) = pass.join(0, chunk.iter().cloned(), &mut frame) {
                             failure = Some((chunk_idx, e));
                             break;
                         }

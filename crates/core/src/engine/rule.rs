@@ -251,7 +251,7 @@ impl<'a> Pass<'a> {
             if workers > 1 {
                 return super::parallel::join_chunks(self, workers, &matches, f);
             }
-            self.join(0, &matches, f)?;
+            self.join(0, matches, f)?;
         }
         Ok(vec![std::mem::take(&mut f.out)])
     }
@@ -279,19 +279,21 @@ impl<'a> Pass<'a> {
     /// table — conjoins the row's condition and `μ`, binds the step's
     /// variables, applies its pushed-down comparisons, descends into
     /// the remaining steps (or, past the last one, emits the head row
-    /// into `f.out`), and undoes the bindings and the conjunction.
+    /// into `f.out`), and undoes the bindings and the conjunction. The
+    /// matches are consumed: only a worker, joining a slice of the
+    /// shared depth-0 list, clones them.
     pub(super) fn join(
         &self,
         depth: usize,
-        matches: &[(usize, Condition)],
+        matches: impl IntoIterator<Item = (usize, Condition)>,
         f: &mut Frame<'a>,
     ) -> Result<(), EvalError> {
         let (atom, table) = self.sources[depth];
         for (row_idx, mu) in matches {
             let (mark, start) = (f.acc.mark(), f.trail.len());
-            let mut ok = f.acc.push_id(table.cond_id(*row_idx), &mut f.ops)
-                && f.acc.push(mu.clone(), &mut f.ops)
-                && f.bind(atom, table, *row_idx, start);
+            let mut ok = f.acc.push_id(table.cond_id(row_idx), &mut f.ops)
+                && f.acc.push(mu, &mut f.ops)
+                && f.bind(atom, table, row_idx, start);
             // Pushed-down comparisons: every variable they mention is
             // bound by now, so ground-false ones cut the branch here
             // instead of after the remaining joins.
@@ -300,7 +302,7 @@ impl<'a> Pass<'a> {
             }
             if ok && depth + 1 < self.sources.len() {
                 let next = self.probe(depth + 1, f);
-                self.join(depth + 1, &next, f)?;
+                self.join(depth + 1, next, f)?;
             } else if ok {
                 self.finish(f)?;
             }
@@ -483,10 +485,11 @@ mod tests {
     use super::*;
     use crate::ast::Program;
     use crate::parser::parse_program;
-    use crate::plan::{compile_rule, ShardPlan};
+    use crate::plan::{compile_rule, head_bound_rules, ShardPlan};
     use faure_ctable::{CTuple, CVarId, CmpOp, Database, Domain, Schema};
-    use faure_trace::Tracer;
+    use faure_trace::{Recorder, Tracer};
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn arb_fragment() -> impl Strategy<Value = Condition> {
         let atom = (0u32..4, 0i64..3, any::<bool>()).prop_map(|(v, k, eq)| {
@@ -661,5 +664,192 @@ mod tests {
         let leaves = LeafMemo::default();
         assert_eq!(rule_pass(&program, 1, &db, &tables, &leaves), open);
         assert!(leaves.seen.lock().unwrap().is_empty());
+    }
+
+    // -----------------------------------------------------------------
+    // worker chunks against the serial join
+    // -----------------------------------------------------------------
+
+    /// Two cell codes and a condition code, decoded as the differential
+    /// corpus (`faure_tests::corpus`) decodes them: cells 0–2 are
+    /// constants, 3 and 4 the c-variables `v0` and `v1`; condition 0 is
+    /// `True`, the rest constrain `v0` and `v1`.
+    type RowCode = (usize, usize, usize);
+
+    fn arb_rows(max: usize) -> impl Strategy<Value = Vec<RowCode>> {
+        prop::collection::vec((0usize..5, 0usize..5, 0usize..5), 1..max)
+    }
+
+    fn decode((a, b, c): RowCode) -> CTuple {
+        let (v0, v1) = (Term::Var(CVarId(0)), Term::Var(CVarId(1)));
+        let cell = |code: usize| match code {
+            0..=2 => Term::int(code as i64),
+            3 => v0.clone(),
+            _ => v1.clone(),
+        };
+        let cond = match c {
+            0 => Condition::True,
+            1 => Condition::eq(v0.clone(), Term::int(1)),
+            2 => Condition::ne(v0.clone(), Term::int(0)),
+            3 => Condition::eq(v1.clone(), Term::int(1)),
+            _ => {
+                Condition::eq(v0.clone(), Term::int(1)).and(Condition::ne(v1.clone(), Term::int(0)))
+            }
+        };
+        CTuple::with_cond([cell(a), cell(b)], cond)
+    }
+
+    /// Which plan of a rule a pass runs, as `Driver::pass` is asked for
+    /// it: the full plan, a delta plan, or the head-bound companion
+    /// with the delta pinned to its appended literal.
+    #[derive(Clone, Copy, Debug)]
+    enum Shape {
+        Full,
+        Delta(usize),
+        HeadBound,
+    }
+
+    /// One rule per feature of the join step; the last one fails at
+    /// every leaf it reaches (`z` is never bound).
+    const PASSES: [(&str, Shape); 9] = [
+        // The constant-bearing literal is planned first.
+        ("Q(a, c) :- E(a, b), E(b, c), E(1, a).", Shape::Full),
+        // Pushed-down comparisons, ground-false on some branches.
+        ("Q(a, c) :- E(a, b), E(b, c), a != 1, c < 2.", Shape::Full),
+        // Negation: the leaf builds its tree, no memo.
+        ("Q(a) :- E(a, b), R(b, c), !E(b, a), a != 0.", Shape::Full),
+        // C-variable-only comparison: pushed before depth 0, so every
+        // worker must start from the driver's condition stack.
+        ("Q(a) :- E(a, b), $v0 + $v1 < 3.", Shape::Full),
+        // A variable repeated within one literal; c-variables as
+        // literal and head arguments.
+        ("Q(a, $v1) :- E(a, a), R(a, $v0).", Shape::Full),
+        // Semi-naive delta passes, linear and non-linear.
+        ("R(a, c) :- E(a, b), R(b, c).", Shape::Delta(1)),
+        ("R(a, c) :- R(a, b), R(b, c).", Shape::Delta(0)),
+        // A withdraw's re-derivation over the lost keys.
+        ("R(a, c) :- E(a, b), R(b, c).", Shape::HeadBound),
+        ("Q(a, z) :- E(a, b), !R(a, a).", Shape::Full),
+    ];
+
+    /// What a pass derived, in order, and what it counted.
+    type Joined = (Vec<(Vec<Term>, CondId)>, OpStats);
+
+    /// Depth 0 of `pass` as [`Pass::partitions`] runs it — initial
+    /// comparisons, one probe — then the join of the matches: in this
+    /// thread, or cut into chunks for `workers` threads whatever
+    /// `parallel::workers` would have said of so short a list.
+    fn join_depth_zero(pass: &Pass<'_>, workers: Option<usize>) -> Result<Joined, String> {
+        let mut f = Frame::default();
+        for &ci in &pass.plan.initial_comparisons {
+            assert!(pass.compare(ci, &mut f).unwrap(), "never ground-false");
+        }
+        let matches = pass.probe(0, &mut f);
+        let partitions = match workers {
+            None => pass
+                .join(0, matches, &mut f)
+                .map(|()| vec![std::mem::take(&mut f.out)]),
+            Some(w) => {
+                let partitions = super::super::parallel::join_chunks(pass, w, &matches, &mut f);
+                if let Ok(parts) = &partitions {
+                    assert!(parts.len() >= w.min(matches.len()), "really split");
+                    assert!(f.out.is_empty());
+                }
+                partitions
+            }
+        };
+        let rows = partitions.map_err(|e| format!("{e:?}"))?;
+        let rows = rows.into_iter().flatten();
+        Ok((rows.map(|r| (r.terms(), r.cond_id())).collect(), f.ops))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The chunks of a pass, joined on 2–4 worker threads and
+        /// concatenated in chunk order, are the serial join: the same
+        /// rows and condition ids in the same order, the same operator
+        /// counters, the same error; and the buffered chunk spans come
+        /// out in chunk order, one per partition.
+        #[test]
+        fn worker_chunks_equal_the_serial_join(
+            e in arb_rows(40),
+            r in arb_rows(12),
+            delta in arb_rows(24),
+            which in 0usize..PASSES.len(),
+        ) {
+            let mut db = Database::new();
+            db.fresh_cvar("v0", Domain::Ints(vec![0, 1, 2]));
+            db.fresh_cvar("v1", Domain::Ints(vec![0, 1, 2]));
+            for (name, rows) in [("E", &e), ("R", &r)] {
+                db.create_relation(Schema::new(name, &["a", "b"])).unwrap();
+                for &row in rows {
+                    db.insert(name, decode(row)).unwrap();
+                }
+            }
+            let (src, shape) = PASSES[which];
+            let program = parse_program(src).unwrap();
+            let cvmap = super::super::resolve_cvars(&program, &mut db);
+            let tables: HashMap<String, Table> = db
+                .relations()
+                .map(|rel| (rel.schema.name.clone(), Table::from_relation(rel)))
+                .collect();
+            let companions = head_bound_rules(&program);
+            let (rule, delta_pos) = match shape {
+                Shape::Full => (&program.rules[0], None),
+                Shape::Delta(pos) => (&program.rules[0], Some(pos)),
+                Shape::HeadBound => (&companions[0], Some(program.rules[0].body.len())),
+            };
+            let mut delta_table = Table::new(Schema::new("R", &["a", "b"]));
+            for (a, b, c) in delta {
+                // Lost keys carry the condition `True`.
+                let c = if matches!(shape, Shape::HeadBound) { 0 } else { c };
+                delta_table.insert(decode((a, b, c))).unwrap();
+            }
+            let plan = compile_rule(rule, delta_pos);
+            let shard_plan = ShardPlan::default();
+            let run = |workers: Option<usize>, tracer: Tracer| {
+                // A memo per run: the workers' leaves are misses they
+                // race on, not hits the serial run left behind.
+                let ctx = Ctx {
+                    cvmap: &cvmap,
+                    reg: &db.cvars,
+                    tracer,
+                    shard_plan: &shard_plan,
+                    delta_positions: &[],
+                    head_bound: &[],
+                    leaves: &LeafMemo::default(),
+                };
+                let delta = delta_pos.map(|_| &delta_table);
+                join_depth_zero(&Pass::new(&ctx, rule, &plan, &tables, delta), workers)
+            };
+
+            let serial = run(None, Tracer::disabled());
+            if let Err(e) = &serial {
+                prop_assert!(which == PASSES.len() - 1 && e.contains("\"z\""), "{}", e);
+            }
+            for workers in 2..=4 {
+                let rec = Arc::new(Recorder::new());
+                let chunked = run(Some(workers), Tracer::new(rec.clone()));
+                match (&serial, &chunked) {
+                    (Ok(_), Ok(_)) => prop_assert_eq!(&serial, &chunked, "workers={}\n{}", workers, src),
+                    // Serial stops at its first failing leaf, the
+                    // workers drain the other chunks: counters differ.
+                    _ => prop_assert_eq!(serial.as_ref().err(), chunked.as_ref().err()),
+                }
+                let spans = rec.take();
+                let spans: Vec<_> = spans.iter().filter(|s| s.name == "chunk").collect();
+                for (i, span) in spans.iter().enumerate() {
+                    prop_assert_eq!(span.arg_u64("chunk"), Some(i as u64));
+                }
+                if let Ok((rows, ops)) = &chunked {
+                    let sum = |key| spans.iter().filter_map(|s| s.arg_u64(key)).sum::<u64>();
+                    prop_assert_eq!(sum("rows_out"), rows.len() as u64);
+                    // Depth 0 was one probe, of exactly the matches.
+                    prop_assert!(sum("matches") <= ops.rows_matched);
+                    prop_assert!(spans.len() >= workers.min(sum("matches") as usize));
+                }
+            }
+        }
     }
 }
