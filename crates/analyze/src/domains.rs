@@ -134,18 +134,6 @@ impl AbsDom {
         }
     }
 
-    /// Number of distinct values, when finite.
-    pub fn card(&self) -> Option<u64> {
-        match self {
-            AbsDom::Bottom => Some(0),
-            AbsDom::Consts(set) => Some(set.len() as u64),
-            AbsDom::Interval(Some(lo), Some(hi)) if lo <= hi => {
-                Some(hi.abs_diff(*lo).saturating_add(1))
-            }
-            _ => None,
-        }
-    }
-
     /// The coarse value kind.
     pub fn kind(&self) -> Kind {
         match self {
@@ -390,10 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn cards_and_kinds() {
-        assert_eq!(ints(&[1, 2]).card(), Some(2));
-        assert_eq!(AbsDom::Interval(Some(0), Some(4)).card(), Some(5));
-        assert_eq!(AbsDom::Top.card(), None);
+    fn kinds_classify_domains() {
         assert_eq!(ints(&[1]).kind(), Kind::Int);
         assert_eq!(AbsDom::Symbols.kind(), Kind::Sym);
         assert_eq!(AbsDom::Top.kind(), Kind::Mixed);

@@ -527,54 +527,6 @@ fn comparisons_span(spans: &RuleSpans) -> Option<Span> {
 }
 
 // ---------------------------------------------------------------------------
-// planner hints
-// ---------------------------------------------------------------------------
-
-/// Distils the inference results into [`faure_core::plan::Hints`] for
-/// hinted plan compilation
-/// ([`Engine::prepare_traced_with_hints`](faure_core::Engine::prepare_traced_with_hints)):
-///
-/// * every predicate the fixpoint proves empty goes into
-///   `empty_preds`, and every rule with an infeasibility proof into
-///   `infeasible_rules` — their plans compile to statically-pruned
-///   empty bodies;
-/// * every column with a finite inferred domain contributes its
-///   cardinality to `col_cards`, refining join-order selectivity.
-///
-/// Soundness matters here: the hints must hold for the database the
-/// program later runs against. Pass the same `db` the evaluation will
-/// use; pass `None` for program-only hints, which are valid for any
-/// database **whose relations the program does not shadow** — when in
-/// doubt, supply the database.
-pub fn plan_hints(program: &faure_core::Program, db: Option<&Database>) -> faure_core::plan::Hints {
-    let inference = infer::infer(program, db);
-    hints_from_inference(&inference)
-}
-
-/// The [`plan_hints`] distillation, for callers that already ran
-/// [`infer`].
-pub fn hints_from_inference(inference: &infer::Inference) -> faure_core::plan::Hints {
-    let mut hints = faure_core::plan::Hints::default();
-    for (pred, cols) in &inference.columns {
-        if !inference.nonempty.contains(pred) {
-            hints.empty_preds.insert(pred.clone());
-            continue;
-        }
-        for (col, dom) in cols.iter().enumerate() {
-            if let Some(card) = dom.card() {
-                hints.col_cards.insert((pred.clone(), col), card);
-            }
-        }
-    }
-    for (ri, sem) in inference.rules.iter().enumerate() {
-        if sem.infeasible.is_some() {
-            hints.infeasible_rules.insert(ri);
-        }
-    }
-    hints
-}
-
-// ---------------------------------------------------------------------------
 // --explain
 // ---------------------------------------------------------------------------
 

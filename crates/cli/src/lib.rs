@@ -31,7 +31,6 @@
 //! * `scenarios <db> <constraint>` — enumerate the concrete worlds
 //!   (e.g. failure combinations) violating the constraint;
 //! * `subsume <target> <known>...` — the category-(i) test;
-//! * `sql <db> <query>` — a SELECT over the c-tables;
 //! * `worlds <db>` — enumerate the possible worlds (small inputs).
 
 #![forbid(unsafe_code)]
@@ -471,21 +470,6 @@ pub fn cmd_subsume(
     }
 }
 
-/// `faure sql` implementation.
-pub fn cmd_sql(db_text: &str, query: &str) -> Result<String, CliError> {
-    let db = load_database(db_text)?;
-    let table = faure_storage::sql::query(&db, query).map_err(|e| err(e.to_string()))?;
-    let mut s = String::new();
-    use fmt::Write;
-    for row in table.iter() {
-        writeln!(&mut s, "{}", row.display(&db.cvars)).map_err(|e| err(e.to_string()))?;
-    }
-    if table.is_empty() {
-        s.push_str("(no rows)\n");
-    }
-    Ok(s)
-}
-
 /// `faure worlds` implementation.
 pub fn cmd_worlds(db_text: &str, limit: usize) -> Result<String, CliError> {
     let db = load_database(db_text)?;
@@ -667,12 +651,6 @@ R(f, a, b) :- F(f, a, c), R(f, c, b).
         assert!(out.starts_with("SUBSUMED"));
         let out2 = cmd_subsume(&known[0], &[target.to_owned()], &reg).unwrap();
         assert!(out2.starts_with("UNKNOWN"));
-    }
-
-    #[test]
-    fn sql_end_to_end() {
-        let out = cmd_sql(FIG1, "SELECT * FROM F WHERE n1 = 4").unwrap();
-        assert!(out.contains("(1, 4, 5)"));
     }
 
     #[test]

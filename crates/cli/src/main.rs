@@ -2,8 +2,8 @@
 
 use faure_cli::{
     cmd_check, cmd_eval_batch, cmd_eval_updates, cmd_explain, cmd_explain_json, cmd_lint,
-    cmd_lint_json, cmd_profile, cmd_scenarios, cmd_sql, cmd_subsume, cmd_worlds, load_database,
-    parse_prune, parse_shard_key, spawn_telemetry_jsonl, CliError, EngineKnobs, ObsOptions,
+    cmd_lint_json, cmd_profile, cmd_scenarios, cmd_subsume, cmd_worlds, load_database, parse_prune,
+    parse_shard_key, spawn_telemetry_jsonl, CliError, EngineKnobs, ObsOptions,
 };
 use faure_core::PrunePolicy;
 use faure_trace::{flight, prom, telemetry, FlightRecorder};
@@ -26,7 +26,6 @@ USAGE:
   faure check <db.fdb> <constraint.fl>
   faure scenarios <db.fdb> <constraint.fl> [--limit N]
   faure subsume <target.fl> <known.fl>... [--domains db.fdb]
-  faure sql <db.fdb> \"SELECT ...\"
   faure worlds <db.fdb> [--limit N]
   faure help
 
@@ -438,7 +437,6 @@ fn run() -> Result<String, CliError> {
                 known.iter().map(|k| read(k)).collect::<Result<_, _>>()?;
             cmd_subsume(&read(target)?, &known_texts, &reg)
         }
-        ["sql", db, query] => cmd_sql(&read(db)?, query),
         ["worlds", db] => cmd_worlds(&read(db)?, limit),
         ["help"] | [] => Ok(USAGE.to_owned()),
         other => Err(CliError(format!(

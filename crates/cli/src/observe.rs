@@ -13,20 +13,16 @@
 //!
 //! Batch `eval` prepares the program **once** (`Engine::prepare`) and
 //! runs it against every database, with per-database spans grouped in
-//! one trace. Preparation is *hinted*: the databases are loaded first,
-//! the semantic analyzer infers per-column domains against each, and
-//! the intersection of their facts (a hint must hold for every database
-//! in the batch) drives plan compilation — provably-infeasible rules
-//! become statically-pruned empty plans, counted in the metrics
-//! document's `ops.static_cut`.
+//! one trace. Preparation reads the program alone, never a database:
+//! the same plans serve every database of the batch and every state an
+//! `--updates` stream moves through.
 
 use crate::{err, load_database, render_relation, CliError, EngineKnobs};
-use faure_core::plan::Hints;
 use faure_core::{
     parse_program, Applies, DeletePattern, Delta, DeltaReport, Engine, EvalOptions, PrunePolicy,
 };
 use faure_ctable::pool::pool_stats;
-use faure_ctable::{Const, Database, PoolStats};
+use faure_ctable::{Const, PoolStats};
 use faure_storage::PhaseStats;
 use faure_trace::json::{self, Arr, Obj, Str};
 use faure_trace::metrics::{rollup_by_arg, rollup_spans, Rollup};
@@ -144,20 +140,8 @@ pub fn cmd_eval_batch(
     let recorder = Arc::new(Recorder::new());
     let tracer = build_tracer(&recorder, obs);
 
-    // Load every database up front: planner hints must hold for each
-    // database they will run against.
-    let loaded: Vec<(&String, Database)> = dbs
-        .iter()
-        .map(|(label, text)| {
-            load_database(text)
-                .map(|db| (label, db))
-                .map_err(|e| err(format!("{label}: {e}")))
-        })
-        .collect::<Result<_, _>>()?;
-    let hints = batch_hints(&program, loaded.iter().map(|(_, db)| db));
-
     let mut prepared = Engine::with_options(opts)
-        .prepare_traced_with_hints(&program, hints, &tracer)
+        .prepare_traced(&program, &tracer)
         .map_err(|e| err(e.to_string()))?;
     prepared
         .set_shard_keys(knobs.shard_keys.iter().map(|(p, c)| (p.as_str(), *c)))
@@ -168,9 +152,10 @@ pub fn cmd_eval_batch(
     let mut all_events = prepare_events.clone();
     let mut runs: Vec<DbRun> = Vec::new();
 
-    for (label, db) in &loaded {
+    for (label, text) in dbs {
+        let db = load_database(text).map_err(|e| err(format!("{label}: {e}")))?;
         let out = prepared
-            .run_traced(db, &tracer)
+            .run_traced(&db, &tracer)
             .map_err(|e| err(format!("{label}: {e}")))?;
         let pool = pool_stats();
         let events = recorder.take();
@@ -195,7 +180,7 @@ pub fn cmd_eval_batch(
 
         all_events.extend(events.iter().cloned());
         runs.push(DbRun {
-            label: (*label).clone(),
+            label: label.clone(),
             stats: out.stats,
             pool,
             events,
@@ -314,9 +299,8 @@ pub fn cmd_eval_updates(
     let tracer = build_tracer(&recorder, obs);
 
     let db = load_database(db_text).map_err(|e| err(format!("{db_label}: {e}")))?;
-    let hints = batch_hints(&program, std::iter::once(&db));
     let mut prepared = Engine::with_options(opts)
-        .prepare_traced_with_hints(&program, hints, &tracer)
+        .prepare_traced(&program, &tracer)
         .map_err(|e| err(e.to_string()))?;
     prepared
         .set_shard_keys(knobs.shard_keys.iter().map(|(p, c)| (p.as_str(), *c)))
@@ -443,45 +427,6 @@ fn render_state_relation(
             .map_err(|e| err(e.to_string()))?;
     }
     Ok(())
-}
-
-/// Planner hints that are sound for **every** database in the batch:
-/// per-database inference results are intersected (a predicate is only
-/// hinted empty, and a rule only hinted infeasible, if that holds under
-/// each database), and column cardinalities take the per-column
-/// maximum. One database ⇒ its hints verbatim; zero ⇒ unreachable
-/// (`cmd_eval_batch` rejects empty batches).
-fn batch_hints<'a>(
-    program: &faure_core::Program,
-    dbs: impl Iterator<Item = &'a Database>,
-) -> Hints {
-    let mut merged: Option<Hints> = None;
-    for db in dbs {
-        let h = faure_analyze::plan_hints(program, Some(db));
-        merged = Some(match merged {
-            None => h,
-            Some(m) => Hints {
-                col_cards: h
-                    .col_cards
-                    .iter()
-                    .filter_map(|(k, &card)| {
-                        m.col_cards.get(k).map(|&mc| (k.clone(), mc.max(card)))
-                    })
-                    .collect(),
-                empty_preds: m
-                    .empty_preds
-                    .intersection(&h.empty_preds)
-                    .cloned()
-                    .collect(),
-                infeasible_rules: m
-                    .infeasible_rules
-                    .intersection(&h.infeasible_rules)
-                    .copied()
-                    .collect(),
-            },
-        });
-    }
-    merged.unwrap_or_default()
 }
 
 /// Whether a stat belongs in `totals`: the registry carries it, and

@@ -7,6 +7,7 @@ use faure_storage::{OpStats, PhaseStats, ShardStats};
 use faure_trace::stat::{Kind, Stat, Stats};
 use faure_trace::{prom, telemetry};
 use std::io::Write;
+use std::path::Path;
 use std::process::Command;
 
 fn faure() -> Command {
@@ -106,15 +107,62 @@ fn check_reports_verdicts() {
     assert_eq!(text.lines().count(), 3, "{text}");
 }
 
+/// `faure eval --updates` ends where a batch `faure eval` of the final
+/// database does, also when an update reaches a rule the initial
+/// database ruled out: a comparison no initial row satisfies, or a
+/// declared predicate the initial database leaves empty. (Plans once
+/// compiled under facts inferred from the initial database, and these
+/// rules stayed cut for the whole stream.)
 #[test]
-fn sql_subcommand() {
-    let db = write_temp("fig1c.fdb", FIG1);
-    let out = faure()
-        .args(["sql", db.to_str().unwrap(), "SELECT * FROM F WHERE n1 = 4"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("(1, 4, 5)"));
+fn updates_reach_rules_the_initial_database_ruled_out() {
+    let cases = [
+        (
+            "cmp",
+            "E(1, 2).\n",
+            "Q(a) :- E(a, b), a > 100.\n",
+            "E(200, 3).",
+            "(200)",
+        ),
+        (
+            "empty",
+            "@schema G(g)\nE(1, 2).\n",
+            "Q(a) :- E(a, b), G(a).\n",
+            "G(1).",
+            "(1)",
+        ),
+    ];
+    // The relation listing: `--` lines carry timings and counts.
+    let eval = |db: &Path, program: &Path, updates: Option<&Path>| -> Vec<String> {
+        let mut cmd = faure();
+        cmd.arg("eval").arg(db).arg(program);
+        if let Some(stream) = updates {
+            cmd.arg("--updates").arg(stream);
+        }
+        let out = cmd.output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| !l.starts_with("--"))
+            .map(str::to_owned)
+            .collect()
+    };
+    for (name, db, program, fact, row) in cases {
+        let initial = write_temp(&format!("ruled-out-{name}.fdb"), db);
+        let last = write_temp(
+            &format!("ruled-out-{name}-final.fdb"),
+            &format!("{db}{fact}\n"),
+        );
+        let program = write_temp(&format!("ruled-out-{name}.fl"), program);
+        let stream = write_temp(&format!("ruled-out-{name}.fdl"), &format!("+{fact}\n"));
+        let maintained = eval(&initial, &program, Some(&stream));
+        let batch = eval(&last, &program, None);
+        assert!(batch.iter().any(|l| l.trim() == row), "{name}: {batch:?}");
+        assert_eq!(maintained, batch, "{name}");
+    }
 }
 
 #[test]
@@ -309,6 +357,80 @@ fn telemetry_jsonl_final_line_agrees_with_metrics_totals() {
             "README's mapping table has no row with {family} and a JSON path ending {key}"
         );
     }
+
+    // And back: every family README's Prometheus tables name is typed
+    // in the same text, so a deleted counter cannot leave a stale row —
+    // unless one serial batch evaluation cannot publish it, as listed.
+    let not_published_here = [
+        (
+            "faure_shard_rows_exchanged_total",
+            "only a sharded pass exchanges rows",
+        ),
+        (
+            "faure_shard_routed_delta_rows",
+            "only a sharded pass routes a delta",
+        ),
+        (
+            "faure_parallel_rule_passes_total",
+            "only a pass split across threads counts",
+        ),
+        (
+            "faure_parallel_chunks_total",
+            "only a pass split across threads counts",
+        ),
+        (
+            "faure_parallel_workers",
+            "only a pass split across threads sets it",
+        ),
+        (
+            "faure_maintain_strata_total",
+            "only an `--updates` apply touches strata",
+        ),
+        (
+            "faure_maintain_changed_rows_total",
+            "only an `--updates` apply changes rows",
+        ),
+        (
+            "faure_update_apply_ns",
+            "only an `--updates` apply is timed",
+        ),
+    ];
+    let families = readme_prometheus_families(readme);
+    assert!(
+        families.len() > 40,
+        "README's Prometheus tables not found: {families:?}"
+    );
+    for family in families {
+        let typed = text
+            .lines()
+            .any(|l| l.strip_prefix("# TYPE ").and_then(|t| t.split(' ').next()) == Some(&family));
+        assert!(
+            typed || not_published_here.iter().any(|(f, _)| *f == family),
+            "README names {family}, which the Prometheus text does not type\n{text}"
+        );
+    }
+}
+
+/// The `faure_*` families in the first column of README's
+/// "Prometheus (`/metrics`, JSONL)" tables, label sets stripped.
+fn readme_prometheus_families(readme: &str) -> Vec<String> {
+    let mut families = Vec::new();
+    let mut in_table = false;
+    for line in readme.lines() {
+        if line.starts_with("| Prometheus (`/metrics`, JSONL) |") {
+            in_table = true;
+        } else if !line.starts_with('|') {
+            in_table = false;
+        } else if in_table {
+            let first_cell = line.split('|').nth(1).unwrap_or("");
+            for code in first_cell.split('`').skip(1).step_by(2) {
+                if code.starts_with("faure_") {
+                    families.push(code.split('{').next().unwrap_or(code).to_owned());
+                }
+            }
+        }
+    }
+    families
 }
 
 #[test]

@@ -299,21 +299,6 @@ impl Engine {
         program: &Program,
         tracer: &Tracer,
     ) -> Result<PreparedProgram, EvalError> {
-        self.prepare_traced_with_hints(program, crate::plan::Hints::default(), tracer)
-    }
-
-    /// [`prepare_traced`](Engine::prepare_traced) with semantic-analysis
-    /// planner hints: plans compile under `hints` (see
-    /// [`crate::plan::Hints`]), so provably-infeasible rules become
-    /// statically-pruned empty plans and inferred column cardinalities
-    /// refine join order. Sound hints never change results — only the
-    /// work done.
-    pub fn prepare_traced_with_hints(
-        &self,
-        program: &Program,
-        hints: crate::plan::Hints,
-        tracer: &Tracer,
-    ) -> Result<PreparedProgram, EvalError> {
         let t_safety = tracer.now_ns();
         check_safety(program)?;
         tracer.emit_span("prepare", "safety", t_safety, 0, || {
@@ -325,7 +310,7 @@ impl Engine {
             vec![("strata", strat.strata.len().into())]
         });
         let t_plan = tracer.now_ns();
-        let mut plans = PlanCache::with_hints(hints);
+        let mut plans = PlanCache::new();
         for stratum_rules in &strat.strata {
             let stratum_preds: BTreeSet<&str> = stratum_rules
                 .iter()

@@ -190,12 +190,6 @@ impl<'a> Pass<'a> {
         threads: usize,
         ops: &mut OpStats,
     ) -> Result<Vec<Vec<PreparedRow>>, EvalError> {
-        if self.plan.static_empty {
-            // Semantic analysis proved the body can never produce a row:
-            // cut the branch before probing anything.
-            ops.static_cut += 1;
-            return Ok(Vec::new());
-        }
         let t_pass = self.ctx.tracer.now_ns();
         let mut frame = Frame::default();
         let mut matches_in = 0usize;

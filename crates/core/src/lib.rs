@@ -66,8 +66,8 @@ pub use parser::{
     SpannedProgram,
 };
 pub use plan::{
-    compile_rule, compile_rule_hinted, explain_program, explain_program_json, maintenance_meta,
-    Hints, JoinStep, MaintenanceMeta, PlanCache, RulePlan,
+    compile_rule, explain_program, explain_program_json, maintenance_meta, JoinStep,
+    MaintenanceMeta, PlanCache, RulePlan,
 };
 pub use update::{
     apply_to_database, expand_constraint, rewrite_constraint, DeletePattern, Update, UpdateError,

@@ -27,66 +27,16 @@
 //!
 //! Plans are purely *logical*: they hold body-literal indices and
 //! comparison indices into the rule, not table references, so they are
-//! compiled without a database and rendered by `faure explain`.
+//! compiled without a database and rendered by `faure explain`. A plan
+//! is a function of the rule text alone — no data statistics and no
+//! analyzer facts — so it stays valid for every database a prepared
+//! program runs or maintains, and `explain` shows exactly what runs.
 
 use crate::analysis::{check_safety, stratify, AnalysisError};
 use crate::ast::{ArgTerm, Literal, Program, Rule};
 use faure_trace::json::{self, Arr, Str};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-
-/// Planner hints from semantic analysis.
-///
-/// The abstract-interpretation pass in `faure-analyze` infers, per
-/// predicate column, a sound over-approximation of the values the
-/// column can hold. This struct is the side-channel carrying those
-/// facts down to plan compilation — the plan layer stays ignorant of
-/// *how* they were derived, it only consumes them:
-///
-/// * [`col_cards`](Hints::col_cards) tightens the greedy join order: a
-///   bound column whose domain holds a single value filters nothing,
-///   so it no longer counts towards bound-column selectivity, and
-///   literals over provably smaller relations win ties;
-/// * [`empty_preds`](Hints::empty_preds) /
-///   [`infeasible_rules`](Hints::infeasible_rules) compile the whole
-///   rule to a statically-pruned empty plan
-///   ([`RulePlan::static_empty`]): the engine cuts the branch before
-///   executing a single probe and counts the cut in `OpStats`.
-///
-/// Hints are advisory: an empty [`Hints::default()`] reproduces the
-/// unhinted planner exactly, and *any* sound hint set leaves results
-/// bit-identical — only join order and skipped work may change.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Hints {
-    /// Inferred domain cardinality per `(predicate, column)`, for
-    /// columns whose domains are finite. A missing entry means the
-    /// column's domain is unknown or unbounded.
-    pub col_cards: BTreeMap<(String, usize), u64>,
-    /// Predicates that provably hold no tuple in any world.
-    pub empty_preds: BTreeSet<String>,
-    /// Rule indices (into `Program::rules`) whose bodies are provably
-    /// infeasible — the join can never produce a row.
-    pub infeasible_rules: BTreeSet<usize>,
-}
-
-impl Hints {
-    /// Whether this hint set carries no information (the default).
-    pub fn is_empty(&self) -> bool {
-        self.col_cards.is_empty() && self.empty_preds.is_empty() && self.infeasible_rules.is_empty()
-    }
-
-    /// The estimated row count of `pred` (product of its column
-    /// cardinalities), capped at `u64::MAX`, or `None` when any column
-    /// is unbounded or unknown.
-    fn est_rows(&self, pred: &str, arity: usize) -> Option<u64> {
-        let mut est: u64 = 1;
-        for col in 0..arity {
-            let card = *self.col_cards.get(&(pred.to_owned(), col))?;
-            est = est.saturating_mul(card);
-        }
-        Some(est)
-    }
-}
 
 /// One positive join step of a compiled plan.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -120,11 +70,6 @@ pub struct RulePlan {
     pub initial_comparisons: Vec<usize>,
     /// Body positions of negated literals, evaluated after all joins.
     pub negations: Vec<usize>,
-    /// Statically pruned: semantic analysis proved the body can never
-    /// produce a row (a positive literal over a provably-empty
-    /// predicate, or a provably-infeasible join). The engine skips the
-    /// plan entirely and counts the cut in `OpStats::static_cut`.
-    pub static_empty: bool,
 }
 
 fn arg_is_bound(arg: &ArgTerm, bound: &BTreeSet<&str>) -> bool {
@@ -151,29 +96,6 @@ fn bound_cols(rule: &Rule, lit_pos: usize, bound: &BTreeSet<&str>) -> usize {
 /// columns (a fully-bound binary atom beats a half-bound ternary one),
 /// then by body position (stable for `explain` output).
 pub fn compile_rule(rule: &Rule, delta_pos: Option<usize>) -> RulePlan {
-    compile_rule_hinted(rule, usize::MAX, delta_pos, &Hints::default())
-}
-
-/// [`compile_rule`] with semantic-analysis hints (see [`Hints`]).
-///
-/// With hints the greedy key refines in two ways, both order-only (the
-/// produced rows are identical): a bound column whose inferred domain
-/// holds exactly one value stops counting as bound (probing it filters
-/// nothing), and ties between equally-bound literals break towards the
-/// literal with the smallest estimated relation size. An infeasible
-/// rule — or one reading a provably-empty predicate — compiles to a
-/// [statically-pruned](RulePlan::static_empty) plan.
-pub fn compile_rule_hinted(
-    rule: &Rule,
-    rule_idx: usize,
-    delta_pos: Option<usize>,
-    hints: &Hints,
-) -> RulePlan {
-    let static_empty = hints.infeasible_rules.contains(&rule_idx)
-        || rule
-            .body
-            .iter()
-            .any(|l| !l.is_negative() && hints.empty_preds.contains(l.atom().pred.as_str()));
     let mut remaining: Vec<usize> = rule
         .body
         .iter()
@@ -209,40 +131,15 @@ pub fn compile_rule_hinted(
                 .position(|&p| p == dp)
                 .expect("delta position must be a positive body literal")
         } else {
-            let mut best = 0usize;
-            let mut best_key = (0usize, usize::MAX, 0u64, usize::MAX);
-            for (i, &p) in remaining.iter().enumerate() {
-                let atom = rule.body[p].atom();
-                // Effective bound columns: a bound column whose inferred
-                // domain holds a single value filters nothing, so it
-                // earns no selectivity credit.
-                let eff_bc = atom
-                    .args
-                    .iter()
-                    .enumerate()
-                    .filter(|(col, a)| {
-                        arg_is_bound(a, &bound)
-                            && hints
-                                .col_cards
-                                .get(&(atom.pred.clone(), *col))
-                                .is_none_or(|&card| card > 1)
-                    })
-                    .count();
-                let unbound = atom.args.len() - bound_cols(rule, p, &bound);
-                // Smaller estimated relations win ties (0 = unknown).
-                let small = u64::MAX
-                    - hints
-                        .est_rows(&atom.pred, atom.args.len())
-                        .unwrap_or(u64::MAX);
-                // Max effective bound columns; then min unbound; then
-                // min estimated size; then body order.
-                let key = (eff_bc, usize::MAX - unbound, small, usize::MAX - p);
-                if i == 0 || key > best_key {
-                    best = i;
-                    best_key = key;
-                }
-            }
-            best
+            // Max bound columns; then min unbound; then body order.
+            let key = |p: usize| {
+                let bc = bound_cols(rule, p, &bound);
+                let unbound = rule.body[p].atom().args.len() - bc;
+                (bc, usize::MAX - unbound, usize::MAX - p)
+            };
+            (0..remaining.len())
+                .max_by_key(|&i| key(remaining[i]))
+                .expect("loop runs only while literals remain")
         };
         let lit_pos = remaining.swap_remove(pick);
         let bc = bound_cols(rule, lit_pos, &bound);
@@ -282,7 +179,6 @@ pub fn compile_rule_hinted(
         steps,
         initial_comparisons,
         negations,
-        static_empty,
     }
 }
 
@@ -294,13 +190,6 @@ pub fn render_plan(rule: &Rule, plan: &RulePlan, out: &mut String) {
         n += 1;
         let _ = write!(out, "      {n}. ");
     };
-    if plan.static_empty {
-        op(out);
-        let _ = writeln!(
-            out,
-            "prune (statically empty body — branch cut before execution)"
-        );
-    }
     for &ci in &plan.initial_comparisons {
         op(out);
         let _ = writeln!(out, "filter {}", rule.comparisons[ci]);
@@ -346,9 +235,6 @@ pub fn render_plan(rule: &Rule, plan: &RulePlan, out: &mut String) {
 #[derive(Clone, Debug, Default)]
 pub struct PlanCache {
     plans: HashMap<(usize, Option<usize>), RulePlan>,
-    /// Semantic-analysis hints applied to every compilation (empty by
-    /// default — the unhinted planner).
-    hints: Hints,
     /// Requests served from the cache.
     pub hits: u64,
     /// Requests that compiled a new plan.
@@ -356,22 +242,9 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// An empty cache (unhinted planning).
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty cache that compiles every plan under `hints`.
-    pub fn with_hints(hints: Hints) -> Self {
-        PlanCache {
-            hints,
-            ..Self::default()
-        }
-    }
-
-    /// The hints this cache compiles under.
-    pub fn hints(&self) -> &Hints {
-        &self.hints
     }
 
     /// A copy of this cache with its hit/miss counters reset — used by
@@ -380,7 +253,6 @@ impl PlanCache {
     pub fn fresh_counters(&self) -> PlanCache {
         PlanCache {
             plans: self.plans.clone(),
-            hints: self.hints.clone(),
             hits: 0,
             misses: 0,
         }
@@ -399,10 +271,7 @@ impl PlanCache {
             self.hits += 1;
         } else {
             self.misses += 1;
-            self.plans.insert(
-                key,
-                compile_rule_hinted(rule, rule_idx, delta_pos, &self.hints),
-            );
+            self.plans.insert(key, compile_rule(rule, delta_pos));
         }
         self.plans.get(&key).expect("inserted above")
     }

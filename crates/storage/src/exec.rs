@@ -36,10 +36,6 @@ pub struct OpStats {
     pub cmp_pruned: u64,
     /// Negation checks performed (one per negated literal per binding).
     pub neg_checks: u64,
-    /// Rule passes skipped entirely because semantic analysis compiled
-    /// the plan to a statically-pruned empty body (branch cut before a
-    /// single probe ran).
-    pub static_cut: u64,
 }
 
 faure_trace::stats!(OpStats {
@@ -48,7 +44,6 @@ faure_trace::stats!(OpStats {
     conds_conjoined: Counter, "conds_conjoined", "faure_conds_conjoined_total", "Condition fragments conjoined by the join.";
     cmp_pruned: Counter, "cmp_pruned", "faure_cmp_pruned_total", "Join branches cut by a ground-false comparison.";
     neg_checks: Counter, "neg_checks", "faure_neg_checks_total", "Negation checks performed.";
-    static_cut: Counter, "static_cut", "faure_static_cut_total", "Rule passes skipped as statically empty.";
 });
 
 impl OpStats {
@@ -208,7 +203,6 @@ mod tests {
             conds_conjoined: 1,
             cmp_pruned: 0,
             neg_checks: u64::MAX,
-            static_cut: u64::MAX,
         };
         let b = OpStats {
             probes: 5,
@@ -216,7 +210,6 @@ mod tests {
             conds_conjoined: 2,
             cmp_pruned: 3,
             neg_checks: 1,
-            static_cut: 1,
         };
         a.absorb(&b);
         assert_eq!(a.probes, u64::MAX);
@@ -224,6 +217,5 @@ mod tests {
         assert_eq!(a.conds_conjoined, 3);
         assert_eq!(a.cmp_pruned, 3);
         assert_eq!(a.neg_checks, u64::MAX);
-        assert_eq!(a.static_cut, u64::MAX);
     }
 }

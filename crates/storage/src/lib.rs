@@ -8,8 +8,9 @@
 //! Mirroring the paper's three-phase evaluation:
 //!
 //! 1. **data phase** (*"generate the data part in pure SQL"*) —
-//!    indexed pattern matching and join over tuple terms ([`Table`],
-//!    [`ops`]);
+//!    indexed pattern matching over tuple terms ([`Table::find_matches`],
+//!    routed by [`exec::probe`]); the engine in `faure-core` drives the
+//!    join itself, one compiled rule plan at a time;
 //! 2. **condition phase** (*"add proper conditions by SQL UPDATE"*) —
 //!    the match conditions `μ` produced by pattern matching and the
 //!    conjunction of body-row conditions are attached to derived rows;
@@ -34,10 +35,8 @@
 
 pub mod dnf;
 pub mod exec;
-pub mod ops;
 pub mod pipeline;
 pub mod shard;
-pub mod sql;
 pub mod table;
 
 pub use exec::{CondAcc, OpStats};

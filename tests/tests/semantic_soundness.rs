@@ -1,12 +1,12 @@
-//! Soundness of the abstract interpreter and the planner-hint channel.
+//! Soundness of the abstract interpreter.
 //!
 //! `faure_analyze::infer` claims an over-approximation: every value a
 //! column can hold in any evaluation lies inside the inferred abstract
-//! domain for that column. `faure_analyze::plan_hints` feeds those
-//! domains to the planner, which may only use them to *reorder* joins
-//! and to cut rule bodies that are provably empty — never to change
-//! what is derived. Both contracts are checked here on the shared
-//! random corpus (recursive, non-linear-recursive, and negated
+//! domain for that column, a predicate it infers empty derives nothing,
+//! and a rule it proves infeasible contributes nothing. Its diagnostics
+//! (F0009–F0014) and `faure explain`'s inferred domains rest on these
+//! claims; the planner does not read them. They are checked here on the
+//! shared random corpus (recursive, non-linear-recursive, and negated
 //! programs over random c-table databases):
 //!
 //! 1. **Domain soundness**: in every possible world, every cell of
@@ -15,20 +15,17 @@
 //!    condition can exclude part of a c-variable's domain — e.g. a
 //!    cell `$v` guarded by `$v != 1` never instantiates to 1, and the
 //!    abstract domain is allowed to know that.)
-//! 2. **Hint transparency**: evaluation prepared with
-//!    [`Engine::prepare_traced_with_hints`] is bit-identical (rows,
-//!    conditions raw and canonicalized, row order) to the unhinted
-//!    run, and hinted predicates/rules marked empty/infeasible really
-//!    derive nothing.
+//! 2. **Emptiness and infeasibility**: predicates inferred empty hold
+//!    no row, and dropping every rule proven infeasible leaves every
+//!    derived relation unchanged.
 
-use faure_analyze::{infer, plan_hints, Inference};
+use faure_analyze::{infer, Inference};
 use faure_core::engine::canonicalize;
 use faure_core::{Engine, EvalOutput, Program};
 use faure_ctable::worlds::WorldIter;
 use faure_ctable::{Condition, Database, Term};
 use faure_tests::corpus::{arb_db, arb_program};
 use faure_tests::instantiate_derived;
-use faure_trace::Tracer;
 use proptest::prelude::*;
 
 /// Every derived row of every IDB relation, in stored order, with the
@@ -127,62 +124,40 @@ proptest! {
         assert_output_within_domains(&out, &program, &inference, &db);
     }
 
-    /// Planner-hinted evaluation is bit-identical to unhinted
-    /// evaluation: same rows, same conditions (raw and canonicalized),
-    /// same order. Hints may change join order and cut provably-empty
-    /// branches, never results.
+    /// The facts behind F0010/F0011 are sound: a predicate inferred
+    /// empty derives no rows, and a rule proven infeasible contributes
+    /// nothing (checked indirectly — dropping it leaves results
+    /// unchanged).
     #[test]
-    fn hinted_evaluation_is_bit_identical(db in arb_db(), program in arb_program()) {
-        let plain = Engine::new()
-            .prepare(&program)
-            .expect("prepare succeeds")
-            .run(&db)
-            .expect("evaluation succeeds");
-        let hints = plan_hints(&program, Some(&db));
-        let hinted = Engine::new()
-            .prepare_traced_with_hints(&program, hints, &Tracer::disabled())
-            .expect("hinted prepare succeeds")
-            .run(&db)
-            .expect("hinted evaluation succeeds");
-        prop_assert_eq!(
-            derived_rows(&plain, &program),
-            derived_rows(&hinted, &program),
-            "hints changed evaluation results"
-        );
-    }
-
-    /// The hints themselves are sound: a predicate in `empty_preds`
-    /// derives no rows, and an infeasible rule contributes nothing
-    /// (checked indirectly — dropping it leaves results unchanged).
-    #[test]
-    fn hint_claims_are_sound(db in arb_db(), program in arb_program()) {
-        let hints = plan_hints(&program, Some(&db));
+    fn inference_claims_are_sound(db in arb_db(), program in arb_program()) {
+        let inference = infer(&program, Some(&db));
         let out = Engine::new()
             .prepare(&program)
             .expect("prepare succeeds")
             .run(&db)
             .expect("evaluation succeeds");
         for pred in program.idb_predicates() {
-            if hints.empty_preds.contains(pred) {
+            if !inference.nonempty.contains(pred) {
                 let rel = out.relation(pred).expect("IDB relation exists");
                 prop_assert!(
                     rel.is_empty(),
-                    "{} hinted empty but derived {} rows",
+                    "{} inferred empty but derived {} rows",
                     pred,
                     rel.len()
                 );
             }
         }
-        if !hints.infeasible_rules.is_empty() {
+        let infeasible = |ri: usize| inference.rules[ri].infeasible.is_some();
+        if (0..program.rules.len()).any(infeasible) {
             let kept: Vec<_> = program
                 .rules
                 .iter()
                 .enumerate()
-                .filter(|(i, _)| !hints.infeasible_rules.contains(i))
+                .filter(|&(ri, _)| !infeasible(ri))
                 .map(|(_, r)| r.clone())
                 .collect();
             let trimmed = Program { rules: kept };
-            // Dropping every hinted-infeasible rule must not lose tuples
+            // Dropping every infeasible rule must not lose tuples
             // in any IDB relation the trimmed program still defines.
             let trimmed_out = Engine::new()
                 .prepare(&trimmed)
@@ -193,7 +168,7 @@ proptest! {
             let mut cut = derived_rows(&trimmed_out, &trimmed);
             full.sort();
             cut.sort();
-            prop_assert_eq!(full, cut, "an infeasible-hinted rule contributed tuples");
+            prop_assert_eq!(full, cut, "a rule proven infeasible contributed tuples");
         }
     }
 }
