@@ -109,10 +109,12 @@ fn check_reports_verdicts() {
 
 /// `faure eval --updates` ends where a batch `faure eval` of the final
 /// database does, also when an update reaches a rule the initial
-/// database ruled out: a comparison no initial row satisfies, or a
-/// declared predicate the initial database leaves empty. (Plans once
-/// compiled under facts inferred from the initial database, and these
-/// rules stayed cut for the whole stream.)
+/// database ruled out: a comparison no initial row satisfies, a
+/// declared predicate the initial database leaves empty, or a predicate
+/// the program reads that the initial database neither holds nor
+/// declares. (Plans once compiled under facts inferred from the initial
+/// database, and these rules stayed cut for the whole stream; an insert
+/// into an undeclared relation was skipped.)
 #[test]
 fn updates_reach_rules_the_initial_database_ruled_out() {
     let cases = [
@@ -126,6 +128,13 @@ fn updates_reach_rules_the_initial_database_ruled_out() {
         (
             "empty",
             "@schema G(g)\nE(1, 2).\n",
+            "Q(a) :- E(a, b), G(a).\n",
+            "G(1).",
+            "(1)",
+        ),
+        (
+            "undeclared",
+            "E(1, 2).\n",
             "Q(a) :- E(a, b), G(a).\n",
             "G(1).",
             "(1)",

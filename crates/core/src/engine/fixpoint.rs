@@ -33,7 +33,7 @@ use super::maintain::{ChangeLog, Changes};
 use super::rule::Pass;
 use super::{shard, Ctx, EvalError, EvalOptions};
 use crate::ast::Rule;
-use crate::plan::PlanCache;
+use crate::plan::{PlanCache, RulePlan};
 use faure_ctable::CVarRegistry;
 use faure_solver::{Session, SolverError};
 use faure_storage::shard::Route;
@@ -77,7 +77,8 @@ impl Driver<'_> {
     /// `threads`: over the full tables, or with `delta`
     /// standing in at body position `pos`. The plan for each
     /// `(rule, position)` is compiled on first use — later passes are
-    /// cache hits that only execute.
+    /// cache hits that only execute — and the indexes its probes look
+    /// their keys up in are built on first use too.
     pub(super) fn pass(
         &mut self,
         ri: usize,
@@ -87,12 +88,26 @@ impl Driver<'_> {
         let plan = self
             .plans
             .get_or_compile(ri, rule, delta.map(|(pos, _)| pos));
+        ensure_indexes(self.tables, rule, plan);
         let delta = delta.map(|(_, table)| table);
         Pass::new(&self.ctx, rule, plan, self.tables, delta).run(
             ri,
             self.opts.threads,
             &mut self.stats.ops,
         )
+    }
+}
+
+/// Gives every standing table a step of `plan` probes the index that
+/// step's key is looked up in ([`JoinStep::index`](crate::plan::JoinStep::index)).
+/// A table keeps an index once built, so from the second pass of a plan
+/// on this is a few column-list comparisons.
+pub(super) fn ensure_indexes(tables: &mut HashMap<String, Table>, rule: &Rule, plan: &RulePlan) {
+    for step in plan.steps.iter().filter(|step| !step.index.is_empty()) {
+        tables
+            .get_mut(&rule.body[step.lit_pos].atom().pred)
+            .expect("table created in setup")
+            .ensure_index(&step.index);
     }
 }
 
@@ -242,7 +257,10 @@ pub(super) fn merge(
     let mut log = tracker.map(|changes| ChangeLog::observe(changes, pred, table, &derived));
     let key = shard::key_column(d.ctx.shard_plan, pred, schema.arity(), n);
     let (mut routed, mut broadcast) = (0u64, 0u64);
-    table.absorb_partitions(derived, |prow| {
+    // `pred`'s delta of each partition, out of its map for the merge:
+    // writing a row is then no lookup by name.
+    let mut deltas: Vec<Option<Table>> = next.iter_mut().map(|part| part.remove(pred)).collect();
+    let merged = table.absorb_partitions(derived, |prow| {
         if let Some(log) = &mut log {
             log.record(prow);
         }
@@ -254,16 +272,21 @@ pub(super) fn merge(
             }
         };
         for s in owners {
-            next[s]
-                .entry(pred.to_owned())
-                .or_insert_with(|| Table::new(schema.clone()))
+            deltas[s]
+                .get_or_insert_with(|| Table::new(schema.clone()))
                 .insert_prepared(prow)
                 .expect("delta schema matches the full table");
             if n > 1 && producer != Some(s) {
                 routed += 1;
             }
         }
-    })?;
+    });
+    for (part, delta) in next.iter_mut().zip(deltas) {
+        if let Some(delta) = delta {
+            part.insert(pred.to_owned(), delta);
+        }
+    }
+    merged?;
     d.stats.shard.routed_rows += routed;
     d.stats.shard.broadcast_rows += broadcast;
     Ok(())

@@ -113,9 +113,14 @@ use std::time::{Duration, Instant};
 ///
 /// Deletions apply first, then insertions — the order
 /// [`crate::update::apply_to_database`] uses, so a `Delta` built
-/// [from an update](Delta::from_update) has identical semantics.
-/// Entries naming a relation absent from the database are skipped,
-/// also mirroring the update oracle.
+/// [from an update](Delta::from_update) has identical semantics. A
+/// deletion from a relation absent from the database is skipped, as
+/// there. The two part at an insertion into a relation the database
+/// lacks: if the program reads the relation, `apply` creates it with
+/// the schema of its table (what a batch evaluation of the edited
+/// database derives from), while `apply_to_database`, which knows no
+/// program and is unchanged, skips it. An entry naming a predicate the
+/// program never mentions is skipped.
 #[derive(Clone, Debug, Default)]
 pub struct Delta {
     /// Tuples to insert (conditions allowed), in order.
@@ -564,12 +569,17 @@ impl PreparedProgram {
                      (facts and derivations share one table)"
                 )));
             }
-            if state.database.relation(rel_name).is_none() {
-                continue;
-            }
+            // Every relation the program mentions has a table; one the
+            // database lacks is created with the table's schema.
             let Some(table) = state.tables.get_mut(rel_name) else {
                 continue;
             };
+            if state.database.relation(rel_name).is_none() {
+                state
+                    .database
+                    .create_relation(table.schema.clone())
+                    .expect("the relation was checked absent");
+            }
             let prow = PreparedRow::from_tuple(tuple);
             let old = table.find_row_cells(prow.cells()).map(|i| table.row(i));
             if table.insert_prepared(&prow)?.changed() {
@@ -1636,6 +1646,53 @@ mod tests {
         let report = prepared.apply(&mut state, d).unwrap();
         assert_eq!(report.inserted, 0);
         assert_eq!(report.deleted, 0);
+    }
+
+    /// A table holds the indexes the plans that ran probe, and no other:
+    /// the reachability query probes `F` on `(f, n3)` and `R` on
+    /// `(f, n1)`; an announce runs delta plans that probe the same; the
+    /// first withdraw re-derives through the head-bound companion of
+    /// `R(f, n1, n2) :- F(f, n1, n3), R(f, n3, n2)`, which probes `F` on
+    /// `(f, n1)` and looks `R` up by its whole key. (That no delta
+    /// table carries an index is asserted where every pass starts,
+    /// `Pass::new`.)
+    #[test]
+    fn indexes_follow_plans() {
+        let mut db = Database::new();
+        db.create_relation(Schema::new("F", &["f", "n1", "n2"]))
+            .unwrap();
+        for (f, a, b) in [(1, 1, 2), (1, 2, 3), (1, 3, 4), (2, 1, 3), (2, 3, 4)] {
+            db.insert("F", CTuple::new([Term::int(f), Term::int(a), Term::int(b)]))
+                .unwrap();
+        }
+        let program = parse_program(
+            "R(f, n1, n2) :- F(f, n1, n2).\n\
+             R(f, n1, n2) :- F(f, n1, n3), R(f, n3, n2).\n",
+        )
+        .unwrap();
+        let prepared = Engine::new().prepare(&program).unwrap();
+        let mut state = prepared.materialize(&db).unwrap();
+        let indexes = |state: &MaterializedState, pred: &str| -> Vec<Vec<usize>> {
+            state.tables[pred]
+                .indexed_columns()
+                .map(<[usize]>::to_vec)
+                .collect()
+        };
+        assert_eq!(indexes(&state, "F"), [vec![0, 2]]);
+        assert_eq!(indexes(&state, "R"), [vec![0, 1]]);
+
+        let mut announce = Delta::new();
+        announce.push_insert_fact("F", [Const::Int(1), Const::Int(4), Const::Int(5)]);
+        prepared.apply(&mut state, announce).unwrap();
+        assert_eq!(indexes(&state, "F"), [vec![0, 2]]);
+        assert_eq!(indexes(&state, "R"), [vec![0, 1]]);
+
+        let mut withdraw = Delta::new();
+        withdraw.push_delete_exact("F", [Const::Int(1), Const::Int(2), Const::Int(3)]);
+        let report = prepared.apply(&mut state, withdraw).unwrap();
+        assert!(report.overdeleted > 0, "{report:?}");
+        assert_eq!(indexes(&state, "F"), [vec![0, 2], vec![0, 1]]);
+        assert_eq!(indexes(&state, "R"), [vec![0, 1]]);
     }
 
     #[test]

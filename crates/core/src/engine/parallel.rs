@@ -18,8 +18,8 @@
 //! included) and the trace stream are bit-identical regardless of which
 //! worker ran which chunk.
 //!
-//! Each worker owns a [`Frame`] — substitution, condition accumulator,
-//! operator counters, derived rows — and nothing else: no rule pass
+//! Each worker owns a [`Frame`] — slots, condition accumulator, probe
+//! buffers, operator counters, derived rows — and nothing else: no rule pass
 //! asks the solver, so a worker has no solver session. What workers
 //! share are the run's join-leaf memo and the process-wide condition
 //! pool, both keyed by structure, so a race between two workers on one
@@ -27,7 +27,7 @@
 
 use super::rule::{Frame, Pass};
 use super::EvalError;
-use faure_ctable::Condition;
+use faure_ctable::pool::CondId;
 use faure_storage::{OpStats, PreparedRow};
 use faure_trace::Event;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -67,11 +67,11 @@ fn chunk_size(len: usize, workers: usize) -> usize {
 /// Every worker starts from the driver's frame; worker counters are
 /// folded back into it, and the error from the lowest-indexed failing
 /// chunk is propagated after all workers have joined.
-pub(super) fn join_chunks<'a>(
-    pass: &Pass<'a>,
+pub(super) fn join_chunks(
+    pass: &Pass<'_>,
     workers: usize,
-    matches: &[(usize, Condition)],
-    driver: &mut Frame<'a>,
+    matches: &[(u32, CondId)],
+    driver: &mut Frame,
 ) -> Result<Vec<Vec<PreparedRow>>, EvalError> {
     let size = chunk_size(matches.len(), workers);
     let n_chunks = matches.len().div_ceil(size);
@@ -106,7 +106,7 @@ pub(super) fn join_chunks<'a>(
                         let hi = (lo + size).min(matches.len());
                         let chunk = &matches[lo..hi];
                         let t_chunk = tracer.now_ns();
-                        if let Err(e) = pass.join(0, chunk.iter().cloned(), &mut frame) {
+                        if let Err(e) = pass.join(0, chunk, &mut frame) {
                             failure = Some((chunk_idx, e));
                             break;
                         }

@@ -3,61 +3,77 @@
 //! A compiled [`RulePlan`] is executed as a nested-loop join over
 //! c-tables. A [`Pass`] holds what one rule pass reads — shared,
 //! immutable, the same for every thread — and a [`Frame`] what one
-//! thread of it writes: its substitution, condition stack, counters and
-//! derived rows. The join is one function, [`Pass::join`]: it takes the
-//! matches of one step and, per match, conjoins, binds, compares,
-//! descends into the next step (or finishes the head row) and undoes.
+//! thread of it writes: its slots, condition stack, probe buffers,
+//! counters and derived rows. The join is one function, [`Pass::join`]:
+//! it takes the matches of one step and, per match, conjoins, binds,
+//! compares, descends into the next step (or finishes the head row) and
+//! undoes.
 //!
-//! The driver ([`Pass::run`]) probes the plan's first step once — those
-//! patterns never depend on the substitution, which is empty at depth 0
-//! — and joins the matches itself, or cuts the list into contiguous
-//! chunks and hands each to a worker that joins it into a frame of its
-//! own (see [`super::parallel`]).
+//! The plan's slot program does the name work ahead of time: a rule
+//! variable is a slot of the frame, and every argument says which cell
+//! it reads or writes ([`Arg`]). The join reads and writes `Copy`
+//! [`Cell`]s; a probe looks up exactly the key its bound columns form;
+//! cells are decoded to terms only where a comparison needs a tree.
+//!
+//! The driver ([`Pass::run`]) probes the plan's first step once — its
+//! key never depends on the slots, which are empty at depth 0 — and
+//! joins the matches itself, or cuts the list into contiguous chunks
+//! and hands each to a worker that joins it into a frame of its own
+//! (see [`super::parallel`]).
 
 use super::{Ctx, EvalError};
-use crate::ast::{ArgTerm, CompExpr, Comparison, Rule, RuleAtom};
-use crate::plan::RulePlan;
+use crate::ast::{ArgTerm, CompExpr, Rule};
+use crate::plan::{Arg, RulePlan, Side};
 use faure_ctable::pool::{self, CondId};
-use faure_ctable::{Atom, Condition, Expr, LinExpr, Term};
+use faure_ctable::{Atom, CVarId, Condition, Expr, LinExpr};
 use faure_storage::table::Cell;
-use faure_storage::{exec, CondAcc, OpStats, Pattern, PreparedRow, Table};
+use faure_storage::{exec, CondAcc, OpStats, PreparedRow, StoredCond, Table};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Mutex;
 
 /// What the join leaf made of each stack of condition ids it has seen:
-/// `ids ↦ intern(canonicalize(simplify(⋀ ids)))`.
+/// `ids ↦` what a table stores for `intern(canonicalize(simplify(⋀
+/// ids)))` — `None` when that is `False` and the leaf derives nothing.
 ///
-/// The conjunction, its structural simplification and its canonical
-/// form are pure functions of the trees the ids name, so the id of the
-/// result is a pure function of the id stack. A stack seen before is a
-/// lookup; a new one goes through the tree functions and is remembered.
-/// Either way the leaf holds the id the tree path would have interned —
-/// bit-identical by construction.
+/// The conjunction, its structural simplification, its canonical form
+/// and that form's normal form are pure functions of the trees the ids
+/// name, so the result is a pure function of the id stack. A stack seen
+/// before is a lookup; a new one goes through the tree functions and is
+/// remembered. Either way the leaf holds what the tree path would have
+/// computed — bit-identical by construction.
 ///
 /// One memo per run, shared by every worker of the run (a lock held for
 /// one hash probe per leaf); being keyed by tuples of ids it would only
 /// grow if it outlived the run, so it does not.
 #[derive(Default)]
 pub(crate) struct LeafMemo {
-    seen: Mutex<HashMap<Box<[CondId]>, CondId>>,
+    seen: Mutex<HashMap<Box<[CondId]>, Option<StoredCond>>>,
 }
 
 impl LeafMemo {
-    /// The id of `canonicalize(simplify(acc.materialize()))`.
-    fn conjoin(&self, acc: &CondAcc) -> CondId {
+    /// What a table stores for `canonicalize(simplify(acc.materialize()))`,
+    /// or `None` when that is `False`.
+    fn conjoin(&self, acc: &CondAcc) -> Option<StoredCond> {
         let stack = acc.ids();
-        if let Some(&id) = self.seen.lock().expect("leaf memo poisoned").get(stack) {
-            return id;
+        if let Some(&stored) = self.seen.lock().expect("leaf memo poisoned").get(stack) {
+            return stored;
         }
         // Computed with the lock released: workers racing on one stack
-        // intern the same tree.
+        // compute the same value.
         let id = conjoin_trees(acc);
+        let stored = (!id.is_false()).then(|| StoredCond::of(id));
         self.seen
             .lock()
             .expect("leaf memo poisoned")
-            .insert(stack.into(), id);
-        id
+            .insert(stack.into(), stored);
+        stored
     }
+}
+
+/// The error of reading `var`, which no positive literal bound (safety
+/// rules that out; kept as a defensive error).
+fn unbound(var: Option<&str>) -> EvalError {
+    EvalError::UnboundVariable(var.unwrap_or_default().to_owned())
 }
 
 /// The tree path of the join leaf.
@@ -66,71 +82,94 @@ fn conjoin_trees(acc: &CondAcc) -> CondId {
 }
 
 /// What one rule pass reads: the run's context, the rule and its
-/// compiled plan, the standing tables, and — resolved once here, not
-/// per match — the literal and table behind every join step. Shared by
-/// every thread of the pass.
+/// compiled plan, and — resolved once here, not per match — the table
+/// behind every join step and negated literal and the id of every
+/// c-variable the rule names. Shared by every thread of the pass.
 pub(super) struct Pass<'a> {
     pub(super) ctx: &'a Ctx<'a>,
     rule: &'a Rule,
     plan: &'a RulePlan,
-    tables: &'a HashMap<String, Table>,
-    /// Per join step, the body literal it matches and the table it
-    /// matches it against: the iteration delta for the plan's delta
-    /// slot, the accumulated table otherwise.
-    sources: Vec<(&'a RuleAtom, &'a Table)>,
+    /// Per join step, the table it probes: the iteration delta for the
+    /// plan's delta slot, the accumulated table otherwise.
+    sources: Vec<&'a Table>,
+    /// Per negated literal, in plan order, the table it negates.
+    negated: Vec<&'a Table>,
+    /// The id of each of the plan's c-variables.
+    cvars: Vec<CVarId>,
 }
 
-/// What one thread of a pass writes. [`Pass::join`] leaves the
-/// substitution and the condition stack as it found them, so one frame
-/// serves every match its thread evaluates.
-#[derive(Default)]
-pub(super) struct Frame<'a> {
-    theta: HashMap<&'a str, Term>,
-    /// The bound variables in binding order: a step undoes its own
+/// What one thread of a pass writes. [`Pass::join`] leaves the slots
+/// and the condition stack as it found them, so one frame serves every
+/// match its thread evaluates.
+pub(super) struct Frame {
+    /// The cell each slot holds; `None` until a step binds it.
+    theta: Vec<Option<Cell>>,
+    /// The bound slots in binding order: a step undoes its own
     /// bindings by popping back to where it started.
-    trail: Vec<&'a str>,
+    trail: Vec<usize>,
     acc: CondAcc,
+    /// Per depth, the buffer its probe fills: taken out while that
+    /// depth's matches are joined and put back after, so the probes of
+    /// a pass allocate only while the buffers grow. (Depth 0's matches
+    /// are the driver's, shared with the workers.)
+    bufs: Vec<Vec<(u32, CondId)>>,
+    /// The key of the probe being built.
+    key: Vec<Option<Cell>>,
     pub(super) ops: OpStats,
     pub(super) out: Vec<PreparedRow>,
 }
 
-impl<'a> Frame<'a> {
-    /// A worker's frame at depth 0 of the pass `driver` started: no
-    /// variable is bound there, and the condition stack holds what the
-    /// pass's initial comparisons pushed.
-    pub(super) fn at_depth_zero(driver: &Frame<'_>) -> Self {
+impl Frame {
+    /// An empty frame for passes of `plan`.
+    pub(super) fn new(plan: &RulePlan) -> Self {
+        Self::sized(plan.slots, plan.steps.len())
+    }
+
+    fn sized(slots: usize, depths: usize) -> Self {
         Frame {
-            acc: driver.acc.clone(),
-            ..Frame::default()
+            theta: vec![None; slots],
+            trail: Vec::new(),
+            acc: CondAcc::new(),
+            bufs: vec![Vec::new(); depths],
+            key: Vec::new(),
+            ops: OpStats::default(),
+            out: Vec::new(),
         }
     }
 
-    /// Binds `atom`'s variables against row `row_idx` of `table`,
-    /// pushing explicit equalities for variables repeated *within* the
-    /// atom — those bound since `start` (pre-bound variables were
-    /// already covered by the probe pattern). Only the cells under
-    /// variable arguments are decoded out of the columnar store —
-    /// constant arguments never touch the row. Returns `false` when a
-    /// binding is contradictory.
-    fn bind(&mut self, atom: &'a RuleAtom, table: &Table, row_idx: usize, start: usize) -> bool {
-        for (col, arg) in atom.args.iter().enumerate() {
-            let ArgTerm::Var(v) = arg else { continue };
-            let cell = table.term(row_idx, col);
-            match self.theta.get(v.as_str()) {
+    /// A worker's frame at depth 0 of the pass `driver` started: no
+    /// slot is bound there, and the condition stack holds what the
+    /// pass's initial comparisons pushed.
+    pub(super) fn at_depth_zero(driver: &Frame) -> Self {
+        Frame {
+            acc: driver.acc.clone(),
+            ..Self::sized(driver.theta.len(), driver.bufs.len())
+        }
+    }
+
+    /// Binds the `Bind` slots of a step with arguments `args` to the
+    /// cells of row `row` of `table`, pushing an explicit equality for
+    /// a variable repeated *within* the literal (one bound before the
+    /// step was in the probe key). Only the cells under variables are
+    /// read. Returns `false` when a binding is contradictory.
+    fn bind(&mut self, args: &[Arg], table: &Table, row: u32) -> bool {
+        for (col, arg) in args.iter().enumerate() {
+            let Arg::Bind(s) = *arg else { continue };
+            let cell = table.cell(row as usize, col);
+            match self.theta[s] {
                 None => {
-                    self.theta.insert(v.as_str(), cell);
-                    self.trail.push(v.as_str());
+                    self.theta[s] = Some(cell);
+                    self.trail.push(s);
                 }
-                Some(prev) if self.trail[start..].contains(&v.as_str()) => match (prev, &cell) {
-                    (Term::Const(a), Term::Const(b)) if a != b => return false,
-                    (a, b) if a != b => {
-                        let eq = Condition::eq(a.clone(), b.clone());
-                        if !self.acc.push(eq, &mut self.ops) {
-                            return false;
-                        }
+                Some(prev) if prev != cell => {
+                    if prev.as_var().is_none() && cell.as_var().is_none() {
+                        return false;
                     }
-                    _ => {}
-                },
+                    let eq = Condition::eq(prev.decode(), cell.decode());
+                    if !self.acc.push(eq, &mut self.ops) {
+                        return false;
+                    }
+                }
                 Some(_) => {}
             }
         }
@@ -149,25 +188,28 @@ impl<'a> Pass<'a> {
         delta: Option<&'a Table>,
     ) -> Self {
         debug_assert_eq!(plan.delta_pos.is_some(), delta.is_some());
+        // A delta is scanned, never probed by key: it carries no index.
+        debug_assert!(delta.is_none_or(|d| d.indexed_columns().next().is_none()));
+        let table = |pos: usize| {
+            tables
+                .get(&rule.body[pos].atom().pred)
+                .expect("table created in setup")
+        };
         let sources = plan
             .steps
             .iter()
-            .map(|step| {
-                let atom = rule.body[step.lit_pos].atom();
-                let table = if step.is_delta {
-                    delta.expect("delta plan executed with a delta table")
-                } else {
-                    tables.get(&atom.pred).expect("table created in setup")
-                };
-                (atom, table)
+            .map(|step| match step.is_delta {
+                true => delta.expect("delta plan executed with a delta table"),
+                false => table(step.lit_pos),
             })
             .collect();
         Pass {
             ctx,
             rule,
             plan,
-            tables,
             sources,
+            negated: plan.negations.iter().map(|&np| table(np)).collect(),
+            cvars: plan.cvars.iter().map(|name| ctx.cvmap[name]).collect(),
         }
     }
 
@@ -191,7 +233,7 @@ impl<'a> Pass<'a> {
         ops: &mut OpStats,
     ) -> Result<Vec<Vec<PreparedRow>>, EvalError> {
         let t_pass = self.ctx.tracer.now_ns();
-        let mut frame = Frame::default();
+        let mut frame = Frame::new(self.plan);
         let mut matches_in = 0usize;
         let partitions = self.partitions(threads, &mut frame, &mut matches_in);
         ops.absorb(&frame.ops);
@@ -223,7 +265,7 @@ impl<'a> Pass<'a> {
     fn partitions(
         &self,
         threads: usize,
-        f: &mut Frame<'a>,
+        f: &mut Frame,
         matches_in: &mut usize,
     ) -> Result<Vec<Vec<PreparedRow>>, EvalError> {
         // Comparisons with no rule variables gate the whole rule pass.
@@ -236,83 +278,125 @@ impl<'a> Pass<'a> {
             // Fact rule: a single (possibly negation-gated) head row.
             self.finish(f)?;
         } else {
-            // Probe the first step once, in the driver: depth-0 patterns
-            // are substitution-independent, so every worker would
-            // compute the same match list anyway.
-            let matches = self.probe(0, f);
+            // Probe the first step once, in the driver: its key binds
+            // no slot, so every worker would compute the same match
+            // list anyway.
+            let mut matches = Vec::new();
+            self.probe(0, f, &mut matches);
             *matches_in = matches.len();
             let workers = super::parallel::workers(threads, matches.len());
             if workers > 1 {
                 return super::parallel::join_chunks(self, workers, &matches, f);
             }
-            self.join(0, matches, f)?;
+            self.join(0, &matches, f)?;
         }
         Ok(vec![std::mem::take(&mut f.out)])
     }
 
-    /// The rows of step `depth`'s table that match its literal under
-    /// the frame's substitution, each with its match condition `μ`.
-    fn probe(&self, depth: usize, f: &mut Frame<'a>) -> Vec<(usize, Condition)> {
-        let (atom, table) = self.sources[depth];
-        let patterns: Vec<Pattern> = atom
-            .args
-            .iter()
-            .map(|arg| match arg {
-                ArgTerm::Cst(c) => Pattern::Exact(Term::Const(c.clone())),
-                ArgTerm::CVar(name) => Pattern::Exact(Term::Var(self.ctx.cvmap[name])),
-                ArgTerm::Var(v) => match f.theta.get(v.as_str()) {
-                    Some(t) => Pattern::Exact(t.clone()),
-                    None => Pattern::Any,
-                },
-            })
-            .collect();
-        exec::probe(table, self.ctx.reg, &patterns, &mut f.ops)
+    /// Appends to `out` the rows of step `depth`'s table that match its
+    /// literal under the frame's slots, each with its match condition
+    /// `μ`.
+    fn probe(&self, depth: usize, f: &mut Frame, out: &mut Vec<(u32, CondId)>) {
+        f.key.clear();
+        f.key
+            .extend(self.plan.steps[depth].args.iter().map(|&arg| match arg {
+                Arg::Const(c) => Some(c),
+                Arg::CVar(i) => Some(Cell::Var(self.cvars[i])),
+                Arg::Bound(s) => f.theta[s],
+                Arg::Bind(_) => None,
+            }));
+        exec::probe_key(self.sources[depth], self.ctx.reg, &f.key, out, &mut f.ops);
     }
 
     /// The join step: for each of `matches` — rows of step `depth`'s
     /// table — conjoins the row's condition and `μ`, binds the step's
-    /// variables, applies its pushed-down comparisons, descends into
-    /// the remaining steps (or, past the last one, emits the head row
-    /// into `f.out`), and undoes the bindings and the conjunction. The
-    /// matches are consumed: only a worker, joining a slice of the
-    /// shared depth-0 list, clones them.
+    /// slots, applies its pushed-down comparisons, descends into the
+    /// remaining steps (or, past the last one, emits the head row into
+    /// `f.out`), and undoes the bindings and the conjunction.
     pub(super) fn join(
         &self,
         depth: usize,
-        matches: impl IntoIterator<Item = (usize, Condition)>,
-        f: &mut Frame<'a>,
+        matches: &[(u32, CondId)],
+        f: &mut Frame,
     ) -> Result<(), EvalError> {
-        let (atom, table) = self.sources[depth];
-        for (row_idx, mu) in matches {
+        let table = self.sources[depth];
+        let step = &self.plan.steps[depth];
+        for &(row, mu) in matches {
             let (mark, start) = (f.acc.mark(), f.trail.len());
-            let mut ok = f.acc.push_id(table.cond_id(row_idx), &mut f.ops)
-                && f.acc.push(mu, &mut f.ops)
-                && f.bind(atom, table, row_idx, start);
+            let mut ok = f.acc.push_id(table.cond_id(row as usize), &mut f.ops)
+                && f.acc.push_id(mu, &mut f.ops)
+                && f.bind(&step.args, table, row);
             // Pushed-down comparisons: every variable they mention is
             // bound by now, so ground-false ones cut the branch here
             // instead of after the remaining joins.
-            for &ci in &self.plan.steps[depth].comparisons {
+            for &ci in &step.comparisons {
                 ok = ok && self.compare(ci, f)?;
             }
             if ok && depth + 1 < self.sources.len() {
-                let next = self.probe(depth + 1, f);
-                self.join(depth + 1, next, f)?;
+                let mut next = std::mem::take(&mut f.bufs[depth + 1]);
+                next.clear();
+                self.probe(depth + 1, f, &mut next);
+                let joined = self.join(depth + 1, &next, f);
+                f.bufs[depth + 1] = next;
+                joined?;
             } else if ok {
                 self.finish(f)?;
             }
             f.acc.truncate(mark);
-            for v in f.trail.drain(start..) {
-                f.theta.remove(v);
+            for s in f.trail.drain(start..) {
+                f.theta[s] = None;
             }
         }
         Ok(())
     }
 
-    /// Evaluates comparison `ci` of the rule under the frame's
-    /// substitution: either the branch dies (ground-false; `false`), or
-    /// a condition fragment (possibly `True`) joins the accumulator.
-    fn compare(&self, ci: usize, f: &mut Frame<'a>) -> Result<bool, EvalError> {
-        let atom = comparison_atom(self.ctx, &self.rule.comparisons[ci], &f.theta)?;
+    /// The cell `arg` reads under the frame's slots; `None` for a slot
+    /// nothing bound.
+    fn cell(&self, arg: Arg, f: &Frame) -> Option<Cell> {
+        match arg {
+            Arg::Const(c) => Some(c),
+            Arg::CVar(i) => Some(Cell::Var(self.cvars[i])),
+            Arg::Bound(s) | Arg::Bind(s) => f.theta[s],
+        }
+    }
+
+    /// The cells `args`, compiled from `terms`, read under the frame's
+    /// slots.
+    fn cells(&self, args: &[Arg], terms: &[ArgTerm], f: &Frame) -> Result<Box<[Cell]>, EvalError> {
+        args.iter()
+            .zip(terms)
+            .map(|(&arg, term)| self.cell(arg, f).ok_or_else(|| unbound(term.as_var())))
+            .collect()
+    }
+
+    /// Evaluates comparison `ci` of the rule under the frame's slots:
+    /// either the branch dies (ground-false; `false`), or a condition
+    /// fragment (possibly `True`) joins the accumulator.
+    fn compare(&self, ci: usize, f: &mut Frame) -> Result<bool, EvalError> {
+        let (cmp, source) = (&self.plan.compare[ci], &self.rule.comparisons[ci]);
+        let side = |side: &Side, source: &CompExpr| -> Result<Expr, EvalError> {
+            match side {
+                Side::Arg(arg) => match self.cell(*arg, f) {
+                    Some(cell) => Ok(Expr::Term(cell.decode())),
+                    None => Err(unbound(match source {
+                        CompExpr::Arg(term) => term.as_var(),
+                        CompExpr::Lin { .. } => None,
+                    })),
+                },
+                Side::Lin { terms, constant } => Ok(Expr::Lin(
+                    terms
+                        .iter()
+                        .fold(LinExpr::constant(*constant), |lin, &(coef, v)| {
+                            lin.plus_var(coef, self.cvars[v])
+                        }),
+                )),
+            }
+        };
+        let atom = Atom {
+            lhs: side(&cmp.lhs, &source.lhs)?,
+            op: cmp.op,
+            rhs: side(&cmp.rhs, &source.rhs)?,
+        };
         let mut vars = BTreeSet::new();
         atom.cvars(&mut vars);
         let alive = if vars.is_empty() {
@@ -329,102 +413,44 @@ impl<'a> Pass<'a> {
     }
 
     /// Applies negated literals, then emits the head row.
-    fn finish(&self, f: &mut Frame<'a>) -> Result<(), EvalError> {
-        let cond_id = if self.plan.negations.is_empty() {
-            self.ctx.leaves.conjoin(&f.acc)
+    fn finish(&self, f: &mut Frame) -> Result<(), EvalError> {
+        let stored = if self.plan.negations.is_empty() {
+            match self.ctx.leaves.conjoin(&f.acc) {
+                Some(stored) => stored,
+                None => return Ok(()),
+            }
         } else {
             // Negation: "not derivable from the c-table". What it conjoins
             // depends on the negated tables, not on the stack alone, so
             // these leaves build their tree every time.
             let mut cond = f.acc.materialize();
-            for &np in &self.plan.negations {
-                let atom = self.rule.body[np].atom();
-                let terms = instantiate_args(self.ctx, &atom.args, &f.theta)?;
-                let table = self.tables.get(&atom.pred).expect("table created in setup");
+            for ((args, &np), table) in self
+                .plan
+                .negated
+                .iter()
+                .zip(&self.plan.negations)
+                .zip(&self.negated)
+            {
+                let cells = self.cells(args, &self.rule.body[np].atom().args, f)?;
                 f.ops.neg_checks += 1;
-                cond = cond.and(table.negation_condition(self.ctx.reg, &terms));
+                cond = cond.and(table.negation_condition_cells(self.ctx.reg, &cells));
                 if cond == Condition::False {
                     return Ok(());
                 }
             }
-            pool::intern(&canonicalize(faure_solver::simplify(&cond)))
+            let id = pool::intern(&canonicalize(faure_solver::simplify(&cond)));
+            if id.is_false() {
+                return Ok(());
+            }
+            // Looking the condition's normal form up here keeps that
+            // work inside the worker thread; the serial merge is then
+            // hash lookups.
+            StoredCond::of(id)
         };
-        if cond_id.is_false() {
-            return Ok(());
-        }
-        // Looking the condition's normal form up here keeps that work
-        // inside the worker thread; the serial merge is then hash lookups.
-        let cells = instantiate_cells(self.ctx, &self.rule.head.args, &f.theta)?;
-        f.out.push(PreparedRow::from_id(cells, cond_id));
+        let cells = self.cells(&self.plan.head, &self.rule.head.args, f)?;
+        f.out.push(PreparedRow::with_stored(cells, stored));
         Ok(())
     }
-}
-
-/// [`instantiate_args`] straight to storage cells: no term is cloned.
-fn instantiate_cells(
-    ctx: &Ctx<'_>,
-    args: &[ArgTerm],
-    theta: &HashMap<&str, Term>,
-) -> Result<Box<[Cell]>, EvalError> {
-    args.iter()
-        .map(|a| match a {
-            ArgTerm::Cst(c) => Ok(Cell::encode_const(c)),
-            ArgTerm::CVar(name) => Ok(Cell::Var(ctx.cvmap[name])),
-            ArgTerm::Var(v) => theta
-                .get(v.as_str())
-                .map(Cell::encode)
-                .ok_or_else(|| EvalError::UnboundVariable(v.clone())),
-        })
-        .collect()
-}
-
-fn instantiate_args(
-    ctx: &Ctx<'_>,
-    args: &[ArgTerm],
-    theta: &HashMap<&str, Term>,
-) -> Result<Vec<Term>, EvalError> {
-    args.iter()
-        .map(|a| match a {
-            ArgTerm::Cst(c) => Ok(Term::Const(c.clone())),
-            ArgTerm::CVar(name) => Ok(Term::Var(ctx.cvmap[name])),
-            ArgTerm::Var(v) => theta
-                .get(v.as_str())
-                .cloned()
-                .ok_or_else(|| EvalError::UnboundVariable(v.clone())),
-        })
-        .collect()
-}
-
-/// Converts an AST comparison into a condition atom under the current
-/// substitution.
-fn comparison_atom(
-    ctx: &Ctx<'_>,
-    cmp: &Comparison,
-    theta: &HashMap<&str, Term>,
-) -> Result<Atom, EvalError> {
-    let side = |e: &CompExpr| -> Result<Expr, EvalError> {
-        match e {
-            CompExpr::Arg(ArgTerm::Cst(c)) => Ok(Expr::Term(Term::Const(c.clone()))),
-            CompExpr::Arg(ArgTerm::CVar(name)) => Ok(Expr::Term(Term::Var(ctx.cvmap[name]))),
-            CompExpr::Arg(ArgTerm::Var(v)) => theta
-                .get(v.as_str())
-                .cloned()
-                .map(Expr::Term)
-                .ok_or_else(|| EvalError::UnboundVariable(v.clone())),
-            CompExpr::Lin { terms, constant } => {
-                let mut lin = LinExpr::constant(*constant);
-                for (coef, name) in terms {
-                    lin = lin.plus_var(*coef, ctx.cvmap[name]);
-                }
-                Ok(Expr::Lin(lin))
-            }
-        }
-    };
-    Ok(Atom {
-        lhs: side(&cmp.lhs)?,
-        op: cmp.op,
-        rhs: side(&cmp.rhs)?,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -480,7 +506,7 @@ mod tests {
     use crate::ast::Program;
     use crate::parser::parse_program;
     use crate::plan::{compile_rule, head_bound_rules, ShardPlan};
-    use faure_ctable::{CTuple, CVarId, CmpOp, Database, Domain, Schema};
+    use faure_ctable::{CTuple, CVarId, CmpOp, Database, Domain, Schema, Term};
     use faure_trace::{Recorder, Tracer};
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -507,8 +533,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// A memo miss, the hit that follows it and the tree path over
-        /// the fragments as trees all name one condition; the memo
-        /// starts empty and keeps one entry per distinct stack.
+        /// the fragments as trees all store one condition (none when it
+        /// is `False`); the memo starts empty and keeps one entry per
+        /// distinct stack.
         #[test]
         fn leaf_hit_equals_miss_equals_tree_path(
             parts in prop::collection::vec(arb_fragment(), 0..4),
@@ -528,9 +555,10 @@ mod tests {
             prop_assert!(memo.seen.lock().unwrap().is_empty());
             let miss = memo.conjoin(&acc);
             let hit = memo.conjoin(&acc);
-            prop_assert_eq!(pool::resolve(miss), expected);
+            let id = conjoin_trees(&acc);
+            prop_assert_eq!(pool::resolve(id), expected);
             prop_assert_eq!(hit, miss);
-            prop_assert_eq!(conjoin_trees(&acc), miss);
+            prop_assert_eq!((!id.is_false()).then(|| StoredCond::of(id)), miss);
             prop_assert_eq!(memo.seen.lock().unwrap().len(), 1);
         }
     }
@@ -734,14 +762,15 @@ mod tests {
     /// thread, or cut into chunks for `workers` threads whatever
     /// `parallel::workers` would have said of so short a list.
     fn join_depth_zero(pass: &Pass<'_>, workers: Option<usize>) -> Result<Joined, String> {
-        let mut f = Frame::default();
+        let mut f = Frame::new(pass.plan);
         for &ci in &pass.plan.initial_comparisons {
             assert!(pass.compare(ci, &mut f).unwrap(), "never ground-false");
         }
-        let matches = pass.probe(0, &mut f);
+        let mut matches = Vec::new();
+        pass.probe(0, &mut f, &mut matches);
         let partitions = match workers {
             None => pass
-                .join(0, matches, &mut f)
+                .join(0, &matches, &mut f)
                 .map(|()| vec![std::mem::take(&mut f.out)]),
             Some(w) => {
                 let partitions = super::super::parallel::join_chunks(pass, w, &matches, &mut f);

@@ -133,6 +133,7 @@ pub(super) fn pass(
     };
     let t_pass = d.ctx.tracer.now_ns();
     let plan = d.plans.get_or_compile(ri, rule, Some(pos));
+    fixpoint::ensure_indexes(d.tables, rule, plan);
     let tables: &HashMap<String, Table> = d.tables;
     let mut batches: Vec<Batch> = Vec::new();
     let mut worker_errs: Vec<Option<EvalError>> = Vec::new();

@@ -25,15 +25,26 @@
 //!   (they need the full binding; stratification already guarantees
 //!   their tables are complete).
 //!
-//! Plans are purely *logical*: they hold body-literal indices and
-//! comparison indices into the rule, not table references, so they are
-//! compiled without a database and rendered by `faure explain`. A plan
-//! is a function of the rule text alone — no data statistics and no
-//! analyzer facts — so it stays valid for every database a prepared
-//! program runs or maintains, and `explain` shows exactly what runs.
+//! * **slot program** — each rule variable becomes a dense *slot* of
+//!   the executing frame, and every argument of every step, comparison,
+//!   negated literal and the head is compiled to an [`Arg`]: a constant
+//!   cell, a c-variable, a slot an earlier step bound, or a slot this
+//!   step binds. The join then reads and writes cells by position and
+//!   never looks a name up; each step also names the columns an index
+//!   must cover for its probe to look up exactly its bound key
+//!   ([`JoinStep::index`]).
+//!
+//! Plans hold body-literal indices and comparison indices into the
+//! rule, not table references, so they are compiled without a database
+//! and rendered by `faure explain`. A plan is a function of the rule
+//! text alone — no data statistics and no analyzer facts — so it stays
+//! valid for every database a prepared program runs or maintains, and
+//! `explain` shows exactly what runs.
 
 use crate::analysis::{check_safety, stratify, AnalysisError};
-use crate::ast::{ArgTerm, Literal, Program, Rule};
+use crate::ast::{ArgTerm, CompExpr, Literal, Program, Rule};
+use faure_ctable::CmpOp;
+use faure_storage::table::Cell;
 use faure_trace::json::{self, Arr, Str};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -50,11 +61,64 @@ pub struct JoinStep {
     /// step runs (constants, c-variables, previously bound rule
     /// variables) — the selectivity score that ordered it.
     pub bound_cols: usize,
-    /// Rule variables first bound by this step, in argument order.
-    pub binds: Vec<String>,
     /// Indices into `rule.comparisons` evaluated right after this step
     /// (pushdown: all their variables are bound here and not earlier).
     pub comparisons: Vec<usize>,
+    /// Per argument column, what the probe keys it on (`Const`, `CVar`,
+    /// `Bound`) or what the bind writes (`Bind`).
+    pub args: Vec<Arg>,
+    /// The columns, ascending, of the index this step's probe looks its
+    /// key up in: those under a constant or an earlier-bound variable,
+    /// when they are some but not all of the columns. Empty when the
+    /// probe needs none: it binds no column (a scan), every column (the
+    /// table's dedup index serves it), or it reads the iteration delta,
+    /// which is scanned. A c-variable argument is not among them: it
+    /// matches every constant conditionally.
+    pub index: Vec<usize>,
+}
+
+/// Where one argument of a join step, comparison, negated literal or
+/// head reads its cell, or what a join step writes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Arg {
+    /// A constant, encoded.
+    Const(Cell),
+    /// A c-variable, by position in [`RulePlan::cvars`]. Its id belongs
+    /// to the database a run loads, so a pass resolves it.
+    CVar(usize),
+    /// A rule variable an earlier step bound: the slot holding its
+    /// cell. (Reading a slot nothing bound — in the head, a negation or
+    /// a comparison of an unsafe rule — is an unbound-variable error.)
+    Bound(usize),
+    /// A rule variable this step binds. A second occurrence in the same
+    /// literal finds the slot set and compares.
+    Bind(usize),
+}
+
+/// One side of a compiled comparison.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Side {
+    /// A single argument.
+    Arg(Arg),
+    /// `Σ coef·$v + constant`, each c-variable by position in
+    /// [`RulePlan::cvars`].
+    Lin {
+        /// Coefficient / c-variable pairs.
+        terms: Vec<(i64, usize)>,
+        /// Additive constant.
+        constant: i64,
+    },
+}
+
+/// A rule comparison over slots.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Compare {
+    /// Left side.
+    pub lhs: Side,
+    /// Operator.
+    pub op: CmpOp,
+    /// Right side.
+    pub rhs: Side,
 }
 
 /// A compiled evaluation plan for one rule under one delta slot.
@@ -70,16 +134,112 @@ pub struct RulePlan {
     pub initial_comparisons: Vec<usize>,
     /// Body positions of negated literals, evaluated after all joins.
     pub negations: Vec<usize>,
+    /// How many slots the frame has: one per rule variable, numbered in
+    /// the order the steps bind them; a variable no step binds comes
+    /// after those.
+    pub slots: usize,
+    /// The c-variables the rule names, by [`Arg::CVar`] position.
+    pub cvars: Vec<String>,
+    /// Per rule comparison (the index into `rule.comparisons`), its
+    /// compiled sides.
+    pub compare: Vec<Compare>,
+    /// Per negated literal, in `negations` order, its arguments.
+    pub negated: Vec<Vec<Arg>>,
+    /// The head's arguments.
+    pub head: Vec<Arg>,
 }
 
-fn arg_is_bound(arg: &ArgTerm, bound: &BTreeSet<&str>) -> bool {
-    match arg {
-        ArgTerm::Cst(_) | ArgTerm::CVar(_) => true,
-        ArgTerm::Var(v) => bound.contains(v.as_str()),
+/// Slot and c-variable numbering while a plan of one rule compiles.
+/// Slots are numbered as the steps bind them, so between two steps
+/// `slots` is exactly the set of bound variables.
+#[derive(Default)]
+struct Names<'r> {
+    slots: Vec<&'r str>,
+    cvars: Vec<String>,
+}
+
+impl<'r> Names<'r> {
+    fn slot(&mut self, var: &'r str) -> usize {
+        self.slots
+            .iter()
+            .position(|&v| v == var)
+            .unwrap_or_else(|| {
+                self.slots.push(var);
+                self.slots.len() - 1
+            })
+    }
+
+    fn cvar(&mut self, name: &str) -> usize {
+        self.cvars
+            .iter()
+            .position(|v| v == name)
+            .unwrap_or_else(|| {
+                self.cvars.push(name.to_owned());
+                self.cvars.len() - 1
+            })
+    }
+
+    /// `arg` read where the first `bound` slots hold cells; any other
+    /// variable is bound where it is read (`Bind`).
+    fn arg(&mut self, arg: &'r ArgTerm, bound: usize) -> Arg {
+        match arg {
+            ArgTerm::Cst(c) => Arg::Const(Cell::encode_const(c)),
+            ArgTerm::CVar(name) => Arg::CVar(self.cvar(name)),
+            ArgTerm::Var(v) if self.slots[..bound].contains(&v.as_str()) => {
+                Arg::Bound(self.slot(v))
+            }
+            ArgTerm::Var(v) => Arg::Bind(self.slot(v)),
+        }
+    }
+
+    /// `arg` read after the join: every variable is read from its slot.
+    fn read(&mut self, arg: &'r ArgTerm) -> Arg {
+        match arg {
+            ArgTerm::Var(v) => Arg::Bound(self.slot(v)),
+            other => self.arg(other, 0),
+        }
+    }
+
+    fn side(&mut self, e: &'r CompExpr) -> Side {
+        match e {
+            CompExpr::Arg(a) => Side::Arg(self.read(a)),
+            CompExpr::Lin { terms, constant } => Side::Lin {
+                terms: terms
+                    .iter()
+                    .map(|(coef, name)| (*coef, self.cvar(name)))
+                    .collect(),
+                constant: *constant,
+            },
+        }
     }
 }
 
-fn bound_cols(rule: &Rule, lit_pos: usize, bound: &BTreeSet<&str>) -> usize {
+/// The rule variables `step` binds first, in argument order (what
+/// `explain` lists).
+fn binds<'r>(rule: &'r Rule, step: &JoinStep) -> Vec<&'r str> {
+    let mut slots = Vec::new();
+    let atom = rule.body[step.lit_pos].atom();
+    atom.args
+        .iter()
+        .zip(&step.args)
+        .filter_map(|(term, arg)| match arg {
+            Arg::Bind(s) if !slots.contains(s) => {
+                slots.push(*s);
+                term.as_var()
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+fn arg_is_bound(arg: &ArgTerm, bound: &[&str]) -> bool {
+    match arg {
+        ArgTerm::Cst(_) | ArgTerm::CVar(_) => true,
+        ArgTerm::Var(v) => bound.contains(&v.as_str()),
+    }
+}
+
+fn bound_cols(rule: &Rule, lit_pos: usize, bound: &[&str]) -> usize {
     rule.body[lit_pos]
         .atom()
         .args
@@ -111,7 +271,6 @@ pub fn compile_rule(rule: &Rule, delta_pos: Option<usize>) -> RulePlan {
         .map(|(i, _)| i)
         .collect();
 
-    let mut bound: BTreeSet<&str> = BTreeSet::new();
     let mut pending_cmp: Vec<usize> = (0..rule.comparisons.len()).collect();
     let mut initial_comparisons = Vec::new();
     pending_cmp.retain(|&ci| {
@@ -123,6 +282,7 @@ pub fn compile_rule(rule: &Rule, delta_pos: Option<usize>) -> RulePlan {
         }
     });
 
+    let mut names = Names::default();
     let mut steps = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
         let pick = if let Some(dp) = delta_pos.filter(|_| steps.is_empty()) {
@@ -133,7 +293,7 @@ pub fn compile_rule(rule: &Rule, delta_pos: Option<usize>) -> RulePlan {
         } else {
             // Max bound columns; then min unbound; then body order.
             let key = |p: usize| {
-                let bc = bound_cols(rule, p, &bound);
+                let bc = bound_cols(rule, p, &names.slots);
                 let unbound = rule.body[p].atom().args.len() - bc;
                 (bc, usize::MAX - unbound, usize::MAX - p)
             };
@@ -142,19 +302,24 @@ pub fn compile_rule(rule: &Rule, delta_pos: Option<usize>) -> RulePlan {
                 .expect("loop runs only while literals remain")
         };
         let lit_pos = remaining.swap_remove(pick);
-        let bc = bound_cols(rule, lit_pos, &bound);
-        let mut binds = Vec::new();
-        for arg in &rule.body[lit_pos].atom().args {
-            if let ArgTerm::Var(v) = arg {
-                if bound.insert(v.as_str()) {
-                    binds.push(v.clone());
-                }
-            }
-        }
+        let bc = bound_cols(rule, lit_pos, &names.slots);
+        let is_delta = delta_pos == Some(lit_pos);
+        let bound = names.slots.len();
+        let args: Vec<Arg> = rule.body[lit_pos]
+            .atom()
+            .args
+            .iter()
+            .map(|a| names.arg(a, bound))
+            .collect();
+        let keyed = |c: &usize| matches!(args[*c], Arg::Const(_) | Arg::Bound(_));
+        let index = match (0..args.len()).filter(keyed).count() {
+            n if is_delta || n == args.len() => Vec::new(),
+            _ => (0..args.len()).filter(keyed).collect(),
+        };
         let mut comparisons = Vec::new();
         pending_cmp.retain(|&ci| {
             let vars = rule.comparisons[ci].variables();
-            if vars.iter().all(|v| bound.contains(v)) {
+            if vars.iter().all(|v| names.slots.contains(v)) {
                 comparisons.push(ci);
                 false
             } else {
@@ -163,10 +328,11 @@ pub fn compile_rule(rule: &Rule, delta_pos: Option<usize>) -> RulePlan {
         });
         steps.push(JoinStep {
             lit_pos,
-            is_delta: delta_pos == Some(lit_pos),
+            is_delta,
             bound_cols: bc,
-            binds,
             comparisons,
+            args,
+            index,
         });
     }
     debug_assert!(
@@ -174,11 +340,37 @@ pub fn compile_rule(rule: &Rule, delta_pos: Option<usize>) -> RulePlan {
         "safety guarantees every comparison variable is bound by a positive literal"
     );
 
+    let negated = negations
+        .iter()
+        .map(|&np| {
+            rule.body[np]
+                .atom()
+                .args
+                .iter()
+                .map(|a| names.read(a))
+                .collect()
+        })
+        .collect();
+    let head = rule.head.args.iter().map(|a| names.read(a)).collect();
+    let compare = rule
+        .comparisons
+        .iter()
+        .map(|c| Compare {
+            lhs: names.side(&c.lhs),
+            op: c.op,
+            rhs: names.side(&c.rhs),
+        })
+        .collect();
     RulePlan {
         delta_pos,
         steps,
         initial_comparisons,
         negations,
+        slots: names.slots.len(),
+        cvars: names.cvars,
+        compare,
+        negated,
+        head,
     }
 }
 
@@ -208,8 +400,9 @@ pub fn render_plan(rule: &Rule, plan: &RulePlan, out: &mut String) {
         if step.bound_cols > 0 {
             let _ = write!(out, "   [{} bound col(s)]", step.bound_cols);
         }
-        if !step.binds.is_empty() {
-            let _ = write!(out, "   binds {}", step.binds.join(", "));
+        let binds = binds(rule, step);
+        if !binds.is_empty() {
+            let _ = write!(out, "   binds {}", binds.join(", "));
         }
         let _ = writeln!(out);
         for &ci in &step.comparisons {
@@ -484,7 +677,7 @@ fn plan_ops(ops: &mut Arr<'_>, rule: &Rule, plan: &RulePlan) {
                 .field("atom", Str(rule.body[step.lit_pos].atom()))
                 .field("bound_cols", step.bound_cols);
             o.array("binds", |b| {
-                b.items(step.binds.iter().map(Str));
+                b.items(binds(rule, step).into_iter().map(Str));
             });
         });
         for &ci in &step.comparisons {

@@ -5,9 +5,11 @@
 //! per stratum; this module supplies the *physical* side executed every
 //! fixpoint iteration:
 //!
-//! * [`probe`] — pattern matching against a table, routed through the
-//!   most selective column index (or a delta scan when the table is an
-//!   iteration delta);
+//! * [`probe_key`] — the join's probe: the rows of a table matching a
+//!   key of cells, looked up by exactly the columns it binds (or a scan
+//!   when it binds none, or when the table is an iteration delta),
+//!   into a buffer the caller owns; [`probe`] is the same over
+//!   tree-typed patterns;
 //! * [`CondAcc`] — the condition-conjoining join: instead of rebuilding
 //!   a flattened `And` on every nesting level (which re-allocates the
 //!   child vector per joined row), the ids of the fragments are pushed
@@ -18,7 +20,7 @@
 //!   [`crate::PhaseStats`] so benches and `explain`-style tooling can
 //!   see where relational time goes.
 
-use crate::table::{Pattern, Table};
+use crate::table::{Cell, Pattern, Table};
 use faure_ctable::pool::{self, CondId};
 use faure_ctable::{CVarRegistry, Condition};
 
@@ -29,6 +31,9 @@ pub struct OpStats {
     pub probes: u64,
     /// Rows returned by probes (matches, before comparison filtering).
     pub rows_matched: u64,
+    /// Rows probes examined to find their matches: every candidate the
+    /// key's index (or scan) handed them.
+    pub rows_examined: u64,
     /// Condition fragments conjoined by the join operator.
     pub conds_conjoined: u64,
     /// Join branches cut by a pushed-down comparison that evaluated to
@@ -41,6 +46,7 @@ pub struct OpStats {
 faure_trace::stats!(OpStats {
     probes: Counter, "probes", "faure_probes_total", "Pattern-match operator invocations.";
     rows_matched: Counter, "rows_matched", "faure_rows_matched_total", "Rows returned by probes.";
+    rows_examined: Counter, "rows_examined", "faure_rows_examined_total", "Rows probes examined to find their matches.";
     conds_conjoined: Counter, "conds_conjoined", "faure_conds_conjoined_total", "Condition fragments conjoined by the join.";
     cmp_pruned: Counter, "cmp_pruned", "faure_cmp_pruned_total", "Join branches cut by a ground-false comparison.";
     neg_checks: Counter, "neg_checks", "faure_neg_checks_total", "Negation checks performed.";
@@ -55,20 +61,48 @@ impl OpStats {
 }
 
 /// Pattern-match operator: finds all rows of `table` matching `pats`,
-/// counting the probe and its result size. `table` may be a full
-/// relation (index probe) or an iteration delta (delta scan) — the
-/// distinction lives in the logical plan; physically both route through
-/// the table's most selective column index.
+/// counting the probe, the rows it examined and its result size: the
+/// tree-typed [`probe_key`].
 pub fn probe(
     table: &Table,
     reg: &CVarRegistry,
     pats: &[Pattern],
     ops: &mut OpStats,
 ) -> Vec<(usize, Condition)> {
+    let mut matches = Vec::new();
     ops.probes += 1;
-    let matches = table.find_matches(reg, pats);
+    let examined = table.matches(reg, &table.pattern_key(pats), |row, mu| {
+        matches.push((row as usize, mu));
+    });
+    ops.rows_examined += examined as u64;
     ops.rows_matched += matches.len() as u64;
     matches
+}
+
+/// The join's probe: appends to `out` every row of `table` matching
+/// `key` — `key[c]` the cell column `c` must match, `None` for a free
+/// column — with its match condition `μ`, in the order the table's
+/// candidate selection examines them, counting the probe, the rows it
+/// examined and its matches. `μ` is [`CondId::TRUE`] unless a
+/// c-variable made it non-trivial; only then is it interned.
+pub fn probe_key(
+    table: &Table,
+    reg: &CVarRegistry,
+    key: &[Option<Cell>],
+    out: &mut Vec<(u32, CondId)>,
+    ops: &mut OpStats,
+) {
+    let before = out.len();
+    ops.probes += 1;
+    let examined = table.matches(reg, key, |row, mu| {
+        let mu = match mu {
+            Condition::True => CondId::TRUE,
+            mu => pool::intern(&mu),
+        };
+        out.push((row, mu));
+    });
+    ops.rows_examined += examined as u64;
+    ops.rows_matched += (out.len() - before) as u64;
 }
 
 /// Condition accumulator for the conjoining join.
@@ -164,6 +198,18 @@ mod tests {
         assert_eq!(m.len(), 3);
         assert_eq!(ops.probes, 1);
         assert_eq!(ops.rows_matched, 3);
+        // A table from `Table::new` has no index: the probe scans.
+        assert_eq!(ops.rows_examined, 5);
+        // With an index over the bound column, it examines its matches.
+        t.ensure_index(&[0]);
+        let mut out = Vec::new();
+        let key = [Some(Cell::Int(0)), None];
+        probe_key(&t, &reg, &key, &mut out, &mut ops);
+        assert_eq!(
+            out,
+            [(0, CondId::TRUE), (2, CondId::TRUE), (4, CondId::TRUE)]
+        );
+        assert_eq!((ops.probes, ops.rows_matched, ops.rows_examined), (2, 6, 8));
     }
 
     #[test]
@@ -200,6 +246,7 @@ mod tests {
         let mut a = OpStats {
             probes: u64::MAX - 1,
             rows_matched: u64::MAX,
+            rows_examined: 1,
             conds_conjoined: 1,
             cmp_pruned: 0,
             neg_checks: u64::MAX,
@@ -207,6 +254,7 @@ mod tests {
         let b = OpStats {
             probes: 5,
             rows_matched: 5,
+            rows_examined: 7,
             conds_conjoined: 2,
             cmp_pruned: 3,
             neg_checks: 1,
@@ -214,6 +262,7 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.probes, u64::MAX);
         assert_eq!(a.rows_matched, u64::MAX);
+        assert_eq!(a.rows_examined, 8);
         assert_eq!(a.conds_conjoined, 3);
         assert_eq!(a.cmp_pruned, 3);
         assert_eq!(a.neg_checks, u64::MAX);

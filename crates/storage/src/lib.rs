@@ -8,9 +8,11 @@
 //! Mirroring the paper's three-phase evaluation:
 //!
 //! 1. **data phase** (*"generate the data part in pure SQL"*) —
-//!    indexed pattern matching over tuple terms ([`Table::find_matches`],
-//!    routed by [`exec::probe`]); the engine in `faure-core` drives the
-//!    join itself, one compiled rule plan at a time;
+//!    indexed matching of probe keys against table cells
+//!    ([`exec::probe_key`]; [`Table::find_matches`] over tree-typed
+//!    patterns); the engine in `faure-core` drives the join itself, one
+//!    compiled rule plan at a time, and builds the indexes its plans
+//!    probe ([`Table::ensure_index`]);
 //! 2. **condition phase** (*"add proper conditions by SQL UPDATE"*) —
 //!    the match conditions `μ` produced by pattern matching and the
 //!    conjunction of body-row conditions are attached to derived rows;
@@ -42,4 +44,6 @@ pub mod table;
 pub use exec::{CondAcc, OpStats};
 pub use pipeline::PhaseStats;
 pub use shard::{Route, ShardStats};
-pub use table::{ArityError, DeletionEffect, InsertOutcome, Pattern, PreparedRow, Table};
+pub use table::{
+    ArityError, DeletionEffect, InsertOutcome, Pattern, PreparedRow, StoredCond, Table,
+};

@@ -20,8 +20,10 @@ use faure_ctable::{
     CTuple, CVarId, CVarRegistry, Condition, Const, Relation, Schema, Symbol, Term,
 };
 use faure_solver::{Session, SolverError};
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// A tuple's arity disagrees with the table schema.
 ///
@@ -149,81 +151,274 @@ impl InsertOutcome {
     }
 }
 
-/// One typed attribute column plus its probe indexes.
-#[derive(Clone, Debug, Default)]
-struct Column {
-    /// The cell of every row, in row order (struct-of-arrays).
-    cells: Vec<Cell>,
-    /// Rows whose cell in this column is the given constant.
-    by_const: HashMap<Cell, Vec<u32>>,
-    /// Rows whose cell in this column is a c-variable (they
-    /// conditionally match any constant).
+/// The end of a posting chain (see [`Index`]).
+const END: u32 = u32::MAX;
+
+/// One key's posting chain: its rows, linked through [`Index::next`]
+/// in insertion order.
+#[derive(Clone, Copy, Debug)]
+struct Chain {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+/// A probe index over a set of columns: the rows whose cells under
+/// those columns are all constants, chained per key, and the rows that
+/// hold a c-variable under one of them (such a row conditionally
+/// matches every key, so it is a candidate of every probe).
+///
+/// A chain is found by a hash of its key cells, with this index's own
+/// random SipHash keys; the chain map then costs a `u64` and three
+/// `u32`s per key, and each row one link, instead of a boxed key and a
+/// list per key. Two keys whose hashes collide share a chain: a probe
+/// compares every candidate's cells with its key anyway, so a foreign
+/// row is examined and not matched.
+#[derive(Clone, Debug)]
+struct Index {
+    /// The indexed columns, ascending.
+    cols: Box<[usize]>,
+    hasher: RandomState,
+    chains: HashMap<u64, Chain>,
+    /// Per row, the next row of its chain (`END` for the last one, and
+    /// for rows in `var_rows`).
+    next: Vec<u32>,
+    /// Rows with a c-variable under some indexed column, oldest first.
     var_rows: Vec<u32>,
 }
 
-impl Column {
-    /// Indexes row `row` under the cell it holds.
-    fn post(&mut self, cell: Cell, row: u32) {
-        match cell {
-            Cell::Var(_) => self.var_rows.push(row),
-            c => self.by_const.entry(c).or_default().push(row),
+impl Index {
+    fn new(cols: &[usize]) -> Self {
+        Index {
+            cols: cols.into(),
+            hasher: RandomState::new(),
+            chains: HashMap::new(),
+            next: Vec::new(),
+            var_rows: Vec::new(),
         }
     }
 
-    /// The posting list `cell` is indexed under, and where `row` sits
-    /// in it. Searched from the end: the rows a removal touches are
-    /// the newest ones more often than not.
-    fn posting(&mut self, cell: Cell, row: u32) -> (&mut Vec<u32>, usize) {
-        let list = match cell {
-            Cell::Var(_) => &mut self.var_rows,
-            c => self.by_const.get_mut(&c).expect("posted on insert"),
-        };
-        let at = list
-            .iter()
-            .rposition(|&r| r == row)
-            .expect("every row is posted under the cell it holds");
-        (list, at)
+    /// The hash of the key whose cell in column `c` is `cell(c)`.
+    fn hash(&self, cell: impl Fn(usize) -> Cell) -> u64 {
+        let mut h = self.hasher.build_hasher();
+        for &c in self.cols.iter() {
+            cell(c).hash(&mut h);
+        }
+        h.finish()
     }
 
-    /// Removes row `row` by moving the last row into its place: one
-    /// pass over the posting list of each of the two cells, nothing
-    /// else. A constant's emptied list goes with it, so a stream of
-    /// inserts and removals leaves no entry behind.
-    fn swap_remove(&mut self, row: u32) {
-        let cell = self.cells[row as usize];
-        let (list, at) = self.posting(cell, row);
-        list.swap_remove(at);
-        if list.is_empty() && !matches!(cell, Cell::Var(_)) {
-            self.by_const.remove(&cell);
+    /// The hash of row `row`'s key; `None` when one of its cells under
+    /// the index is a c-variable.
+    fn row_key(&self, cols: &[Vec<Cell>], row: u32) -> Option<u64> {
+        let cell = |c: usize| cols[c][row as usize];
+        let var = self.cols.iter().any(|&c| cell(c).as_var().is_some());
+        (!var).then(|| self.hash(cell))
+    }
+
+    /// The chain of the constant key `key` (cells of the columns this
+    /// index covers must be `Some`).
+    fn chain(&self, key: &[Option<Cell>]) -> Option<Chain> {
+        let key = self.hash(|c| key[c].expect("an index covers bound columns only"));
+        self.chains.get(&key).copied()
+    }
+
+    /// Appends row `row`, the table's newest, to its key's chain.
+    fn post(&mut self, cols: &[Vec<Cell>], row: u32) {
+        debug_assert_eq!(self.next.len(), row as usize);
+        self.next.push(END);
+        match self.row_key(cols, row) {
+            None => self.var_rows.push(row),
+            Some(key) => match self.chains.entry(key) {
+                Entry::Occupied(mut chain) => {
+                    let chain = chain.get_mut();
+                    self.next[chain.tail as usize] = row;
+                    chain.tail = row;
+                    chain.len += 1;
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(Chain {
+                        head: row,
+                        tail: row,
+                        len: 1,
+                    });
+                }
+            },
         }
-        let last = (self.cells.len() - 1) as u32;
+    }
+
+    /// The row linking to `row` in the chain starting at `head`.
+    fn before(&self, head: u32, row: u32) -> u32 {
+        let mut at = head;
+        while self.next[at as usize] != row {
+            at = self.next[at as usize];
+            assert_ne!(at, END, "every posted row is on its key's chain");
+        }
+        at
+    }
+
+    /// Removes row `row` and renumbers row `last` (the table's last)
+    /// to `row`, with both rows' cells still in place: the other rows
+    /// of both chains keep their order. A key whose chain empties goes,
+    /// so a stream of inserts and removals leaves no entry behind.
+    fn swap_remove(&mut self, cols: &[Vec<Cell>], row: u32, last: u32) {
+        match self.row_key(cols, row) {
+            None => unlist(&mut self.var_rows, row),
+            Some(key) => {
+                let mut chain = *self.chains.get(&key).expect("every row is posted");
+                let after = self.next[row as usize];
+                if chain.head == row {
+                    chain.head = after;
+                } else {
+                    let prev = self.before(chain.head, row);
+                    self.next[prev as usize] = after;
+                    if chain.tail == row {
+                        chain.tail = prev;
+                    }
+                }
+                chain.len -= 1;
+                if chain.len == 0 {
+                    self.chains.remove(&key);
+                } else {
+                    self.chains.insert(key, chain);
+                }
+            }
+        }
         if row != last {
-            let (list, at) = self.posting(self.cells[last as usize], last);
-            list[at] = row;
+            match self.row_key(cols, last) {
+                None => relist(&mut self.var_rows, last, row),
+                Some(key) => {
+                    let mut chain = *self.chains.get(&key).expect("every row is posted");
+                    if chain.head == last {
+                        chain.head = row;
+                    } else {
+                        let prev = self.before(chain.head, last);
+                        self.next[prev as usize] = row;
+                    }
+                    if chain.tail == last {
+                        chain.tail = row;
+                    }
+                    self.chains.insert(key, chain);
+                }
+            }
         }
-        self.cells.swap_remove(row as usize);
+        // `last`'s link moves to `row`'s place.
+        self.next.swap_remove(row as usize);
+    }
+
+    /// Empties the index, keeping its columns.
+    fn clear(&mut self) {
+        self.chains.clear();
+        self.next.clear();
+        self.var_rows.clear();
     }
 }
 
-/// A derived row ready for insertion: its encoded cells and the id a
-/// table stores for its condition.
+/// Takes `row` out of `list`, keeping the others in order. Searched
+/// from the end: the rows a removal touches are the newest ones more
+/// often than not.
+fn unlist(list: &mut Vec<u32>, row: u32) {
+    let at = list
+        .iter()
+        .rposition(|&r| r == row)
+        .expect("every listed row is in its list");
+    list.remove(at);
+}
+
+/// Renames `from` to `to` in `list`, in place.
+fn relist(list: &mut [u32], from: u32, to: u32) {
+    let at = list
+        .iter()
+        .rposition(|&r| r == from)
+        .expect("every listed row is in its list");
+    list[at] = to;
+}
+
+/// Runs `f` on the cells of a key bound on every column, copied
+/// contiguously — without allocating up to eight columns.
+fn with_cells<R>(key: &[Option<Cell>], f: impl FnOnce(&[Cell]) -> R) -> R {
+    let cell = |k: &Option<Cell>| k.expect("a key bound on every column");
+    let mut buf = [Cell::Int(0); 8];
+    match buf.get_mut(..key.len()) {
+        Some(buf) => {
+            for (b, k) in buf.iter_mut().zip(key) {
+                *b = cell(k);
+            }
+            f(buf)
+        }
+        None => f(&key.iter().map(cell).collect::<Vec<_>>()),
+    }
+}
+
+/// Where the rows a probe examines come from, in the order it examines
+/// them (see [`Table::candidates`]).
+enum Candidates<'t> {
+    /// The dedup index's one row for a fully bound constant key, then
+    /// the rows holding a c-variable.
+    Exact(Option<u32>, std::slice::Iter<'t, u32>),
+    /// An index's chain for the key, then its c-variable rows.
+    Chain {
+        at: u32,
+        next: &'t [u32],
+        then: std::slice::Iter<'t, u32>,
+    },
+    /// Every row.
+    Scan(std::ops::Range<u32>),
+}
+
+impl Iterator for Candidates<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            Candidates::Exact(row, then) => row.take().or_else(|| then.next().copied()),
+            Candidates::Chain { at, next, then } => {
+                if *at == END {
+                    return then.next().copied();
+                }
+                let row = *at;
+                *at = next[row as usize];
+                Some(row)
+            }
+            Candidates::Scan(rows) => rows.next(),
+        }
+    }
+}
+
+/// What a table stores for one condition: the
+/// [`stored`](dnf::NormalForm::stored) id of its normal form and
+/// whether it is over the DNF budget (stored opaque). Read off the
+/// normal form once; the join leaf keeps it per condition-id stack.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StoredCond {
+    stored: CondId,
+    opaque: bool,
+}
+
+impl StoredCond {
+    /// What a table stores for the condition `cond`.
+    pub fn of(cond: CondId) -> Self {
+        let form = dnf::normal_form(cond);
+        StoredCond {
+            stored: form.stored,
+            opaque: form.sets.is_none(),
+        }
+    }
+}
+
+/// A derived row ready for insertion: its encoded cells and what a
+/// table stores for its condition ([`StoredCond`]).
 ///
-/// That id, and whether the condition is over the DNF budget, are read
-/// off the condition's [normal form](dnf::normal_form) once when the
-/// row is built (inside the worker thread, under parallel evaluation);
-/// the minimal-DNF antichain stays where it is, shared by reference
-/// with every other row carrying the same condition. The serialised
-/// merge ([`Table::absorb_partitions`]) is then hash lookups on
-/// interned data and `Copy` cell appends — no term clones, no tree
+/// That is read off the condition's [normal form](dnf::normal_form)
+/// once when the row is built (inside the worker thread, under parallel
+/// evaluation); the minimal-DNF antichain stays where it is, shared by
+/// reference with every other row carrying the same condition. The
+/// serialised merge ([`Table::absorb_partitions`]) is then hash lookups
+/// on interned data and `Copy` cell appends — no term clones, no tree
 /// walks, no per-row copy of the antichain.
 #[derive(Clone, Debug)]
 pub struct PreparedRow {
     cells: Box<[Cell]>,
-    /// The [`stored`](dnf::NormalForm::stored) id of the condition's
-    /// normal form: what a table keeps for the row.
-    stored: CondId,
-    /// Whether the condition is over the DNF budget (stored opaque).
-    opaque: bool,
+    cond: StoredCond,
 }
 
 impl PreparedRow {
@@ -244,14 +439,15 @@ impl PreparedRow {
     }
 
     /// A row over already encoded cells and an already interned
-    /// condition — what the join leaf holds.
+    /// condition.
     pub fn from_id(cells: Box<[Cell]>, cond_id: CondId) -> Self {
-        let form = dnf::normal_form(cond_id);
-        PreparedRow {
-            cells,
-            stored: form.stored,
-            opaque: form.sets.is_none(),
-        }
+        Self::with_stored(cells, StoredCond::of(cond_id))
+    }
+
+    /// A row over already encoded cells whose condition's normal form
+    /// was already read — what the join leaf holds.
+    pub fn with_stored(cells: Box<[Cell]>, cond: StoredCond) -> Self {
+        PreparedRow { cells, cond }
     }
 
     /// The row's terms, decoded.
@@ -266,13 +462,13 @@ impl PreparedRow {
 
     /// The pooled id a table stores for the row's condition.
     pub fn cond_id(&self) -> CondId {
-        self.stored
+        self.cond.stored
     }
 
     /// Whether the condition normalised to false (the row can never be
     /// inserted).
     pub fn is_false(&self) -> bool {
-        self.stored.is_false()
+        self.cond.stored.is_false()
     }
 }
 
@@ -306,12 +502,20 @@ enum CondRepr {
 /// (condition trees are O(1) Arc clones out of the pool, and
 /// materialised rows are bit-identical to what the old row-major table
 /// stored).
+///
+/// A probe looks up exactly the key it binds: a fully bound key in the
+/// dedup index, a partly bound one in a probe index over exactly its
+/// bound columns. A table has such an index only once something asks
+/// for it ([`ensure_index`](Table::ensure_index)): the evaluation
+/// engine builds the ones its compiled plans probe, and an iteration
+/// delta, which is only ever scanned, has none.
 #[derive(Clone, Debug)]
 pub struct Table {
     /// The schema.
     pub schema: Schema,
-    /// One typed column per attribute.
-    cols: Vec<Column>,
+    /// The cell of every row, one vector per attribute, in row order
+    /// (struct-of-arrays).
+    cols: Vec<Vec<Cell>>,
     /// Pooled condition per row. For a row absent from `side` this is a
     /// normal-form fixed point: `normal_form(id).stored == id`, and the
     /// form's antichain is the row's minimal set of disjuncts (kept
@@ -327,6 +531,11 @@ pub struct Table {
     /// equal term vectors by construction — no collision buckets, no
     /// re-verification against the stored rows.
     by_terms: HashMap<Box<[Cell]>, u32>,
+    /// Rows holding a c-variable in some cell, oldest first: what a
+    /// fully bound probe examines beside its dedup-index row.
+    var_rows: Vec<u32>,
+    /// The probe indexes asked for so far.
+    indexes: Vec<Index>,
 }
 
 /// What one row stores for its condition: the id and, for the rare row
@@ -394,25 +603,55 @@ impl Fate {
 }
 
 impl Table {
-    /// An empty table.
+    /// An empty table with no probe index.
     pub fn new(schema: Schema) -> Self {
-        let cols = (0..schema.arity()).map(|_| Column::default()).collect();
+        let cols = vec![Vec::new(); schema.arity()];
         Table {
             schema,
             cols,
             conds: Vec::new(),
             side: HashMap::new(),
             by_terms: HashMap::new(),
+            var_rows: Vec::new(),
+            indexes: Vec::new(),
         }
     }
 
     /// Builds a table from a plain relation (deduplicating rows), each
-    /// tuple converted once and by reference.
+    /// tuple converted once and by reference, with a single-column
+    /// index on every column.
     pub fn from_relation(rel: &Relation) -> Self {
         let mut t = Table::new(rel.schema.clone());
+        for col in 0..t.schema.arity() {
+            t.ensure_index(&[col]);
+        }
         t.extend_from(rel.iter())
             .expect("relation rows match their own schema arity");
         t
+    }
+
+    /// Builds, from the current rows, a probe index over `cols`
+    /// (strictly ascending column numbers) unless the table has one.
+    /// Every write keeps it in step from then on.
+    pub fn ensure_index(&mut self, cols: &[usize]) {
+        assert!(
+            cols.windows(2).all(|w| w[0] < w[1]) && cols.iter().all(|&c| c < self.cols.len()),
+            "index columns {cols:?} out of order or beyond arity {}",
+            self.cols.len()
+        );
+        if self.indexes.iter().any(|ix| *ix.cols == *cols) {
+            return;
+        }
+        let mut index = Index::new(cols);
+        for row in 0..self.len() as u32 {
+            index.post(&self.cols, row);
+        }
+        self.indexes.push(index);
+    }
+
+    /// The column sets of the table's probe indexes, oldest first.
+    pub fn indexed_columns(&self) -> impl Iterator<Item = &[usize]> {
+        self.indexes.iter().map(|ix| &*ix.cols)
     }
 
     /// Inserts every tuple of `rows` by reference, returning how many
@@ -483,7 +722,7 @@ impl Table {
     /// O(1) Arc clone out of the pool; terms decode cell-by-cell.
     pub fn row(&self, idx: usize) -> CTuple {
         CTuple {
-            terms: self.cols.iter().map(|c| c.cells[idx].decode()).collect(),
+            terms: self.cols.iter().map(|c| c[idx].decode()).collect(),
             cond: pool::resolve(self.conds[idx]),
         }
     }
@@ -502,12 +741,17 @@ impl Table {
 
     /// One cell, decoded (column-major access: `col` then `idx`).
     pub fn term(&self, idx: usize, col: usize) -> Term {
-        self.cols[col].cells[idx].decode()
+        self.cols[col][idx].decode()
     }
 
     /// One cell, raw.
     pub fn cell(&self, idx: usize, col: usize) -> Cell {
-        self.cols[col].cells[idx]
+        self.cols[col][idx]
+    }
+
+    /// Whether row `idx` holds a c-variable in some cell.
+    fn has_var(&self, idx: u32) -> bool {
+        self.cols.iter().any(|c| c[idx as usize].as_var().is_some())
     }
 
     /// Iterates over all rows, materialising each once.
@@ -544,16 +788,26 @@ impl Table {
         match self.by_terms.get(&row.cells).copied() {
             Some(idx) => Ok(self.merge_into_row(idx as usize, row)),
             None => {
-                let idx = u32::try_from(self.conds.len()).expect("row count overflow");
+                // `END` marks the end of a posting chain.
+                let idx = u32::try_from(self.conds.len())
+                    .ok()
+                    .filter(|&i| i != END)
+                    .expect("row count overflow");
                 self.by_terms.insert(row.cells.clone(), idx);
                 for (col, &cell) in self.cols.iter_mut().zip(row.cells.iter()) {
-                    col.cells.push(cell);
-                    col.post(cell, idx);
+                    col.push(cell);
                 }
-                if row.opaque {
-                    self.side.insert(idx, CondRepr::Opaque(vec![row.stored]));
+                if self.has_var(idx) {
+                    self.var_rows.push(idx);
                 }
-                self.conds.push(row.stored);
+                for index in &mut self.indexes {
+                    index.post(&self.cols, idx);
+                }
+                let StoredCond { stored, opaque } = row.cond;
+                if opaque {
+                    self.side.insert(idx, CondRepr::Opaque(vec![stored]));
+                }
+                self.conds.push(stored);
                 Ok(InsertOutcome::New)
             }
         }
@@ -588,15 +842,16 @@ impl Table {
     /// Merges an incoming row's condition into row `idx`'s disjunction.
     fn merge_into_row(&mut self, idx: usize, row: &PreparedRow) -> InsertOutcome {
         let key = idx as u32;
+        let StoredCond { stored, opaque } = row.cond;
         // Nothing widens `True`; and re-deriving a row under the very
         // condition it stores — most duplicates — adds no disjunct (a
         // side-list row is not described by its id, so it goes on).
         if self.conds[idx] == CondId::TRUE
-            || (self.conds[idx] == row.stored && !self.side.contains_key(&key))
+            || (self.conds[idx] == stored && !self.side.contains_key(&key))
         {
             return InsertOutcome::Unchanged;
         }
-        let incoming = (!row.opaque).then(|| dnf::normal_form(row.stored));
+        let incoming = (!opaque).then(|| dnf::normal_form(stored));
         let incoming_sets: Option<&[AtomSet]> = incoming
             .as_deref()
             .map(|form| form.sets.as_deref().expect("checked not opaque"));
@@ -617,7 +872,7 @@ impl Table {
                 CondRepr::Sets(existing.to_vec())
             }
         };
-        let outcome = Self::merge_repr(&mut self.conds[idx], &mut repr, row.stored, incoming_sets);
+        let outcome = Self::merge_repr(&mut self.conds[idx], &mut repr, stored, incoming_sets);
         match repr {
             CondRepr::Sets(sets) if sets.len() <= dnf::DEFAULT_SET_BUDGET => {
                 dnf::record_normal_form(self.conds[idx], sets);
@@ -693,21 +948,66 @@ impl Table {
         }
     }
 
-    /// Candidate row indices for a pattern on one column (index probe).
-    fn candidates_for(&self, col: usize, pat: &Pattern) -> Option<Vec<u32>> {
-        match pat {
-            Pattern::Any | Pattern::Exact(Term::Var(_)) => None,
-            Pattern::Exact(Term::Const(c)) => {
-                let ci = &self.cols[col];
-                let mut v: Vec<u32> = ci
-                    .by_const
-                    .get(&Cell::encode_const(c))
-                    .cloned()
-                    .unwrap_or_default();
-                v.extend_from_slice(&ci.var_rows);
-                Some(v)
+    /// Where a probe on `key` finds its candidates — `key[c]` is the
+    /// cell column `c` must match, `None` for a free column — in the
+    /// order it examines them. A key of constants on every column is
+    /// one dedup-index lookup; otherwise the index whose columns are
+    /// all bound to constants and whose key has the fewest candidates
+    /// (the first such on a tie); otherwise every row. Within a key,
+    /// rows come oldest first, and c-variable rows after constant ones.
+    /// A c-variable in the key conditionally matches every constant, so
+    /// no index can serve its column.
+    fn candidates(&self, key: &[Option<Cell>]) -> Candidates<'_> {
+        debug_assert_eq!(key.len(), self.cols.len(), "key arity");
+        let constant = |c: usize| key[c].is_some_and(|cell| cell.as_var().is_none());
+        if (0..key.len()).all(constant) {
+            let row = with_cells(key, |cells| self.by_terms.get(cells).copied());
+            return Candidates::Exact(row, self.var_rows.iter());
+        }
+        let best = self
+            .indexes
+            .iter()
+            .filter(|ix| ix.cols.iter().all(|&c| constant(c)))
+            .map(|ix| (ix, ix.chain(key)))
+            .min_by_key(|(ix, chain)| chain.map_or(0, |ch| ch.len as usize) + ix.var_rows.len());
+        match best {
+            Some((ix, chain)) => Candidates::Chain {
+                at: chain.map_or(END, |ch| ch.head),
+                next: &ix.next,
+                then: ix.var_rows.iter(),
+            },
+            None => Candidates::Scan(0..self.len() as u32),
+        }
+    }
+
+    /// The probe key of per-column patterns.
+    pub(crate) fn pattern_key(&self, pats: &[Pattern]) -> Vec<Option<Cell>> {
+        assert_eq!(pats.len(), self.schema.arity(), "pattern arity mismatch");
+        pats.iter()
+            .map(|p| match p {
+                Pattern::Any => None,
+                Pattern::Exact(t) => Some(Cell::encode(t)),
+            })
+            .collect()
+    }
+
+    /// Calls `visit` with every row matching `key` (see
+    /// [`candidates`](Table::candidates)) and its match condition `μ`,
+    /// in candidate order. Returns how many rows it examined.
+    pub(crate) fn matches(
+        &self,
+        reg: &CVarRegistry,
+        key: &[Option<Cell>],
+        mut visit: impl FnMut(u32, Condition),
+    ) -> usize {
+        let mut examined = 0usize;
+        for row in self.candidates(key) {
+            examined += 1;
+            if let Some(mu) = self.match_key(reg, row, key) {
+                visit(row, mu);
             }
         }
+        examined
     }
 
     /// Matches a row against per-column patterns, producing the match
@@ -749,76 +1049,47 @@ impl Table {
         Some(cond)
     }
 
-    /// Columnar [`match_row`](Table::match_row): same four cases and
-    /// the same μ construction order, but reading `Copy` cells straight
-    /// out of the column vectors instead of materialising a tuple.
-    fn match_cells(&self, reg: &CVarRegistry, idx: u32, pats: &[Pattern]) -> Option<Condition> {
+    /// Columnar [`match_row`](Table::match_row) of row `idx` against a
+    /// probe key: the same four cases and the same μ construction
+    /// order, reading `Copy` cells straight out of the column vectors.
+    fn match_key(&self, reg: &CVarRegistry, idx: u32, key: &[Option<Cell>]) -> Option<Condition> {
         let mut cond = Condition::True;
-        for (col, pat) in self.cols.iter().zip(pats) {
-            let cell = col.cells[idx as usize];
-            match pat {
-                Pattern::Any => {}
-                Pattern::Exact(p) => match (p, cell) {
-                    (Term::Const(c), Cell::Var(v)) => {
-                        if !reg.domain(v).contains(c) {
-                            return None;
-                        }
-                        cond = cond.and(Condition::eq(Term::Var(v), Term::Const(c.clone())));
+        for (col, want) in self.cols.iter().zip(key) {
+            let Some(want) = *want else { continue };
+            let cell = col[idx as usize];
+            match (want, cell) {
+                (Cell::Var(u), Cell::Var(v)) => {
+                    if u != v {
+                        cond = cond.and(Condition::eq(Term::Var(u), Term::Var(v)));
                     }
-                    (Term::Const(a), cell) => {
-                        if Cell::encode_const(a) != cell {
-                            return None;
-                        }
+                }
+                (Cell::Var(u), d) | (d, Cell::Var(u)) => {
+                    let d = d.decode_const().expect("non-var cell decodes to const");
+                    if !reg.domain(u).contains(&d) {
+                        return None;
                     }
-                    (Term::Var(u), Cell::Var(v)) => {
-                        if *u != v {
-                            cond = cond.and(Condition::eq(Term::Var(*u), Term::Var(v)));
-                        }
+                    cond = cond.and(Condition::eq(Term::Var(u), Term::Const(d)));
+                }
+                (a, b) => {
+                    if a != b {
+                        return None;
                     }
-                    (Term::Var(u), cell) => {
-                        let d = cell.decode_const().expect("non-var cell decodes to const");
-                        if !reg.domain(*u).contains(&d) {
-                            return None;
-                        }
-                        cond = cond.and(Condition::eq(Term::Var(*u), Term::Const(d)));
-                    }
-                },
+                }
             }
         }
         Some(cond)
     }
 
     /// Finds all rows matching the per-column patterns. Returns
-    /// `(row index, match condition μ)` pairs. Uses the most selective
-    /// constant column as the index probe.
+    /// `(row index, match condition μ)` pairs, in the order the probe
+    /// examines its candidates: looked up by the constant key the
+    /// patterns bind (see [`ensure_index`](Table::ensure_index)), c-variable
+    /// rows last.
     pub fn find_matches(&self, reg: &CVarRegistry, pats: &[Pattern]) -> Vec<(usize, Condition)> {
-        assert_eq!(pats.len(), self.schema.arity(), "pattern arity mismatch");
-        // Pick the constant column with the fewest candidates.
-        let mut best: Option<Vec<u32>> = None;
-        for (col, pat) in pats.iter().enumerate() {
-            if let Some(cands) = self.candidates_for(col, pat) {
-                if best.as_ref().is_none_or(|b| cands.len() < b.len()) {
-                    best = Some(cands);
-                }
-            }
-        }
         let mut out = Vec::new();
-        match best {
-            Some(cands) => {
-                for idx in cands {
-                    if let Some(mu) = self.match_cells(reg, idx, pats) {
-                        out.push((idx as usize, mu));
-                    }
-                }
-            }
-            None => {
-                for idx in 0..self.len() as u32 {
-                    if let Some(mu) = self.match_cells(reg, idx, pats) {
-                        out.push((idx as usize, mu));
-                    }
-                }
-            }
-        }
+        self.matches(reg, &self.pattern_key(pats), |row, mu| {
+            out.push((row as usize, mu));
+        });
         out
     }
 
@@ -832,15 +1103,22 @@ impl Table {
     /// this table. This is the "not derivable from the c-table"
     /// semantics the paper adopts for negation.
     pub fn negation_condition(&self, reg: &CVarRegistry, terms: &[Term]) -> Condition {
-        let pats: Vec<Pattern> = terms.iter().map(|t| Pattern::Exact(t.clone())).collect();
+        let cells: Vec<Cell> = terms.iter().map(Cell::encode).collect();
+        self.negation_condition_cells(reg, &cells)
+    }
+
+    /// [`negation_condition`](Table::negation_condition) of an already
+    /// encoded tuple.
+    pub fn negation_condition_cells(&self, reg: &CVarRegistry, cells: &[Cell]) -> Condition {
+        assert_eq!(cells.len(), self.schema.arity(), "pattern arity mismatch");
+        let key: Vec<Option<Cell>> = cells.iter().copied().map(Some).collect();
         let mut cond = Condition::True;
-        for (idx, mu) in self.find_matches(reg, &pats) {
-            let psi = self.cond(idx);
-            cond = cond.and(psi.and(mu).negate());
-            if cond == Condition::False {
-                break;
+        self.matches(reg, &key, |row, mu| {
+            if cond != Condition::False {
+                let psi = self.cond(row as usize);
+                cond = std::mem::replace(&mut cond, Condition::True).and(psi.and(mu).negate());
             }
-        }
+        });
         cond
     }
 
@@ -986,15 +1264,16 @@ impl Table {
     /// propagation; tables with var cells fall back to stratum
     /// recomputation to stay bit-identical with batch evaluation.
     pub fn has_var_cells(&self) -> bool {
-        self.cols.iter().any(|c| !c.var_rows.is_empty())
+        !self.var_rows.is_empty()
     }
 
     /// Removes the rows at `indices` (duplicates and any order are
     /// fine), returning the removed rows materialised in index order.
     ///
     /// Each removal moves the table's last row into the freed slot and
-    /// patches the dedup index, the posting lists of the two rows'
-    /// cells and the side list — work proportional to the rows removed,
+    /// patches the dedup index, the two rows' posting chains and
+    /// c-variable lists and the side list — work proportional to the
+    /// rows removed,
     /// not to the table. Surviving rows keep their exact condition
     /// representation; their *order* is not kept (it is not part of the
     /// contract: the row set and the stored conditions are).
@@ -1015,7 +1294,7 @@ impl Table {
     fn swap_remove(&mut self, idx: usize) {
         let last = self.len() - 1;
         let (row, moved) = (idx as u32, last as u32);
-        let key = |at: usize| -> Vec<Cell> { self.cols.iter().map(|c| c.cells[at]).collect() };
+        let key = |at: usize| -> Vec<Cell> { self.cols.iter().map(|c| c[at]).collect() };
         self.by_terms.remove(key(idx).as_slice());
         if idx != last {
             *self
@@ -1023,8 +1302,19 @@ impl Table {
                 .get_mut(key(last).as_slice())
                 .expect("every row is in the dedup index") = row;
         }
+        // The lists and chains are patched while both rows' cells are
+        // in place.
+        if self.has_var(row) {
+            unlist(&mut self.var_rows, row);
+        }
+        if idx != last && self.has_var(moved) {
+            relist(&mut self.var_rows, moved, row);
+        }
+        for index in &mut self.indexes {
+            index.swap_remove(&self.cols, row, moved);
+        }
         for col in &mut self.cols {
-            col.swap_remove(row);
+            col.swap_remove(idx);
         }
         self.conds.swap_remove(idx);
         if !self.side.is_empty() {
@@ -1098,7 +1388,7 @@ impl Table {
             v.truncate(w);
         }
         for col in &mut self.cols {
-            keep(&mut col.cells, kill);
+            keep(col, kill);
         }
         keep(&mut self.conds, kill);
         if !self.side.is_empty() {
@@ -1114,20 +1404,23 @@ impl Table {
         self.reindex();
     }
 
-    /// Rebuilds the probe and dedup indexes from the column vectors.
+    /// Rebuilds the dedup index, the c-variable row list and every
+    /// probe index from the column vectors.
     fn reindex(&mut self) {
         self.by_terms.clear();
-        for col in &mut self.cols {
-            col.by_const.clear();
-            col.var_rows.clear();
+        self.var_rows.clear();
+        for index in &mut self.indexes {
+            index.clear();
         }
-        for idx in 0..self.conds.len() {
-            let idx32 = idx as u32;
-            let cells: Box<[Cell]> = self.cols.iter().map(|c| c.cells[idx]).collect();
-            for (col, &cell) in self.cols.iter_mut().zip(cells.iter()) {
-                col.post(cell, idx32);
+        for idx in 0..self.len() as u32 {
+            let cells: Box<[Cell]> = self.cols.iter().map(|c| c[idx as usize]).collect();
+            self.by_terms.insert(cells, idx);
+            if self.has_var(idx) {
+                self.var_rows.push(idx);
             }
-            self.by_terms.insert(cells, idx32);
+            for index in &mut self.indexes {
+                index.post(&self.cols, idx);
+            }
         }
     }
 
@@ -1185,27 +1478,15 @@ impl Table {
     ///   condition to `ψ ∧ ¬μ` (and removes it if that collapses).
     pub fn delete_where(&mut self, cols: &[Option<Const>]) -> DeletionEffect {
         assert_eq!(cols.len(), self.schema.arity(), "pattern arity mismatch");
-        // Only a row holding the constant, or a c-variable, under a
-        // constrained column can match: the shortest such list, as in
-        // `find_matches`, in row order.
-        let candidates: Vec<usize> = self
-            .cols
+        // Only a row holding the constants, or c-variables, under the
+        // constrained columns can match: a probe's candidates, in row
+        // order.
+        let key: Vec<Option<Cell>> = cols
             .iter()
-            .zip(cols)
-            .filter_map(|(col, want)| {
-                let posted = col.by_const.get(&Cell::encode_const(want.as_ref()?));
-                Some((posted.map_or(&[][..], Vec::as_slice), &col.var_rows[..]))
-            })
-            .min_by_key(|(posted, vars)| posted.len() + vars.len())
-            .map_or_else(
-                || (0..self.len()).collect(),
-                |(posted, vars)| {
-                    let mut rows: Vec<usize> =
-                        posted.iter().chain(vars).map(|&r| r as usize).collect();
-                    rows.sort_unstable();
-                    rows
-                },
-            );
+            .map(|want| want.as_ref().map(Cell::encode_const))
+            .collect();
+        let mut candidates: Vec<usize> = self.candidates(&key).map(|r| r as usize).collect();
+        candidates.sort_unstable();
         let mut drop_idx = Vec::new();
         let mut weakened = Vec::new();
         for idx in candidates {
@@ -1213,7 +1494,7 @@ impl Table {
             let mut keep = false;
             for (col, want) in self.cols.iter().zip(cols) {
                 if let Some(c) = want {
-                    match col.cells[idx] {
+                    match col[idx] {
                         Cell::Var(v) => {
                             mu = mu.and(Condition::eq(Term::Var(v), Term::Const(c.clone())));
                         }
@@ -2014,6 +2295,7 @@ mod tests {
 
     mod differential {
         use super::*;
+        use crate::exec::OpStats;
         use faure_ctable::{CVarId, CmpOp, LinExpr};
         use proptest::prelude::*;
         use std::collections::{BTreeMap, BTreeSet};
@@ -2162,6 +2444,181 @@ mod tests {
             }
         }
 
+        /// A cell of the three-column table the index differential runs
+        /// on: a small integer, or a c-variable over `{0,1}` (`d0`) or
+        /// over `{0,1,2}` (`d18`).
+        fn arb_cell3() -> impl Strategy<Value = Term> {
+            prop_oneof![
+                (0i64..3).prop_map(Term::int),
+                (0i64..3).prop_map(Term::int),
+                (0i64..3).prop_map(Term::int),
+                Just(var(0)),
+                Just(var(18)),
+            ]
+        }
+
+        /// Plain atoms, and a sum only the solver refutes (a prune
+        /// drops its rows).
+        fn arb_small_cond() -> impl Strategy<Value = Condition> {
+            prop_oneof![
+                Just(Condition::True),
+                Just(Condition::True),
+                (1u32..4, 0i64..2).prop_map(|(v, k)| Condition::eq(var(v), Term::int(k))),
+                (1u32..4, 0i64..2).prop_map(|(v, k)| Condition::ne(var(v), Term::int(k))),
+                Just(Condition::cmp(
+                    LinExpr::var(CVarId(1)).plus_var(1, CVarId(2)),
+                    CmpOp::Eq,
+                    LinExpr::constant(3),
+                )),
+            ]
+        }
+
+        fn arb_row3() -> impl Strategy<Value = CTuple> {
+            (arb_cell3(), arb_cell3(), arb_cell3(), arb_small_cond())
+                .prop_map(|(a, b, c, cond)| CTuple::with_cond([a, b, c], cond))
+        }
+
+        /// The column sets an index over three columns can cover.
+        const COLUMN_SETS: [&[usize]; 6] = [&[0], &[1], &[2], &[0, 1], &[0, 2], &[1, 2]];
+
+        #[derive(Clone, Debug)]
+        enum IndexOp {
+            Insert(CTuple),
+            /// Row picks, taken modulo the table's length.
+            Remove(Vec<usize>),
+            Prune,
+            Overlay(Vec<CTuple>),
+            Delete(Vec<Option<Const>>),
+            /// `ensure_index` on the populated table, by `COLUMN_SETS`
+            /// position.
+            Index(usize),
+        }
+
+        fn arb_index_ops() -> impl Strategy<Value = Vec<IndexOp>> {
+            let want = || prop_oneof![Just(None), (0i64..3).prop_map(|k| Some(Const::Int(k)))];
+            let op = prop_oneof![
+                arb_row3().prop_map(IndexOp::Insert),
+                arb_row3().prop_map(IndexOp::Insert),
+                arb_row3().prop_map(IndexOp::Insert),
+                arb_row3().prop_map(IndexOp::Insert),
+                prop::collection::vec(0usize..64, 1..4).prop_map(IndexOp::Remove),
+                Just(IndexOp::Prune),
+                prop::collection::vec(arb_row3(), 1..4).prop_map(IndexOp::Overlay),
+                (want(), want(), want()).prop_map(|(a, b, c)| IndexOp::Delete(vec![a, b, c])),
+                (0..COLUMN_SETS.len()).prop_map(IndexOp::Index),
+            ];
+            prop::collection::vec(op, 1..20)
+        }
+
+        /// `c` split into its top-level conjuncts, sorted: `and` folds
+        /// flatten, so two folds over one multiset of terms in two
+        /// orders give equal lists.
+        fn conjuncts(c: Condition) -> Vec<Condition> {
+            let mut parts = match c {
+                Condition::And(cs) => Condition::take_children(cs),
+                other => vec![other],
+            };
+            parts.sort();
+            parts
+        }
+
+        /// Every probe key over the cell alphabet — free, a constant, or
+        /// a c-variable per column — answers like a full scan of the
+        /// rows: the cell-keyed probe and `find_matches` find the same
+        /// rows under the same `μ`, a negation conjoins the same terms,
+        /// and a deletion pattern touches the same rows. A probe whose
+        /// constant key an index (or the dedup index) covers exactly
+        /// examines only its matches on a table of constants.
+        fn answers_like_a_full_scan(reg: &CVarRegistry, t: &Table) {
+            let rows: Vec<CTuple> = t.iter().collect();
+            let alphabet = [
+                None,
+                Some(Term::int(0)),
+                Some(Term::int(1)),
+                Some(Term::int(2)),
+                Some(var(0)),
+                Some(var(18)),
+            ];
+            let indexed: Vec<&[usize]> = t.indexed_columns().collect();
+            for a in &alphabet {
+                for b in &alphabet {
+                    for c in &alphabet {
+                        let terms = [a, b, c];
+                        let pats: Vec<Pattern> = terms
+                            .iter()
+                            .map(|&t| t.clone().map_or(Pattern::Any, Pattern::Exact))
+                            .collect();
+                        let scan: Vec<(usize, Condition)> = rows
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(i, r)| Table::match_row(reg, r, &pats).map(|mu| (i, mu)))
+                            .collect();
+                        let mut found = t.find_matches(reg, &pats);
+                        found.sort();
+                        assert_eq!(found, scan, "find_matches {pats:?}");
+
+                        let key = t.pattern_key(&pats);
+                        let (mut out, mut ops) = (Vec::new(), OpStats::default());
+                        crate::exec::probe_key(t, reg, &key, &mut out, &mut ops);
+                        out.sort();
+                        let interned: Vec<(u32, CondId)> = scan
+                            .iter()
+                            .map(|(i, mu)| match mu {
+                                Condition::True => (*i as u32, CondId::TRUE),
+                                mu => (*i as u32, pool::intern(mu)),
+                            })
+                            .collect();
+                        assert_eq!(out, interned, "probe {pats:?}");
+                        let constant: Vec<usize> = (0..3)
+                            .filter(|&c| terms[c].as_ref().is_some_and(|t| t.as_const().is_some()))
+                            .collect();
+                        let var_key = terms
+                            .iter()
+                            .any(|t| t.as_ref().is_some_and(|t| t.as_const().is_none()));
+                        let exact = constant.len() == 3 || indexed.contains(&&constant[..]);
+                        if exact && !var_key && !t.has_var_cells() {
+                            assert_eq!(ops.rows_examined, ops.rows_matched, "exact key {pats:?}");
+                        }
+
+                        if let [Some(a), Some(b), Some(c)] = terms {
+                            let fold = scan.iter().fold(Condition::True, |acc, (i, mu)| {
+                                acc.and(t.cond(*i).and(mu.clone()).negate())
+                            });
+                            let tuple = [a.clone(), b.clone(), c.clone()];
+                            let negated = t.negation_condition(reg, &tuple);
+                            assert_eq!(conjuncts(negated), conjuncts(fold), "negation {pats:?}");
+                        }
+
+                        if var_key || constant.is_empty() {
+                            continue;
+                        }
+                        let want: Vec<Option<Const>> = terms
+                            .iter()
+                            .map(|t| t.as_ref().and_then(|t| t.as_const().cloned()))
+                            .collect();
+                        let eff = t.clone().delete_where(&want);
+                        let reported: BTreeSet<&[Term]> = eff
+                            .removed
+                            .iter()
+                            .chain(&eff.weakened)
+                            .map(|r| &r.terms[..])
+                            .collect();
+                        let affected: BTreeSet<&[Term]> = rows
+                            .iter()
+                            .filter(|r| {
+                                r.terms.iter().zip(&want).all(|(term, w)| match (term, w) {
+                                    (Term::Const(c), Some(w)) => c == w,
+                                    _ => true,
+                                })
+                            })
+                            .map(|r| &r.terms[..])
+                            .collect();
+                        assert_eq!(reported, affected, "delete {want:?}");
+                    }
+                }
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -2258,6 +2715,49 @@ mod tests {
                         }
                     }
                     answers_like_a_rebuilt_table(&reg, &t);
+                }
+            }
+
+            /// Whatever indexes a table has — none, per column, composite,
+            /// or one built on the populated table — and whatever
+            /// inserts, removals, prunes, deletions and overlays it goes
+            /// through, every probe answers like a full scan.
+            #[test]
+            fn indexes_answer_like_a_full_scan(
+                first in prop::collection::vec(0..COLUMN_SETS.len(), 0..3),
+                ops in arb_index_ops(),
+            ) {
+                let reg = registry();
+                let mut t = Table::new(Schema::new("T", &["a", "b", "c"]));
+                for k in first {
+                    t.ensure_index(COLUMN_SETS[k]);
+                }
+                for op in ops {
+                    match op {
+                        IndexOp::Insert(row) => {
+                            t.insert(row).unwrap();
+                        }
+                        IndexOp::Remove(picks) if !t.is_empty() => {
+                            let idxs: Vec<usize> = picks.iter().map(|p| p % t.len()).collect();
+                            t.remove_rows(&idxs);
+                        }
+                        IndexOp::Remove(_) => {}
+                        IndexOp::Prune => {
+                            t.prune(&reg, &mut Session::new()).unwrap();
+                        }
+                        IndexOp::Overlay(rows) => {
+                            let before = row_map(&t);
+                            let overlay = t.overlay(&rows).unwrap();
+                            answers_like_a_full_scan(&reg, &t);
+                            t.remove_overlay(overlay);
+                            prop_assert_eq!(row_map(&t), before);
+                        }
+                        IndexOp::Delete(cols) => {
+                            t.delete_where(&cols);
+                        }
+                        IndexOp::Index(k) => t.ensure_index(COLUMN_SETS[k]),
+                    }
+                    answers_like_a_full_scan(&reg, &t);
                 }
             }
 
