@@ -1062,6 +1062,7 @@ R(f, a, b) :- F(f, a, c), R(f, c, b).
             "\"prune_wall_ns\":",
             "\"tuples\":",
             "\"pruned\":",
+            "\"rows_encoded\":",
             "\"ops\":{\"probes\":",
             "\"solver\":{\"sat_calls\":",
             "\"cross_run_hits\":",

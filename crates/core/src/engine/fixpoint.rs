@@ -39,6 +39,7 @@ use faure_solver::{Session, SolverError};
 use faure_storage::shard::Route;
 use faure_storage::{PhaseStats, PreparedRow, Table};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A delta cut into partitions: `parts[s][pred]` holds the delta rows
@@ -62,10 +63,11 @@ pub(super) struct Seed {
 
 /// What a stratum is evaluated with: the run's context, the standing
 /// tables and plan cache it writes, and the driver thread's solver
-/// session, options and statistics.
+/// session, options and statistics. A table may be shared (an input
+/// relation's twin): every write goes through `Arc::make_mut`.
 pub(super) struct Driver<'a> {
     pub(super) ctx: Ctx<'a>,
-    pub(super) tables: &'a mut HashMap<String, Table>,
+    pub(super) tables: &'a mut HashMap<String, Arc<Table>>,
     pub(super) plans: &'a mut PlanCache,
     pub(super) session: Session,
     pub(super) opts: EvalOptions,
@@ -101,13 +103,21 @@ impl Driver<'_> {
 /// Gives every standing table a step of `plan` probes the index that
 /// step's key is looked up in ([`JoinStep::index`](crate::plan::JoinStep::index)).
 /// A table keeps an index once built, so from the second pass of a plan
-/// on this is a few column-list comparisons.
-pub(super) fn ensure_indexes(tables: &mut HashMap<String, Table>, rule: &Rule, plan: &RulePlan) {
+/// on this is a few column-list comparisons; a shared twin is written
+/// (copied) only when it lacks the index — a plan `apply` compiled
+/// after the twin was loaded.
+pub(super) fn ensure_indexes(
+    tables: &mut HashMap<String, Arc<Table>>,
+    rule: &Rule,
+    plan: &RulePlan,
+) {
     for step in plan.steps.iter().filter(|step| !step.index.is_empty()) {
-        tables
+        let table = tables
             .get_mut(&rule.body[step.lit_pos].atom().pred)
-            .expect("table created in setup")
-            .ensure_index(&step.index);
+            .expect("table created in setup");
+        if !table.has_index(&step.index) {
+            Arc::make_mut(table).ensure_index(&step.index);
+        }
     }
 }
 
@@ -252,7 +262,7 @@ pub(super) fn merge(
         return Ok(());
     }
     let n = next.len();
-    let table = d.tables.get_mut(pred).expect("table created in setup");
+    let table = Arc::make_mut(d.tables.get_mut(pred).expect("table created in setup"));
     let schema = table.schema.clone();
     let mut log = tracker.map(|changes| ChangeLog::observe(changes, pred, table, &derived));
     let key = shard::key_column(d.ctx.shard_plan, pred, schema.arity(), n);
@@ -312,7 +322,7 @@ pub(super) fn naive(d: &mut Driver<'_>, rules: &[(usize, &Rule)]) -> Result<(), 
                 .tables
                 .get_mut(rule.head.pred.as_str())
                 .expect("table created in setup");
-            table.absorb_partitions(derived, |_| changed = true)?;
+            Arc::make_mut(table).absorb_partitions(derived, |_| changed = true)?;
         }
         let iteration = iterations - 1;
         super::publish::publish_iteration(0);

@@ -16,10 +16,12 @@
 //!   standing tables and returns a [`DeltaReport`].
 //!
 //! Batch evaluation is "one big insertion into empty state":
-//! [`PreparedProgram::run`] materializes empty tables, loads every
-//! input tuple into them — once, by reference — and runs each stratum
-//! through the one fixpoint loop ([`fixpoint::semi_naive`]), seeded
-//! with every rule and an empty delta of `opts.shards` partitions.
+//! [`PreparedProgram::run`] materializes empty tables for the derived
+//! predicates, borrows each input relation's twin
+//! ([`Table::twin`]: loaded by the first run over the database, copied
+//! only on a first write) and runs each stratum through the one
+//! fixpoint loop ([`fixpoint::semi_naive`]), seeded with every rule and
+//! an empty delta of `opts.shards` partitions.
 //!
 //! ## Propagation strategy, per stratum
 //!
@@ -225,11 +227,18 @@ faure_trace::stats!(DeltaReport {
 /// A standing evaluation: per-predicate tables, resolved c-variables,
 /// and the pooled solver memo, kept alive between
 /// [`Delta`] applications. Built by [`PreparedProgram::materialize`].
+///
+/// An input predicate's table starts as its relation's twin, shared
+/// with the caller's database; `apply` writes through `Arc::make_mut`,
+/// so the first write copies it while the caller still holds it.
 pub struct MaterializedState {
+    /// The caller's database with its twin slots emptied: the twins
+    /// are held by `tables`, and a slot here would make the first
+    /// `apply` copy a twin nobody else reads.
     pub(super) database: Database,
     pub(super) cvmap: HashMap<String, CVarId>,
     pub(super) shared_memo: Arc<SharedMemo>,
-    pub(super) tables: HashMap<String, Table>,
+    pub(super) tables: HashMap<String, Arc<Table>>,
     pub(super) plans: PlanCache,
     pub(super) warnings: Vec<Finding>,
     pub(super) tracer: Tracer,
@@ -253,7 +262,7 @@ impl MaterializedState {
     /// The current contents of a predicate's table as a relation
     /// (EDB or derived), reflecting every delta applied so far.
     pub fn relation(&self, name: &str) -> Option<Relation> {
-        self.tables.get(name).map(Table::to_relation)
+        self.tables.get(name).map(|t| t.to_relation())
     }
 
     /// Statistics of the most recent apply.
@@ -264,13 +273,23 @@ impl MaterializedState {
     /// Consumes the state into the classic [`EvalOutput`]: the input
     /// database extended with every derived relation.
     pub(super) fn into_output(mut self, idb: &BTreeSet<String>) -> EvalOutput {
+        let t_export = self.tracer.now_ns();
         self.tables.retain(|name, _| idb.contains(name));
         let mut derived_tuples = 0usize;
         for p in idb {
             let t = self.tables.remove(p).expect("table created in setup");
             derived_tuples += t.len();
-            self.database.set_relation(t.into_relation());
+            // Still shared only when it is an input relation's twin
+            // that no rule wrote to.
+            let relation = match Arc::try_unwrap(t) {
+                Ok(t) => t.into_relation(),
+                Err(shared) => shared.to_relation(),
+            };
+            self.database.set_relation(relation);
         }
+        self.tracer.emit_span("eval", "export", t_export, 0, || {
+            vec![("rows", derived_tuples.into())]
+        });
         let total = self.started.elapsed();
         self.stats.relational = total.saturating_sub(self.stats.solver);
         self.stats.tuples = derived_tuples;
@@ -353,19 +372,54 @@ impl PreparedProgram {
         Ok(state)
     }
 
-    /// The batch evaluation over freshly set-up state: every tuple of
-    /// `db` goes into its (empty) table, converted once and by
-    /// reference, then every stratum runs to its fixpoint.
+    /// The batch evaluation over freshly set-up state: every relation
+    /// of `db` becomes its twin — loaded by the first run over `db`,
+    /// borrowed by every later one — then every stratum runs to its
+    /// fixpoint.
     fn run_batch(&self, state: &mut MaterializedState, db: &Database) -> Result<(), EvalError> {
         let wall = Instant::now();
         let mut report = DeltaReport::default();
-        for rel in db.relations() {
-            if let Some(table) = state.tables.get_mut(&rel.schema.name) {
-                report.inserted += table.extend_from(rel.iter())?;
-            }
+        let t_load = state.tracer.now_ns();
+        // Every column set a prepared plan probes, by predicate: the
+        // indexes asked of each twin, so a run over a warm database
+        // builds none.
+        let mut probed: Vec<(&str, &[usize])> = self
+            .plans
+            .iter()
+            .flat_map(|(ri, plan)| {
+                let body = &self.program.rules[ri].body;
+                plan.steps
+                    .iter()
+                    .filter(|step| !step.index.is_empty())
+                    .map(|step| (body[step.lit_pos].atom().pred.as_str(), &step.index[..]))
+            })
+            .collect();
+        probed.sort_unstable();
+        probed.dedup();
+        let (mut relations, mut rows_encoded) = (0usize, 0usize);
+        for name in db.relation_names() {
+            let indexes: Vec<&[usize]> = probed
+                .iter()
+                .filter(|(pred, _)| *pred == name)
+                .map(|&(_, cols)| cols)
+                .collect();
+            let Some(twin) = Table::twin(db, name, &indexes)? else {
+                continue;
+            };
+            relations += 1;
+            rows_encoded += twin.encoded;
+            report.inserted += twin.changed;
+            state.tables.insert(name.to_owned(), twin.table);
         }
+        state.tracer.emit_span("eval", "load", t_load, 0, || {
+            vec![
+                ("relations", relations.into()),
+                ("rows_encoded", rows_encoded.into()),
+            ]
+        });
         let leaves = LeafMemo::default();
         let mut d = self.driver(state, &leaves, &[]);
+        d.stats.rows_encoded = rows_encoded;
         for (si, stratum) in self.strat.strata.iter().enumerate() {
             run_one_stratum(&mut d, si, &self.rules_of(stratum))?;
         }
@@ -416,7 +470,7 @@ impl PreparedProgram {
     }
 
     /// The setup phase: lint, c-variable resolution, memo checkout, and
-    /// *empty* table creation (the caller loads the EDB facts).
+    /// *empty* table creation (the caller puts the EDB twins in place).
     pub(super) fn materialize_empty(
         &self,
         db: &Database,
@@ -439,6 +493,7 @@ impl PreparedProgram {
 
         let t_setup = tracer.now_ns();
         let mut database = db.clone();
+        database.clear_twins();
         let cvmap = resolve_cvars(program, &mut database);
         // Check out the pooled solver memo: reuse it when its registry
         // fingerprint still matches (batch mode — conditions decided in
@@ -457,20 +512,22 @@ impl PreparedProgram {
         shared_memo.begin_run();
         let started = Instant::now();
 
-        // Empty tables: EDB relations keep their declared schemas; any
-        // predicate mentioned but absent gets an inferred one.
-        let mut tables: HashMap<String, Table> = HashMap::new();
-        for rel in database.relations() {
-            tables.insert(rel.schema.name.clone(), Table::new(rel.schema.clone()));
-        }
+        // Empty tables for the predicates mentioned but absent from the
+        // database, with inferred schemas. A database relation keeps its
+        // declared schema and gets its twin from the caller.
+        let mut tables: HashMap<String, Arc<Table>> = HashMap::new();
         for rule in &program.rules {
             for atom in std::iter::once(&rule.head).chain(rule.body.iter().map(Literal::atom)) {
                 let arity = atom.args.len();
-                match tables.get(&atom.pred) {
-                    Some(t) if t.schema.arity() != arity => {
+                let schema = match database.relation(&atom.pred) {
+                    Some(rel) => Some(&rel.schema),
+                    None => tables.get(&atom.pred).map(|t| &t.schema),
+                };
+                match schema {
+                    Some(schema) if schema.arity() != arity => {
                         return Err(EvalError::ArityMismatch {
                             pred: atom.pred.clone(),
-                            expected: t.schema.arity(),
+                            expected: schema.arity(),
                             got: arity,
                         });
                     }
@@ -481,13 +538,14 @@ impl PreparedProgram {
                             name: atom.pred.clone(),
                             attrs,
                         };
-                        tables.insert(atom.pred.clone(), Table::new(schema));
+                        tables.insert(atom.pred.clone(), Arc::new(Table::new(schema)));
                     }
                 }
             }
         }
         tracer.emit_span("eval", "setup", t_setup, 0, || {
-            vec![("tables", tables.len().into())]
+            let relations = database.relation_names().count();
+            vec![("tables", (tables.len() + relations).into())]
         });
 
         Ok(MaterializedState {
@@ -554,7 +612,7 @@ impl PreparedProgram {
                     "unconstrained deletion pattern on `{rel_name}`"
                 )));
             }
-            let eff = table.delete_where(&pattern.cols);
+            let eff = Arc::make_mut(table).delete_where(&pattern.cols);
             report.deleted += eff.removed.len() + eff.weakened.len();
             if !eff.is_empty() {
                 let e = pend_del.entry(rel_name.clone()).or_default();
@@ -582,7 +640,7 @@ impl PreparedProgram {
             }
             let prow = PreparedRow::from_tuple(tuple);
             let old = table.find_row_cells(prow.cells()).map(|i| table.row(i));
-            if table.insert_prepared(&prow)?.changed() {
+            if Arc::make_mut(table).insert_prepared(&prow)?.changed() {
                 report.inserted += 1;
                 let idx = table.find_row_cells(prow.cells()).expect("just inserted");
                 let schema = table.schema.clone();
@@ -764,14 +822,16 @@ impl PreparedProgram {
                 for (p, old_rows) in &pend_del {
                     if frontier.contains_key(p) {
                         let t = d.tables.get_mut(p.as_str()).expect("table exists");
-                        let overlay = t.overlay(old_rows).expect("old rows match their schema");
+                        let overlay = Arc::make_mut(t)
+                            .overlay(old_rows)
+                            .expect("old rows match their schema");
                         overlays.push((p.as_str(), overlay));
                     }
                 }
                 let rounds = over_delete(&mut d, &rules, frontier, &mut suspects);
                 for (p, overlay) in overlays {
                     let t = d.tables.get_mut(p).expect("table exists");
-                    t.remove_overlay(overlay);
+                    Arc::make_mut(t).remove_overlay(overlay);
                 }
                 rederive_span = Some((t_od, rounds?));
 
@@ -781,7 +841,7 @@ impl PreparedProgram {
                     if idxs.is_empty() {
                         continue;
                     }
-                    let t = d.tables.get_mut(p.as_str()).expect("table exists");
+                    let t = Arc::make_mut(d.tables.get_mut(p.as_str()).expect("table exists"));
                     let sorted: Vec<usize> = idxs.iter().copied().collect();
                     let old_rows = t.remove_rows(&sorted);
                     report.overdeleted += old_rows.len();
@@ -905,7 +965,7 @@ fn run_one_stratum(
         // stream — is deterministic.
         let heads: BTreeSet<&str> = rules.iter().map(|(_, r)| r.head.pred.as_str()).collect();
         for p in heads {
-            let t = d.tables.get_mut(p).expect("table created in setup");
+            let t = Arc::make_mut(d.tables.get_mut(p).expect("table created in setup"));
             let rows = t.len();
             let removed = timed_prune(&d.ctx, &mut d.session, &mut d.stats, p, rows, |reg, s| {
                 t.prune(reg, s)
@@ -932,7 +992,7 @@ fn run_one_stratum(
 /// recomputed stratum in its span and in telemetry.
 fn order_hazard(
     rules: &[(usize, &Rule)],
-    tables: &HashMap<String, Table>,
+    tables: &HashMap<String, Arc<Table>>,
     pend_del: &BTreeMap<String, Vec<CTuple>>,
 ) -> Option<&'static str> {
     let mut preds: BTreeSet<&str> = BTreeSet::new();
@@ -944,7 +1004,7 @@ fn order_hazard(
     }
     if preds
         .iter()
-        .any(|p| tables.get(*p).is_some_and(Table::has_var_cells))
+        .any(|p| tables.get(*p).is_some_and(|t| t.has_var_cells()))
     {
         return Some("var_cells");
     }
@@ -1023,10 +1083,10 @@ fn recompute_stratum(
     changed_preds: &mut BTreeSet<String>,
 ) -> Result<usize, EvalError> {
     let head_preds: BTreeSet<&str> = rules.iter().map(|(_, r)| r.head.pred.as_str()).collect();
-    let mut old: BTreeMap<String, Table> = BTreeMap::new();
+    let mut old: BTreeMap<String, Arc<Table>> = BTreeMap::new();
     for p in &head_preds {
         let t = d.tables.get_mut(*p).expect("table created in setup");
-        let empty = Table::new(t.schema.clone());
+        let empty = Arc::new(Table::new(t.schema.clone()));
         old.insert((*p).to_owned(), std::mem::replace(t, empty));
     }
     run_one_stratum(d, si, rules)?;
@@ -1116,6 +1176,7 @@ fn settle_stratum(
             .tables
             .get_mut(p.as_str())
             .expect("table created in setup");
+        let table = Arc::make_mut(table);
         let schema = table.schema.clone();
 
         // Pre-prune condition ids per changed row: certification
@@ -1203,7 +1264,7 @@ fn finalize_apply(
         .idb
         .iter()
         .filter_map(|p| state.tables.get(p))
-        .map(Table::len)
+        .map(|t| t.len())
         .sum();
     report.wall = total;
     report.stats = stats.clone();

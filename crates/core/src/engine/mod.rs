@@ -69,6 +69,21 @@
 //! `cross_run_hits` in [`faure_solver::SolverStats`]. A database whose
 //! registry signature differs invalidates the pooled memo instead of
 //! serving stale verdicts.
+//!
+//! ## Input relations are loaded once
+//!
+//! Every input relation of a [`Database`] has a columnar twin
+//! ([`faure_storage::Table::twin`]): an immutable `Arc<Table>` kept in
+//! the database, built by the first run that reads the relation and
+//! carrying the probe indexes that run's prepared plans ask for. Later
+//! runs — of the same program or another — borrow it and encode no row;
+//! a program probing a column set the twin lacks extends a copy once.
+//! Evaluation tables are `Arc<Table>`s and every write goes through
+//! `Arc::make_mut`, so the first write to a borrowed twin (a head that
+//! also has input facts, an `apply` to a standing state whose caller
+//! still holds the database) writes to a private copy; the caller's
+//! database never changes. Any `&mut` access to a relation drops its
+//! twin.
 
 mod fixpoint;
 mod maintain;
@@ -937,6 +952,8 @@ mod tests {
         assert!(has("prepare", "stratify"));
         assert!(has("prepare", "plan-compile"));
         assert!(has("eval", "setup"));
+        assert!(has("eval", "load"));
+        assert!(has("eval", "export"));
         assert!(has("eval", "stratum"));
         assert!(has("eval", "prune"));
         assert!(has("eval", "run"));

@@ -29,7 +29,7 @@ use faure_ctable::{Atom, CVarId, Condition, Expr, LinExpr};
 use faure_storage::table::Cell;
 use faure_storage::{exec, CondAcc, OpStats, PreparedRow, StoredCond, Table};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// What the join leaf made of each stack of condition ids it has seen:
 /// `ids ↦` what a table stores for `intern(canonicalize(simplify(⋀
@@ -184,13 +184,13 @@ impl<'a> Pass<'a> {
         ctx: &'a Ctx<'a>,
         rule: &'a Rule,
         plan: &'a RulePlan,
-        tables: &'a HashMap<String, Table>,
+        tables: &'a HashMap<String, Arc<Table>>,
         delta: Option<&'a Table>,
     ) -> Self {
         debug_assert_eq!(plan.delta_pos.is_some(), delta.is_some());
         // A delta is scanned, never probed by key: it carries no index.
         debug_assert!(delta.is_none_or(|d| d.indexed_columns().next().is_none()));
-        let table = |pos: usize| {
+        let table = |pos: usize| -> &'a Table {
             tables
                 .get(&rule.body[pos].atom().pred)
                 .expect("table created in setup")
@@ -604,7 +604,7 @@ mod tests {
         program: &Program,
         ri: usize,
         db: &Database,
-        tables: &HashMap<String, Table>,
+        tables: &HashMap<String, Arc<Table>>,
         leaves: &LeafMemo,
     ) -> Vec<(Vec<Term>, CondId)> {
         let cvmap = HashMap::new();
@@ -652,9 +652,9 @@ mod tests {
              Open(a, b) :- F(a, b), !Block(b).\n",
         )
         .unwrap();
-        let tables: HashMap<String, Table> = db
+        let tables: HashMap<String, Arc<Table>> = db
             .relations()
-            .map(|rel| (rel.schema.name.clone(), Table::from_relation(rel)))
+            .map(|rel| (rel.schema.name.clone(), Arc::new(Table::from_relation(rel))))
             .collect();
         let (f, block) = (&tables["F"], &tables["Block"]);
 
@@ -813,9 +813,9 @@ mod tests {
             let (src, shape) = PASSES[which];
             let program = parse_program(src).unwrap();
             let cvmap = super::super::resolve_cvars(&program, &mut db);
-            let tables: HashMap<String, Table> = db
+            let tables: HashMap<String, Arc<Table>> = db
                 .relations()
-                .map(|rel| (rel.schema.name.clone(), Table::from_relation(rel)))
+                .map(|rel| (rel.schema.name.clone(), Arc::new(Table::from_relation(rel))))
                 .collect();
             let companions = head_bound_rules(&program);
             let (rule, delta_pos) = match shape {

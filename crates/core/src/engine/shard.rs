@@ -61,6 +61,7 @@ use faure_storage::{OpStats, PreparedRow, Table};
 use faure_trace::Tracer;
 use std::collections::HashMap;
 use std::sync::mpsc::sync_channel;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Rows per exchanged batch. Small enough that the bounded channel
@@ -134,7 +135,7 @@ pub(super) fn pass(
     let t_pass = d.ctx.tracer.now_ns();
     let plan = d.plans.get_or_compile(ri, rule, Some(pos));
     fixpoint::ensure_indexes(d.tables, rule, plan);
-    let tables: &HashMap<String, Table> = d.tables;
+    let tables: &HashMap<String, Arc<Table>> = d.tables;
     let mut batches: Vec<Batch> = Vec::new();
     let mut worker_errs: Vec<Option<EvalError>> = Vec::new();
 

@@ -468,6 +468,13 @@ impl PlanCache {
         }
         self.plans.get(&key).expect("inserted above")
     }
+
+    /// Every cached plan with the index of its rule, in no set order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &RulePlan)> {
+        self.plans
+            .iter()
+            .map(|(&(rule_idx, _), plan)| (rule_idx, plan))
+    }
 }
 
 /// Per-program fixpoint metadata: which body positions can carry a

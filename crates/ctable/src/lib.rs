@@ -52,7 +52,7 @@ pub mod worlds;
 
 pub use condition::{Atom, CmpOp, Condition, Expr, LinExpr};
 pub use cvar::{CVarId, CVarRegistry, Domain};
-pub use database::Database;
+pub use database::{Database, TwinSlot};
 pub use error::CtableError;
 pub use pool::{CondId, ListId, PoolStats};
 pub use relation::{CTuple, Relation, Schema};

@@ -223,6 +223,18 @@ pub fn resolve(id: CondId) -> Condition {
     pool().read().expect("condition pool poisoned").conds[id.0 as usize].clone()
 }
 
+/// Writes [`resolve`] of each id in `ids` into the matching slot of
+/// `out`, in order, under one read lock: exporting a whole condition
+/// column costs one lock, not one per row, and no buffer beside the
+/// rows it fills. `out` is drained under the lock, so it must not
+/// intern.
+pub fn resolve_into<'a>(ids: &[CondId], out: impl IntoIterator<Item = &'a mut Condition>) {
+    let r = pool().read().expect("condition pool poisoned");
+    for (id, slot) in ids.iter().zip(out) {
+        *slot = r.conds[id.0 as usize].clone();
+    }
+}
+
 /// The interned children of an `And` node, or `None` for any other
 /// kind. Used by callers that flatten conjunctions id-wise.
 fn and_children(id: CondId) -> Option<Vec<u32>> {
@@ -436,6 +448,21 @@ mod tests {
         assert_eq!(resolve(id), c);
         assert_eq!(intern(&c), id);
         assert_eq!(intern(&resolve(id)), id);
+    }
+
+    #[test]
+    fn resolve_into_is_resolve_per_id() {
+        let (x, _) = vars2();
+        let ids = [
+            CondId::TRUE,
+            intern(&Condition::eq(Term::Var(x), Term::int(7))),
+            CondId::FALSE,
+            CondId::TRUE,
+        ];
+        let one_by_one: Vec<Condition> = ids.iter().map(|&id| resolve(id)).collect();
+        let mut slots = vec![Condition::False; ids.len()];
+        resolve_into(&ids, &mut slots);
+        assert_eq!(slots, one_by_one);
     }
 
     #[test]

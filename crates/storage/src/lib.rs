@@ -12,7 +12,8 @@
 //!    ([`exec::probe_key`]; [`Table::find_matches`] over tree-typed
 //!    patterns); the engine in `faure-core` drives the join itself, one
 //!    compiled rule plan at a time, and builds the indexes its plans
-//!    probe ([`Table::ensure_index`]);
+//!    probe ([`Table::ensure_index`]); an input relation is loaded once
+//!    into a columnar twin every evaluation borrows ([`Table::twin`]);
 //! 2. **condition phase** (*"add proper conditions by SQL UPDATE"*) —
 //!    the match conditions `μ` produced by pattern matching and the
 //!    conjunction of body-row conditions are attached to derived rows;
@@ -45,5 +46,5 @@ pub use exec::{CondAcc, OpStats};
 pub use pipeline::PhaseStats;
 pub use shard::{Route, ShardStats};
 pub use table::{
-    ArityError, DeletionEffect, InsertOutcome, Pattern, PreparedRow, StoredCond, Table,
+    ArityError, DeletionEffect, InsertOutcome, Pattern, PreparedRow, StoredCond, Table, Twin,
 };

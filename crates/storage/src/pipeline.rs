@@ -50,6 +50,10 @@ pub struct PhaseStats {
     pub plan_cache_hits: u64,
     /// Rule plans compiled because no cached plan existed.
     pub plan_cache_misses: u64,
+    /// Input rows encoded into columnar tables: every row of an input
+    /// relation whose twin was loaded, 0 for a relation whose twin a
+    /// previous run left cached ([`Table::twin`](crate::Table::twin)).
+    pub rows_encoded: usize,
     /// Sharded-evaluation counters (all zero when the run never
     /// dispatched to the sharded driver).
     pub shard: ShardStats,
@@ -63,6 +67,7 @@ faure_trace::stats!(PhaseStats {
     pruned: Counter, "pruned", "faure_pruned_rows_total", "Tuples removed by the solver phase.";
     plan_cache_hits: Counter, "plan_cache_hits", "faure_plan_cache_hits_total", "Rule plans served from the plan cache.";
     plan_cache_misses: Counter, "plan_cache_misses", "faure_plan_cache_misses_total", "Rule plans compiled.";
+    rows_encoded: Counter, "rows_encoded", "faure_edb_rows_encoded_total", "Input rows encoded into columnar tables (0 when every input relation's twin was cached).";
 });
 
 impl PhaseStats {

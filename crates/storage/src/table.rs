@@ -17,13 +17,14 @@
 use crate::dnf::{self, AtomSet};
 use faure_ctable::pool::{self, CondId};
 use faure_ctable::{
-    CTuple, CVarId, CVarRegistry, Condition, Const, Relation, Schema, Symbol, Term,
+    CTuple, CVarId, CVarRegistry, Condition, Const, Database, Relation, Schema, Symbol, Term,
 };
 use faure_solver::{Session, SolverError};
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::{Arc, PoisonError};
 
 /// A tuple's arity disagrees with the table schema.
 ///
@@ -538,6 +539,21 @@ pub struct Table {
     indexes: Vec<Index>,
 }
 
+/// A relation's columnar twin, as [`Table::twin`] hands it out and as
+/// the relation's slot keeps it (there with `encoded` 0).
+#[derive(Clone, Debug)]
+pub struct Twin {
+    /// The twin, shared with the database's slot and with every
+    /// evaluation that borrowed it.
+    pub table: Arc<Table>,
+    /// How many of the relation's rows changed the twin when it was
+    /// loaded: what inserting them into an empty table reports.
+    pub changed: usize,
+    /// Rows this call encoded: the relation's length when it loaded the
+    /// twin, 0 when the slot held one.
+    pub encoded: usize,
+}
+
 /// What one row stores for its condition: the id and, for the rare row
 /// not described by its id, the side-list entry.
 #[derive(Clone, Debug)]
@@ -621,13 +637,112 @@ impl Table {
     /// tuple converted once and by reference, with a single-column
     /// index on every column.
     pub fn from_relation(rel: &Relation) -> Self {
+        let columns: Vec<usize> = (0..rel.schema.arity()).collect();
+        let single: Vec<&[usize]> = columns.chunks(1).collect();
+        Table::load(rel, &single)
+            .expect("relation rows match their own schema arity")
+            .0
+    }
+
+    /// The one load path: `rel`'s rows inserted by reference into an
+    /// empty table sized for all of them (deduplicated, conditions
+    /// merged), then a probe index
+    /// over each column set of `indexes`. Returns the table and how many
+    /// rows changed it.
+    fn load(rel: &Relation, indexes: &[&[usize]]) -> Result<(Table, usize), ArityError> {
         let mut t = Table::new(rel.schema.clone());
-        for col in 0..t.schema.arity() {
-            t.ensure_index(&[col]);
+        for col in &mut t.cols {
+            col.reserve_exact(rel.len());
         }
-        t.extend_from(rel.iter())
-            .expect("relation rows match their own schema arity");
-        t
+        t.conds.reserve_exact(rel.len());
+        t.by_terms.reserve(rel.len());
+        let changed = t.extend_from(rel.iter())?;
+        for cols in indexes {
+            t.ensure_index(cols);
+        }
+        Ok((t, changed))
+    }
+
+    /// The columnar twin of `db`'s relation `name`, carrying a probe
+    /// index over each column set of `indexes`; `None` when `db` has no
+    /// such relation.
+    ///
+    /// A relation is loaded once ([`Table::load`]) and its twin kept in
+    /// the relation's [`TwinSlot`](faure_ctable::TwinSlot), vectors
+    /// shrunk to fit. A later call hands out the same `Arc` when it has
+    /// every index asked for, and otherwise replaces it by a copy
+    /// extended with the missing ones — encoding no row either way, so
+    /// programs that probe different columns of one relation pay for
+    /// its rows once. A twin is immutable: whoever writes to one
+    /// (`Arc::make_mut`) writes to a copy. A relation holding a row of
+    /// the wrong arity yields the [`ArityError`] and caches nothing.
+    pub fn twin(
+        db: &Database,
+        name: &str,
+        indexes: &[&[usize]],
+    ) -> Result<Option<Twin>, ArityError> {
+        let Some((rel, slot)) = db.relation_and_twin(name) else {
+            return Ok(None);
+        };
+        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let cached = slot
+            .as_deref()
+            .and_then(|any| any.downcast_ref::<Twin>())
+            .cloned();
+        let (mut table, changed, encoded) = match cached {
+            Some(twin) if indexes.iter().all(|cols| twin.table.has_index(cols)) => {
+                return Ok(Some(twin));
+            }
+            Some(twin) => {
+                let mut table = Table::clone(&twin.table);
+                for cols in indexes {
+                    table.ensure_index(cols);
+                }
+                (table, twin.changed, 0)
+            }
+            None => {
+                let (table, changed) = Table::load(rel, indexes)?;
+                (table, changed, rel.len())
+            }
+        };
+        table.shrink_to_fit();
+        let twin = Twin {
+            table: Arc::new(table),
+            changed,
+            encoded: 0,
+        };
+        *slot = Some(Arc::new(twin.clone()));
+        Ok(Some(Twin { encoded, ..twin }))
+    }
+
+    /// The twin [`Table::twin`] cached for `db`'s relation `name`, if
+    /// any; builds nothing.
+    pub fn cached_twin(db: &Database, name: &str) -> Option<Arc<Table>> {
+        let (_, slot) = db.relation_and_twin(name)?;
+        let slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let cached = slot.as_deref()?.downcast_ref::<Twin>()?;
+        Some(Arc::clone(&cached.table))
+    }
+
+    /// Gives back the spare capacity of every vector and map.
+    fn shrink_to_fit(&mut self) {
+        for col in &mut self.cols {
+            col.shrink_to_fit();
+        }
+        self.conds.shrink_to_fit();
+        self.side.shrink_to_fit();
+        self.by_terms.shrink_to_fit();
+        self.var_rows.shrink_to_fit();
+        for index in &mut self.indexes {
+            index.chains.shrink_to_fit();
+            index.next.shrink_to_fit();
+            index.var_rows.shrink_to_fit();
+        }
+    }
+
+    /// Whether the table has a probe index over exactly `cols`.
+    pub fn has_index(&self, cols: &[usize]) -> bool {
+        self.indexed_columns().any(|ix| ix == cols)
     }
 
     /// Builds, from the current rows, a probe index over `cols`
@@ -639,10 +754,11 @@ impl Table {
             "index columns {cols:?} out of order or beyond arity {}",
             self.cols.len()
         );
-        if self.indexes.iter().any(|ix| *ix.cols == *cols) {
+        if self.has_index(cols) {
             return;
         }
         let mut index = Index::new(cols);
+        index.next.reserve_exact(self.len());
         for row in 0..self.len() as u32 {
             index.post(&self.cols, row);
         }
@@ -656,7 +772,7 @@ impl Table {
 
     /// Inserts every tuple of `rows` by reference, returning how many
     /// of them changed the table.
-    pub fn extend_from<'a>(
+    fn extend_from<'a>(
         &mut self,
         rows: impl IntoIterator<Item = &'a CTuple>,
     ) -> Result<usize, ArityError> {
@@ -682,13 +798,29 @@ impl Table {
     pub fn to_relation(&self) -> Relation {
         Relation {
             schema: self.schema.clone(),
-            tuples: self.iter().collect(),
+            tuples: self.rows(),
         }
     }
 
+    /// Every row, materialised once: the cells decoded row by row, then
+    /// the condition column resolved into the rows under one pool lock
+    /// ([`pool::resolve_into`]), not one lock per row.
+    fn rows(&self) -> Vec<CTuple> {
+        let mut rows: Vec<CTuple> = (0..self.len())
+            .map(|i| CTuple {
+                terms: self.terms(i),
+                cond: Condition::True,
+            })
+            .collect();
+        pool::resolve_into(&self.conds, rows.iter_mut().map(|row| &mut row.cond));
+        rows
+    }
+
     /// Consuming export: like [`to_relation`](Table::to_relation) but
-    /// reuses the schema allocation and drops the indexes in place.
-    pub fn into_relation(self) -> Relation {
+    /// reuses the schema allocation, and frees the dedup and probe
+    /// indexes before it builds a row, so an export never holds them
+    /// beside the relation it builds.
+    pub fn into_relation(mut self) -> Relation {
         // What lets the table keep an id and nothing else per row: the
         // id of a row outside the side list is a normal-form fixed
         // point with an antichain. Checked at every export of a debug
@@ -701,7 +833,9 @@ impl Table {
                 let form = dnf::normal_form(self.conds[i]);
                 form.sets.is_some() && form.stored == self.conds[i]
             }));
-        let tuples = (0..self.len()).map(|i| self.row(i)).collect();
+        self.by_terms = HashMap::new();
+        self.indexes = Vec::new();
+        let tuples = self.rows();
         Relation {
             schema: self.schema,
             tuples,
@@ -722,9 +856,14 @@ impl Table {
     /// O(1) Arc clone out of the pool; terms decode cell-by-cell.
     pub fn row(&self, idx: usize) -> CTuple {
         CTuple {
-            terms: self.cols.iter().map(|c| c[idx].decode()).collect(),
+            terms: self.terms(idx),
             cond: pool::resolve(self.conds[idx]),
         }
+    }
+
+    /// Row `idx`'s cells, decoded.
+    fn terms(&self, idx: usize) -> Vec<Term> {
+        self.cols.iter().map(|c| c[idx].decode()).collect()
     }
 
     /// One row's condition (O(1) pool resolve; avoids materialising
@@ -754,7 +893,13 @@ impl Table {
         self.cols.iter().any(|c| c[idx as usize].as_var().is_some())
     }
 
-    /// Iterates over all rows, materialising each once.
+    /// Iterates over all rows, materialising each once. Lazy, so each
+    /// row resolves its own condition: resolving the column up front
+    /// would hold a buffer of every condition beside the rows a caller
+    /// keeps. A whole-table export goes through
+    /// [`to_relation`](Table::to_relation) or
+    /// [`into_relation`](Table::into_relation), which take the pool lock
+    /// once.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = CTuple> + '_ {
         (0..self.len()).map(|i| self.row(i))
     }
@@ -951,12 +1096,17 @@ impl Table {
     /// Where a probe on `key` finds its candidates — `key[c]` is the
     /// cell column `c` must match, `None` for a free column — in the
     /// order it examines them. A key of constants on every column is
-    /// one dedup-index lookup; otherwise the index whose columns are
+    /// one dedup-index lookup; otherwise the index over exactly the
+    /// key's constant columns; otherwise the index whose columns are
     /// all bound to constants and whose key has the fewest candidates
     /// (the first such on a tie); otherwise every row. Within a key,
     /// rows come oldest first, and c-variable rows after constant ones.
     /// A c-variable in the key conditionally matches every constant, so
     /// no index can serve its column.
+    ///
+    /// The exact index is the one a compiled plan asks for, so it wins
+    /// whatever other indexes a shared table has collected for other
+    /// programs: a plan's match order does not depend on them.
     fn candidates(&self, key: &[Option<Cell>]) -> Candidates<'_> {
         debug_assert_eq!(key.len(), self.cols.len(), "key arity");
         let constant = |c: usize| key[c].is_some_and(|cell| cell.as_var().is_none());
@@ -964,12 +1114,23 @@ impl Table {
             let row = with_cells(key, |cells| self.by_terms.get(cells).copied());
             return Candidates::Exact(row, self.var_rows.iter());
         }
-        let best = self
-            .indexes
-            .iter()
-            .filter(|ix| ix.cols.iter().all(|&c| constant(c)))
-            .map(|ix| (ix, ix.chain(key)))
-            .min_by_key(|(ix, chain)| chain.map_or(0, |ch| ch.len as usize) + ix.var_rows.len());
+        let exact = self.indexes.iter().find(|ix| {
+            ix.cols
+                .iter()
+                .copied()
+                .eq((0..key.len()).filter(|&c| constant(c)))
+        });
+        let best = match exact {
+            Some(ix) => Some((ix, ix.chain(key))),
+            None => self
+                .indexes
+                .iter()
+                .filter(|ix| ix.cols.iter().all(|&c| constant(c)))
+                .map(|ix| (ix, ix.chain(key)))
+                .min_by_key(|(ix, chain)| {
+                    chain.map_or(0, |ch| ch.len as usize) + ix.var_rows.len()
+                }),
+        };
         match best {
             Some((ix, chain)) => Candidates::Chain {
                 at: chain.map_or(END, |ch| ch.head),
@@ -1796,6 +1957,116 @@ mod tests {
         // 10 constant matches plus the var row (3 ∈ {0,1}? no — x̄ is
         // Bool01, and 3 ∉ {0,1}, so the var row does NOT match).
         assert_eq!(via_index.len(), 10);
+    }
+
+    /// A probe bound on columns 0 and 2 examines its candidates in the
+    /// order the index over exactly (0, 2) gives — constant rows, then
+    /// c-variable rows — whether or not the table also has an index
+    /// over column 0 alone, which here ties with it on candidates and
+    /// would list them in row order.
+    #[test]
+    fn the_exact_index_decides_the_candidate_order() {
+        let (reg, x, _) = db_with_xy();
+        let rows = [
+            CTuple::new([Term::int(1), Term::int(7), Term::Var(x)]),
+            CTuple::new([Term::int(1), Term::int(8), Term::int(0)]),
+        ];
+        let pats = [
+            Pattern::Exact(Term::int(1)),
+            Pattern::Any,
+            Pattern::Exact(Term::int(0)),
+        ];
+        let order = |indexes: &[&[usize]]| -> Vec<usize> {
+            let mut t = Table::new(Schema::new("F", &["a", "b", "c"]));
+            for cols in indexes {
+                t.ensure_index(cols);
+            }
+            for row in &rows {
+                t.insert(row.clone()).unwrap();
+            }
+            t.find_matches(&reg, &pats)
+                .into_iter()
+                .map(|(i, _)| i)
+                .collect()
+        };
+        assert_eq!(order(&[&[0, 2]]), [1, 0]);
+        assert_eq!(order(&[&[0], &[0, 2]]), [1, 0]);
+        assert_eq!(order(&[&[0, 2], &[0]]), [1, 0]);
+        // Without it, the fewest candidates win: column 0's chain, in
+        // row order.
+        assert_eq!(order(&[&[0], &[2]]), [0, 1]);
+    }
+
+    fn twin_db() -> Database {
+        let mut db = Database::new();
+        let x = db.fresh_cvar("x", Domain::Bool01);
+        db.create_relation(Schema::new("F", &["a", "b"])).unwrap();
+        for (a, b) in [(1, 2), (2, 3), (1, 2), (3, 1)] {
+            db.insert("F", CTuple::new([Term::int(a), Term::int(b)]))
+                .unwrap();
+        }
+        db.insert(
+            "F",
+            CTuple::with_cond(
+                [Term::int(2), Term::int(3)],
+                Condition::eq(Term::Var(x), Term::int(1)),
+            ),
+        )
+        .unwrap();
+        db
+    }
+
+    /// A twin is the table `from_relation` loads, with the indexes asked
+    /// for; asked again it is the same `Arc`, and asked for one more
+    /// index it is a copy that has it — neither encodes a row, and both
+    /// report the load's changed-row count.
+    #[test]
+    fn a_twin_is_loaded_once_and_extended_by_copy() {
+        let db = twin_db();
+        let rel = db.relation("F").unwrap();
+        let first = Table::twin(&db, "F", &[&[0]]).unwrap().unwrap();
+        assert_eq!((first.changed, first.encoded), (3, rel.len()));
+        assert_eq!(
+            first.table.iter().collect::<Vec<_>>(),
+            Table::from_relation(rel).iter().collect::<Vec<_>>()
+        );
+        let cols = |t: &Table| {
+            t.indexed_columns()
+                .map(<[usize]>::to_vec)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(cols(&first.table), [vec![0]]);
+
+        let again = Table::twin(&db, "F", &[]).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&first.table, &again.table));
+        assert_eq!((again.changed, again.encoded), (3, 0));
+
+        let wider = Table::twin(&db, "F", &[&[1]]).unwrap().unwrap();
+        assert!(!Arc::ptr_eq(&first.table, &wider.table));
+        assert_eq!((wider.changed, wider.encoded), (3, 0));
+        assert_eq!(cols(&wider.table), [vec![0], vec![1]]);
+        assert_eq!(cols(&first.table), [vec![0]], "the old twin is not written");
+        let cached = Table::cached_twin(&db, "F").unwrap();
+        assert!(Arc::ptr_eq(&cached, &wider.table));
+
+        assert!(Table::twin(&db, "G", &[]).unwrap().is_none());
+        assert!(Table::cached_twin(&db, "G").is_none());
+    }
+
+    /// A relation holding a row of the wrong arity yields the error every
+    /// time and caches nothing.
+    #[test]
+    fn a_twin_that_fails_to_load_is_not_cached() {
+        let mut db = twin_db();
+        db.relation_mut("F")
+            .unwrap()
+            .tuples
+            .push(CTuple::new([Term::int(1)]));
+        for _ in 0..2 {
+            let err = Table::twin(&db, "F", &[]).unwrap_err();
+            assert_eq!((err.expected, err.got), (2, 1));
+            assert!(Table::cached_twin(&db, "F").is_none());
+        }
     }
 
     #[test]
