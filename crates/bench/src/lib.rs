@@ -65,11 +65,7 @@ impl QueryStats {
             .field("solver", self.solver())
             .field("prune_wall", self.phase.prune_wall.as_secs_f64())
             .field("tuples", self.phase.tuples)
-            .field("memo_hit_rate", format_args!("{:.4}", sv.memo_hit_rate()))
-            .field(
-                "memo_cross_run_hit_rate",
-                format_args!("{:.4}", sv.memo_cross_run_hit_rate()),
-            );
+            .field("memo_hit_rate", format_args!("{:.4}", sv.memo_hit_rate()));
         o.array("delta_sizes", |a| {
             a.items(&self.phase.delta_sizes);
         });
@@ -613,12 +609,10 @@ mod tests {
         assert!(json.contains("\"prune_speedup\":null"));
         assert!(json.contains("\"q6\""));
         assert!(json.contains("\"memo_hit_rate\""));
-        assert!(json.contains("\"memo_cross_run_hit_rate\""));
         assert!(json.contains("\"delta_sizes\":["));
         // The aggregated-metrics block mirrors the CLI --metrics schema.
         assert!(json.contains("\"metrics\":{\"ops\":{\"probes\":"));
         assert!(json.contains("\"solver\":{\"sat_calls\":"));
-        assert!(json.contains("\"cross_run_hits\":"));
         assert!(json.contains("\"latency_ns\":["));
         assert!(json.contains("\"plan_cache\":{\"hits\":"));
         // The condition-pool block: q4-q5 interned at least the

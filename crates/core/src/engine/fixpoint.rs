@@ -62,14 +62,15 @@ pub(super) struct Seed {
 }
 
 /// What a stratum is evaluated with: the run's context, the standing
-/// tables and plan cache it writes, and the driver thread's solver
-/// session, options and statistics. A table may be shared (an input
-/// relation's twin): every write goes through `Arc::make_mut`.
+/// tables, plan cache and solver session it writes (the evaluation's
+/// own, borrowed for one run or apply), and the driver thread's options
+/// and statistics. A table may be shared (an input relation's twin):
+/// every write goes through `Arc::make_mut`.
 pub(super) struct Driver<'a> {
     pub(super) ctx: Ctx<'a>,
     pub(super) tables: &'a mut HashMap<String, Arc<Table>>,
     pub(super) plans: &'a mut PlanCache,
-    pub(super) session: Session,
+    pub(super) session: &'a mut Session,
     pub(super) opts: EvalOptions,
     pub(super) stats: PhaseStats,
 }

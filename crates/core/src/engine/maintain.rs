@@ -7,8 +7,9 @@
 //!
 //! * [`MaterializedState`] holds everything a run used to rebuild from
 //!   scratch — the per-predicate [`Table`]s (IDB *and* EDB), the
-//!   resolved c-variable map, and the pooled solver memo — so it can
-//!   outlive a single evaluation;
+//!   resolved c-variable map, and the solver session whose memo holds
+//!   every verdict the evaluation reached — so it can outlive a single
+//!   evaluation;
 //! * [`Delta`] is a batch of EDB changes (`+tuple` inserts and
 //!   [`DeletePattern`] deletes, mirroring the §5 Levy–Sagiv update
 //!   semantics of [`crate::update`]);
@@ -103,7 +104,7 @@ use crate::ast::{Literal, Rule};
 use crate::plan::{head_bound_rules, PlanCache};
 use crate::update::{DeletePattern, Update};
 use faure_ctable::{CTuple, CVarId, Const, Database, Relation, Schema, Term};
-use faure_solver::{Session, SharedMemo};
+use faure_solver::Session;
 use faure_storage::table::Cell;
 use faure_storage::{PhaseStats, PreparedRow, Table};
 use faure_trace::Tracer;
@@ -225,8 +226,10 @@ faure_trace::stats!(DeltaReport {
 });
 
 /// A standing evaluation: per-predicate tables, resolved c-variables,
-/// and the pooled solver memo, kept alive between
-/// [`Delta`] applications. Built by [`PreparedProgram::materialize`].
+/// and the solver session, kept alive between [`Delta`] applications.
+/// Built by [`PreparedProgram::materialize`]. The session's memo is the
+/// state's own: it starts empty, answers every later apply with what
+/// earlier ones decided, and goes when the state does.
 ///
 /// An input predicate's table starts as its relation's twin, shared
 /// with the caller's database; `apply` writes through `Arc::make_mut`,
@@ -237,7 +240,7 @@ pub struct MaterializedState {
     /// `apply` copy a twin nobody else reads.
     pub(super) database: Database,
     pub(super) cvmap: HashMap<String, CVarId>,
-    pub(super) shared_memo: Arc<SharedMemo>,
+    pub(super) session: Session,
     pub(super) tables: HashMap<String, Arc<Table>>,
     pub(super) plans: PlanCache,
     pub(super) warnings: Vec<Finding>,
@@ -423,8 +426,8 @@ impl PreparedProgram {
         for (si, stratum) in self.strat.strata.iter().enumerate() {
             run_one_stratum(&mut d, si, &self.rules_of(stratum))?;
         }
-        let Driver { session, stats, .. } = d;
-        finalize_apply(self, state, session, stats, &mut report, wall);
+        let Driver { stats, .. } = d;
+        finalize_apply(self, state, stats, &mut report, wall);
         report.rederived = report.stats.tuples;
         report.pruned = report.stats.pruned;
         report.strata_touched = self.strat.strata.len();
@@ -440,9 +443,10 @@ impl PreparedProgram {
             .collect()
     }
 
-    /// A driver over `state`'s tables and plans with a fresh session and
-    /// zeroed statistics; the plan cache's counters restart, so what
-    /// they read afterwards is this apply's own traffic.
+    /// A driver over `state`'s tables, plans and solver session with
+    /// zeroed statistics; the plan cache's and the session's counters
+    /// restart, so what they read afterwards is this apply's own
+    /// traffic.
     fn driver<'a>(
         &'a self,
         state: &'a mut MaterializedState,
@@ -451,6 +455,7 @@ impl PreparedProgram {
     ) -> Driver<'a> {
         state.plans.hits = 0;
         state.plans.misses = 0;
+        state.session.take_stats();
         Driver {
             ctx: Ctx {
                 cvmap: &state.cvmap,
@@ -463,14 +468,14 @@ impl PreparedProgram {
             },
             tables: &mut state.tables,
             plans: &mut state.plans,
-            session: Session::with_shared(Arc::clone(&state.shared_memo)),
+            session: &mut state.session,
             opts: state.opts,
             stats: PhaseStats::new(),
         }
     }
 
-    /// The setup phase: lint, c-variable resolution, memo checkout, and
-    /// *empty* table creation (the caller puts the EDB twins in place).
+    /// The setup phase: lint, c-variable resolution, and *empty* table
+    /// creation (the caller puts the EDB twins in place).
     pub(super) fn materialize_empty(
         &self,
         db: &Database,
@@ -495,21 +500,6 @@ impl PreparedProgram {
         let mut database = db.clone();
         database.clear_twins();
         let cvmap = resolve_cvars(program, &mut database);
-        // Check out the pooled solver memo: reuse it when its registry
-        // fingerprint still matches (batch mode — conditions decided in
-        // earlier runs become cross-run hits), replace it otherwise.
-        let shared_memo = {
-            let mut pool = self.memo_pool.lock().expect("memo pool poisoned");
-            match pool.as_ref() {
-                Some(memo) if memo.matches_registry(&database.cvars) => Arc::clone(memo),
-                _ => {
-                    let memo = Arc::new(SharedMemo::for_registry(&database.cvars));
-                    *pool = Some(Arc::clone(&memo));
-                    memo
-                }
-            }
-        };
-        shared_memo.begin_run();
         let started = Instant::now();
 
         // Empty tables for the predicates mentioned but absent from the
@@ -551,7 +541,7 @@ impl PreparedProgram {
         Ok(MaterializedState {
             database,
             cvmap,
-            shared_memo,
+            session: Session::new(),
             tables,
             plans: self.plans.fresh_counters(),
             warnings,
@@ -573,7 +563,6 @@ impl PreparedProgram {
         let tracer = state.tracer.clone();
         let t_delta = tracer.now_ns();
         let wall = Instant::now();
-        state.shared_memo.begin_run();
         let mut report = DeltaReport::default();
 
         let idb = &self.idb;
@@ -917,8 +906,8 @@ impl PreparedProgram {
             });
         }
 
-        let Driver { session, stats, .. } = d;
-        finalize_apply(self, state, session, stats, &mut report, wall);
+        let Driver { stats, .. } = d;
+        finalize_apply(self, state, stats, &mut report, wall);
         let (ins, del, od, rd) = (
             report.inserted,
             report.deleted,
@@ -967,7 +956,7 @@ fn run_one_stratum(
         for p in heads {
             let t = Arc::make_mut(d.tables.get_mut(p).expect("table created in setup"));
             let rows = t.len();
-            let removed = timed_prune(&d.ctx, &mut d.session, &mut d.stats, p, rows, |reg, s| {
+            let removed = timed_prune(&d.ctx, d.session, &mut d.stats, p, rows, |reg, s| {
                 t.prune(reg, s)
             })?;
             d.stats.pruned += removed;
@@ -1192,7 +1181,7 @@ fn settle_stratum(
         if d.opts.prune == PrunePolicy::EndOfStratum && !idxs.is_empty() {
             let removed = timed_prune(
                 &d.ctx,
-                &mut d.session,
+                d.session,
                 &mut d.stats,
                 p,
                 idxs.len(),
@@ -1248,16 +1237,14 @@ fn settle_stratum(
 fn finalize_apply(
     prepared: &PreparedProgram,
     state: &mut MaterializedState,
-    session: Session,
     mut stats: PhaseStats,
     report: &mut DeltaReport,
     wall: Instant,
 ) {
     let total = wall.elapsed();
-    let solver_time = session.stats().time;
-    stats.relational = total.saturating_sub(solver_time);
-    stats.solver = solver_time;
-    stats.solver_stats = session.stats();
+    stats.solver_stats = state.session.take_stats();
+    stats.solver = stats.solver_stats.time;
+    stats.relational = total.saturating_sub(stats.solver);
     stats.plan_cache_hits = state.plans.hits;
     stats.plan_cache_misses = prepared.compiled + state.plans.misses;
     stats.tuples = prepared

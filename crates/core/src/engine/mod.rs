@@ -58,17 +58,16 @@
 //! solver, so no worker — parallel chunk or shard — has a session, and
 //! under [`PrunePolicy::Never`] a run's solver statistics are all zero.
 //!
-//! ## Cross-run memo reuse
+//! ## A solver memo per evaluation
 //!
-//! A [`PreparedProgram`] pools the driver session's [`SharedMemo`] across
-//! `run()` calls. The memo is keyed by the c-variable registry's
-//! structural fingerprint (count + per-variable name/domain): batch
-//! evaluation over databases that share a registry shape — the
-//! network-monitoring loop re-checking snapshots — starts every run
-//! with the previous runs' solver verdicts warm, surfaced as
-//! `cross_run_hits` in [`faure_solver::SolverStats`]. A database whose
-//! registry signature differs invalidates the pooled memo instead of
-//! serving stale verdicts.
+//! The driver's session memoises what the solver decided, by condition
+//! id, and it belongs to the evaluation: a batch run starts with an
+//! empty memo and drops it with its output, and a
+//! [`MaterializedState`] keeps its session across every `apply`, so an
+//! update asks only about conditions the standing evaluation has not
+//! decided yet. Nothing is pooled on the [`PreparedProgram`]: a verdict
+//! never reaches an evaluation over another c-variable registry, and two
+//! runs of one program over one database do the same solver work.
 //!
 //! ## Input relations are loaded once
 //!
@@ -100,12 +99,12 @@ use crate::analysis::{check_safety, stratify, AnalysisError, Stratification};
 use crate::ast::{Program, Rule};
 use crate::plan::{maintenance_meta, MaintenanceMeta, PlanCache, ShardPlan};
 use faure_ctable::{CVarId, CVarRegistry, Database, Domain, Relation};
-use faure_solver::{SharedMemo, SolverError};
+use faure_solver::SolverError;
 use faure_storage::{ArityError, PhaseStats};
 use faure_trace::Tracer;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// When the solver phase (the paper's "Z3 step") runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -363,7 +362,6 @@ impl Engine {
             plans,
             compiled,
             opts: self.opts,
-            memo_pool: Arc::new(Mutex::new(None)),
             maint,
             head_bound: OnceLock::new(),
             shard_plan,
@@ -388,13 +386,6 @@ pub struct PreparedProgram {
     /// survives the prepare/run split.
     compiled: u64,
     opts: EvalOptions,
-    /// The solver memo carried across `run()` calls (batch mode). Each
-    /// run checks the pooled memo's registry fingerprint: a match reuses
-    /// it — repeated conditions become *cross-run* memo hits instead of
-    /// fresh solver work — while a mismatch (different c-variables or
-    /// domains) replaces it. Clones of a prepared program share the
-    /// pool, like they share the compiled plans.
-    memo_pool: Arc<Mutex<Option<Arc<SharedMemo>>>>,
     /// Per-rule delta positions (read by every fixpoint) and
     /// per-stratum recursion flags (the label incremental maintenance
     /// reports a stratum under).
@@ -566,6 +557,7 @@ mod tests {
     use crate::parser::parse_program;
     use faure_ctable::examples::table2_path_db;
     use faure_ctable::{CTuple, Condition, Schema, Term};
+    use std::sync::Arc;
 
     /// q1/q2 of the paper: cost of 1.2.3.4's path.
     #[test]
@@ -1075,30 +1067,21 @@ mod tests {
     }
 
     #[test]
-    fn prepared_program_reuses_memo_across_runs() {
-        let build_db = |dom: Domain| {
-            let mut db = Database::new();
-            let x = db.fresh_cvar("x", dom.clone());
-            let y = db.fresh_cvar("y", dom);
-            db.create_relation(Schema::new("F", &["a", "b"])).unwrap();
+    fn every_run_decides_its_conditions_afresh() {
+        let mut db = Database::new();
+        let x = db.fresh_cvar("x", Domain::Bool01);
+        let y = db.fresh_cvar("y", Domain::Bool01);
+        db.create_relation(Schema::new("F", &["a", "b"])).unwrap();
+        for (a, b, v) in [(1, 2, x), (2, 1, y)] {
             db.insert(
                 "F",
                 CTuple::with_cond(
-                    [Term::int(1), Term::int(2)],
-                    Condition::eq(Term::Var(x), Term::int(1)),
+                    [Term::int(a), Term::int(b)],
+                    Condition::eq(Term::Var(v), Term::int(1)),
                 ),
             )
             .unwrap();
-            db.insert(
-                "F",
-                CTuple::with_cond(
-                    [Term::int(2), Term::int(1)],
-                    Condition::eq(Term::Var(y), Term::int(1)),
-                ),
-            )
-            .unwrap();
-            db
-        };
+        }
         let program = parse_program(
             "R(a, b) :- F(a, b).\n\
              R(a, b) :- F(a, c), R(c, b).\n",
@@ -1106,30 +1089,22 @@ mod tests {
         .unwrap();
         let prepared = Engine::new().prepare(&program).unwrap();
 
-        let db = build_db(Domain::Bool01);
+        // The memo dies with the run: a second run over the same
+        // database asks the solver exactly what the first one did, and
+        // derives the same rows.
         let first = prepared.run(&db).unwrap();
-        assert_eq!(first.stats.solver_stats.cross_run_hits, 0);
-
-        // Second run over the same registry: the pooled memo answers
-        // the repeated conditions across the run boundary, and results
-        // stay bit-identical.
         let second = prepared.run(&db).unwrap();
-        assert!(
-            second.stats.solver_stats.cross_run_hits > 0,
-            "stats: {:?}",
-            second.stats.solver_stats
+        let (a, b) = (&first.stats.solver_stats, &second.stats.solver_stats);
+        assert!(a.memo_misses > 0, "stats: {a:?}");
+        assert_eq!(
+            (a.sat_calls, a.simplify_calls, a.memo_hits, a.memo_misses),
+            (b.sat_calls, b.simplify_calls, b.memo_hits, b.memo_misses)
         );
-        assert!(second.stats.solver_stats.memo_cross_run_hit_rate() > 0.0);
+        assert_eq!(b.memo_cross_run_hit_rate(), 0.0);
         assert_eq!(
             first.relation("R").unwrap().tuples,
             second.relation("R").unwrap().tuples
         );
-
-        // A different registry signature (same names, wider domain)
-        // invalidates the pooled memo instead of serving stale verdicts.
-        let other = build_db(Domain::Ints(vec![0, 1, 2]));
-        let third = prepared.run(&other).unwrap();
-        assert_eq!(third.stats.solver_stats.cross_run_hits, 0);
     }
 
     #[test]

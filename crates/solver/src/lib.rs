@@ -46,7 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod memo;
+mod memo;
 pub mod nnf;
 pub mod search;
 pub mod session;
@@ -55,7 +55,6 @@ pub mod theory;
 
 pub use error::SolverError;
 pub use faure_trace::Histogram;
-pub use memo::SharedMemo;
 pub use search::{all_models, find_model, satisfiable};
 pub use session::{Session, SolverStats};
 pub use simplify::simplify;

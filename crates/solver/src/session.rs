@@ -15,32 +15,21 @@
 //! memo is sound because c-variable registries are append-only within a
 //! session: a condition only mentions variables that existed when it
 //! was built, so growing the registry never changes its status. A
-//! session must not be reused across *distinct* registries (the
-//! pipeline creates one session per evaluation run).
+//! session must not be reused across *distinct* registries (the engine
+//! keeps one session per evaluation: a batch run, or a standing
+//! evaluation across its updates).
 //!
-//! A session's memo lives in one of two places: **local** (a private
-//! `HashMap`, the default — no synchronisation cost) or **shared** (an
-//! [`Arc<SharedMemo>`] handed to [`Session::with_shared`]). The shared
-//! backend is how verdicts outlive a session: the engine's one session
-//! per evaluation — on the driver thread, the solver's only caller —
-//! is backed by the memo its prepared program keeps, so the next run
-//! over the same registry starts with this run's verdicts.
+//! The memo lives and dies with its session: nothing a session decided
+//! reaches another one.
 
 use crate::error::SolverError;
-use crate::memo::SharedMemo;
+use crate::memo::Memo;
 use crate::search;
 use crate::simplify;
 use faure_ctable::pool::{self, CondId};
 use faure_ctable::{Assignment, CVarRegistry, Condition};
 use faure_trace::Histogram;
-use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Upper bound on memo entries (per kind). Past this the session keeps
-/// answering queries but stops caching new conditions, bounding memory
-/// on adversarial workloads.
-pub(crate) const MEMO_CAP: usize = 1 << 16;
 
 /// Accumulated solver statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -53,10 +42,6 @@ pub struct SolverStats {
     pub simplify_calls: u64,
     /// Queries answered from the session memo (no solver work).
     pub memo_hits: u64,
-    /// The subset of `memo_hits` answered by an entry cached during an
-    /// *earlier* run of the same shared memo (batch-mode reuse; always
-    /// `0` for local memos and single-run shared memos).
-    pub cross_run_hits: u64,
     /// Always `0`: shard workers have no solver session, so no memo hit
     /// crosses shards. Kept as a declared stat for the benchmark's
     /// reader (`shard.cross_shard_hits`).
@@ -66,12 +51,11 @@ pub struct SolverStats {
     /// Total wall-clock time inside the solver; summed when several
     /// sessions' records are [absorbed](SolverStats::absorb) into one.
     pub time: Duration,
-    /// Per-check solve latency. Records **memo misses only** — hits,
-    /// including cross-run hits in batch mode, never enter the solver
-    /// and are deliberately excluded so the quantiles measure solver
-    /// cost per *solved* condition and stay comparable between a cold
-    /// first run and warm reruns. Power-of-two nanosecond buckets;
-    /// merged by [`absorb`](SolverStats::absorb).
+    /// Per-check solve latency. Records **memo misses only** — hits
+    /// never enter the solver and are deliberately excluded, so the
+    /// quantiles measure solver cost per *solved* condition.
+    /// Power-of-two nanosecond buckets; merged by
+    /// [`absorb`](SolverStats::absorb).
     pub latency: Histogram,
 }
 
@@ -80,7 +64,6 @@ faure_trace::stats!(SolverStats {
     sat_true: Counter, "sat_true", "faure_sat_true_total", "Satisfiability queries that came back satisfiable.";
     simplify_calls: Counter, "simplify_calls", "faure_simplify_calls_total", "Solver-backed simplifications requested.";
     memo_hits: Counter, "memo_hits", "faure_memo_hits_total", "Solver queries answered from the memo.";
-    cross_run_hits: Counter, "cross_run_hits", "faure_memo_cross_run_hits_total", "Memo hits on an entry cached by an earlier run.";
     cross_shard_hits: Counter, "cross_shard_hits", "faure_memo_cross_shard_hits_total", "Always 0: shard workers ask the solver nothing.";
     memo_misses: Counter, "memo_misses", "faure_memo_misses_total", "Solver queries that missed the memo and ran the solver.";
     time: Nanos, "time_ns", "faure_solver_ns_total", "Time inside the solver, summed over workers.";
@@ -98,17 +81,11 @@ impl SolverStats {
         }
     }
 
-    /// Fraction of memoisable queries answered by an entry carried over
-    /// from a previous run, in `[0, 1]`; `0.0` when no queries were
-    /// issued. Non-zero only in batch mode, where a prepared program
-    /// reuses its [`SharedMemo`] across `run()` calls.
+    /// Always `0.0`: a memo dies with its evaluation, so no query is
+    /// answered by an entry an earlier run cached. Kept for the
+    /// benchmark's reader (`solver.cross_run_hit_rate`).
     pub fn memo_cross_run_hit_rate(&self) -> f64 {
-        let total = self.memo_hits + self.memo_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cross_run_hits as f64 / total as f64
-        }
+        0.0
     }
 
     /// Folds another stats record into this one (every declared stat,
@@ -119,52 +96,21 @@ impl SolverStats {
     }
 }
 
-/// Where a session's memo entries live.
-#[derive(Debug)]
-enum MemoBackend {
-    /// Private maps — the default, no synchronisation.
-    Local {
-        sat: HashMap<CondId, bool>,
-        simplify: HashMap<CondId, CondId>,
-    },
-    /// A memo that outlives the session (and may be shared with
-    /// sessions on other threads).
-    Shared(Arc<SharedMemo>),
-}
-
-impl Default for MemoBackend {
-    fn default() -> Self {
-        MemoBackend::Local {
-            sat: HashMap::new(),
-            simplify: HashMap::new(),
-        }
-    }
-}
-
 /// A solver session: entry points plus accumulated statistics and a
 /// condition-keyed memo (see module docs for the soundness argument).
 ///
-/// Sessions are cheap; the evaluation pipeline creates one per query
-/// run and copies its stats into the run report.
+/// Sessions are cheap; the evaluation pipeline creates one per
+/// evaluation and copies its stats into the run report.
 #[derive(Debug, Default)]
 pub struct Session {
     stats: SolverStats,
-    memo: MemoBackend,
+    memo: Memo,
 }
 
 impl Session {
-    /// A fresh session with zeroed stats and an empty local memo.
+    /// A fresh session with zeroed stats and an empty memo.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A fresh session whose memo reads and writes `memo`, so what it
-    /// decides is there for whoever holds `memo` next.
-    pub fn with_shared(memo: Arc<SharedMemo>) -> Self {
-        Session {
-            stats: SolverStats::default(),
-            memo: MemoBackend::Shared(memo),
-        }
     }
 
     /// Current statistics snapshot.
@@ -172,10 +118,11 @@ impl Session {
         self.stats
     }
 
-    /// Accounts one memo hit and where its entry came from.
-    fn note_hit(&mut self, cross_run: bool) {
-        self.stats.memo_hits += 1;
-        self.stats.cross_run_hits += u64::from(cross_run);
+    /// The statistics so far, restarting them from zero; the memo
+    /// stays. A standing evaluation reports each update's own solver
+    /// work this way.
+    pub fn take_stats(&mut self) -> SolverStats {
+        std::mem::take(&mut self.stats)
     }
 
     /// Accounts one solver invocation (a memo miss): total time plus
@@ -188,12 +135,9 @@ impl Session {
     }
 
     /// Resets statistics to zero and clears the memo (required before
-    /// reusing a session with a different registry). A shared-memo
-    /// session reverts to a fresh local memo: the shared store may be
-    /// in use by sibling sessions and cannot be cleared unilaterally.
+    /// reusing a session with a different registry).
     pub fn reset(&mut self) {
-        self.stats = SolverStats::default();
-        self.memo = MemoBackend::default();
+        *self = Session::default();
     }
 
     /// Satisfiability with stats accounting and memoisation: the tree
@@ -212,12 +156,8 @@ impl Session {
     /// memo misses and the solver has to run.
     pub fn satisfiable_id(&mut self, reg: &CVarRegistry, key: CondId) -> Result<bool, SolverError> {
         self.stats.sat_calls += 1;
-        let hit = match &self.memo {
-            MemoBackend::Local { sat, .. } => sat.get(&key).map(|&v| (v, false)),
-            MemoBackend::Shared(memo) => memo.sat_get(key),
-        };
-        if let Some((hit, cross_run)) = hit {
-            self.note_hit(cross_run);
+        if let Some(hit) = self.memo.sat(key) {
+            self.stats.memo_hits += 1;
             if hit {
                 self.stats.sat_true += 1;
             }
@@ -231,14 +171,7 @@ impl Session {
             if sat {
                 self.stats.sat_true += 1;
             }
-            match &mut self.memo {
-                MemoBackend::Local { sat: map, .. } => {
-                    if map.len() < MEMO_CAP {
-                        map.insert(key, sat);
-                    }
-                }
-                MemoBackend::Shared(memo) => memo.sat_put(key, sat),
-            }
+            self.memo.put_sat(key, sat);
         }
         out
     }
@@ -273,19 +206,18 @@ impl Session {
     }
 
     /// [`simplify_pruned`](Session::simplify_pruned) from id to id: a
-    /// memo hit touches no tree at all.
+    /// memo hit touches no tree at all. An unsatisfiable condition
+    /// simplifies to [`CondId::FALSE`] (short of a search-budget
+    /// overrun, which keeps the condition, structurally simplified), so
+    /// a caller that simplifies asks no satisfiability query first.
     pub fn simplify_pruned_id(
         &mut self,
         reg: &CVarRegistry,
         key: CondId,
     ) -> Result<CondId, SolverError> {
         self.stats.simplify_calls += 1;
-        let hit = match &self.memo {
-            MemoBackend::Local { simplify, .. } => simplify.get(&key).map(|&v| (v, false)),
-            MemoBackend::Shared(memo) => memo.simplify_get(key),
-        };
-        if let Some((hit, cross_run)) = hit {
-            self.note_hit(cross_run);
+        if let Some(hit) = self.memo.simplified(key) {
+            self.stats.memo_hits += 1;
             return Ok(hit);
         }
         self.stats.memo_misses += 1;
@@ -293,14 +225,7 @@ impl Session {
         let out = simplify::simplify_pruned(reg, &pool::resolve(key));
         self.note_solve(start.elapsed());
         let simplified = pool::intern(&out?);
-        match &mut self.memo {
-            MemoBackend::Local { simplify: map, .. } => {
-                if map.len() < MEMO_CAP {
-                    map.insert(key, simplified);
-                }
-            }
-            MemoBackend::Shared(memo) => memo.simplify_put(key, simplified),
-        }
+        self.memo.put_simplified(key, simplified);
         Ok(simplified)
     }
 
@@ -356,7 +281,6 @@ mod tests {
             sat_true: 1,
             simplify_calls: 2,
             memo_hits: 3,
-            cross_run_hits: 1,
             cross_shard_hits: 2,
             memo_misses: 4,
             time: Duration::from_millis(5),
@@ -367,7 +291,6 @@ mod tests {
             sat_true: 10,
             simplify_calls: 20,
             memo_hits: 30,
-            cross_run_hits: 10,
             cross_shard_hits: 20,
             memo_misses: 40,
             time: Duration::from_millis(50),
@@ -377,7 +300,6 @@ mod tests {
         assert_eq!(a.sat_true, 11);
         assert_eq!(a.simplify_calls, 22);
         assert_eq!(a.memo_hits, 33);
-        assert_eq!(a.cross_run_hits, 11);
         assert_eq!(a.cross_shard_hits, 22);
         assert_eq!(a.memo_misses, 44);
         assert_eq!(a.time, Duration::from_millis(55));
@@ -446,60 +368,41 @@ mod tests {
     }
 
     #[test]
-    fn shared_memo_hits_across_sessions() {
+    fn a_memo_dies_with_its_session() {
         let mut reg = CVarRegistry::new();
         let x = reg.fresh("x", Domain::Bool01);
-        let memo = Arc::new(SharedMemo::new());
         let c = Condition::eq(Term::Var(x), Term::int(1));
 
-        let mut a = Session::with_shared(Arc::clone(&memo));
-        assert!(a.satisfiable(&reg, &c).unwrap());
-        assert_eq!(a.stats().memo_misses, 1);
-
-        // A sibling session sees the cached verdict without solving.
-        let mut b = Session::with_shared(Arc::clone(&memo));
-        assert!(b.satisfiable(&reg, &c).unwrap());
-        assert_eq!(b.stats().memo_hits, 1);
-        assert_eq!(b.stats().memo_misses, 0);
-
-        // Simplification shares too.
-        let contradiction = c.clone().and(Condition::eq(Term::Var(x), Term::int(0)));
-        assert_eq!(
-            a.simplify_pruned(&reg, &contradiction).unwrap(),
-            Condition::False
-        );
-        assert_eq!(
-            b.simplify_pruned(&reg, &contradiction).unwrap(),
-            Condition::False
-        );
-        assert_eq!(b.stats().memo_hits, 2);
-    }
-
-    #[test]
-    fn cross_run_hits_count_only_prior_generation_entries() {
-        let mut reg = CVarRegistry::new();
-        let x = reg.fresh("x", Domain::Bool01);
-        let memo = Arc::new(SharedMemo::for_registry(&reg));
-        let c = Condition::eq(Term::Var(x), Term::int(1));
-
-        // Run 1: miss, then an in-run hit — no cross-run hits.
-        memo.begin_run();
-        let mut s1 = Session::with_shared(Arc::clone(&memo));
+        // Within a session: a miss, then a hit.
+        let mut s1 = Session::new();
         s1.satisfiable(&reg, &c).unwrap();
         s1.satisfiable(&reg, &c).unwrap();
         assert_eq!(s1.stats().memo_hits, 1);
-        assert_eq!(s1.stats().cross_run_hits, 0);
 
-        // Run 2 over the same memo: the hit crosses the run boundary
-        // and stays out of the latency histogram (misses only).
-        memo.begin_run();
-        let mut s2 = Session::with_shared(Arc::clone(&memo));
+        // A second session over the same registry decides the
+        // condition afresh: nothing the first one cached reaches it.
+        let mut s2 = Session::new();
         s2.satisfiable(&reg, &c).unwrap();
         let st = s2.stats();
-        assert_eq!(st.memo_hits, 1);
-        assert_eq!(st.cross_run_hits, 1);
-        assert_eq!(st.memo_misses, 0);
-        assert_eq!(st.latency.count(), 0);
-        assert!(st.memo_cross_run_hit_rate() > 0.99);
+        assert_eq!(st.memo_hits, 0);
+        assert_eq!(st.memo_misses, 1);
+        assert_eq!(st.latency.count(), 1);
+        assert_eq!(st.memo_cross_run_hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn take_stats_restarts_the_counters_and_keeps_the_memo() {
+        let mut reg = CVarRegistry::new();
+        let x = reg.fresh("x", Domain::Bool01);
+        let c = Condition::eq(Term::Var(x), Term::int(1));
+        let mut s = Session::new();
+        s.simplify_pruned(&reg, &c).unwrap();
+        let first = s.take_stats();
+        assert_eq!((first.simplify_calls, first.memo_misses), (1, 1));
+        assert_eq!(s.stats(), SolverStats::default());
+        s.simplify_pruned(&reg, &c).unwrap();
+        let second = s.take_stats();
+        assert_eq!((second.simplify_calls, second.memo_hits), (1, 1));
+        assert_eq!(second.memo_misses, 0);
     }
 }

@@ -101,10 +101,6 @@ impl PhaseStats {
         o.object("solver", |b| {
             write_fields(b, sv, |s| s.kind != Kind::Nanos);
             b.field("memo_hit_rate", rate(sv.memo_hit_rate()));
-            b.field(
-                "memo_cross_run_hit_rate",
-                rate(sv.memo_cross_run_hit_rate()),
-            );
             write_fields(b, sv, |s| s.kind == Kind::Nanos);
             b.field("latency_ns", sv.latency.to_json());
         });

@@ -1357,22 +1357,25 @@ impl Table {
     /// opaque row. A deterministic function of its arguments (solver
     /// results are ground truth), which is what lets one decision stand
     /// for every row sharing the condition, on any thread.
+    ///
+    /// The solver is asked one question per condition. An opaque or
+    /// single-disjunct condition is simplified and nothing else: the
+    /// simplification decides its satisfiability on the way. A wider
+    /// antichain asks each disjunct whether it is satisfiable, then
+    /// simplifies the disjunction of the live ones.
     fn prune_cond(
         reg: &CVarRegistry,
         session: &mut Session,
         cond: CondId,
         sets: Option<&[AtomSet]>,
     ) -> Result<CondId, SolverError> {
-        let Some(sets) = sets else {
-            return session.simplify_pruned_id(reg, cond);
+        let sets = match sets {
+            Some(sets) if sets.len() > 1 => sets,
+            _ => return session.simplify_pruned_id(reg, cond),
         };
         let mut live: Vec<&AtomSet> = Vec::with_capacity(sets.len());
         for set in sets {
-            // A lone disjunct *is* the condition: nothing to rebuild.
-            let conj = match sets.len() {
-                1 => cond,
-                _ => pool::intern(&dnf::condition_of(std::slice::from_ref(set))),
-            };
+            let conj = pool::intern(&dnf::condition_of(std::slice::from_ref(set)));
             if session.satisfiable_id(reg, conj)? {
                 live.push(set);
             }
@@ -2452,27 +2455,25 @@ mod tests {
 
     #[test]
     fn prune_counts_a_survivor_whose_renormalised_dnf_is_empty() {
-        // The solver keeps the row (its only disjunct is satisfiable),
-        // but the simplified condition it hands back normalises to the
-        // empty DNF. Re-insertion used to lose such a row without
-        // counting it; it is now removed like any other dead row. A
-        // complete solver never answers like this; a seeded memo does.
-        let (reg, x, _) = db_with_xy();
-        let mut t = Table::new(Schema::new("T", &["a"]));
-        t.insert(CTuple::with_cond(
-            [Term::int(1)],
-            Condition::eq(Term::Var(x), Term::int(1)),
-        ))
-        .unwrap();
-        t.insert(CTuple::new([Term::int(2)])).unwrap();
-        let memo = std::sync::Arc::new(faure_solver::SharedMemo::for_registry(&reg));
+        // A simplified condition that normalises to the empty DNF is a
+        // dead row, whatever the solver said of the row's own condition.
+        // Re-insertion used to lose such a row without counting it; its
+        // fate is now `Drop`, which the walk counts like any other dead
+        // row. A complete solver never answers like this, and a
+        // session's memo holds only its own answers, so the fate of
+        // such an answer is checked directly.
+        let (_, x, _) = db_with_xy();
         let contradictory = Condition::eq(Term::Var(x), Term::int(0))
             .and(Condition::eq(Term::Var(x), Term::int(1)));
-        memo.simplify_put(t.cond_id(0), pool::intern(&contradictory));
-        let mut session = Session::with_shared(memo);
-        assert_eq!(t.prune(&reg, &mut session).unwrap(), 1);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.row(0).terms, vec![Term::int(2)]);
+        assert_eq!(Fate::of(pool::intern(&contradictory)), Fate::Drop);
+        let live = pool::intern(&Condition::eq(Term::Var(x), Term::int(1)));
+        assert_eq!(
+            Fate::of(live),
+            Fate::Store {
+                cond: dnf::normal_form(live).stored,
+                opaque: false
+            }
+        );
     }
 
     #[test]
@@ -2559,9 +2560,37 @@ mod tests {
         }
         let mut session = Session::new();
         assert_eq!(t.prune(&reg, &mut session).unwrap(), 0);
-        // Two distinct conditions over five rows.
+        // Two distinct single-disjunct conditions over five rows: one
+        // simplification each, and no satisfiability query beside it.
+        let st = session.stats();
+        assert_eq!(st.simplify_calls, 2);
+        assert_eq!(st.sat_calls, 0);
+        assert_eq!((st.memo_misses, st.memo_hits), (2, 0));
+    }
+
+    #[test]
+    fn prune_asks_each_disjunct_then_the_survivor() {
+        use faure_ctable::{CmpOp, LinExpr};
+        let mut db = Database::new();
+        let x = db.fresh_cvar("x", Domain::Bool01);
+        let y = db.fresh_cvar("y", Domain::Bool01);
+        let reg = db.cvars.clone();
+        let mut t = Table::new(Schema::new("T", &["a"]));
+        // x̄ = 1 ∨ (x̄ + ȳ = 3): the second disjunct is dead.
+        let dead = Condition::cmp(
+            LinExpr::var(x).plus_var(1, y),
+            CmpOp::Eq,
+            LinExpr::constant(3),
+        );
+        let live = Condition::eq(Term::Var(x), Term::int(1));
+        t.insert(CTuple::with_cond([Term::int(1)], live.clone().or(dead)))
+            .unwrap();
+        assert!(t.has_sets_repr(0));
+        let mut session = Session::new();
+        assert_eq!(t.prune(&reg, &mut session).unwrap(), 0);
+        assert_eq!(t.row(0).cond, normalized(&live));
         assert_eq!(session.stats().sat_calls, 2);
-        assert_eq!(session.stats().simplify_calls, 2);
+        assert_eq!(session.stats().simplify_calls, 1);
     }
 
     mod differential {
