@@ -182,24 +182,6 @@ impl CVarRegistry {
             .enumerate()
             .map(|(i, v)| (CVarId(i as u32), v))
     }
-
-    /// A structural signature of the registry: the c-variable count plus
-    /// every variable's `(name, domain)` pair, in registration order.
-    ///
-    /// Conditions refer to c-variables only by [`CVarId`] (a registry
-    /// index), so two registries with equal fingerprints assign the same
-    /// meaning to any condition — which makes the fingerprint a sound
-    /// cache key for solver memo tables shared across evaluation runs.
-    pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.vars.len().hash(&mut h);
-        for v in &self.vars {
-            v.name.hash(&mut h);
-            v.domain.hash(&mut h);
-        }
-        h.finish()
-    }
 }
 
 #[cfg(test)]
@@ -265,27 +247,6 @@ mod tests {
             Domain::Ints(vec![1, 2]).members(),
             Some(vec![Const::Int(1), Const::Int(2)])
         );
-    }
-
-    #[test]
-    fn fingerprint_tracks_structure() {
-        let mut a = CVarRegistry::new();
-        a.fresh("x", Domain::Bool01);
-        a.fresh("y", Domain::Ints(vec![1, 2]));
-        let mut b = CVarRegistry::new();
-        b.fresh("x", Domain::Bool01);
-        b.fresh("y", Domain::Ints(vec![1, 2]));
-        assert_eq!(a.fingerprint(), b.fingerprint());
-
-        // A new variable, a renamed variable, or a changed domain all
-        // produce a different signature.
-        let mut c = b.clone();
-        c.fresh("z", Domain::Open);
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        let mut d = CVarRegistry::new();
-        d.fresh("x", Domain::Bool01);
-        d.fresh("y", Domain::Ints(vec![1, 3]));
-        assert_ne!(a.fingerprint(), d.fingerprint());
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //! `Vec<Term>` tuples, and row-condition equality is a `u32` compare.
 //!
 //! Cell encoding is injective ([`Cell`] distinguishes `Int(1)` from
-//! `Sym("1")` from `List([1])`), so keying the dedup index directly on
-//! the encoded row (`Box<[Cell]>`) replaces the old hash-bucket scheme
-//! that had to verify candidates against the actual rows on every
-//! lookup to stay collision-safe.
+//! `Sym("1")` from `List([1])`), so cell equality is term equality. A
+//! row is stored once, in its columns: dedup finds it by a hash chain
+//! over all its cells, checked against the columns cell by cell.
 
 use crate::dnf::{self, AtomSet};
 use faure_ctable::pool::{self, CondId};
@@ -20,10 +19,10 @@ use faure_ctable::{
     CTuple, CVarId, CVarRegistry, Condition, Const, Database, Relation, Schema, Symbol, Term,
 };
 use faure_solver::{Session, SolverError};
-use std::collections::hash_map::{Entry, RandomState};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, PoisonError};
 
 /// A tuple's arity disagrees with the table schema.
@@ -152,6 +151,22 @@ impl InsertOutcome {
     }
 }
 
+/// A chain map's hasher: a chain key, a keyed SipHash, is its own hash.
+#[derive(Clone, Copy, Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a chain key is a u64")
+    }
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
 /// The end of a posting chain (see [`Index`]).
 const END: u32 = u32::MAX;
 
@@ -170,80 +185,105 @@ struct Chain {
 /// matches every key, so it is a candidate of every probe).
 ///
 /// A chain is found by a hash of its key cells, with this index's own
-/// random SipHash keys; the chain map then costs a `u64` and three
-/// `u32`s per key, and each row one link, instead of a boxed key and a
-/// list per key. Two keys whose hashes collide share a chain: a probe
+/// random SipHash keys, which the chain map takes as it is
+/// ([`KeyHasher`]); the map then costs a `u64` and three `u32`s per
+/// key, and each row one link, instead of a boxed key and a list per
+/// key. Two keys whose hashes collide share a chain: a probe
 /// compares every candidate's cells with its key anyway, so a foreign
 /// row is examined and not matched.
-#[derive(Clone, Debug)]
+///
+/// A table's dedup is the same structure over every column, with two
+/// differences: it chains every row, a c-variable cell hashed as
+/// itself, since dedup is exact equality; and it lists the rows holding
+/// a c-variable in any cell, which a fully bound probe examines beside
+/// its one exact row.
+#[derive(Clone, Debug, Default)]
 struct Index {
-    /// The indexed columns, ascending.
+    /// The indexed columns, ascending; empty for a dedup index, which
+    /// covers them all.
     cols: Box<[usize]>,
+    dedup: bool,
     hasher: RandomState,
-    chains: HashMap<u64, Chain>,
+    chains: HashMap<u64, Chain, BuildHasherDefault<KeyHasher>>,
     /// Per row, the next row of its chain (`END` for the last one, and
-    /// for rows in `var_rows`).
+    /// for the rows a probe index keeps in `var_rows`).
     next: Vec<u32>,
     /// Rows with a c-variable under some indexed column, oldest first.
     var_rows: Vec<u32>,
 }
 
 impl Index {
-    fn new(cols: &[usize]) -> Self {
+    /// An empty dedup index; allocates nothing.
+    fn dedup() -> Self {
         Index {
-            cols: cols.into(),
-            hasher: RandomState::new(),
-            chains: HashMap::new(),
-            next: Vec::new(),
-            var_rows: Vec::new(),
+            dedup: true,
+            ..Index::default()
         }
     }
 
+    /// The columns keying the chains, of a table of arity `arity`.
+    fn key_cols(&self, arity: usize) -> impl Iterator<Item = usize> + '_ {
+        let all = if self.dedup { arity } else { 0 };
+        self.cols.iter().copied().chain(0..all)
+    }
+
     /// The hash of the key whose cell in column `c` is `cell(c)`.
-    fn hash(&self, cell: impl Fn(usize) -> Cell) -> u64 {
+    fn hash(&self, arity: usize, cell: impl Fn(usize) -> Cell) -> u64 {
         let mut h = self.hasher.build_hasher();
-        for &c in self.cols.iter() {
+        for c in self.key_cols(arity) {
             cell(c).hash(&mut h);
         }
         h.finish()
     }
 
-    /// The hash of row `row`'s key; `None` when one of its cells under
-    /// the index is a c-variable.
-    fn row_key(&self, cols: &[Vec<Cell>], row: u32) -> Option<u64> {
-        let cell = |c: usize| cols[c][row as usize];
-        let var = self.cols.iter().any(|&c| cell(c).as_var().is_some());
-        (!var).then(|| self.hash(cell))
+    /// Whether row `row` holds a c-variable under the index.
+    fn listed(&self, cols: &[Vec<Cell>], row: u32) -> bool {
+        self.key_cols(cols.len())
+            .any(|c| cols[c][row as usize].as_var().is_some())
     }
 
-    /// The chain of the constant key `key` (cells of the columns this
-    /// index covers must be `Some`).
-    fn chain(&self, key: &[Option<Cell>]) -> Option<Chain> {
-        let key = self.hash(|c| key[c].expect("an index covers bound columns only"));
-        self.chains.get(&key).copied()
+    /// The hash of row `row`'s key; `None` for a row a probe index only
+    /// lists.
+    fn row_key(&self, cols: &[Vec<Cell>], row: u32) -> Option<u64> {
+        (self.dedup || !self.listed(cols, row))
+            .then(|| self.hash(cols.len(), |c| cols[c][row as usize]))
+    }
+
+    /// The chain of the key whose cell in column `c` is `cell(c)`.
+    fn chain(&self, arity: usize, cell: impl Fn(usize) -> Cell) -> Option<Chain> {
+        self.chains.get(&self.hash(arity, cell)).copied()
+    }
+
+    /// The chained row whose key cells are `cell(c)`: what a dedup
+    /// index holds for an exact row.
+    fn find(&self, cols: &[Vec<Cell>], cell: impl Fn(usize) -> Cell) -> Option<u32> {
+        let chain = self.chain(cols.len(), &cell)?;
+        std::iter::successors(Some(chain.head), |&at| Some(self.next[at as usize]))
+            .take(chain.len as usize)
+            .find(|&at| {
+                self.key_cols(cols.len())
+                    .all(|c| cols[c][at as usize] == cell(c))
+            })
     }
 
     /// Appends row `row`, the table's newest, to its key's chain.
     fn post(&mut self, cols: &[Vec<Cell>], row: u32) {
         debug_assert_eq!(self.next.len(), row as usize);
         self.next.push(END);
-        match self.row_key(cols, row) {
-            None => self.var_rows.push(row),
-            Some(key) => match self.chains.entry(key) {
-                Entry::Occupied(mut chain) => {
-                    let chain = chain.get_mut();
-                    self.next[chain.tail as usize] = row;
-                    chain.tail = row;
-                    chain.len += 1;
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert(Chain {
-                        head: row,
-                        tail: row,
-                        len: 1,
-                    });
-                }
-            },
+        if self.listed(cols, row) {
+            self.var_rows.push(row);
+        }
+        if let Some(key) = self.row_key(cols, row) {
+            let chain = self.chains.entry(key).or_insert(Chain {
+                head: row,
+                tail: row,
+                len: 0,
+            });
+            if chain.len > 0 {
+                self.next[chain.tail as usize] = row;
+            }
+            chain.tail = row;
+            chain.len += 1;
         }
     }
 
@@ -262,48 +302,42 @@ impl Index {
     /// of both chains keep their order. A key whose chain empties goes,
     /// so a stream of inserts and removals leaves no entry behind.
     fn swap_remove(&mut self, cols: &[Vec<Cell>], row: u32, last: u32) {
-        match self.row_key(cols, row) {
-            None => unlist(&mut self.var_rows, row),
-            Some(key) => {
-                let mut chain = *self.chains.get(&key).expect("every row is posted");
-                let after = self.next[row as usize];
-                if chain.head == row {
-                    chain.head = after;
-                } else {
-                    let prev = self.before(chain.head, row);
-                    self.next[prev as usize] = after;
-                    if chain.tail == row {
-                        chain.tail = prev;
-                    }
-                }
-                chain.len -= 1;
-                if chain.len == 0 {
-                    self.chains.remove(&key);
-                } else {
-                    self.chains.insert(key, chain);
-                }
+        // `row` goes, then `last` takes its number (unless it is `row`).
+        for (from, to) in [(row, END), (last, row)] {
+            if from == to {
+                continue;
             }
-        }
-        if row != last {
-            match self.row_key(cols, last) {
-                None => relist(&mut self.var_rows, last, row),
-                Some(key) => {
-                    let mut chain = *self.chains.get(&key).expect("every row is posted");
-                    if chain.head == last {
-                        chain.head = row;
-                    } else {
-                        let prev = self.before(chain.head, last);
-                        self.next[prev as usize] = row;
-                    }
-                    if chain.tail == last {
-                        chain.tail = row;
-                    }
-                    self.chains.insert(key, chain);
-                }
+            if self.listed(cols, from) {
+                relist(&mut self.var_rows, from, to);
+            }
+            if let Some(key) = self.row_key(cols, from) {
+                self.relink(key, from, to);
             }
         }
         // `last`'s link moves to `row`'s place.
         self.next.swap_remove(row as usize);
+    }
+
+    /// Puts row `to` in row `from`'s place on the chain of `key`, or
+    /// takes `from` off it when `to` is `END`.
+    fn relink(&mut self, key: u64, from: u32, to: u32) {
+        let mut chain = *self.chains.get(&key).expect("every row is posted");
+        let prev = (chain.head != from).then(|| self.before(chain.head, from));
+        let after = self.next[from as usize];
+        let succ = if to == END { after } else { to };
+        match prev {
+            None => chain.head = succ,
+            Some(prev) => self.next[prev as usize] = succ,
+        }
+        if chain.tail == from {
+            chain.tail = if to == END { prev.unwrap_or(END) } else { to };
+        }
+        chain.len -= u32::from(to == END);
+        if chain.len == 0 {
+            self.chains.remove(&key);
+        } else {
+            self.chains.insert(key, chain);
+        }
     }
 
     /// Empties the index, keeping its columns.
@@ -312,41 +346,28 @@ impl Index {
         self.next.clear();
         self.var_rows.clear();
     }
+
+    /// Gives back the spare capacity of its vectors and map.
+    fn shrink_to_fit(&mut self) {
+        self.chains.shrink_to_fit();
+        self.next.shrink_to_fit();
+        self.var_rows.shrink_to_fit();
+    }
 }
 
-/// Takes `row` out of `list`, keeping the others in order. Searched
-/// from the end: the rows a removal touches are the newest ones more
-/// often than not.
-fn unlist(list: &mut Vec<u32>, row: u32) {
-    let at = list
-        .iter()
-        .rposition(|&r| r == row)
-        .expect("every listed row is in its list");
-    list.remove(at);
-}
-
-/// Renames `from` to `to` in `list`, in place.
-fn relist(list: &mut [u32], from: u32, to: u32) {
+/// Puts row `to` in row `from`'s place in `list`, or takes `from` out
+/// (the others keep their order) when `to` is `END`. Searched from the
+/// end: the rows a removal touches are the newest ones more often than
+/// not.
+fn relist(list: &mut Vec<u32>, from: u32, to: u32) {
     let at = list
         .iter()
         .rposition(|&r| r == from)
         .expect("every listed row is in its list");
-    list[at] = to;
-}
-
-/// Runs `f` on the cells of a key bound on every column, copied
-/// contiguously — without allocating up to eight columns.
-fn with_cells<R>(key: &[Option<Cell>], f: impl FnOnce(&[Cell]) -> R) -> R {
-    let cell = |k: &Option<Cell>| k.expect("a key bound on every column");
-    let mut buf = [Cell::Int(0); 8];
-    match buf.get_mut(..key.len()) {
-        Some(buf) => {
-            for (b, k) in buf.iter_mut().zip(key) {
-                *b = cell(k);
-            }
-            f(buf)
-        }
-        None => f(&key.iter().map(cell).collect::<Vec<_>>()),
+    if to == END {
+        list.remove(at);
+    } else {
+        list[at] = to;
     }
 }
 
@@ -504,12 +525,15 @@ enum CondRepr {
 /// materialised rows are bit-identical to what the old row-major table
 /// stored).
 ///
-/// A probe looks up exactly the key it binds: a fully bound key in the
-/// dedup index, a partly bound one in a probe index over exactly its
-/// bound columns. A table has such an index only once something asks
-/// for it ([`ensure_index`](Table::ensure_index)): the evaluation
-/// engine builds the ones its compiled plans probe, and an iteration
-/// delta, which is only ever scanned, has none.
+/// A row is stored once, in the columns: the dedup index finds it by a
+/// hash chain over all its cells, a probe index by one over its key
+/// columns, and both compare candidates against the columns. A probe
+/// looks up exactly the key it binds: a fully bound key in the dedup
+/// index, a partly bound one in a probe index over exactly its bound
+/// columns, which a table has only once something asks for it
+/// ([`ensure_index`](Table::ensure_index)): the evaluation engine
+/// builds the ones its compiled plans probe, and an iteration delta,
+/// which is only ever scanned, has none.
 #[derive(Clone, Debug)]
 pub struct Table {
     /// The schema.
@@ -527,14 +551,10 @@ pub struct Table {
     /// opaque (over-budget) conditions and merged antichains wider than
     /// the budget, by row index.
     side: HashMap<u32, CondRepr>,
-    /// Dedup index keyed **directly** on the encoded row cells. Cell
-    /// encoding is injective and fully interned, so equal keys are
-    /// equal term vectors by construction — no collision buckets, no
-    /// re-verification against the stored rows.
-    by_terms: HashMap<Box<[Cell]>, u32>,
-    /// Rows holding a c-variable in some cell, oldest first: what a
-    /// fully bound probe examines beside its dedup-index row.
-    var_rows: Vec<u32>,
+    /// The dedup index: every row chained under a hash of all its
+    /// cells, and the rows holding a c-variable in some cell, oldest
+    /// first — what a fully bound probe examines beside its exact row.
+    dedup: Index,
     /// The probe indexes asked for so far.
     indexes: Vec<Index>,
 }
@@ -562,12 +582,12 @@ struct RowCond {
     side: Option<CondRepr>,
 }
 
-/// What a [`Table::overlay`] changed, by row key and oldest first: the
-/// row's condition before the overlay touched it, `None` for a row the
-/// overlay added.
+/// What a [`Table::overlay`] changed, by row index and oldest first:
+/// the row's condition before the overlay touched it, `None` for a row
+/// the overlay added.
 #[derive(Debug)]
 pub struct Overlay {
-    undo: Vec<(Box<[Cell]>, Option<RowCond>)>,
+    undo: Vec<(usize, Option<RowCond>)>,
 }
 
 /// What a [`Table::delete_where`] pass did to the table, in terms of
@@ -627,8 +647,7 @@ impl Table {
             cols,
             conds: Vec::new(),
             side: HashMap::new(),
-            by_terms: HashMap::new(),
-            var_rows: Vec::new(),
+            dedup: Index::dedup(),
             indexes: Vec::new(),
         }
     }
@@ -655,7 +674,8 @@ impl Table {
             col.reserve_exact(rel.len());
         }
         t.conds.reserve_exact(rel.len());
-        t.by_terms.reserve(rel.len());
+        t.dedup.chains.reserve(rel.len());
+        t.dedup.next.reserve_exact(rel.len());
         let changed = t.extend_from(rel.iter())?;
         for cols in indexes {
             t.ensure_index(cols);
@@ -731,12 +751,9 @@ impl Table {
         }
         self.conds.shrink_to_fit();
         self.side.shrink_to_fit();
-        self.by_terms.shrink_to_fit();
-        self.var_rows.shrink_to_fit();
+        self.dedup.shrink_to_fit();
         for index in &mut self.indexes {
-            index.chains.shrink_to_fit();
-            index.next.shrink_to_fit();
-            index.var_rows.shrink_to_fit();
+            index.shrink_to_fit();
         }
     }
 
@@ -757,8 +774,11 @@ impl Table {
         if self.has_index(cols) {
             return;
         }
-        let mut index = Index::new(cols);
-        index.next.reserve_exact(self.len());
+        let mut index = Index {
+            cols: cols.into(),
+            next: Vec::with_capacity(self.len()),
+            ..Index::default()
+        };
         for row in 0..self.len() as u32 {
             index.post(&self.cols, row);
         }
@@ -833,7 +853,7 @@ impl Table {
                 let form = dnf::normal_form(self.conds[i]);
                 form.sets.is_some() && form.stored == self.conds[i]
             }));
-        self.by_terms = HashMap::new();
+        self.dedup = Index::dedup();
         self.indexes = Vec::new();
         let tuples = self.rows();
         Relation {
@@ -888,11 +908,6 @@ impl Table {
         self.cols[col][idx]
     }
 
-    /// Whether row `idx` holds a c-variable in some cell.
-    fn has_var(&self, idx: u32) -> bool {
-        self.cols.iter().any(|c| c[idx as usize].as_var().is_some())
-    }
-
     /// Iterates over all rows, materialising each once. Lazy, so each
     /// row resolves its own condition: resolving the column up front
     /// would hold a buffer of every condition beside the rows a caller
@@ -930,7 +945,7 @@ impl Table {
         if row.is_false() {
             return Ok(InsertOutcome::Unchanged);
         }
-        match self.by_terms.get(&row.cells).copied() {
+        match self.dedup.find(&self.cols, |c| row.cells[c]) {
             Some(idx) => Ok(self.merge_into_row(idx as usize, row)),
             None => {
                 // `END` marks the end of a posting chain.
@@ -938,14 +953,10 @@ impl Table {
                     .ok()
                     .filter(|&i| i != END)
                     .expect("row count overflow");
-                self.by_terms.insert(row.cells.clone(), idx);
                 for (col, &cell) in self.cols.iter_mut().zip(row.cells.iter()) {
                     col.push(cell);
                 }
-                if self.has_var(idx) {
-                    self.var_rows.push(idx);
-                }
-                for index in &mut self.indexes {
+                for index in std::iter::once(&mut self.dedup).chain(&mut self.indexes) {
                     index.post(&self.cols, idx);
                 }
                 let StoredCond { stored, opaque } = row.cond;
@@ -1110,9 +1121,10 @@ impl Table {
     fn candidates(&self, key: &[Option<Cell>]) -> Candidates<'_> {
         debug_assert_eq!(key.len(), self.cols.len(), "key arity");
         let constant = |c: usize| key[c].is_some_and(|cell| cell.as_var().is_none());
+        let bound = |c: usize| key[c].expect("a lookup reads bound columns only");
         if (0..key.len()).all(constant) {
-            let row = with_cells(key, |cells| self.by_terms.get(cells).copied());
-            return Candidates::Exact(row, self.var_rows.iter());
+            let row = self.dedup.find(&self.cols, bound);
+            return Candidates::Exact(row, self.dedup.var_rows.iter());
         }
         let exact = self.indexes.iter().find(|ix| {
             ix.cols
@@ -1121,12 +1133,12 @@ impl Table {
                 .eq((0..key.len()).filter(|&c| constant(c)))
         });
         let best = match exact {
-            Some(ix) => Some((ix, ix.chain(key))),
+            Some(ix) => Some((ix, ix.chain(key.len(), bound))),
             None => self
                 .indexes
                 .iter()
                 .filter(|ix| ix.cols.iter().all(|&c| constant(c)))
-                .map(|ix| (ix, ix.chain(key)))
+                .map(|ix| (ix, ix.chain(key.len(), bound)))
                 .min_by_key(|(ix, chain)| {
                     chain.map_or(0, |ch| ch.len as usize) + ix.var_rows.len()
                 }),
@@ -1398,8 +1410,8 @@ impl Table {
         }
     }
 
-    /// The row index holding exactly these terms, if present (O(1)
-    /// dedup-index lookup on the injective cell encoding).
+    /// The row index holding exactly these terms, if present (expected
+    /// O(1): one dedup chain, its rows compared cell by cell).
     pub fn find_row(&self, terms: &[Term]) -> Option<usize> {
         let cells: Box<[Cell]> = terms.iter().map(Cell::encode).collect();
         self.find_row_cells(&cells)
@@ -1407,7 +1419,12 @@ impl Table {
 
     /// [`find_row`](Table::find_row) on already encoded cells.
     pub fn find_row_cells(&self, cells: &[Cell]) -> Option<usize> {
-        self.by_terms.get(cells).map(|&i| i as usize)
+        if cells.len() != self.cols.len() {
+            return None;
+        }
+        self.dedup
+            .find(&self.cols, |c| cells[c])
+            .map(|i| i as usize)
     }
 
     /// Whether row `idx` stores its condition as a minimal-DNF
@@ -1428,7 +1445,7 @@ impl Table {
     /// propagation; tables with var cells fall back to stratum
     /// recomputation to stay bit-identical with batch evaluation.
     pub fn has_var_cells(&self) -> bool {
-        !self.var_rows.is_empty()
+        !self.dedup.var_rows.is_empty()
     }
 
     /// Removes the rows at `indices` (duplicates and any order are
@@ -1458,23 +1475,9 @@ impl Table {
     fn swap_remove(&mut self, idx: usize) {
         let last = self.len() - 1;
         let (row, moved) = (idx as u32, last as u32);
-        let key = |at: usize| -> Vec<Cell> { self.cols.iter().map(|c| c[at]).collect() };
-        self.by_terms.remove(key(idx).as_slice());
-        if idx != last {
-            *self
-                .by_terms
-                .get_mut(key(last).as_slice())
-                .expect("every row is in the dedup index") = row;
-        }
         // The lists and chains are patched while both rows' cells are
         // in place.
-        if self.has_var(row) {
-            unlist(&mut self.var_rows, row);
-        }
-        if idx != last && self.has_var(moved) {
-            relist(&mut self.var_rows, moved, row);
-        }
-        for index in &mut self.indexes {
+        for index in std::iter::once(&mut self.dedup).chain(&mut self.indexes) {
             index.swap_remove(&self.cols, row, moved);
         }
         for col in &mut self.cols {
@@ -1502,7 +1505,8 @@ impl Table {
         let mut undo = Vec::new();
         for row in rows {
             let prow = PreparedRow::from_tuple(row);
-            let before = self.find_row_cells(&prow.cells).map(|idx| RowCond {
+            let found = self.find_row_cells(&prow.cells);
+            let before = found.map(|idx| RowCond {
                 cond: self.conds[idx],
                 side: self.side.get(&(idx as u32)).cloned(),
             });
@@ -1510,7 +1514,7 @@ impl Table {
             // the condition, so such a row is put back either way.
             let rewritable = before.as_ref().is_some_and(|b| b.side.is_some());
             if self.insert_prepared(&prow)?.changed() || rewritable {
-                undo.push((prow.cells, before));
+                undo.push((found.unwrap_or(self.len() - 1), before));
             }
         }
         Ok(Overlay { undo })
@@ -1520,13 +1524,15 @@ impl Table {
     /// a row it merged into gets back the condition (and side-list
     /// entry) it had, a row it left unchanged is not touched.
     pub fn remove_overlay(&mut self, overlay: Overlay) {
-        // Newest first, so a row named twice ends as it began.
-        for (cells, before) in overlay.undo.into_iter().rev() {
-            let idx = self
-                .find_row_cells(&cells)
-                .expect("an overlaid row stays until its overlay is removed");
+        // Newest first, so a row named twice ends as it began, and a
+        // row the overlay added is the last when it goes: no other write
+        // comes in between, and undoing a merge moves no row.
+        for (idx, before) in overlay.undo.into_iter().rev() {
             match before {
-                None => self.swap_remove(idx),
+                None => {
+                    debug_assert_eq!(idx + 1, self.len(), "an added row is the last");
+                    self.swap_remove(idx);
+                }
                 Some(RowCond { cond, side }) => {
                     self.conds[idx] = cond;
                     match side {
@@ -1568,21 +1574,13 @@ impl Table {
         self.reindex();
     }
 
-    /// Rebuilds the dedup index, the c-variable row list and every
-    /// probe index from the column vectors.
+    /// Rebuilds the dedup index and every probe index from the column
+    /// vectors.
     fn reindex(&mut self) {
-        self.by_terms.clear();
-        self.var_rows.clear();
-        for index in &mut self.indexes {
+        let len = self.len() as u32;
+        for index in std::iter::once(&mut self.dedup).chain(&mut self.indexes) {
             index.clear();
-        }
-        for idx in 0..self.len() as u32 {
-            let cells: Box<[Cell]> = self.cols.iter().map(|c| c[idx as usize]).collect();
-            self.by_terms.insert(cells, idx);
-            if self.has_var(idx) {
-                self.var_rows.push(idx);
-            }
-            for index in &mut self.indexes {
+            for idx in 0..len {
                 index.post(&self.cols, idx);
             }
         }
@@ -1866,13 +1864,14 @@ mod tests {
 
     #[test]
     fn dedup_keys_on_exact_cells_not_hashes() {
-        // Regression for the old hash-bucket dedup index: rows whose
-        // term vectors differ only in representation kind (Int vs Sym
-        // vs List spelling the "same" value) must never merge, and
-        // re-inserting each exact row must hit its own entry. The old
-        // `HashMap<u64, Vec<u32>>` design relied on a verify-the-bucket
-        // scan to guarantee this under hash collisions; direct cell
-        // keys make it structural.
+        // Rows whose term vectors differ only in representation kind
+        // (Int vs Sym vs List spelling the "same" value) must never
+        // merge, and re-inserting each exact row must hit its own row:
+        // the dedup chain is found by a hash, and every row on it is
+        // compared with the key cell by cell. A c-variable cell is
+        // hashed and compared as itself: it never dedups onto a
+        // constant or another variable.
+        let (_, x, y) = db_with_xy();
         let mut t = Table::new(Schema::new("T", &["a", "b"]));
         let rows = [
             [Term::int(1), Term::int(2)],
@@ -1880,6 +1879,9 @@ mod tests {
             [Term::int(1), Term::sym("2")],
             [Term::Const(Const::list([Const::Int(1)])), Term::int(2)],
             [Term::int(2), Term::int(1)], // swapped order is distinct
+            [Term::Var(x), Term::int(2)],
+            [Term::Var(y), Term::int(2)],
+            [Term::Var(x), Term::int(1)],
         ];
         for row in &rows {
             assert_eq!(
