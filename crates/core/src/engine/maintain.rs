@@ -97,7 +97,7 @@
 //! such deltas explicitly.
 
 use super::fixpoint::{self, timed_prune, Driver, Seed};
-use super::rule::LeafMemo;
+use super::rule::{DeltaRows, LeafMemo};
 use super::{resolve_cvars, Ctx, EvalError, EvalOptions, EvalOutput, PreparedProgram, PrunePolicy};
 use crate::analysis::Finding;
 use crate::ast::{Literal, Rule};
@@ -106,7 +106,7 @@ use crate::update::{DeletePattern, Update};
 use faure_ctable::{CTuple, CVarId, Const, Database, Relation, Schema, Term};
 use faure_solver::Session;
 use faure_storage::table::Cell;
-use faure_storage::{PhaseStats, PreparedRow, Table};
+use faure_storage::{Mark, PhaseStats, PreparedRow, Table};
 use faure_trace::Tracer;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -242,6 +242,9 @@ pub struct MaterializedState {
     pub(super) cvmap: HashMap<String, CVarId>,
     pub(super) session: Session,
     pub(super) tables: HashMap<String, Arc<Table>>,
+    /// The merge's [`Mark`] of every table it wrote (see
+    /// [`Driver::marks`]).
+    pub(super) marks: HashMap<String, Mark>,
     pub(super) plans: PlanCache,
     pub(super) warnings: Vec<Finding>,
     pub(super) tracer: Tracer,
@@ -467,6 +470,7 @@ impl PreparedProgram {
                 leaves,
             },
             tables: &mut state.tables,
+            marks: &mut state.marks,
             plans: &mut state.plans,
             session: &mut state.session,
             opts: state.opts,
@@ -543,6 +547,7 @@ impl PreparedProgram {
             cvmap,
             session: Session::new(),
             tables,
+            marks: HashMap::new(),
             plans: self.plans.fresh_counters(),
             warnings,
             tracer: tracer.clone(),
@@ -629,9 +634,8 @@ impl PreparedProgram {
             }
             let prow = PreparedRow::from_tuple(tuple);
             let old = table.find_row_cells(prow.cells()).map(|i| table.row(i));
-            if Arc::make_mut(table).insert_prepared(&prow)?.changed() {
+            if let Some(idx) = Arc::make_mut(table).insert_prepared(&prow)? {
                 report.inserted += 1;
-                let idx = table.find_row_cells(prow.cells()).expect("just inserted");
                 let schema = table.schema.clone();
                 match old {
                     // Merged into an antichain: the tuple's own
@@ -722,25 +726,23 @@ impl PreparedProgram {
             let mut changes = Changes::new();
             let mut removed_old: BTreeMap<String, Vec<CTuple>> = BTreeMap::new();
 
+            let mode;
+            let mut seed = Seed::default();
             // The initial propagation delta: pending insertions on
             // every predicate some rule reads positively.
-            let mut pending: HashMap<String, Table> = HashMap::new();
             for (_, rule) in &rules {
                 for lit in &rule.body {
                     if lit.is_negative() {
                         continue;
                     }
                     let p = lit.atom().pred.as_str();
-                    if !pending.contains_key(p) {
+                    if !seed.pending.contains_key(p) {
                         if let Some(t) = pend_ins.get(p) {
-                            pending.insert(p.to_owned(), t.clone());
+                            seed.pending.insert(p.to_owned(), t.clone());
                         }
                     }
                 }
             }
-
-            let mode;
-            let mut seed = Seed::default();
             // The open `maintain/rederive` span: start and round count.
             let mut rederive_span = None;
             if del_relevant || neg_involved {
@@ -852,13 +854,7 @@ impl PreparedProgram {
             // (lost keys through head-bound plans, negation-affected
             // heads in full), then delta passes pinned to every changed
             // body position — one partition, tracked.
-            fixpoint::semi_naive(
-                &mut d,
-                &rules,
-                Some(&seed),
-                vec![pending],
-                Some(&mut changes),
-            )?;
+            fixpoint::semi_naive(&mut d, &rules, Some(&seed), 1, Some(&mut changes))?;
             if let Some((t_od, rounds)) = rederive_span {
                 let overdeleted = report.overdeleted;
                 tracer.emit_span("maintain", "rederive", t_od, 0, || {
@@ -941,10 +937,9 @@ fn run_one_stratum(
 ) -> Result<(), EvalError> {
     let t_stratum = d.ctx.tracer.now_ns();
     if d.opts.semi_naive {
-        // Every rule seeds; the delta starts empty, one partition per
+        // Every rule seeds; the delta is cut into one partition per
         // shard.
-        let delta = (0..d.opts.shards.max(1)).map(|_| HashMap::new()).collect();
-        fixpoint::semi_naive(d, rules, None, delta, None)?;
+        fixpoint::semi_naive(d, rules, None, d.opts.shards, None)?;
     } else {
         fixpoint::naive(d, rules)?;
     }
@@ -1035,7 +1030,7 @@ fn over_delete(
                 let Some(f) = frontier.get(p).filter(|f| !f.is_empty()) else {
                     continue;
                 };
-                let derived = d.pass(ri, rule, Some((pos, f)))?;
+                let derived = d.pass(ri, rule, Some((pos, DeltaRows::Table(f))))?;
                 let h = rule.head.pred.as_str();
                 let ht = d.tables.get(h).expect("table created in setup");
                 let set = suspects.entry(h.to_owned()).or_default();
@@ -1191,8 +1186,10 @@ fn settle_stratum(
             report.pruned += removed;
         }
 
+        let mut cells: Vec<Cell> = Vec::new();
         for terms in &log.dirty {
-            let cells: Vec<Cell> = terms.iter().map(Cell::encode).collect();
+            cells.clear();
+            cells.extend(terms.iter().map(Cell::encode));
             let old = log.old.get(cells.as_slice()).cloned().flatten();
             match table.find_row(terms) {
                 None => {

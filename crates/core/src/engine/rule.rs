@@ -81,17 +81,57 @@ fn conjoin_trees(acc: &CondAcc) -> CondId {
     pool::intern(&canonicalize(faure_solver::simplify(&acc.materialize())))
 }
 
+/// The iteration delta a delta pass scans at its plan's delta slot.
+#[derive(Clone, Copy, Debug)]
+pub(super) enum DeltaRows<'a> {
+    /// A table of its own, every row with its own condition: `apply`'s
+    /// pending insertions, a withdraw's lost keys, the over-delete
+    /// frontier.
+    Table(&'a Table),
+    /// Rows of the delta literal's standing table, each with the
+    /// condition the delta carries for it: what a merge recorded
+    /// ([`faure_storage::Changed`]).
+    Listed(&'a [(u32, CondId)]),
+}
+
+impl<'a> From<&'a Table> for DeltaRows<'a> {
+    fn from(table: &'a Table) -> Self {
+        DeltaRows::Table(table)
+    }
+}
+
+/// What a join step reads: rows of `table`, each with a condition.
+#[derive(Clone, Copy)]
+struct Source<'a> {
+    table: &'a Table,
+    /// An iteration delta's rows and the condition it carries for each
+    /// ([`DeltaRows::Listed`]); `None`: every row, with its own.
+    listed: Option<&'a [(u32, CondId)]>,
+}
+
+impl Source<'_> {
+    /// The row a match of this step names — a row of the table, or a
+    /// place in the delta's list — and the condition it joins with.
+    fn row(&self, m: u32) -> (u32, CondId) {
+        match self.listed {
+            Some(rows) => rows[m as usize],
+            None => (m, self.table.cond_id(m as usize)),
+        }
+    }
+}
+
 /// What one rule pass reads: the run's context, the rule and its
-/// compiled plan, and — resolved once here, not per match — the table
-/// behind every join step and negated literal and the id of every
-/// c-variable the rule names. Shared by every thread of the pass.
+/// compiled plan, and — resolved once here, not per match — the rows
+/// behind every join step, the table behind every negated literal and
+/// the id of every c-variable the rule names. Shared by every thread of
+/// the pass.
 pub(super) struct Pass<'a> {
     pub(super) ctx: &'a Ctx<'a>,
     rule: &'a Rule,
     plan: &'a RulePlan,
-    /// Per join step, the table it probes: the iteration delta for the
-    /// plan's delta slot, the accumulated table otherwise.
-    sources: Vec<&'a Table>,
+    /// Per join step, what it reads: the iteration delta for the plan's
+    /// delta slot, the standing table otherwise.
+    sources: Vec<Source<'a>>,
     /// Per negated literal, in plan order, the table it negates.
     negated: Vec<&'a Table>,
     /// The id of each of the plan's c-variables.
@@ -185,11 +225,16 @@ impl<'a> Pass<'a> {
         rule: &'a Rule,
         plan: &'a RulePlan,
         tables: &'a HashMap<String, Arc<Table>>,
-        delta: Option<&'a Table>,
+        delta: Option<impl Into<DeltaRows<'a>>>,
     ) -> Self {
+        let delta = delta.map(Into::into);
         debug_assert_eq!(plan.delta_pos.is_some(), delta.is_some());
-        // A delta is scanned, never probed by key: it carries no index.
-        debug_assert!(delta.is_none_or(|d| d.indexed_columns().next().is_none()));
+        // A delta is scanned, never looked up by key: its step asks for
+        // no index, and a delta table of its own has none.
+        debug_assert!(plan.steps.iter().all(|s| !s.is_delta || s.index.is_empty()));
+        debug_assert!(
+            !matches!(delta, Some(DeltaRows::Table(t)) if t.indexed_columns().next().is_some())
+        );
         let table = |pos: usize| -> &'a Table {
             tables
                 .get(&rule.body[pos].atom().pred)
@@ -198,9 +243,20 @@ impl<'a> Pass<'a> {
         let sources = plan
             .steps
             .iter()
-            .map(|step| match step.is_delta {
-                true => delta.expect("delta plan executed with a delta table"),
-                false => table(step.lit_pos),
+            .map(|step| match (step.is_delta, delta) {
+                (true, Some(DeltaRows::Table(table))) => Source {
+                    table,
+                    listed: None,
+                },
+                (true, Some(DeltaRows::Listed(rows))) => Source {
+                    table: table(step.lit_pos),
+                    listed: Some(rows),
+                },
+                (true, None) => unreachable!("delta plan executed without a delta"),
+                (false, _) => Source {
+                    table: table(step.lit_pos),
+                    listed: None,
+                },
             })
             .collect();
         Pass {
@@ -293,9 +349,9 @@ impl<'a> Pass<'a> {
         Ok(vec![std::mem::take(&mut f.out)])
     }
 
-    /// Appends to `out` the rows of step `depth`'s table that match its
-    /// literal under the frame's slots, each with its match condition
-    /// `μ`.
+    /// Appends to `out` the matches of step `depth`'s source — rows of
+    /// its table, or places in its delta's list — that match its literal
+    /// under the frame's slots, each with its match condition `μ`.
     fn probe(&self, depth: usize, f: &mut Frame, out: &mut Vec<(u32, CondId)>) {
         f.key.clear();
         f.key
@@ -305,27 +361,35 @@ impl<'a> Pass<'a> {
                 Arg::Bound(s) => f.theta[s],
                 Arg::Bind(_) => None,
             }));
-        exec::probe_key(self.sources[depth], self.ctx.reg, &f.key, out, &mut f.ops);
+        let src = self.sources[depth];
+        match src.listed {
+            None => exec::probe_key(src.table, self.ctx.reg, &f.key, out, &mut f.ops),
+            Some(rows) => {
+                exec::probe_listed(src.table, self.ctx.reg, &f.key, rows, out, &mut f.ops)
+            }
+        }
     }
 
     /// The join step: for each of `matches` — rows of step `depth`'s
-    /// table — conjoins the row's condition and `μ`, binds the step's
-    /// slots, applies its pushed-down comparisons, descends into the
-    /// remaining steps (or, past the last one, emits the head row into
-    /// `f.out`), and undoes the bindings and the conjunction.
+    /// source ([`Source::row`]) — conjoins the row's condition and `μ`,
+    /// binds the step's slots, applies its pushed-down comparisons,
+    /// descends into the remaining steps (or, past the last one, emits
+    /// the head row into `f.out`), and undoes the bindings and the
+    /// conjunction.
     pub(super) fn join(
         &self,
         depth: usize,
         matches: &[(u32, CondId)],
         f: &mut Frame,
     ) -> Result<(), EvalError> {
-        let table = self.sources[depth];
+        let src = self.sources[depth];
         let step = &self.plan.steps[depth];
-        for &(row, mu) in matches {
+        for &(m, mu) in matches {
+            let (row, cond) = src.row(m);
             let (mark, start) = (f.acc.mark(), f.trail.len());
-            let mut ok = f.acc.push_id(table.cond_id(row as usize), &mut f.ops)
+            let mut ok = f.acc.push_id(cond, &mut f.ops)
                 && f.acc.push_id(mu, &mut f.ops)
-                && f.bind(&step.args, table, row);
+                && f.bind(&step.args, src.table, row);
             // Pushed-down comparisons: every variable they mention is
             // bound by now, so ground-false ones cut the branch here
             // instead of after the remaining joins.
@@ -620,13 +684,14 @@ mod tests {
         };
         let rule = &program.rules[ri];
         let plan = compile_rule(rule, None);
-        let mut rows: Vec<(Vec<Term>, CondId)> = Pass::new(&ctx, rule, &plan, tables, None)
-            .run(ri, 1, &mut OpStats::default())
-            .unwrap()
-            .into_iter()
-            .flatten()
-            .map(|row| (row.terms(), row.cond_id()))
-            .collect();
+        let mut rows: Vec<(Vec<Term>, CondId)> =
+            Pass::new(&ctx, rule, &plan, tables, None::<&Table>)
+                .run(ri, 1, &mut OpStats::default())
+                .unwrap()
+                .into_iter()
+                .flatten()
+                .map(|row| (row.terms(), row.cond_id()))
+                .collect();
         rows.sort();
         rows
     }

@@ -5,9 +5,11 @@
 //! single-partition ones. Two things live here: **which partition owns
 //! a changed row** ([`key_column`], [`route`]) and **how a pass runs on
 //! one worker per partition** ([`pass`]). Every partition holds, per
-//! predicate, a real columnar [`Table`] of exactly the delta rows whose
-//! [`ShardPlan`] key hashes to it; its worker runs the pass over that
-//! table against the shared accumulated tables, and the changed rows it
+//! predicate, the list the single-partition loop would hold, cut down
+//! to the rows whose [`ShardPlan`] key hashes to it: row ids of the
+//! shared standing table, each with the condition the delta carries for
+//! it. Its worker scans that list against the shared standing tables,
+//! which no one writes while the workers run, and the changed rows it
 //! derives are *routed* to the partition that owns them — not
 //! recomputed there.
 //!
@@ -18,10 +20,14 @@
 //! stamped), so a fast worker blocks on a slow consumer instead of
 //! buffering unboundedly. The driver drains the channel while the
 //! workers run, then — at the pass barrier — replays the batches in
-//! **`(producer, seq)` order** through [`fixpoint::merge`]. That replay
-//! order is fixed by the shard plan, not by thread scheduling, which is
-//! the sharded analogue of [`Table::absorb_partitions`]' chunk-order
-//! merge.
+//! **`(producer, seq)` order** through [`fixpoint::merge`], which
+//! writes the shared standing table and records the id of each row it
+//! changed. That replay order is fixed by the shard plan, not by thread
+//! scheduling, which is the sharded analogue of
+//! [`Table::absorb_partitions`]' chunk-order merge. When the iteration
+//! ends, the recorded ids are cut among the partitions that own them,
+//! oldest change first, so each partition's list is the single-partition
+//! list with the rows it does not own left out.
 //!
 //! ## Determinism
 //!
@@ -40,23 +46,25 @@
 //! ## Broadcast, and rows without a key
 //!
 //! A changed row whose key cell holds a **c-variable** has no ground
-//! value to hash, so no single partition can own it: it is appended to
-//! *every* partition. The duplicate downstream derivations this causes
-//! are absorbed by the table's dedup-by-terms insert and the idempotent
-//! condition merge, so results are unaffected. A predicate with no
-//! columns (`panic`) has no key cell at all: partition 0 owns its row.
+//! value to hash, so no single partition can own it: its id goes on
+//! *every* partition's list, with the same condition. The duplicate
+//! downstream derivations this causes are absorbed by the table's
+//! dedup-by-terms insert and the idempotent condition merge, so results
+//! are unaffected. A predicate with no columns (`panic`) has no key
+//! cell at all: partition 0 owns its row.
 //!
 //! Negation needs no special handling: stratification guarantees
 //! negated predicates are complete before this stratum runs, and the
 //! accumulated tables workers read are only mutated at pass barriers.
 
-use super::fixpoint::{self, Driver, Partitions};
+use super::fixpoint::{self, Driver, Next, Partitions};
 use super::maintain::Changes;
-use super::rule::Pass;
+use super::rule::{DeltaRows, Pass};
 use super::{Ctx, EvalError};
 use crate::ast::Rule;
 use crate::plan::ShardPlan;
 use faure_storage::shard::{route_term, Route};
+use faure_storage::table::Cell;
 use faure_storage::{OpStats, PreparedRow, Table};
 use faure_trace::Tracer;
 use std::collections::HashMap;
@@ -96,10 +104,11 @@ pub(super) fn key_column(
     Some(if key < arity { key } else { 0 })
 }
 
-/// Where a changed row goes, given its predicate's [`key_column`].
-pub(super) fn route(prow: &PreparedRow, key: Option<usize>, partitions: usize) -> Route {
-    match key {
-        Some(k) => route_term(&prow.cells()[k].decode(), partitions),
+/// Where a changed row goes, given its cell under its predicate's
+/// [`key_column`] (`None`: there is none).
+pub(super) fn route(key_cell: Option<Cell>, partitions: usize) -> Route {
+    match key_cell {
+        Some(cell) => route_term(&cell.decode(), partitions),
         None => Route::To(0),
     }
 }
@@ -108,20 +117,20 @@ pub(super) fn route(prow: &PreparedRow, key: Option<usize>, partitions: usize) -
 /// partition holding rows of the body predicate at `pos` evaluates the
 /// rule against them on its own thread, streaming derived rows back in
 /// bounded batches; at the barrier the driver replays the batches in
-/// `(producer, seq)` order into the accumulated table and routes the
-/// changed rows into `next`.
+/// `(producer, seq)` order into the standing table and records the
+/// changed rows in `next`.
 pub(super) fn pass(
     d: &mut Driver<'_>,
     ri: usize,
     rule: &Rule,
     pos: usize,
-    delta: &[HashMap<String, Table>],
-    next: &mut Partitions,
+    delta: &Partitions,
+    next: &mut Next,
     mut tracker: Option<&mut Changes>,
 ) -> Result<(), EvalError> {
     let n = delta.len();
     let delta_pred = rule.body[pos].atom().pred.as_str();
-    let live = |s: usize| delta[s].get(delta_pred).filter(|t| !t.is_empty());
+    let live = |s: usize| delta[s].get(delta_pred).filter(|rows| !rows.is_empty());
     if (0..n).all(|s| live(s).is_none()) {
         return Ok(());
     }
@@ -146,7 +155,7 @@ pub(super) fn pass(
         let (tx, rx) = sync_channel::<Batch>(n);
         let mut handles = Vec::with_capacity(n);
         for s in 0..n {
-            let Some(delta) = live(s) else {
+            let Some(rows) = live(s) else {
                 handles.push(None);
                 continue;
             };
@@ -155,7 +164,8 @@ pub(super) fn pass(
             handles.push(Some(scope.spawn(move || {
                 let wall = Instant::now();
                 let mut wops = OpStats::default();
-                let out = Pass::new(wctx, rule, plan, tables, Some(delta)).run(ri, 1, &mut wops);
+                let rows = Some(DeltaRows::Listed(rows));
+                let out = Pass::new(wctx, rule, plan, tables, rows).run(ri, 1, &mut wops);
                 let err = match out {
                     Ok(partitions) => {
                         let mut seq = 0u64;

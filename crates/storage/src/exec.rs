@@ -7,9 +7,9 @@
 //!
 //! * [`probe_key`] — the join's probe: the rows of a table matching a
 //!   key of cells, looked up by exactly the columns it binds (or a scan
-//!   when it binds none, or when the table is an iteration delta),
-//!   into a buffer the caller owns; [`probe`] is the same over
-//!   tree-typed patterns;
+//!   when it binds none), into a buffer the caller owns; [`probe`] is
+//!   the same over tree-typed patterns, and [`probe_listed`] the scan
+//!   of an iteration delta's listed rows;
 //! * [`CondAcc`] — the condition-conjoining join: instead of rebuilding
 //!   a flattened `And` on every nesting level (which re-allocates the
 //!   child vector per joined row), the ids of the fragments are pushed
@@ -94,14 +94,40 @@ pub fn probe_key(
 ) {
     let before = out.len();
     ops.probes += 1;
-    let examined = table.matches(reg, key, |row, mu| {
-        let mu = match mu {
-            Condition::True => CondId::TRUE,
-            mu => pool::intern(&mu),
-        };
-        out.push((row, mu));
-    });
+    let examined = table.matches(reg, key, |row, mu| out.push((row, mu_id(mu))));
     ops.rows_examined += examined as u64;
+    ops.rows_matched += (out.len() - before) as u64;
+}
+
+/// The id of a match condition: interned only when a c-variable made it
+/// non-trivial.
+fn mu_id(mu: Condition) -> CondId {
+    match mu {
+        Condition::True => CondId::TRUE,
+        mu => pool::intern(&mu),
+    }
+}
+
+/// The probe of an iteration delta: rows `rows` of `table`, which the
+/// delta lists with the condition it carries for each. Appends `(i, μ)`
+/// for every `rows[i]` whose row matches `key`, in list order. A delta
+/// is scanned, never looked up: every listed row is examined.
+pub fn probe_listed(
+    table: &Table,
+    reg: &CVarRegistry,
+    key: &[Option<Cell>],
+    rows: &[(u32, CondId)],
+    out: &mut Vec<(u32, CondId)>,
+    ops: &mut OpStats,
+) {
+    let before = out.len();
+    ops.probes += 1;
+    for (i, &(row, _)) in rows.iter().enumerate() {
+        if let Some(mu) = table.match_key(reg, row, key) {
+            out.push((i as u32, mu_id(mu)));
+        }
+    }
+    ops.rows_examined += rows.len() as u64;
     ops.rows_matched += (out.len() - before) as u64;
 }
 

@@ -46,5 +46,6 @@ pub use exec::{CondAcc, OpStats};
 pub use pipeline::PhaseStats;
 pub use shard::{Route, ShardStats};
 pub use table::{
-    ArityError, DeletionEffect, InsertOutcome, Pattern, PreparedRow, StoredCond, Table, Twin,
+    ArityError, Changed, DeletionEffect, InsertOutcome, Mark, Pattern, PreparedRow, StoredCond,
+    Table, Twin,
 };

@@ -257,7 +257,17 @@ impl Index {
     /// The chained row whose key cells are `cell(c)`: what a dedup
     /// index holds for an exact row.
     fn find(&self, cols: &[Vec<Cell>], cell: impl Fn(usize) -> Cell) -> Option<u32> {
-        let chain = self.chain(cols.len(), &cell)?;
+        self.find_hashed(self.hash(cols.len(), &cell), cols, cell)
+    }
+
+    /// [`find`](Index::find) with the key's hash already taken.
+    fn find_hashed(
+        &self,
+        key: u64,
+        cols: &[Vec<Cell>],
+        cell: impl Fn(usize) -> Cell,
+    ) -> Option<u32> {
+        let chain = self.chains.get(&key)?;
         std::iter::successors(Some(chain.head), |&at| Some(self.next[at as usize]))
             .take(chain.len as usize)
             .find(|&at| {
@@ -268,12 +278,18 @@ impl Index {
 
     /// Appends row `row`, the table's newest, to its key's chain.
     fn post(&mut self, cols: &[Vec<Cell>], row: u32) {
+        self.post_hashed(cols, row, self.row_key(cols, row));
+    }
+
+    /// [`post`](Index::post) with the row's key hash already taken
+    /// ([`row_key`](Index::row_key)).
+    fn post_hashed(&mut self, cols: &[Vec<Cell>], row: u32, key: Option<u64>) {
         debug_assert_eq!(self.next.len(), row as usize);
         self.next.push(END);
         if self.listed(cols, row) {
             self.var_rows.push(row);
         }
-        if let Some(key) = self.row_key(cols, row) {
+        if let Some(key) = key {
             let chain = self.chains.entry(key).or_insert(Chain {
                 head: row,
                 tail: row,
@@ -506,6 +522,183 @@ enum CondRepr {
     Opaque(Vec<CondId>),
 }
 
+/// What a new row stores for its condition `cond`, whose side-list
+/// entry (an opaque condition's) goes under `key`.
+fn store_new(side: &mut HashMap<u32, CondRepr>, key: u32, cond: StoredCond) -> CondId {
+    if cond.opaque {
+        side.insert(key, CondRepr::Opaque(vec![cond.stored]));
+    }
+    cond.stored
+}
+
+/// Merges a condition stored as `incoming` into the disjunction `cond`,
+/// whose side-list entry, if it has one, is `side[key]`: what a row does
+/// when it is derived again. Returns whether the disjunction changed.
+fn merge_cond(
+    cond: &mut CondId,
+    side: &mut HashMap<u32, CondRepr>,
+    key: u32,
+    incoming: StoredCond,
+) -> bool {
+    let StoredCond { stored, opaque } = incoming;
+    // Nothing widens `True`; and re-deriving a row under the very
+    // condition it stores — most duplicates — adds no disjunct (a
+    // side-list row is not described by its id, so it goes on).
+    if *cond == CondId::TRUE || (*cond == stored && !side.contains_key(&key)) {
+        return false;
+    }
+    let incoming = (!opaque).then(|| dnf::normal_form(stored));
+    let incoming_sets: Option<&[AtomSet]> = incoming
+        .as_deref()
+        .map(|form| form.sets.as_deref().expect("checked not opaque"));
+    let mut repr = match side.remove(&key) {
+        Some(repr) => repr,
+        None => {
+            let form = dnf::normal_form(*cond);
+            let existing = form
+                .sets
+                .as_deref()
+                .expect("a row outside the side list has an antichain");
+            // A re-derivation whose every disjunct is already implied is
+            // decided on the shared antichain; only a merge that changes
+            // the row copies it.
+            if incoming_sets.is_some_and(|new| new.iter().all(|s| dnf::subsumed(existing, s))) {
+                return false;
+            }
+            CondRepr::Sets(existing.to_vec())
+        }
+    };
+    let changed = merge_repr(cond, &mut repr, stored, incoming_sets);
+    match repr {
+        CondRepr::Sets(sets) if sets.len() <= dnf::DEFAULT_SET_BUDGET => {
+            dnf::record_normal_form(*cond, sets);
+        }
+        wide_or_opaque => {
+            side.insert(key, wide_or_opaque);
+        }
+    }
+    changed
+}
+
+/// Merges an incoming condition (`incoming` is the id it stores under,
+/// `incoming_sets` its antichain unless it is over budget) into an
+/// existing disjunction. Returns whether it changed.
+///
+/// Computes the same condition *trees* as the old row-major table
+/// (pooled `disj` mirrors [`Condition::or`] exactly), then stores their
+/// ids — so materialised rows stay bit-identical.
+fn merge_repr(
+    cond: &mut CondId,
+    repr: &mut CondRepr,
+    incoming: CondId,
+    incoming_sets: Option<&[AtomSet]>,
+) -> bool {
+    match (&mut *repr, incoming_sets) {
+        (CondRepr::Sets(existing), Some(new_sets)) => {
+            let mut changed = false;
+            for set in new_sets {
+                if !dnf::subsumed(existing, set) {
+                    changed |= dnf::antichain_insert(existing, set.clone());
+                }
+            }
+            if changed {
+                *cond = pool::intern(&dnf::condition_of(existing));
+            }
+            changed
+        }
+        (CondRepr::Sets(existing), None) => {
+            // Degrade to the opaque representation.
+            let disjuncts: Vec<CondId> = existing
+                .iter()
+                .map(|s| pool::intern(&dnf::condition_of(std::slice::from_ref(s))))
+                .collect();
+            if disjuncts.contains(&incoming) {
+                *repr = CondRepr::Opaque(disjuncts);
+                return false;
+            }
+            // `Condition::any` over the disjunct trees, id-wise.
+            let folded = disjuncts
+                .iter()
+                .fold(CondId::FALSE, |acc, &d| pool::disj(acc, d));
+            *cond = pool::disj(folded, incoming);
+            let mut disjuncts = disjuncts;
+            disjuncts.push(incoming);
+            *repr = CondRepr::Opaque(disjuncts);
+            true
+        }
+        (CondRepr::Opaque(disjuncts), _) => {
+            if incoming == CondId::TRUE {
+                *cond = CondId::TRUE;
+                *disjuncts = vec![CondId::TRUE];
+                return true;
+            }
+            if disjuncts.contains(&incoming) {
+                return false;
+            }
+            disjuncts.push(incoming);
+            *cond = pool::disj(*cond, incoming);
+            true
+        }
+    }
+}
+
+/// The rows of one table that one semi-naive iteration changed, oldest
+/// change first, each with the condition the iteration's delta carries
+/// for it: the disjunct that first changed the row, merged with every
+/// later one the way a stored row merges a re-derivation (side-list
+/// entries included). The delta is rows of the standing table, not a
+/// table of its own: recording a change looks at the row's [`Mark`]
+/// slot, and hashes no cell.
+#[derive(Debug, Default)]
+pub struct Changed {
+    rows: Vec<(u32, CondId)>,
+    /// Side-list entries of the delta's conditions, by place in `rows`.
+    side: HashMap<u32, CondRepr>,
+}
+
+/// A table's slot per row naming the row's place in the [`Changed`]
+/// being recorded for it. A slot is believed only when that place holds
+/// its row, so a mark is never cleared: a stale slot — left by an
+/// earlier iteration or evaluation, or by a row since removed — names a
+/// place that holds another row, or none.
+#[derive(Debug, Default)]
+pub struct Mark {
+    slots: Vec<u32>,
+}
+
+impl Changed {
+    /// Records that `prow` changed row `row` of the table `mark` marks
+    /// (what [`Table::absorb_partitions`] reports).
+    pub fn record(&mut self, mark: &mut Mark, row: usize, prow: &PreparedRow) {
+        if row >= mark.slots.len() {
+            mark.slots.resize(row + 1, 0);
+        }
+        let at = mark.slots[row] as usize;
+        match self.rows.get_mut(at) {
+            Some((marked, cond)) if *marked as usize == row => {
+                merge_cond(cond, &mut self.side, at as u32, prow.cond);
+            }
+            _ => {
+                let at = u32::try_from(self.rows.len()).expect("delta row count overflow");
+                let cond = store_new(&mut self.side, at, prow.cond);
+                self.rows
+                    .push((u32::try_from(row).expect("row index overflow"), cond));
+                mark.slots[row] = at;
+            }
+        }
+    }
+
+    /// The changed rows and the condition the delta carries for each.
+    pub fn rows(&self) -> &[(u32, CondId)] {
+        &self.rows
+    }
+
+    /// [`rows`](Changed::rows), owned.
+    pub fn into_rows(self) -> Vec<(u32, CondId)> {
+        self.rows
+    }
+}
+
 /// An indexed, columnar c-table.
 ///
 /// Rows are deduplicated **by their terms**: deriving the same tuple
@@ -532,8 +725,9 @@ enum CondRepr {
 /// index, a partly bound one in a probe index over exactly its bound
 /// columns, which a table has only once something asks for it
 /// ([`ensure_index`](Table::ensure_index)): the evaluation engine
-/// builds the ones its compiled plans probe, and an iteration delta,
-/// which is only ever scanned, has none.
+/// builds the ones its compiled plans probe. An iteration delta is no
+/// table but the rows of one that changed ([`Changed`]), scanned, never
+/// looked up.
 #[derive(Clone, Debug)]
 pub struct Table {
     /// The schema.
@@ -809,7 +1003,7 @@ impl Table {
             last = Some((&row.cond, cond_id));
             let cells = row.terms.iter().map(Cell::encode).collect();
             let outcome = self.insert_prepared(&PreparedRow::from_id(cells, cond_id))?;
-            changed += usize::from(outcome.changed());
+            changed += usize::from(outcome.is_some());
         }
         Ok(changed)
     }
@@ -927,14 +1121,25 @@ impl Table {
     /// empty DNF. A tuple whose arity disagrees with the schema is a
     /// typed [`ArityError`], not a panic.
     pub fn insert(&mut self, tuple: CTuple) -> Result<InsertOutcome, ArityError> {
-        self.insert_prepared(&PreparedRow::from_tuple(&tuple))
+        let len = self.len();
+        let changed = self.insert_prepared(&PreparedRow::from_tuple(&tuple))?;
+        Ok(match changed {
+            None => InsertOutcome::Unchanged,
+            Some(idx) if idx == len => InsertOutcome::New,
+            Some(_) => InsertOutcome::Merged,
+        })
     }
 
     /// Inserts a prepared row (see [`PreparedRow`]): hash lookups on
     /// interned data and `Copy` cell appends. A new row stores the id
     /// the row already carries; only a merge into an existing row looks
-    /// at antichains.
-    pub fn insert_prepared(&mut self, row: &PreparedRow) -> Result<InsertOutcome, ArityError> {
+    /// at antichains. Returns the index of the row the insert changed —
+    /// a new one, or the one that gained a disjunct — and `None` when it
+    /// changed nothing.
+    ///
+    /// The row's cells are hashed once: a new row is posted on the
+    /// dedup chain under the hash its lookup missed with.
+    pub fn insert_prepared(&mut self, row: &PreparedRow) -> Result<Option<usize>, ArityError> {
         if row.cells.len() != self.schema.arity() {
             return Err(ArityError {
                 table: self.schema.name.clone(),
@@ -943,30 +1148,29 @@ impl Table {
             });
         }
         if row.is_false() {
-            return Ok(InsertOutcome::Unchanged);
+            return Ok(None);
         }
-        match self.dedup.find(&self.cols, |c| row.cells[c]) {
-            Some(idx) => Ok(self.merge_into_row(idx as usize, row)),
-            None => {
-                // `END` marks the end of a posting chain.
-                let idx = u32::try_from(self.conds.len())
-                    .ok()
-                    .filter(|&i| i != END)
-                    .expect("row count overflow");
-                for (col, &cell) in self.cols.iter_mut().zip(row.cells.iter()) {
-                    col.push(cell);
-                }
-                for index in std::iter::once(&mut self.dedup).chain(&mut self.indexes) {
-                    index.post(&self.cols, idx);
-                }
-                let StoredCond { stored, opaque } = row.cond;
-                if opaque {
-                    self.side.insert(idx, CondRepr::Opaque(vec![stored]));
-                }
-                self.conds.push(stored);
-                Ok(InsertOutcome::New)
-            }
+        let cell = |c: usize| row.cells[c];
+        let key = self.dedup.hash(self.cols.len(), cell);
+        if let Some(idx) = self.dedup.find_hashed(key, &self.cols, cell) {
+            let cond = &mut self.conds[idx as usize];
+            let changed = merge_cond(cond, &mut self.side, idx, row.cond);
+            return Ok(changed.then_some(idx as usize));
         }
+        // `END` marks the end of a posting chain.
+        let idx = u32::try_from(self.conds.len())
+            .ok()
+            .filter(|&i| i != END)
+            .expect("row count overflow");
+        for (col, &cell) in self.cols.iter_mut().zip(row.cells.iter()) {
+            col.push(cell);
+        }
+        self.dedup.post_hashed(&self.cols, idx, Some(key));
+        for index in &mut self.indexes {
+            index.post(&self.cols, idx);
+        }
+        self.conds.push(store_new(&mut self.side, idx, row.cond));
+        Ok(Some(idx as usize))
     }
 
     /// Partitioned build: merges per-worker result partitions in
@@ -976,132 +1180,23 @@ impl Table {
     /// Because parallel evaluation partitions the serial enumeration
     /// into contiguous chunks, replaying the chunks in order makes the
     /// insert sequence — and therefore every merged condition —
-    /// bit-identical to a serial run. `on_changed` fires for each row
-    /// that changed the table (new terms or a new condition disjunct),
-    /// in that same deterministic order; the engine uses it to record
-    /// semi-naive deltas.
+    /// bit-identical to a serial run. `on_changed` fires with the index
+    /// of each row that changed the table (new terms or a new condition
+    /// disjunct) and the row that changed it, in that same deterministic
+    /// order; the engine uses it to record semi-naive deltas.
     pub fn absorb_partitions(
         &mut self,
         partitions: Vec<Vec<PreparedRow>>,
-        mut on_changed: impl FnMut(&PreparedRow),
+        mut on_changed: impl FnMut((usize, &PreparedRow)),
     ) -> Result<(), ArityError> {
         for part in partitions {
             for prow in &part {
-                if self.insert_prepared(prow)?.changed() {
-                    on_changed(prow);
+                if let Some(idx) = self.insert_prepared(prow)? {
+                    on_changed((idx, prow));
                 }
             }
         }
         Ok(())
-    }
-
-    /// Merges an incoming row's condition into row `idx`'s disjunction.
-    fn merge_into_row(&mut self, idx: usize, row: &PreparedRow) -> InsertOutcome {
-        let key = idx as u32;
-        let StoredCond { stored, opaque } = row.cond;
-        // Nothing widens `True`; and re-deriving a row under the very
-        // condition it stores — most duplicates — adds no disjunct (a
-        // side-list row is not described by its id, so it goes on).
-        if self.conds[idx] == CondId::TRUE
-            || (self.conds[idx] == stored && !self.side.contains_key(&key))
-        {
-            return InsertOutcome::Unchanged;
-        }
-        let incoming = (!opaque).then(|| dnf::normal_form(stored));
-        let incoming_sets: Option<&[AtomSet]> = incoming
-            .as_deref()
-            .map(|form| form.sets.as_deref().expect("checked not opaque"));
-        let mut repr = match self.side.remove(&key) {
-            Some(repr) => repr,
-            None => {
-                let form = dnf::normal_form(self.conds[idx]);
-                let existing = form
-                    .sets
-                    .as_deref()
-                    .expect("a row outside the side list has an antichain");
-                // A re-derivation whose every disjunct is already
-                // implied is decided on the shared antichain; only a
-                // merge that changes the row copies it.
-                if incoming_sets.is_some_and(|new| new.iter().all(|s| dnf::subsumed(existing, s))) {
-                    return InsertOutcome::Unchanged;
-                }
-                CondRepr::Sets(existing.to_vec())
-            }
-        };
-        let outcome = Self::merge_repr(&mut self.conds[idx], &mut repr, stored, incoming_sets);
-        match repr {
-            CondRepr::Sets(sets) if sets.len() <= dnf::DEFAULT_SET_BUDGET => {
-                dnf::record_normal_form(self.conds[idx], sets);
-            }
-            wide_or_opaque => {
-                self.side.insert(key, wide_or_opaque);
-            }
-        }
-        outcome
-    }
-
-    /// Merges an incoming condition (`incoming` is the id it stores
-    /// under, `incoming_sets` its antichain unless it is over budget)
-    /// into an existing row's disjunction.
-    ///
-    /// Computes the same condition *trees* as the old row-major table
-    /// (pooled `disj` mirrors [`Condition::or`] exactly), then stores
-    /// their ids — so materialised rows stay bit-identical.
-    fn merge_repr(
-        cond: &mut CondId,
-        repr: &mut CondRepr,
-        incoming: CondId,
-        incoming_sets: Option<&[AtomSet]>,
-    ) -> InsertOutcome {
-        match (&mut *repr, incoming_sets) {
-            (CondRepr::Sets(existing), Some(new_sets)) => {
-                let mut changed = false;
-                for set in new_sets {
-                    if !dnf::subsumed(existing, set) {
-                        changed |= dnf::antichain_insert(existing, set.clone());
-                    }
-                }
-                if changed {
-                    *cond = pool::intern(&dnf::condition_of(existing));
-                    InsertOutcome::Merged
-                } else {
-                    InsertOutcome::Unchanged
-                }
-            }
-            (CondRepr::Sets(existing), None) => {
-                // Degrade to the opaque representation.
-                let disjuncts: Vec<CondId> = existing
-                    .iter()
-                    .map(|s| pool::intern(&dnf::condition_of(std::slice::from_ref(s))))
-                    .collect();
-                if disjuncts.contains(&incoming) {
-                    *repr = CondRepr::Opaque(disjuncts);
-                    return InsertOutcome::Unchanged;
-                }
-                // `Condition::any` over the disjunct trees, id-wise.
-                let folded = disjuncts
-                    .iter()
-                    .fold(CondId::FALSE, |acc, &d| pool::disj(acc, d));
-                *cond = pool::disj(folded, incoming);
-                let mut disjuncts = disjuncts;
-                disjuncts.push(incoming);
-                *repr = CondRepr::Opaque(disjuncts);
-                InsertOutcome::Merged
-            }
-            (CondRepr::Opaque(disjuncts), _) => {
-                if incoming == CondId::TRUE {
-                    *cond = CondId::TRUE;
-                    *disjuncts = vec![CondId::TRUE];
-                    return InsertOutcome::Merged;
-                }
-                if disjuncts.contains(&incoming) {
-                    return InsertOutcome::Unchanged;
-                }
-                disjuncts.push(incoming);
-                *cond = pool::disj(*cond, incoming);
-                InsertOutcome::Merged
-            }
-        }
     }
 
     /// Where a probe on `key` finds its candidates — `key[c]` is the
@@ -1225,7 +1320,12 @@ impl Table {
     /// Columnar [`match_row`](Table::match_row) of row `idx` against a
     /// probe key: the same four cases and the same μ construction
     /// order, reading `Copy` cells straight out of the column vectors.
-    fn match_key(&self, reg: &CVarRegistry, idx: u32, key: &[Option<Cell>]) -> Option<Condition> {
+    pub(crate) fn match_key(
+        &self,
+        reg: &CVarRegistry,
+        idx: u32,
+        key: &[Option<Cell>],
+    ) -> Option<Condition> {
         let mut cond = Condition::True;
         for (col, want) in self.cols.iter().zip(key) {
             let Some(want) = *want else { continue };
@@ -1412,9 +1512,15 @@ impl Table {
 
     /// The row index holding exactly these terms, if present (expected
     /// O(1): one dedup chain, its rows compared cell by cell).
+    /// Nothing is allocated: the terms are encoded as the lookup reads
+    /// them.
     pub fn find_row(&self, terms: &[Term]) -> Option<usize> {
-        let cells: Box<[Cell]> = terms.iter().map(Cell::encode).collect();
-        self.find_row_cells(&cells)
+        if terms.len() != self.cols.len() {
+            return None;
+        }
+        self.dedup
+            .find(&self.cols, |c| Cell::encode(&terms[c]))
+            .map(|i| i as usize)
     }
 
     /// [`find_row`](Table::find_row) on already encoded cells.
@@ -1513,8 +1619,9 @@ impl Table {
             // A merge can rewrite a side-list entry without changing
             // the condition, so such a row is put back either way.
             let rewritable = before.as_ref().is_some_and(|b| b.side.is_some());
-            if self.insert_prepared(&prow)?.changed() || rewritable {
-                undo.push((found.unwrap_or(self.len() - 1), before));
+            let changed = self.insert_prepared(&prow)?;
+            if let Some(idx) = changed.or(found.filter(|_| rewritable)) {
+                undo.push((idx, before));
             }
         }
         Ok(Overlay { undo })
@@ -2222,7 +2329,7 @@ mod tests {
         ];
         let mut part = Table::new(Schema::new("T", &["a"]));
         let mut part_changed = Vec::new();
-        part.absorb_partitions(parts, |prow| part_changed.push(prow.terms().to_vec()))
+        part.absorb_partitions(parts, |(_, prow)| part_changed.push(prow.terms().to_vec()))
             .unwrap();
         assert_eq!(part.len(), serial.len());
         for (a, b) in part.iter().zip(serial.iter()) {
@@ -2923,6 +3030,40 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// What a `Changed` records of two iterations' merges — the
+            /// second reading the mark the first left — is what a delta
+            /// table of each iteration's own would hold: the changed
+            /// rows, oldest change first, under the same condition ids.
+            #[test]
+            fn changed_rows_carry_what_a_delta_table_holds(
+                rows in arb_rows(),
+                cuts in (0usize..14, 0usize..14),
+            ) {
+                let (a, b) = (cuts.0.min(cuts.1), cuts.0.max(cuts.1));
+                let (a, b) = (a.min(rows.len()), b.min(rows.len()));
+                let mut standing = Table::new(Schema::new("T", &["a"]));
+                for row in &rows[..a] {
+                    standing.insert(row.clone()).unwrap();
+                }
+                let mut mark = Mark::default();
+                for round in [&rows[a..b], &rows[b..]] {
+                    let mut changed = Changed::default();
+                    let mut delta = Table::new(Schema::new("T", &["a"]));
+                    let prepared = round.iter().map(PreparedRow::from_tuple).collect();
+                    standing
+                        .absorb_partitions(vec![prepared], |(row, prow)| {
+                            changed.record(&mut mark, row, prow);
+                            delta.insert_prepared(prow).unwrap();
+                        })
+                        .unwrap();
+                    prop_assert_eq!(changed.rows().len(), delta.len());
+                    for (i, &(row, cond)) in changed.rows().iter().enumerate() {
+                        prop_assert_eq!(standing.row(row as usize).terms, delta.row(i).terms);
+                        prop_assert_eq!(cond, delta.cond_id(i));
+                    }
+                }
+            }
 
             /// The in-place prune leaves what the drain-and-reinsert
             /// prune leaves: rows, order, ids, representation kinds and
