@@ -642,13 +642,14 @@ pub fn cmd_profile_with_clock(
     );
     let _ = writeln!(
         w,
-        "  solver: {} sat calls ({} sat), {} simplify calls, memo hit rate {:.1}% ({} hits / {} misses)",
+        "  solver: {} sat calls ({} sat), {} simplify calls, memo hit rate {:.1}% ({} hits / {} misses), {} decided by mask",
         sv.sat_calls,
         sv.sat_true,
         sv.simplify_calls,
         sv.memo_hit_rate() * 100.0,
         sv.memo_hits,
         sv.memo_misses,
+        sv.mask_decided,
     );
     if sv.latency.count() > 0 {
         let _ = writeln!(

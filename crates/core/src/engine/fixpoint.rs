@@ -100,7 +100,7 @@ impl Next {
 /// What iteration 0 of an `apply` stratum runs, and what joins its
 /// delta; a batch stratum has no seed and runs every rule's full plan.
 #[derive(Default)]
-pub(super) struct Seed {
+pub(super) struct Seed<'p> {
     /// Heads whose rules run their full plans: a changed negated
     /// predicate can unlock rows that never existed, which no set of
     /// lost keys names.
@@ -113,8 +113,9 @@ pub(super) struct Seed {
     /// The pending insertions on every predicate some rule reads
     /// positively, each row carrying its new disjuncts: part of
     /// iteration 0's delta, so iteration 1 runs the delta passes over
-    /// them.
-    pub(super) pending: HashMap<String, Table>,
+    /// them. Borrowed from the update's pending change sets, which
+    /// every stratum that reads them shares.
+    pub(super) pending: HashMap<&'p str, &'p Table>,
 }
 
 /// What a stratum is evaluated with: the run's context, the standing
@@ -220,7 +221,7 @@ pub(super) fn timed_prune(
 pub(super) fn semi_naive(
     d: &mut Driver<'_>,
     rules: &[(usize, &Rule)],
-    seed: Option<&Seed>,
+    seed: Option<&Seed<'_>>,
     partitions: usize,
     mut tracker: Option<&mut Changes>,
 ) -> Result<(), EvalError> {
@@ -289,7 +290,7 @@ pub(super) fn semi_naive(
         // The empty delta that ends the loop is not recorded.
         let mut delta_rows: usize = delta.iter().flat_map(|m| m.values()).map(Vec::len).sum();
         if iteration == 0 {
-            delta_rows += pending.values().map(Table::len).sum::<usize>();
+            delta_rows += pending.values().map(|t| t.len()).sum::<usize>();
         }
         if delta_rows > 0 {
             d.stats.delta_sizes.push(delta_rows);

@@ -735,11 +735,8 @@ impl PreparedProgram {
                     if lit.is_negative() {
                         continue;
                     }
-                    let p = lit.atom().pred.as_str();
-                    if !seed.pending.contains_key(p) {
-                        if let Some(t) = pend_ins.get(p) {
-                            seed.pending.insert(p.to_owned(), t.clone());
-                        }
+                    if let Some((p, t)) = pend_ins.get_key_value(lit.atom().pred.as_str()) {
+                        seed.pending.insert(p, t);
                     }
                 }
             }

@@ -20,6 +20,11 @@
 //! decided by a small constraint solver ([`theory`]) that combines a
 //! union-find equality engine with finite-domain backtracking search.
 //!
+//! Before any search, the prune reads a condition whose atoms all range
+//! over small finite domains off bit masks ([`mask`]): one `u64` truth
+//! table per atom, decided with word operations. The search runs only
+//! for conditions without that form.
+//!
 //! ## Completeness contract
 //!
 //! The procedure is complete when:
@@ -46,6 +51,7 @@
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod mask;
 mod memo;
 pub mod nnf;
 pub mod search;

@@ -17,12 +17,13 @@ use std::collections::HashMap;
 /// on adversarial workloads.
 const MEMO_CAP: usize = 1 << 16;
 
-/// A session's satisfiability verdicts and simplifications, by
-/// condition id.
+/// A session's satisfiability and validity verdicts and
+/// simplifications, by condition id.
 #[derive(Debug, Default)]
 pub(crate) struct Memo {
     sat: HashMap<CondId, bool>,
     simplify: HashMap<CondId, CondId>,
+    valid: HashMap<CondId, bool>,
 }
 
 /// Caches `value` under `cond` unless the map is full.
@@ -52,6 +53,16 @@ impl Memo {
     /// Caches an already interned simplification result.
     pub(crate) fn put_simplified(&mut self, cond: CondId, simplified: CondId) {
         put(&mut self.simplify, cond, simplified);
+    }
+
+    /// The cached validity verdict for `cond`, if any.
+    pub(crate) fn valid(&self, cond: CondId) -> Option<bool> {
+        self.valid.get(&cond).copied()
+    }
+
+    /// Caches a validity verdict.
+    pub(crate) fn put_valid(&mut self, cond: CondId, valid: bool) {
+        put(&mut self.valid, cond, valid);
     }
 }
 

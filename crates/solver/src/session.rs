@@ -21,14 +21,28 @@
 //!
 //! The memo lives and dies with its session: nothing a session decided
 //! reaches another one.
+//!
+//! The prune asks its questions about an antichain condition through
+//! [`prune_by_mask`](Session::prune_by_mask) first: a condition whose
+//! atoms all range over small finite domains is read off its
+//! [mask form](crate::mask) with word operations and never reaches the
+//! search. The search entry points — the tree edges
+//! [`satisfiable`](Session::satisfiable) and
+//! [`simplify_pruned`](Session::simplify_pruned),
+//! [`simplify_pruned_id`](Session::simplify_pruned_id) and
+//! [`valid_id`](Session::valid_id) — stay search-only, so each is a
+//! reference the mask path can be tested against. Mask decisions are
+//! timed like searches: [`SolverStats::time`] is the whole solver phase.
 
 use crate::error::SolverError;
+use crate::mask;
 use crate::memo::Memo;
 use crate::search;
-use crate::simplify;
+use crate::simplify::{self, VALIDITY_SIZE_LIMIT};
 use faure_ctable::pool::{self, CondId};
-use faure_ctable::{Assignment, CVarRegistry, Condition};
+use faure_ctable::{Assignment, Atom, CVarRegistry, Condition};
 use faure_trace::Histogram;
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// Accumulated solver statistics.
@@ -48,6 +62,9 @@ pub struct SolverStats {
     pub cross_shard_hits: u64,
     /// Queries that missed the memo and ran the solver.
     pub memo_misses: u64,
+    /// Conditions the prune decided from their [mask form](crate::mask),
+    /// without search.
+    pub mask_decided: u64,
     /// Total wall-clock time inside the solver; summed when several
     /// sessions' records are [absorbed](SolverStats::absorb) into one.
     pub time: Duration,
@@ -66,6 +83,7 @@ faure_trace::stats!(SolverStats {
     memo_hits: Counter, "memo_hits", "faure_memo_hits_total", "Solver queries answered from the memo.";
     cross_shard_hits: Counter, "cross_shard_hits", "faure_memo_cross_shard_hits_total", "Always 0: shard workers ask the solver nothing.";
     memo_misses: Counter, "memo_misses", "faure_memo_misses_total", "Solver queries that missed the memo and ran the solver.";
+    mask_decided: Counter, "mask_decided", "faure_mask_decided_total", "Conditions decided from their mask form, without search.";
     time: Nanos, "time_ns", "faure_solver_ns_total", "Time inside the solver, summed over workers.";
 });
 
@@ -229,10 +247,164 @@ impl Session {
         Ok(simplified)
     }
 
+    /// Is the interned condition valid (true under every assignment)?
+    /// Search-based and memoised: the satisfiability of its negation,
+    /// counted as a satisfiability query. A search over its budget
+    /// answers `false`, the condition is kept as it is — what
+    /// [`simplify_pruned`](Session::simplify_pruned) does then.
+    ///
+    /// The prune asks this of the survivor of a wider antichain, whose
+    /// disjuncts it has already found satisfiable; simplifying it would
+    /// ask that again.
+    pub fn valid_id(&mut self, reg: &CVarRegistry, key: CondId) -> Result<bool, SolverError> {
+        self.stats.sat_calls += 1;
+        let valid = match self.memo.valid(key) {
+            Some(hit) => {
+                self.stats.memo_hits += 1;
+                hit
+            }
+            None => {
+                self.stats.memo_misses += 1;
+                let start = Instant::now();
+                let out = search::satisfiable(reg, &pool::resolve(key).negate());
+                self.note_solve(start.elapsed());
+                let valid = match out {
+                    Ok(falsifiable) => !falsifiable,
+                    Err(SolverError::BudgetExceeded { .. }) => false,
+                    Err(e) => return Err(e),
+                };
+                self.memo.put_valid(key, valid);
+                valid
+            }
+        };
+        if !valid {
+            self.stats.sat_true += 1;
+        }
+        Ok(valid)
+    }
+
+    /// The prune's answer for `cond`, whose minimal-DNF antichain is
+    /// `sets` (`cond` is the id of the condition they spell), read off
+    /// the antichain's [mask form](crate::mask); `None` when it has no
+    /// form, and then nothing was asked. The answer is the id the
+    /// search path gives:
+    ///
+    /// * one disjunct: [`CondId::FALSE`] if it is unsatisfiable,
+    ///   [`CondId::TRUE`] if it is valid and small enough for the
+    ///   validity check, else `cond` — what
+    ///   [`simplify_pruned_id`](Session::simplify_pruned_id) answers,
+    ///   memoised under `cond` as it memoises;
+    /// * several: `FALSE` if no disjunct is satisfiable; else the
+    ///   survivor (`cond` when every disjunct is live, `survivor(live)`
+    ///   otherwise), or `TRUE` when the survivor is small enough and
+    ///   valid. A validity the form cannot enumerate is asked of
+    ///   [`valid_id`](Session::valid_id). These answers cost less than
+    ///   interning the disjuncts a memo key would need, and are not
+    ///   memoised.
+    ///
+    /// Counted as the search path counts its questions; a condition
+    /// decided without search also counts in
+    /// [`SolverStats::mask_decided`].
+    pub fn prune_by_mask(
+        &mut self,
+        reg: &CVarRegistry,
+        cond: CondId,
+        sets: &[BTreeSet<Atom>],
+        survivor: impl FnOnce(&[&BTreeSet<Atom>]) -> CondId,
+    ) -> Result<Option<CondId>, SolverError> {
+        if sets.len() <= 1 {
+            if let Some(hit) = self.memo.simplified(cond) {
+                self.stats.simplify_calls += 1;
+                self.stats.memo_hits += 1;
+                return Ok(Some(hit));
+            }
+        }
+        let start = Instant::now();
+        let Some(form) = mask::Form::of(reg, sets) else {
+            return Ok(None);
+        };
+        if sets.len() <= 1 {
+            self.stats.simplify_calls += 1;
+            self.stats.memo_misses += 1;
+            let out = if form.is_empty() || !form.satisfiable(0) {
+                CondId::FALSE
+            } else if spelled_size(sets.iter()) <= VALIDITY_SIZE_LIMIT
+                && form.valid(&[0]) == Some(true)
+            {
+                CondId::TRUE
+            } else {
+                cond
+            };
+            self.memo.put_simplified(cond, out);
+            self.stats.mask_decided += 1;
+            self.note_solve(start.elapsed());
+            return Ok(Some(out));
+        }
+        let live: Vec<usize> = (0..form.len()).filter(|&i| form.satisfiable(i)).collect();
+        self.stats.sat_calls += sets.len() as u64;
+        self.stats.sat_true += live.len() as u64;
+        let live_sets: Vec<&BTreeSet<Atom>> = live.iter().map(|&i| &sets[i]).collect();
+        let mut searched = false;
+        let out = if live.is_empty() {
+            CondId::FALSE
+        } else {
+            let kept = if live.len() == sets.len() {
+                cond
+            } else {
+                survivor(&live_sets)
+            };
+            if spelled_size(live_sets.iter().copied()) > VALIDITY_SIZE_LIMIT {
+                kept
+            } else {
+                let valid = match form.valid(&live) {
+                    Some(valid) => {
+                        self.stats.sat_calls += 1;
+                        self.stats.sat_true += u64::from(!valid);
+                        valid
+                    }
+                    None => {
+                        searched = true;
+                        self.valid_id(reg, kept)?
+                    }
+                };
+                if valid {
+                    CondId::TRUE
+                } else {
+                    kept
+                }
+            }
+        };
+        if !searched {
+            self.stats.mask_decided += 1;
+            self.note_solve(start.elapsed());
+        }
+        Ok(Some(out))
+    }
+
     /// Merges another session's stats into this one (memo entries are
     /// not transferred — they may come from a different registry).
     pub fn absorb(&mut self, other: &Session) {
         self.stats.absorb(&other.stats);
+    }
+}
+
+/// [`Condition::size`] of the condition an antichain spells: a
+/// disjunction (one node, when of several) of conjunctions (one node,
+/// when of several atoms) of atoms; an empty conjunction spells `True`.
+fn spelled_size<'a>(sets: impl Iterator<Item = &'a BTreeSet<Atom>>) -> usize {
+    let mut disjuncts = 0;
+    let mut size = 0;
+    for set in sets {
+        if set.is_empty() {
+            return 1;
+        }
+        disjuncts += 1;
+        size += if set.len() == 1 { 1 } else { 1 + set.len() };
+    }
+    if disjuncts == 1 {
+        size
+    } else {
+        1 + size
     }
 }
 
@@ -283,6 +455,7 @@ mod tests {
             memo_hits: 3,
             cross_shard_hits: 2,
             memo_misses: 4,
+            mask_decided: 5,
             time: Duration::from_millis(5),
             latency: lat_a,
         };
@@ -293,6 +466,7 @@ mod tests {
             memo_hits: 30,
             cross_shard_hits: 20,
             memo_misses: 40,
+            mask_decided: 50,
             time: Duration::from_millis(50),
             latency: lat_b,
         });
@@ -302,6 +476,7 @@ mod tests {
         assert_eq!(a.memo_hits, 33);
         assert_eq!(a.cross_shard_hits, 22);
         assert_eq!(a.memo_misses, 44);
+        assert_eq!(a.mask_decided, 55);
         assert_eq!(a.time, Duration::from_millis(55));
         assert_eq!(a.latency.count(), 2);
         assert_eq!(a.latency.sum_ns(), 5_100);

@@ -13,6 +13,11 @@
 //! describes as "invoking Z3 to remove tuples with contradictory
 //! conditions" (plus a validity check that turns always-true conditions
 //! into the empty condition).
+//!
+//! The engine's prune reaches [`simplify_pruned`] only for conditions
+//! without a [mask form](crate::mask): a condition whose atoms all range
+//! over small finite domains is decided with word operations first, to
+//! the same result (see [`crate::Session::prune_by_mask`]).
 
 use crate::error::SolverError;
 use crate::search::satisfiable;

@@ -18,6 +18,7 @@ use faure_ctable::pool::{self, CondId};
 use faure_ctable::{
     CTuple, CVarId, CVarRegistry, Condition, Const, Database, Relation, Schema, Symbol, Term,
 };
+use faure_solver::simplify::VALIDITY_SIZE_LIMIT;
 use faure_solver::{Session, SolverError};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -1470,21 +1471,34 @@ impl Table {
     /// results are ground truth), which is what lets one decision stand
     /// for every row sharing the condition, on any thread.
     ///
-    /// The solver is asked one question per condition. An opaque or
+    /// An antichain whose atoms all range over small finite domains is
+    /// decided from its mask form ([`Session::prune_by_mask`]), with no
+    /// search; the answer is the id the search below gives. Otherwise
+    /// the solver is asked one question per condition. An opaque or
     /// single-disjunct condition is simplified and nothing else: the
     /// simplification decides its satisfiability on the way. A wider
     /// antichain asks each disjunct whether it is satisfiable, then
-    /// simplifies the disjunction of the live ones.
+    /// whether the disjunction of the live ones is valid.
     fn prune_cond(
         reg: &CVarRegistry,
         session: &mut Session,
         cond: CondId,
         sets: Option<&[AtomSet]>,
     ) -> Result<CondId, SolverError> {
-        let sets = match sets {
-            Some(sets) if sets.len() > 1 => sets,
-            _ => return session.simplify_pruned_id(reg, cond),
+        let Some(sets) = sets else {
+            return session.simplify_pruned_id(reg, cond);
         };
+        debug_assert_eq!(pool::resolve(cond), dnf::condition_of(sets));
+        let survivor = |live: &[&AtomSet]| {
+            let live: Vec<AtomSet> = live.iter().map(|&set| set.clone()).collect();
+            pool::intern(&dnf::condition_of(&live))
+        };
+        if let Some(decided) = session.prune_by_mask(reg, cond, sets, survivor)? {
+            return Ok(decided);
+        }
+        if sets.len() <= 1 {
+            return session.simplify_pruned_id(reg, cond);
+        }
         let mut live: Vec<&AtomSet> = Vec::with_capacity(sets.len());
         for set in sets {
             let conj = pool::intern(&dnf::condition_of(std::slice::from_ref(set)));
@@ -1498,13 +1512,14 @@ impl Table {
         let survivor = if live.len() == sets.len() {
             cond
         } else {
-            let live: Vec<AtomSet> = live.into_iter().cloned().collect();
-            pool::intern(&dnf::condition_of(&live))
+            survivor(&live)
         };
-        if pool::resolve(survivor).size() <= 128 {
-            // Small survivor: also detect validity (e.g.
-            // {x̄=0} ∨ {x̄=1} over {0,1} → empty condition).
-            session.simplify_pruned_id(reg, survivor)
+        // Small survivor: also detect validity (e.g. {x̄=0} ∨ {x̄=1}
+        // over {0,1} → empty condition).
+        if pool::resolve(survivor).size() <= VALIDITY_SIZE_LIMIT
+            && session.valid_id(reg, survivor)?
+        {
+            Ok(CondId::TRUE)
         } else {
             Ok(survivor)
         }
@@ -2698,8 +2713,39 @@ mod tests {
         let mut session = Session::new();
         assert_eq!(t.prune(&reg, &mut session).unwrap(), 0);
         assert_eq!(t.row(0).cond, normalized(&live));
-        assert_eq!(session.stats().sat_calls, 2);
-        assert_eq!(session.stats().simplify_calls, 1);
+        // Every atom ranges over {0,1}: the mask form answers each
+        // disjunct, then the survivor's validity, and nothing searches.
+        let st = session.stats();
+        assert_eq!((st.sat_calls, st.simplify_calls), (3, 0));
+        assert_eq!((st.mask_decided, st.memo_misses), (1, 0));
+    }
+
+    #[test]
+    fn prune_searches_an_antichain_without_a_mask_form() {
+        // ō = 5 ∨ (ō = p̄ ∧ p̄ = 1 ∧ ō = 2): the open ō leaves no mask
+        // form, and only the solver sees the second disjunct is dead.
+        let mut db = Database::new();
+        let o = db.fresh_cvar("o", Domain::Open);
+        let p = db.fresh_cvar("p", Domain::Bool01);
+        let reg = db.cvars.clone();
+        let live = Condition::eq(Term::Var(o), Term::int(5));
+        let dead = Condition::conj(vec![
+            Condition::eq(Term::Var(o), Term::Var(p)),
+            Condition::eq(Term::Var(p), Term::int(1)),
+            Condition::eq(Term::Var(o), Term::int(2)),
+        ]);
+        let mut t = Table::new(Schema::new("T", &["a"]));
+        t.insert(CTuple::with_cond([Term::int(1)], live.clone().or(dead)))
+            .unwrap();
+        assert!(t.has_sets_repr(0));
+        let mut session = Session::new();
+        assert_eq!(t.prune(&reg, &mut session).unwrap(), 0);
+        assert_eq!(t.row(0).cond, normalized(&live));
+        // Each disjunct's satisfiability, then the live one's validity
+        // — not a simplification that would ask its satisfiability again.
+        let st = session.stats();
+        assert_eq!((st.sat_calls, st.simplify_calls), (3, 0));
+        assert_eq!((st.mask_decided, st.memo_misses), (0, 3));
     }
 
     mod differential {

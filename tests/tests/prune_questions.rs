@@ -8,13 +8,21 @@
 //! asks each disjunct's satisfiability, then simplifies the disjunction
 //! of the live ones.
 //!
-//! This suite pins that dropping the first question moved no answer:
-//! on the conditions `net::rib` (q4–q8), `net::frr`, `net::interdomain`
-//! and the shared random corpus produce *before* the solver phase (every
-//! row of an evaluation run with `PrunePolicy::Never`), the prune keeps
-//! exactly the rows the two-question path keeps, each with the same
-//! `CondId`, and it asks exactly one question per single-disjunct or
-//! opaque condition.
+//! Before any of these questions, a condition whose atoms all range
+//! over small finite domains is decided from its mask form
+//! (`faure_solver::mask`), and the search never runs for it. Without a
+//! form, a wider antichain's survivor is asked `Session::valid_id`, not
+//! simplified: its disjuncts are already known to be satisfiable.
+//!
+//! This suite pins that neither change moved an answer. On the
+//! conditions `net::rib` (q4–q8), `net::frr`, `net::interdomain` and the
+//! shared random corpus produce *before* the solver phase (every row of
+//! an evaluation run with `PrunePolicy::Never`), the prune keeps exactly
+//! the rows two searched references keep, each with the same `CondId`:
+//! the two-question path, and the one-question path as it runs for a
+//! condition without a mask form — the arm the mask path is held to.
+//! And it asks exactly one question per single-disjunct or opaque
+//! condition, with or without a mask form.
 
 use faure_core::{Engine, EvalOptions, Program, PrunePolicy};
 use faure_ctable::pool::{self, CondId};
@@ -94,6 +102,41 @@ fn two_questions(
     }
 }
 
+/// The prune's search path on a row outside the side list whose stored
+/// condition is `cond`: a condition of at most one disjunct (or none
+/// known) simplified; a wider antichain's disjuncts asked whether they
+/// are satisfiable, then the survivor whether it is valid.
+fn searched(
+    reg: &CVarRegistry,
+    session: &mut Session,
+    cond: CondId,
+) -> Result<CondId, SolverError> {
+    let form = dnf::normal_form(cond);
+    let sets = match form.sets.as_deref() {
+        Some(sets) if sets.len() > 1 => sets,
+        _ => return session.simplify_pruned_id(reg, cond),
+    };
+    let mut live = Vec::new();
+    for set in sets {
+        let conj = pool::intern(&dnf::condition_of(std::slice::from_ref(set)));
+        if session.satisfiable_id(reg, conj)? {
+            live.push(set.clone());
+        }
+    }
+    if live.is_empty() {
+        return Ok(CondId::FALSE);
+    }
+    let survivor = match live.len() == sets.len() {
+        true => cond,
+        false => pool::intern(&dnf::condition_of(&live)),
+    };
+    if pool::resolve(survivor).size() <= 128 && session.valid_id(reg, survivor)? {
+        Ok(CondId::TRUE)
+    } else {
+        Ok(survivor)
+    }
+}
+
 /// What a row whose condition simplified to `simplified` stores, or
 /// `None` when it goes.
 fn stored(simplified: CondId) -> Option<CondId> {
@@ -101,18 +144,24 @@ fn stored(simplified: CondId) -> Option<CondId> {
     (!form.stored.is_false()).then_some(form.stored)
 }
 
+/// How many sampled conditions took each path.
+#[derive(Debug, Default)]
+struct Paths {
+    /// At most one disjunct, or none known: one question.
+    single: usize,
+    /// Wider antichains.
+    wider: usize,
+    /// Decided from the mask form, with no search.
+    masked: usize,
+}
+
 /// For each condition in `conds`: a one-row table pruned with a fresh
-/// session keeps or drops its row exactly as the two-question path
-/// decides, with the same id, and asks one question when the condition
-/// has at most one disjunct or none known. Returns how many conditions
-/// took the one-question path and how many were wider antichains.
-fn assert_one_question_per_condition(
-    reg: &CVarRegistry,
-    conds: &[CondId],
-    source: &str,
-) -> (usize, usize) {
+/// session keeps or drops its row exactly as the two-question path and
+/// the one-question search path decide, with the same id, and asks one
+/// question when the condition has at most one disjunct or none known.
+fn assert_one_question_per_condition(reg: &CVarRegistry, conds: &[CondId], source: &str) -> Paths {
     let schema = Schema::new("T", &["k"]);
-    let (mut single, mut wider) = (0, 0);
+    let mut paths = Paths::default();
     for &id in conds {
         let mut t = Table::new(schema.clone());
         t.insert(CTuple::with_cond([Term::int(0)], pool::resolve(id)))
@@ -123,6 +172,7 @@ fn assert_one_question_per_condition(
         }
         let cond = t.cond_id(0);
         let want = two_questions(reg, &mut Session::new(), cond).map(stored);
+        let search = searched(reg, &mut Session::new(), cond).map(stored);
         let mut session = Session::new();
         let got = t
             .prune(reg, &mut session)
@@ -133,11 +183,20 @@ fn assert_one_question_per_condition(
             "{source}: {:?} decided differently",
             pool::resolve(cond)
         );
+        assert_eq!(
+            got,
+            search,
+            "{source}: {:?} decided differently by the search path",
+            pool::resolve(cond)
+        );
+        if session.stats().mask_decided > 0 {
+            paths.masked += 1;
+        }
         let disjuncts = dnf::normal_form(cond).sets.as_ref().map(Vec::len);
         if disjuncts.is_some_and(|n| n > 1) {
-            wider += 1;
+            paths.wider += 1;
         } else {
-            single += 1;
+            paths.single += 1;
             let st = session.stats();
             assert_eq!(
                 (st.sat_calls, st.simplify_calls),
@@ -147,7 +206,7 @@ fn assert_one_question_per_condition(
             );
         }
     }
-    (single, wider)
+    paths
 }
 
 #[test]
@@ -162,8 +221,14 @@ fn rib_queries_q4_to_q8() {
         ("q4-q8", queries::listing2_program(src, dst, dst)),
     ] {
         let (reg, conds) = unpruned_conditions(&program, &w.db);
-        let (single, _) = assert_one_question_per_condition(&reg, &conds, name);
-        assert!(single > 100, "{name}: {single} single-disjunct conditions");
+        let paths = assert_one_question_per_condition(&reg, &conds, name);
+        assert!(paths.single > 100, "{name}: {paths:?}");
+        // Every atom ranges over {0,1}: every condition has a mask form.
+        assert_eq!(
+            paths.masked,
+            paths.single + paths.wider,
+            "{name}: {paths:?}"
+        );
     }
 }
 
@@ -171,8 +236,9 @@ fn rib_queries_q4_to_q8() {
 fn frr_reachability() {
     let (db, _) = frr::figure1_database();
     let (reg, conds) = unpruned_conditions(&queries::reachability_program(), &db);
-    let (_, wider) = assert_one_question_per_condition(&reg, &conds, "figure 1");
-    assert!(wider > 0, "figure 1 merged no disjuncts");
+    let paths = assert_one_question_per_condition(&reg, &conds, "figure 1");
+    assert!(paths.wider > 0, "figure 1 merged no disjuncts");
+    assert!(paths.masked > 0, "figure 1: {paths:?}");
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     for n in [6, 9] {
         let (db, _) = frr::random_config(n, n - 2, &mut rng).build_database(1);
@@ -191,8 +257,11 @@ fn interdomain_reachability() {
         .known(8, &[9])
         .build();
     let (reg, conds) = unpruned_conditions(&interdomain::reach_program(), &s.db);
-    let (single, wider) = assert_one_question_per_condition(&reg, &conds, "interdomain");
-    assert!(single + wider > 0, "interdomain derived nothing");
+    let paths = assert_one_question_per_condition(&reg, &conds, "interdomain");
+    assert!(
+        paths.single + paths.wider > 0,
+        "interdomain derived nothing"
+    );
 }
 
 proptest! {
