@@ -18,9 +18,15 @@
 //!   rows runs its rules' head-bound plans over the lost keys (work
 //!   proportional to those keys), a head behind a changed negated
 //!   predicate runs its rules' full plans, every other rule runs
-//!   nothing; and the pending insertions join iteration 0's delta.
-//! * **an optional change tracker** ([`Changes`]), offered every row a
-//!   merge is about to touch and every row it changed.
+//!   nothing; and the pending rows — rows of standing tables, listed by
+//!   index — join iteration 0's delta.
+//! * **a tracker** ([`Tracker`]): what a merge does besides feeding the
+//!   next iteration. A batch stratum's merges do nothing more; `apply`'s
+//!   propagation also logs every changed row by index, with its
+//!   condition from before the stratum first changed it ([`Changes`]);
+//!   and `apply`'s over-delete rounds merge nothing: a derived row only
+//!   names the standing row it matches, which becomes a suspect and, the
+//!   first time, joins the next iteration's delta ([`Suspects`]).
 //!
 //! A pass yields its rows as ordered partitions (one per worker chunk
 //! under `threads > 1`, one serially) and [`merge`] replays them through
@@ -32,7 +38,6 @@
 //!
 //! [`PreparedProgram::apply`]: super::PreparedProgram::apply
 
-use super::maintain::{ChangeLog, Changes};
 use super::rule::{DeltaRows, Pass};
 use super::{shard, Ctx, EvalError, EvalOptions};
 use crate::ast::Rule;
@@ -42,7 +47,7 @@ use faure_ctable::CVarRegistry;
 use faure_solver::{Session, SolverError};
 use faure_storage::shard::Route;
 use faure_storage::{Changed, Mark, PhaseStats, PreparedRow, Table};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -59,7 +64,7 @@ pub(super) struct Next {
 }
 
 impl Next {
-    fn new(parts: usize) -> Self {
+    pub(super) fn new(parts: usize) -> Self {
         Next {
             parts,
             changed: HashMap::new(),
@@ -106,16 +111,68 @@ pub(super) struct Seed<'p> {
     /// lost keys names.
     pub(super) full: BTreeSet<String>,
     /// Per head that only lost rows: the lost keys, every condition
-    /// `True`. Its rules run their head-bound plans
+    /// `True` — a table of their own, since the rows are gone from the
+    /// head's. Its rules run their head-bound plans
     /// ([`head_bound_rules`](crate::plan::head_bound_rules))
     /// with this table as the delta, so only those keys are re-derived.
     pub(super) lost: HashMap<String, Table>,
-    /// The pending insertions on every predicate some rule reads
-    /// positively, each row carrying its new disjuncts: part of
-    /// iteration 0's delta, so iteration 1 runs the delta passes over
-    /// them. Borrowed from the update's pending change sets, which
-    /// every stratum that reads them shares.
-    pub(super) pending: HashMap<&'p str, &'p Table>,
+    /// Per predicate some rule reads positively, rows of its standing
+    /// table and the condition each carries — the update's pending
+    /// insertions, or the over-delete frontier: part of iteration 0's
+    /// delta, so iteration 1 runs the delta passes over them. Borrowed
+    /// from lists every stratum that reads them shares.
+    pub(super) pending: HashMap<&'p str, &'p [(u32, CondId)]>,
+}
+
+/// What a merge does besides recording the next iteration's delta.
+pub(super) enum Tracker<'t> {
+    /// Nothing: a batch stratum.
+    None,
+    /// Logs every changed row in the stratum-wide change log: `apply`'s
+    /// propagation.
+    Log(&'t mut Changes),
+    /// Merges nothing: each standing row a derived row matches becomes
+    /// a suspect, and the first time also a row of the next delta, under
+    /// its stored condition — `apply`'s over-delete rounds. A derived
+    /// row whose condition normalises to false matches nothing. The
+    /// rounds record no iteration: `apply`'s `maintain/rederive` span
+    /// counts them.
+    Collect(&'t mut Suspects),
+}
+
+/// One predicate's changes across one stratum's propagation, or across
+/// an update's inserts into an input predicate: the rows of its standing
+/// table that changed, by index, each with the disjuncts that changed it
+/// ([`Changed`]), and each row's condition from before its first change
+/// (`None`: the row is new). Nothing of a row is copied.
+#[derive(Default)]
+pub(super) struct ChangeLog {
+    pub(super) changed: Changed,
+    pub(super) old: Vec<Option<CondId>>,
+}
+
+/// The change logs [`Tracker::Log`] records in, by predicate.
+pub(super) type Changes = BTreeMap<String, ChangeLog>;
+
+/// The rows the over-delete rounds reached, by predicate
+/// ([`Tracker::Collect`]).
+pub(super) type Suspects = BTreeMap<String, BTreeSet<usize>>;
+
+impl ChangeLog {
+    /// Records that `prow` changed row `row` of the table `mark` marks,
+    /// whose condition was `old` before the write (what
+    /// [`Table::absorb_partitions`] reports).
+    pub(super) fn record(
+        &mut self,
+        mark: &mut Mark,
+        row: usize,
+        prow: &PreparedRow,
+        old: Option<CondId>,
+    ) {
+        if self.changed.record(mark, row, prow) {
+            self.old.push(old);
+        }
+    }
 }
 
 /// What a stratum is evaluated with: the run's context, the standing
@@ -126,9 +183,10 @@ pub(super) struct Seed<'p> {
 pub(super) struct Driver<'a> {
     pub(super) ctx: Ctx<'a>,
     pub(super) tables: &'a mut HashMap<String, Arc<Table>>,
-    /// Per predicate a merge wrote, its standing table's [`Mark`]: kept
-    /// with the tables, so an `apply` does not size one afresh.
-    pub(super) marks: &'a mut HashMap<String, Mark>,
+    /// Per predicate a merge wrote, its standing table's [`Mark`]s —
+    /// the iteration delta's, and the change log's ([`Tracker::Log`]):
+    /// kept with the tables, so an `apply` does not size them afresh.
+    pub(super) marks: &'a mut HashMap<String, (Mark, Mark)>,
     pub(super) plans: &'a mut PlanCache,
     pub(super) session: &'a mut Session,
     pub(super) opts: EvalOptions,
@@ -214,17 +272,18 @@ pub(super) fn timed_prune(
 /// Iteration 0 runs what `seed` says (`None`: every rule's full plan) —
 /// recursive rules see the current, possibly empty, contents of the
 /// stratum's own tables — and merges what changed into the delta, which
-/// the seed's pending insertions join. Each later iteration runs one
-/// pass per positive body position whose predicate has delta rows, in
+/// the seed's pending rows join. Each later iteration runs one pass per
+/// positive body position whose predicate has delta rows, in
 /// `partitions` partitions; a batch delta only ever holds the stratum's
-/// own heads, `apply`'s also EDB and lower-stratum predicates.
+/// own heads, `apply`'s also EDB and lower-stratum predicates. Returns
+/// the number of the iteration whose delta came out empty.
 pub(super) fn semi_naive(
     d: &mut Driver<'_>,
     rules: &[(usize, &Rule)],
     seed: Option<&Seed<'_>>,
     partitions: usize,
-    mut tracker: Option<&mut Changes>,
-) -> Result<(), EvalError> {
+    tracker: &mut Tracker<'_>,
+) -> Result<usize, EvalError> {
     let n = partitions.max(1);
     if n > 1 {
         d.stats.shard.shards = d.stats.shard.shards.max(n);
@@ -233,7 +292,8 @@ pub(super) fn semi_naive(
     let no_pending = HashMap::new();
     let pending = seed.map_or(&no_pending, |seed| &seed.pending);
     let mut delta = Partitions::new();
-    for iteration in 0usize.. {
+    let mut iteration = 0usize;
+    loop {
         if iteration > d.opts.max_iterations {
             return Err(EvalError::IterationLimit {
                 limit: d.opts.max_iterations,
@@ -254,34 +314,28 @@ pub(super) fn semi_naive(
                     }
                     _ => d.pass(ri, rule, None)?,
                 };
-                merge(d, head, None, derived, &mut next, tracker.as_deref_mut())?;
+                merge(d, head, None, derived, &mut next, tracker)?;
             }
         } else {
             for &(ri, rule) in rules {
                 let head = rule.head.pred.as_str();
                 for &pos in &positions[ri] {
                     let p = rule.body[pos].atom().pred.as_str();
-                    // The pending insertions are iteration 0's delta too:
-                    // tables of their own, read by iteration 1 alone.
-                    if iteration == 1 {
-                        if let Some(table) = pending.get(p).filter(|t| !t.is_empty()) {
-                            let rows = DeltaRows::Table(table);
-                            let derived = d.pass(ri, rule, Some((pos, rows)))?;
-                            merge(d, head, None, derived, &mut next, tracker.as_deref_mut())?;
-                        }
-                    }
-                    let tracker = tracker.as_deref_mut();
-                    match delta.as_slice() {
-                        // One partition: the pass runs inline.
-                        [only] => {
-                            let Some(rows) = only.get(p).filter(|rows| !rows.is_empty()) else {
-                                continue;
-                            };
-                            let rows = DeltaRows::Listed(rows);
-                            let derived = d.pass(ri, rule, Some((pos, rows)))?;
+                    // The pending rows are iteration 0's delta too, read
+                    // by iteration 1 alone.
+                    let pending = pending.get(p).filter(|_| iteration == 1);
+                    let listed = match delta.as_slice() {
+                        [only] => only.get(p).map(Vec::as_slice),
+                        _ => None,
+                    };
+                    for rows in [pending.copied(), listed].into_iter().flatten() {
+                        if !rows.is_empty() {
+                            let derived = d.pass(ri, rule, Some((pos, DeltaRows::Listed(rows))))?;
                             merge(d, head, None, derived, &mut next, tracker)?;
                         }
-                        _ => shard::pass(d, ri, rule, pos, &delta, &mut next, tracker)?,
+                    }
+                    if delta.len() > 1 {
+                        shard::pass(d, ri, rule, pos, &delta, &mut next, tracker)?;
                     }
                 }
             }
@@ -290,29 +344,31 @@ pub(super) fn semi_naive(
         // The empty delta that ends the loop is not recorded.
         let mut delta_rows: usize = delta.iter().flat_map(|m| m.values()).map(Vec::len).sum();
         if iteration == 0 {
-            delta_rows += pending.values().map(|t| t.len()).sum::<usize>();
+            delta_rows += pending.values().map(|rows| rows.len()).sum::<usize>();
         }
-        if delta_rows > 0 {
-            d.stats.delta_sizes.push(delta_rows);
+        if !matches!(tracker, Tracker::Collect(_)) {
+            if delta_rows > 0 {
+                d.stats.delta_sizes.push(delta_rows);
+            }
+            super::publish::publish_iteration(delta_rows);
+            d.ctx
+                .tracer
+                .emit_span("fixpoint", "iteration", t_iter, 0, || {
+                    let mut args = vec![
+                        ("iteration", iteration.into()),
+                        ("delta_rows", delta_rows.into()),
+                    ];
+                    if n > 1 {
+                        args.push(("shards", n.into()));
+                    }
+                    args
+                });
         }
-        super::publish::publish_iteration(delta_rows);
-        d.ctx
-            .tracer
-            .emit_span("fixpoint", "iteration", t_iter, 0, || {
-                let mut args = vec![
-                    ("iteration", iteration.into()),
-                    ("delta_rows", delta_rows.into()),
-                ];
-                if n > 1 {
-                    args.push(("shards", n.into()));
-                }
-                args
-            });
         if delta_rows == 0 {
-            break;
+            return Ok(iteration);
         }
+        iteration += 1;
     }
-    Ok(())
 }
 
 /// Merges the rows one pass derived for `pred` into its standing table,
@@ -321,7 +377,10 @@ pub(super) fn semi_naive(
 /// it: a row that changes again in the same iteration is found through
 /// the table's [`Mark`] and merges the new disjunct into what the delta
 /// carries. Nothing is written but the standing table; no cell of a
-/// changed row is hashed or copied a second time.
+/// changed row is hashed or copied a second time. Under
+/// [`Tracker::Log`] the change log records the row too; under
+/// [`Tracker::Collect`] nothing is merged (see there). Returns the
+/// number of rows the merge changed.
 ///
 /// With more than one partition, each change also counts the copies an
 /// exchange carries to the partitions that own the row and did not
@@ -334,20 +393,39 @@ pub(super) fn merge(
     producer: Option<usize>,
     derived: Vec<Vec<PreparedRow>>,
     next: &mut Next,
-    tracker: Option<&mut Changes>,
-) -> Result<(), EvalError> {
+    tracker: &mut Tracker<'_>,
+) -> Result<usize, EvalError> {
     if derived.iter().all(Vec::is_empty) {
-        return Ok(());
+        return Ok(0);
     }
+    let changed = entry(&mut next.changed, pred);
+    let mut log = match tracker {
+        Tracker::None => None,
+        Tracker::Log(changes) => Some(changes.entry(pred.to_owned()).or_default()),
+        Tracker::Collect(suspects) => {
+            let table = &d.tables[pred];
+            let suspects = suspects.entry(pred.to_owned()).or_default();
+            // A derivation whose condition normalises to false never
+            // merged into its row, so it supports none.
+            for prow in derived.iter().flatten().filter(|prow| !prow.is_false()) {
+                if let Some(row) = table.find_row_cells(prow.cells()) {
+                    if suspects.insert(row) {
+                        changed.push(row, table.cond_id(row));
+                    }
+                }
+            }
+            return Ok(0);
+        }
+    };
     let n = next.parts;
     let table = Arc::make_mut(d.tables.get_mut(pred).expect("table created in setup"));
-    let mut log = tracker.map(|changes| ChangeLog::observe(changes, pred, table, &derived));
     let key = shard::key_column(d.ctx.shard_plan, pred, table.schema.arity(), n);
-    let (mark, changed) = (entry(d.marks, pred), entry(&mut next.changed, pred));
-    let (mut routed, mut broadcast) = (0u64, 0u64);
-    table.absorb_partitions(derived, |(row, prow)| {
+    let (mark, log_mark) = entry(d.marks, pred);
+    let (mut routed, mut broadcast, mut rows) = (0u64, 0u64, 0usize);
+    table.absorb_partitions(derived, |(row, prow, old)| {
+        rows += 1;
         if let Some(log) = &mut log {
-            log.record(prow);
+            log.record(log_mark, row, prow, old);
         }
         changed.record(mark, row, prow);
         if n > 1 {
@@ -362,7 +440,7 @@ pub(super) fn merge(
     })?;
     d.stats.shard.routed_rows += routed;
     d.stats.shard.broadcast_rows += broadcast;
-    Ok(())
+    Ok(rows)
 }
 
 /// `map[key]`, made on first use: only then is the key copied.

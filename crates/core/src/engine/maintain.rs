@@ -35,31 +35,23 @@
 //!   and the pending insertions as its initial delta: passes pinned to
 //!   *any* positive body position whose predicate changed (EDB and
 //!   lower-stratum slots included; their delta plans compile lazily
-//!   through the shared [`PlanCache`]). No iteration-0 pass: standing
-//!   rows already carry every old derivation, and the antichain
-//!   condition representation absorbs the new disjuncts exactly —
-//!   subsumed old disjuncts are evicted on merge, which is what a
-//!   from-scratch run would have produced.
+//!   through the shared [`PlanCache`]). Standing rows already carry
+//!   every old derivation, and the antichain condition representation
+//!   absorbs the new disjuncts exactly, as a from-scratch run would.
 //! * **over-delete and re-derive** (deletions or negation involved) —
 //!   suspect rows (head rows with a derivation reachable from a deleted
-//!   or changed row, found by running the delta plans for taint
-//!   detection against the *old* tables — the old versions of deleted
-//!   rows overlaid on their tables for the duration, see
-//!   [`Table::overlay`]) are removed wholesale; survivors are exact,
+//!   or changed row) are found by the same loop merging nothing, its
+//!   delta passes run against the *old* tables — the old versions of
+//!   deleted rows overlaid on their tables for the duration, see
+//!   [`Table::overlay`] — and removed wholesale; survivors are exact,
 //!   because every one of their derivations avoided the changed rows.
 //!   The loop is then seeded with the keys each head lost: iteration 0
-//!   runs every rule's *head-bound* plan ([`head_bound_rules`]) — the
-//!   rule restricted to those keys, every body literal a key-bound
-//!   probe — so re-derivation costs what the lost rows' own derivations
-//!   cost, and the keys that come back propagate as an ordinary append
-//!   delta until the stratum is at its fixpoint. Removal itself
-//!   ([`Table::remove_rows`], [`Table::delete_where`]) patches the
-//!   indexes of the rows it takes. A withdraw therefore costs what it
-//!   over-deleted, not what is materialized. The code is the same for
-//!   every stratum; telemetry and [`DeltaReport`] label a non-recursive
-//!   one `counting` (its over-delete frontier empties after one round,
-//!   since no rule reads an in-stratum predicate) and a recursive one
-//!   `rederive` (the frontier is chased to its transitive closure).
+//!   runs every rule's *head-bound* plan ([`head_bound_rules`]), every
+//!   body literal a key-bound probe, so re-derivation costs what the
+//!   lost rows' own derivations cost and a withdraw what it
+//!   over-deleted, not what is materialized. Telemetry and
+//!   [`DeltaReport`] label a non-recursive stratum `counting` (its
+//!   frontier empties after one round) and a recursive one `rederive`.
 //!   No per-row derivation count is kept or consulted.
 //!
 //! A changed negated predicate can strengthen *or* weaken downstream
@@ -76,17 +68,21 @@
 //!
 //! ## Upward propagation and certification
 //!
-//! After a stratum settles (changed rows pruned through
-//! [`Table::prune_rows`]), each changed row is *certified* before
-//! flowing upward: a merged row whose condition is still the
-//! minimal-DNF antichain representation and was left untouched by the
-//! prune propagates as just its new disjuncts (the cheap path — upper
-//! antichains self-correct by subsumption). Anything else — opaque
-//! conditions, prune-simplified conditions, removed rows — propagates
-//! as delete-old-version + insert-new-version, pushing the upper
-//! stratum onto the DRed path. This is what keeps incremental results
-//! bit-identical (rows and canonicalized conditions) to a full
-//! re-evaluation.
+//! An apply tracks a changed row by its index in its standing table;
+//! the merge reports the row's condition from before the write
+//! ([`Table::absorb_partitions`]), and a stratum-wide
+//! [`ChangeLog`](fixpoint::ChangeLog) keeps it beside the disjuncts
+//! that changed the row. A stratum settles by pruning its changed rows
+//! in place ([`Table::prune_rows`]) and *certifying* each: a merged row
+//! whose condition is still its minimal-DNF antichain and was left
+//! untouched by the prune propagates as just its new disjuncts (upper
+//! antichains self-correct by subsumption); any other as
+//! delete-old-version + insert-new-version, pushing the upper stratum
+//! onto the DRed path; a dead row as its old version's deletion, before
+//! it is swap-removed ([`Table::remove_rows`]). Results hold the rows of
+//! a full re-evaluation under conditions with the same worlds, not
+//! always in the same form: a re-derivation that joins a row the prune
+//! already simplified can differ from batch, which joins it unpruned.
 //!
 //! ## Scope
 //!
@@ -96,16 +92,16 @@
 //! diverge from the update oracle. [`EvalError::InvalidDelta`] rejects
 //! such deltas explicitly.
 
-use super::fixpoint::{self, timed_prune, Driver, Seed};
-use super::rule::{DeltaRows, LeafMemo};
+use super::fixpoint::{self, timed_prune, Changes, Driver, Seed, Suspects, Tracker};
+use super::rule::LeafMemo;
 use super::{resolve_cvars, Ctx, EvalError, EvalOptions, EvalOutput, PreparedProgram, PrunePolicy};
 use crate::analysis::Finding;
 use crate::ast::{Literal, Rule};
 use crate::plan::{head_bound_rules, PlanCache};
 use crate::update::{DeletePattern, Update};
+use faure_ctable::pool::{self, CondId};
 use faure_ctable::{CTuple, CVarId, Const, Database, Relation, Schema, Term};
 use faure_solver::Session;
-use faure_storage::table::Cell;
 use faure_storage::{Mark, PhaseStats, PreparedRow, Table};
 use faure_trace::Tracer;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -242,9 +238,9 @@ pub struct MaterializedState {
     pub(super) cvmap: HashMap<String, CVarId>,
     pub(super) session: Session,
     pub(super) tables: HashMap<String, Arc<Table>>,
-    /// The merge's [`Mark`] of every table it wrote (see
+    /// The merge's [`Mark`]s of every table it wrote (see
     /// [`Driver::marks`]).
-    pub(super) marks: HashMap<String, Mark>,
+    pub(super) marks: HashMap<String, (Mark, Mark)>,
     pub(super) plans: PlanCache,
     pub(super) warnings: Vec<Finding>,
     pub(super) tracer: Tracer,
@@ -307,51 +303,31 @@ impl MaterializedState {
     }
 }
 
-/// One predicate's changes across one stratum's propagation.
-pub(super) struct ChangeLog {
-    /// Old row version at first sight this apply (`None` = the row did
-    /// not exist), keyed by encoded terms. Captured *before* any merge.
-    old: HashMap<Box<[Cell]>, Option<CTuple>>,
-    /// Terms whose row actually changed (new row or new disjunct).
-    dirty: BTreeSet<Vec<Term>>,
-    /// The changed rows, carrying only their new disjuncts.
-    new_disjuncts: Table,
+/// The change sets flowing upward through the strata of one apply.
+#[derive(Default)]
+struct Pending {
+    /// Per predicate, rows of its standing table and the condition each
+    /// carries upward: a new or rewritten row's own, a certified row's
+    /// new disjuncts.
+    ins: BTreeMap<String, Vec<(u32, CondId)>>,
+    /// Per predicate, the old versions of the rows removed or rewritten:
+    /// no longer in their table.
+    del: BTreeMap<String, Vec<CTuple>>,
 }
 
-/// The change tracker [`fixpoint::merge`] reports to, by predicate.
-pub(super) type Changes = BTreeMap<String, ChangeLog>;
-
-impl ChangeLog {
-    /// Before `derived` is merged into `table`: captures the current
-    /// version of every row the merge may touch, and returns the log the
-    /// merge records its changed rows in.
-    pub(super) fn observe<'c>(
-        changes: &'c mut Changes,
-        pred: &str,
-        table: &Table,
-        derived: &[Vec<PreparedRow>],
-    ) -> &'c mut ChangeLog {
-        let log = changes.entry(pred.to_owned()).or_insert_with(|| ChangeLog {
-            old: HashMap::new(),
-            dirty: BTreeSet::new(),
-            new_disjuncts: Table::new(table.schema.clone()),
-        });
-        for prow in derived.iter().flatten() {
-            if !log.old.contains_key(prow.cells()) {
-                let old = table.find_row_cells(prow.cells()).map(|i| table.row(i));
-                log.old.insert(prow.cells().into(), old);
-            }
-        }
-        log
+impl Pending {
+    /// Whether `pred` has a pending change.
+    fn changed(&self, pred: &str) -> bool {
+        self.ins.contains_key(pred) || self.del.contains_key(pred)
     }
 
-    /// A row the merge changed (`insert_prepared` reuses the normalised
-    /// condition).
-    pub(super) fn record(&mut self, prow: &PreparedRow) {
-        self.dirty.insert(prow.terms());
-        self.new_disjuncts
-            .insert_prepared(prow)
-            .expect("rows of one predicate share its schema");
+    fn queue(&mut self, pred: &str, ins: Vec<(u32, CondId)>, del: Vec<CTuple>) {
+        if !ins.is_empty() {
+            self.ins.entry(pred.to_owned()).or_default().extend(ins);
+        }
+        if !del.is_empty() {
+            self.del.entry(pred.to_owned()).or_default().extend(del);
+        }
     }
 }
 
@@ -560,6 +536,13 @@ impl PreparedProgram {
     /// Applies one delta to the standing state, maintaining every
     /// derived table at the program's fixpoint by propagating the
     /// change as described in the module docs.
+    ///
+    /// The whole delta is checked before anything is written: an
+    /// [`EvalError::InvalidDelta`] or [`EvalError::ArityMismatch`]
+    /// leaves the state as it was. An error in the middle of the
+    /// propagation ([`EvalError::IterationLimit`], [`EvalError::Solver`])
+    /// does not yet: the state is then neither the old fixpoint nor the
+    /// new one.
     pub fn apply(
         &self,
         state: &mut MaterializedState,
@@ -570,22 +553,10 @@ impl PreparedProgram {
         let wall = Instant::now();
         let mut report = DeltaReport::default();
 
-        let idb = &self.idb;
-
         // --- phase A: apply the delta to the EDB tables ---------------
-        // Pending change sets flowing upward through the strata: new
-        // disjuncts / new rows per predicate, and old versions of
-        // removed or rewritten rows.
-        let mut pend_ins: BTreeMap<String, Table> = BTreeMap::new();
-        let mut pend_del: BTreeMap<String, Vec<CTuple>> = BTreeMap::new();
-
+        self.check(state, &delta)?;
+        let mut pend = Pending::default();
         for (rel_name, pattern) in &delta.delete {
-            if idb.contains(rel_name) {
-                return Err(EvalError::InvalidDelta(format!(
-                    "cannot delete from `{rel_name}`: it is derived by rules \
-                     (facts and derivations share one table)"
-                )));
-            }
             // Mirror `update::apply_to_database`: absent relation = no-op.
             if state.database.relation(rel_name).is_none() {
                 continue;
@@ -594,89 +565,41 @@ impl PreparedProgram {
                 .tables
                 .get_mut(rel_name)
                 .expect("every database relation has a table");
-            if pattern.cols.len() != table.schema.arity() {
-                return Err(EvalError::ArityMismatch {
-                    pred: rel_name.clone(),
-                    expected: table.schema.arity(),
-                    got: pattern.cols.len(),
-                });
-            }
-            if pattern.cols.iter().all(Option::is_none) {
-                return Err(EvalError::InvalidDelta(format!(
-                    "unconstrained deletion pattern on `{rel_name}`"
-                )));
-            }
             let eff = Arc::make_mut(table).delete_where(&pattern.cols);
             report.deleted += eff.removed.len() + eff.weakened.len();
-            if !eff.is_empty() {
-                let e = pend_del.entry(rel_name.clone()).or_default();
-                e.extend(eff.removed);
-                e.extend(eff.weakened);
+            pend.queue(rel_name, Vec::new(), [eff.removed, eff.weakened].concat());
+        }
+        // Every relation the program mentions has a table; one the
+        // database lacks is created with the table's schema.
+        for (rel, _) in &delta.insert {
+            if let (None, Some(table)) = (state.database.relation(rel), state.tables.get(rel)) {
+                let created = state.database.create_relation(table.schema.clone());
+                created.expect("checked absent");
             }
         }
-        for (rel_name, tuple) in &delta.insert {
-            if idb.contains(rel_name) {
-                return Err(EvalError::InvalidDelta(format!(
-                    "cannot insert into `{rel_name}`: it is derived by rules \
-                     (facts and derivations share one table)"
-                )));
-            }
-            // Every relation the program mentions has a table; one the
-            // database lacks is created with the table's schema.
-            let Some(table) = state.tables.get_mut(rel_name) else {
-                continue;
-            };
-            if state.database.relation(rel_name).is_none() {
-                state
-                    .database
-                    .create_relation(table.schema.clone())
-                    .expect("the relation was checked absent");
-            }
-            let prow = PreparedRow::from_tuple(tuple);
-            let old = table.find_row_cells(prow.cells()).map(|i| table.row(i));
-            if let Some(idx) = Arc::make_mut(table).insert_prepared(&prow)? {
-                report.inserted += 1;
-                let schema = table.schema.clone();
-                match old {
-                    // Merged into an antichain: the tuple's own
-                    // condition is exactly the new disjunct set.
-                    Some(_) if table.has_sets_repr(idx) => {
-                        push_ins(&mut pend_ins, rel_name, &schema, tuple.clone());
-                    }
-                    // Opaque merge: propagate delete-old + insert-new.
-                    Some(old_row) => {
-                        pend_del.entry(rel_name.clone()).or_default().push(old_row);
-                        push_ins(&mut pend_ins, rel_name, &schema, table.row(idx));
-                    }
-                    // New row: its stored (normalised) version.
-                    None => push_ins(&mut pend_ins, rel_name, &schema, table.row(idx)),
-                }
-            }
-        }
-
-        // --- incremental path -----------------------------------------
-        let mut changed_preds: BTreeSet<String> =
-            pend_ins.keys().chain(pend_del.keys()).cloned().collect();
-
         let leaves = LeafMemo::default();
         let head_bound = self
             .head_bound
             .get_or_init(|| head_bound_rules(&self.program));
         let mut d = self.driver(state, &leaves, head_bound);
+        let (mut inserted, mut next) = (Changes::new(), fixpoint::Next::new(1));
+        for (rel, tuple) in &delta.insert {
+            if d.tables.contains_key(rel) {
+                let row = vec![vec![PreparedRow::from_tuple(tuple)]];
+                let log = &mut Tracker::Log(&mut inserted);
+                report.inserted += fixpoint::merge(&mut d, rel, None, row, &mut next, log)?;
+            }
+        }
+        settle(&mut d, &mut report, &inserted, false, &mut pend)?;
 
+        // --- incremental path -----------------------------------------
         for (si, stratum) in self.strat.strata.iter().enumerate() {
             let rules = self.rules_of(stratum);
-            let reads_changed = rules.iter().any(|(_, r)| {
-                r.body
-                    .iter()
-                    .any(|l| changed_preds.contains(l.atom().pred.as_str()))
-            });
-            if !reads_changed {
+            if !reads(&rules, None, |p| pend.changed(p)) {
                 continue;
             }
             report.strata_touched += 1;
             let t_stratum = tracer.now_ns();
-
             // Bit-identity gate: in-place delta propagation derives
             // rows through join orders batch evaluation never runs
             // (its plans pin the delta literal first), and condition
@@ -689,237 +612,224 @@ impl PreparedProgram {
             // in a deleted row forces recomputation of the whole
             // stratum through the batch loop, which is bit-identical
             // by construction.
-            if let Some(reason) = order_hazard(&rules, d.tables, &pend_del) {
-                report.rederive_strata += 1;
-                let changed_rows = recompute_stratum(
-                    &mut d,
-                    si,
-                    &rules,
-                    &mut report,
-                    &mut pend_ins,
-                    &mut pend_del,
-                    &mut changed_preds,
-                )?;
-                super::publish::publish_maintain_stratum("recompute", Some(reason), changed_rows);
-                tracer.emit_span("maintain", "stratum", t_stratum, 0, || {
-                    vec![
-                        ("stratum", si.into()),
-                        ("mode", "recompute".into()),
-                        ("reason", reason.into()),
-                        ("changed", changed_rows.into()),
-                    ]
-                });
-                continue;
-            }
-
-            let del_relevant = rules.iter().any(|(_, r)| {
-                r.body
-                    .iter()
-                    .any(|l| !l.is_negative() && pend_del.contains_key(l.atom().pred.as_str()))
-            });
-            let neg_involved = rules.iter().any(|(_, r)| {
-                r.body
-                    .iter()
-                    .any(|l| l.is_negative() && changed_preds.contains(l.atom().pred.as_str()))
-            });
-
-            let mut changes = Changes::new();
-            let mut removed_old: BTreeMap<String, Vec<CTuple>> = BTreeMap::new();
-
-            let mode;
-            let mut seed = Seed::default();
-            // The initial propagation delta: pending insertions on
-            // every predicate some rule reads positively.
-            for (_, rule) in &rules {
-                for lit in &rule.body {
-                    if lit.is_negative() {
-                        continue;
-                    }
-                    if let Some((p, t)) = pend_ins.get_key_value(lit.atom().pred.as_str()) {
-                        seed.pending.insert(p, t);
-                    }
-                }
-            }
-            // The open `maintain/rederive` span: start and round count.
-            let mut rederive_span = None;
-            if del_relevant || neg_involved {
-                if self.maint.recursive_strata[si] {
-                    mode = "rederive";
-                    report.rederive_strata += 1;
-                } else {
-                    mode = "counting";
-                    report.counting_strata += 1;
-                }
-                let t_od = tracer.now_ns();
-
-                // 1. Suspects: rows of negation-affected heads, plus
-                // everything derivation-reachable from deleted rows.
-                let mut suspects: BTreeMap<String, BTreeSet<usize>> = BTreeMap::new();
-                let mut frontier: HashMap<String, Table> = HashMap::new();
-                for (_, rule) in &rules {
-                    let negated = rule
-                        .body
-                        .iter()
-                        .any(|l| l.is_negative() && changed_preds.contains(l.atom().pred.as_str()));
-                    if negated {
-                        let h = rule.head.pred.as_str();
-                        // Negation can also *unlock* brand-new rows, so
-                        // these rules always re-run their full plans.
-                        seed.full.insert(h.to_owned());
-                        let ht = d.tables.get(h).expect("table created in setup");
-                        let set = suspects.entry(h.to_owned()).or_default();
-                        let f = frontier
-                            .entry(h.to_owned())
-                            .or_insert_with(|| Table::new(ht.schema.clone()));
-                        for i in 0..ht.len() {
-                            if set.insert(i) {
-                                f.insert(ht.row(i)).expect("same schema");
-                            }
-                        }
-                    }
-                }
-                for (p, old_rows) in &pend_del {
-                    let read = rules.iter().any(|(_, r)| {
-                        r.body
-                            .iter()
-                            .any(|l| !l.is_negative() && l.atom().pred.as_str() == p.as_str())
-                    });
-                    if !read {
-                        continue;
-                    }
-                    let t = d.tables.get(p.as_str()).expect("table exists");
-                    let schema = t.schema.clone();
-                    let f = frontier
-                        .entry(p.clone())
-                        .or_insert_with(|| Table::new(schema));
-                    for row in old_rows {
-                        f.insert(row.clone()).expect("old rows match their schema");
-                    }
-                }
-
-                // 2. Over-delete rounds: taint detection by terms, run
-                // against the *old* (pre-removal) tables. Deleted rows
-                // were already removed or rewritten in their tables, but
-                // a derivation can use the same deleted row at *two*
-                // join positions (only one of which is the delta slot),
-                // so the old versions are overlaid on their tables for
-                // the rounds and taken off again — whether or not the
-                // rounds succeed, and leaving each table exactly as it
-                // was (see [`Table::overlay`]).
-                let mut overlays = Vec::new();
-                for (p, old_rows) in &pend_del {
-                    if frontier.contains_key(p) {
-                        let t = d.tables.get_mut(p.as_str()).expect("table exists");
-                        let overlay = Arc::make_mut(t)
-                            .overlay(old_rows)
-                            .expect("old rows match their schema");
-                        overlays.push((p.as_str(), overlay));
-                    }
-                }
-                let rounds = over_delete(&mut d, &rules, frontier, &mut suspects);
-                for (p, overlay) in overlays {
-                    let t = d.tables.get_mut(p).expect("table exists");
-                    Arc::make_mut(t).remove_overlay(overlay);
-                }
-                rederive_span = Some((t_od, rounds?));
-
-                // 3. Physically remove every suspect. The keys a head
-                // lost are what its head-bound plans re-derive.
-                for (p, idxs) in &suspects {
-                    if idxs.is_empty() {
-                        continue;
-                    }
-                    let t = Arc::make_mut(d.tables.get_mut(p.as_str()).expect("table exists"));
-                    let sorted: Vec<usize> = idxs.iter().copied().collect();
-                    let old_rows = t.remove_rows(&sorted);
-                    report.overdeleted += old_rows.len();
-                    if !seed.full.contains(p) {
-                        let mut keys = Table::new(t.schema.clone());
-                        for row in &old_rows {
-                            keys.insert(CTuple::new(row.terms.iter().cloned()))
-                                .expect("same schema");
-                        }
-                        seed.lost.insert(p.clone(), keys);
-                    }
-                    removed_old.insert(p.clone(), old_rows);
-                }
-            } else {
-                mode = "append";
-            }
-
-            // 4. Propagate to fixpoint, in place: the seed's iteration 0
-            // (lost keys through head-bound plans, negation-affected
-            // heads in full), then delta passes pinned to every changed
-            // body position — one partition, tracked.
-            fixpoint::semi_naive(&mut d, &rules, Some(&seed), 1, Some(&mut changes))?;
-            if let Some((t_od, rounds)) = rederive_span {
-                let overdeleted = report.overdeleted;
-                tracer.emit_span("maintain", "rederive", t_od, 0, || {
-                    let keys: usize = seed.lost.values().map(Table::len).sum();
-                    let rederived: usize = seed
-                        .lost
-                        .iter()
-                        .map(|(p, keys)| {
-                            let t = d.tables.get(p).expect("table exists");
-                            keys.iter()
-                                .filter(|key| t.find_row(&key.terms).is_some())
-                                .count()
-                        })
-                        .sum();
-                    vec![
-                        ("stratum", si.into()),
-                        ("rounds", rounds.into()),
-                        ("overdeleted", overdeleted.into()),
-                        ("keys", keys.into()),
-                        ("rederived", rederived.into()),
-                    ]
-                });
-            }
-
-            // 5. Settle: prune changed rows, certify, and queue the
-            // upward change sets.
-            settle_stratum(
-                &mut d,
-                &mut report,
-                &changes,
-                &removed_old,
-                &mut pend_ins,
-                &mut pend_del,
-                &mut changed_preds,
-            )?;
-
-            let changed_rows: usize = changes.values().map(|l| l.dirty.len()).sum();
-            super::publish::publish_maintain_stratum(mode, None, changed_rows);
+            let hazard = order_hazard(&rules, d.tables, &pend.del);
+            let recursive = self.maint.recursive_strata[si];
+            let (mode, changed_rows) = match hazard {
+                Some(_) => recompute_stratum(&mut d, si, &rules, &mut report, &mut pend)?,
+                None => maintain_stratum(&mut d, si, &rules, recursive, &mut report, &mut pend)?,
+            };
+            super::publish::publish_maintain_stratum(mode, hazard, changed_rows);
             tracer.emit_span("maintain", "stratum", t_stratum, 0, || {
-                vec![
-                    ("stratum", si.into()),
-                    ("mode", mode.into()),
-                    ("changed", changed_rows.into()),
-                ]
+                let mut args = vec![("stratum", si.into()), ("mode", mode.into())];
+                args.extend(hazard.map(|reason| ("reason", reason.into())));
+                args.push(("changed", changed_rows.into()));
+                args
             });
         }
 
         let Driver { stats, .. } = d;
         finalize_apply(self, state, stats, &mut report, wall);
-        let (ins, del, od, rd) = (
-            report.inserted,
-            report.deleted,
-            report.overdeleted,
-            report.rederived,
-        );
-        let wall_ns = u64::try_from(report.wall.as_nanos()).unwrap_or(u64::MAX);
         super::publish::publish_apply(&report, false);
         tracer.emit_span("maintain", "delta", t_delta, 0, || {
+            let wall_ns = u64::try_from(report.wall.as_nanos()).unwrap_or(u64::MAX);
             vec![
-                ("inserted", ins.into()),
-                ("deleted", del.into()),
-                ("overdeleted", od.into()),
-                ("rederived", rd.into()),
+                ("inserted", report.inserted.into()),
+                ("deleted", report.deleted.into()),
+                ("overdeleted", report.overdeleted.into()),
+                ("rederived", report.rederived.into()),
                 ("wall_ns", wall_ns.into()),
             ]
         });
         Ok(report)
     }
+
+    /// Every check [`apply`](PreparedProgram::apply) makes of `delta`,
+    /// over the whole delta and before its first write: no entry names a
+    /// derived predicate, and on a relation the state holds every
+    /// deletion pattern and inserted tuple has its arity and no pattern
+    /// is unconstrained. A deletion from a relation the database lacks is
+    /// skipped, so nothing of it is checked.
+    fn check(&self, state: &MaterializedState, delta: &Delta) -> Result<(), EvalError> {
+        let deletes = delta.delete.iter().map(|(rel, p)| {
+            let cols = Some(&p.cols[..]);
+            (rel, "delete from", cols, p.cols.len())
+        });
+        let inserts = delta
+            .insert
+            .iter()
+            .map(|(rel, t)| (rel, "insert into", None, t.terms.len()));
+        for (rel, verb, pattern, got) in deletes.chain(inserts) {
+            let invalid = |msg| Err(EvalError::InvalidDelta(msg));
+            if self.idb.contains(rel) {
+                return invalid(format!(
+                    "cannot {verb} `{rel}`: it is derived by rules \
+                     (facts and derivations share one table)"
+                ));
+            }
+            let table = match state.tables.get(rel) {
+                Some(t) if pattern.is_none() || state.database.relation(rel).is_some() => t,
+                _ => continue,
+            };
+            let expected = table.schema.arity();
+            if got != expected {
+                let pred = rel.clone();
+                return Err(EvalError::ArityMismatch {
+                    pred,
+                    expected,
+                    got,
+                });
+            }
+            if pattern.is_some_and(|cols| cols.iter().all(Option::is_none)) {
+                return invalid(format!("unconstrained deletion pattern on `{rel}`"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Whether some rule reads a predicate `changed` names: under negation
+/// (`Some(true)`), positively (`Some(false)`) or either way (`None`).
+fn reads(rules: &[(usize, &Rule)], negative: Option<bool>, changed: impl Fn(&str) -> bool) -> bool {
+    rules.iter().any(|(_, r)| {
+        r.body.iter().any(|l| {
+            negative.is_none_or(|neg| l.is_negative() == neg) && changed(l.atom().pred.as_str())
+        })
+    })
+}
+
+/// One stratum maintained in place (see the module docs): over-delete
+/// and re-derive when it reads a deleted row or negates a changed
+/// predicate, then propagate to the fixpoint and settle. Returns the
+/// stratum's mode and the number of rows it changed.
+fn maintain_stratum(
+    d: &mut Driver<'_>,
+    si: usize,
+    rules: &[(usize, &Rule)],
+    recursive: bool,
+    report: &mut DeltaReport,
+    pend: &mut Pending,
+) -> Result<(&'static str, usize), EvalError> {
+    let mut seed = Seed::default();
+    // The open `maintain/rederive` span: start and round count.
+    let mut rederive_span = None;
+    let negates = |lit: &Literal| lit.is_negative() && pend.changed(lit.atom().pred.as_str());
+    let mode = if !reads(rules, Some(false), |p| pend.del.contains_key(p))
+        && !rules.iter().any(|(_, r)| r.body.iter().any(negates))
+    {
+        "append"
+    } else {
+        let t_od = d.ctx.tracer.now_ns();
+        // 1. The over-delete frontier, rows of standing tables: every
+        // row of a head behind a changed negated predicate, and every
+        // deleted row some rule reads. A derivation can use a deleted row
+        // at *two* join positions, only one of them the delta slot, so
+        // the old versions are overlaid on their tables for the rounds
+        // and taken off again, whether or not the rounds succeed
+        // ([`Table::overlay`]).
+        let mut suspects = Suspects::new();
+        let mut frontier: BTreeMap<&str, Vec<(u32, CondId)>> = BTreeMap::new();
+        for (_, rule) in rules.iter().filter(|(_, r)| r.body.iter().any(negates)) {
+            let h = rule.head.pred.as_str();
+            // Negation can also *unlock* brand-new rows, so these rules
+            // always re-run their full plans.
+            if seed.full.insert(h.to_owned()) {
+                let (ht, all) = (&d.tables[h], 0..d.tables[h].len());
+                suspects.insert(h.to_owned(), all.clone().collect());
+                frontier.insert(h, all.map(|i| (i as u32, ht.cond_id(i))).collect());
+            }
+        }
+        let mut overlays = Vec::new();
+        for (p, old_rows) in &pend.del {
+            if reads(rules, Some(false), |read| read == p) {
+                let t = Arc::make_mut(d.tables.get_mut(p).expect("table exists"));
+                let overlay = t.overlay(old_rows).expect("old rows match their schema");
+                frontier.entry(p).or_default().extend(overlay.rows());
+                overlays.push((p.as_str(), overlay));
+            }
+        }
+        // 2. Over-delete rounds: the fixpoint loop, merging nothing —
+        // each head row a frontier row derives is a suspect, and the
+        // next round's frontier. Taint is decided by terms: like every
+        // rule pass, the rounds never ask the solver.
+        let pending = frontier.iter().map(|(p, rows)| (*p, &rows[..])).collect();
+        let frontier = Seed {
+            pending,
+            ..Seed::default()
+        };
+        let collect = &mut Tracker::Collect(&mut suspects);
+        let rounds = fixpoint::semi_naive(d, rules, Some(&frontier), 1, collect);
+        for (p, overlay) in overlays {
+            let t = d.tables.get_mut(p).expect("table exists");
+            Arc::make_mut(t).remove_overlay(overlay);
+        }
+        rederive_span = Some((t_od, rounds?));
+
+        // 3. Physically remove every suspect: its old version flows
+        // upward as a deletion, and the keys a head lost are what its
+        // head-bound plans re-derive.
+        for (p, idxs) in suspects.iter().filter(|(_, idxs)| !idxs.is_empty()) {
+            let t = Arc::make_mut(d.tables.get_mut(p.as_str()).expect("table exists"));
+            let idxs: Vec<usize> = idxs.iter().copied().collect();
+            let old_rows: Vec<CTuple> = idxs.iter().map(|&i| t.row(i)).collect();
+            if !seed.full.contains(p) {
+                let mut keys = Table::new(t.schema.clone());
+                for &i in &idxs {
+                    keys.insert(CTuple::new(t.terms(i))).expect("same schema");
+                }
+                seed.lost.insert(p.clone(), keys);
+            }
+            t.remove_rows(&idxs);
+            report.overdeleted += old_rows.len();
+            pend.queue(p, Vec::new(), old_rows);
+        }
+        if recursive {
+            report.rederive_strata += 1;
+            "rederive"
+        } else {
+            report.counting_strata += 1;
+            "counting"
+        }
+    };
+
+    // 4. Propagate to fixpoint, in place: the seed's iteration 0 (lost
+    // keys through head-bound plans, negation-affected heads in full),
+    // then delta passes pinned to every changed body position —
+    // iteration 1's over the pending insertions on every predicate some
+    // rule reads positively — in one partition, every changed row logged.
+    for (_, rule) in rules {
+        for lit in rule.body.iter().filter(|l| !l.is_negative()) {
+            if let Some((p, rows)) = pend.ins.get_key_value(lit.atom().pred.as_str()) {
+                seed.pending.insert(p, rows);
+            }
+        }
+    }
+    let mut changes = Changes::new();
+    fixpoint::semi_naive(d, rules, Some(&seed), 1, &mut Tracker::Log(&mut changes))?;
+    if let Some((t_od, rounds)) = rederive_span {
+        d.ctx.tracer.emit_span("maintain", "rederive", t_od, 0, || {
+            let keys: usize = seed.lost.values().map(Table::len).sum();
+            let found = |(p, keys): (&String, &Table)| {
+                let t = &d.tables[p];
+                keys.iter()
+                    .filter(|k| t.find_row(&k.terms).is_some())
+                    .count()
+            };
+            let rederived: usize = seed.lost.iter().map(found).sum();
+            vec![
+                ("stratum", si.into()),
+                ("rounds", rounds.into()),
+                ("overdeleted", report.overdeleted.into()),
+                ("keys", keys.into()),
+                ("rederived", rederived.into()),
+            ]
+        });
+    }
+
+    // 5. Settle: prune changed rows, certify, and queue the upward
+    // change sets.
+    let changed_rows = settle(d, report, &changes, true, pend)?;
+    report.rederived += changed_rows;
+    Ok((mode, changed_rows))
 }
 
 /// One stratum of the batch evaluation: the fixpoint loop (or the naive
@@ -936,7 +846,7 @@ fn run_one_stratum(
     if d.opts.semi_naive {
         // Every rule seeds; the delta is cut into one partition per
         // shard.
-        fixpoint::semi_naive(d, rules, None, d.opts.shards, None)?;
+        fixpoint::semi_naive(d, rules, None, d.opts.shards, &mut Tracker::None)?;
     } else {
         fixpoint::naive(d, rules)?;
     }
@@ -1000,230 +910,120 @@ fn order_hazard(
         .then_some("deleted_var_row")
 }
 
-/// The over-delete rounds of one stratum: runs the delta plans over the
-/// `frontier` (deleted and tainted rows) until no new head row is
-/// reached, collecting the row indices reached in `suspects`. Returns
-/// the number of rounds. Taint is decided by terms: like every rule
-/// pass, the rounds never ask the solver.
-fn over_delete(
-    d: &mut Driver<'_>,
-    rules: &[(usize, &Rule)],
-    mut frontier: HashMap<String, Table>,
-    suspects: &mut BTreeMap<String, BTreeSet<usize>>,
-) -> Result<usize, EvalError> {
-    let positions = d.ctx.delta_positions;
-    let mut rounds = 0usize;
-    while !frontier.is_empty() {
-        rounds += 1;
-        if rounds > d.opts.max_iterations {
-            return Err(EvalError::IterationLimit {
-                limit: d.opts.max_iterations,
-            });
-        }
-        let mut next: HashMap<String, Table> = HashMap::new();
-        for &(ri, rule) in rules {
-            for &pos in &positions[ri] {
-                let p = rule.body[pos].atom().pred.as_str();
-                let Some(f) = frontier.get(p).filter(|f| !f.is_empty()) else {
-                    continue;
-                };
-                let derived = d.pass(ri, rule, Some((pos, DeltaRows::Table(f))))?;
-                let h = rule.head.pred.as_str();
-                let ht = d.tables.get(h).expect("table created in setup");
-                let set = suspects.entry(h.to_owned()).or_default();
-                for prow in derived.iter().flatten() {
-                    if let Some(idx) = ht.find_row_cells(prow.cells()) {
-                        if set.insert(idx) {
-                            next.entry(h.to_owned())
-                                .or_insert_with(|| Table::new(ht.schema.clone()))
-                                .insert(ht.row(idx))
-                                .expect("same schema");
-                        }
-                    }
-                }
-            }
-        }
-        frontier = next;
-    }
-    Ok(rounds)
-}
-
 /// Maintenance fallback for order-sensitive strata: drains the head
 /// tables, re-runs the batch stratum loop on the (already updated)
 /// inputs, and diffs old against new to queue the upward change sets.
 /// Inputs are bit-identical to what a from-scratch batch run would see
-/// at this stratum, so the recomputed tables are too. Returns the
-/// number of rows that differ.
+/// at this stratum, so the recomputed tables are too. Returns the mode
+/// and the number of rows that differ.
 fn recompute_stratum(
     d: &mut Driver<'_>,
     si: usize,
     rules: &[(usize, &Rule)],
     report: &mut DeltaReport,
-    pend_ins: &mut BTreeMap<String, Table>,
-    pend_del: &mut BTreeMap<String, Vec<CTuple>>,
-    changed_preds: &mut BTreeSet<String>,
-) -> Result<usize, EvalError> {
+    pend: &mut Pending,
+) -> Result<(&'static str, usize), EvalError> {
+    report.rederive_strata += 1;
     let head_preds: BTreeSet<&str> = rules.iter().map(|(_, r)| r.head.pred.as_str()).collect();
-    let mut old: BTreeMap<String, Arc<Table>> = BTreeMap::new();
-    for p in &head_preds {
-        let t = d.tables.get_mut(*p).expect("table created in setup");
+    let mut old: BTreeMap<&str, Arc<Table>> = BTreeMap::new();
+    for p in head_preds {
+        let t = d.tables.get_mut(p).expect("table created in setup");
         let empty = Arc::new(Table::new(t.schema.clone()));
-        old.insert((*p).to_owned(), std::mem::replace(t, empty));
+        old.insert(p, std::mem::replace(t, empty));
     }
     run_one_stratum(d, si, rules)?;
 
     let mut changed_rows = 0usize;
-    for (p, old_t) in &old {
-        let new_t = d.tables.get(p.as_str()).expect("table created in setup");
-        let schema = new_t.schema.clone();
+    for (p, old_t) in old {
+        let new_t = &d.tables[p];
         report.rederived += new_t.len();
-        let mut ins: Vec<CTuple> = Vec::new();
-        let mut del: Vec<CTuple> = Vec::new();
+        let (mut ins, mut del) = (Vec::new(), Vec::new());
         for i in 0..old_t.len() {
-            let row = old_t.row(i);
-            match new_t.find_row(&row.terms) {
-                // Unchanged: pooled ids are hash-consed, so equal ids
-                // mean equal conditions.
-                Some(j) if new_t.cond_id(j) == old_t.cond_id(i) => {}
-                Some(j) => {
-                    del.push(row);
-                    ins.push(new_t.row(j));
-                }
-                None => {
-                    report.overdeleted += 1;
-                    del.push(row);
-                }
+            let j = new_t.find_row(&old_t.terms(i));
+            // Unchanged: pooled ids are hash-consed, so equal ids mean
+            // equal conditions.
+            if j.is_some_and(|j| new_t.cond_id(j) == old_t.cond_id(i)) {
+                continue;
+            }
+            del.push(old_t.row(i));
+            match j {
+                Some(j) => ins.push((j as u32, new_t.cond_id(j))),
+                None => report.overdeleted += 1,
             }
         }
         for j in 0..new_t.len() {
-            let row = new_t.row(j);
-            if old_t.find_row(&row.terms).is_none() {
-                ins.push(row);
+            if old_t.find_row(&new_t.terms(j)).is_none() {
+                ins.push((j as u32, new_t.cond_id(j)));
             }
         }
         changed_rows += ins.len() + del.len();
-        if !ins.is_empty() || !del.is_empty() {
-            changed_preds.insert(p.clone());
-        }
-        for row in ins {
-            push_ins(pend_ins, p, &schema, row);
-        }
-        if !del.is_empty() {
-            pend_del.entry(p.clone()).or_default().extend(del);
-        }
+        pend.queue(p, ins, del);
     }
-    Ok(changed_rows)
+    Ok(("recompute", changed_rows))
 }
 
-/// Appends a row to a pending-insertion table, creating it on demand.
-fn push_ins(pend_ins: &mut BTreeMap<String, Table>, pred: &str, schema: &Schema, row: CTuple) {
-    pend_ins
-        .entry(pred.to_owned())
-        .or_insert_with(|| Table::new(schema.clone()))
-        .insert(row)
-        .expect("pending rows match their table's schema");
-}
-
-/// End-of-stratum settlement: prune the changed rows, then certify
-/// each one and queue the upward change sets (see the module docs).
-fn settle_stratum(
+/// Settles and certifies the rows `changes` logged (see the module
+/// docs), each read by index while its cells are in place; with `prune`,
+/// the end-of-stratum prune decides their fates first. Then the dead
+/// rows go, and the pending rows that moved follow. Returns the number
+/// of logged rows.
+fn settle(
     d: &mut Driver<'_>,
     report: &mut DeltaReport,
     changes: &Changes,
-    removed_old: &BTreeMap<String, Vec<CTuple>>,
-    pend_ins: &mut BTreeMap<String, Table>,
-    pend_del: &mut BTreeMap<String, Vec<CTuple>>,
-    changed_preds: &mut BTreeSet<String>,
-) -> Result<(), EvalError> {
-    // Old versions of removed rows always flow upward as deletions
-    // (re-derived replacements flow as insertions below).
-    for (p, old_rows) in removed_old {
-        if old_rows.is_empty() {
-            continue;
-        }
-        pend_del
-            .entry(p.clone())
-            .or_default()
-            .extend(old_rows.iter().cloned());
-        changed_preds.insert(p.clone());
-    }
-
+    prune: bool,
+    pend: &mut Pending,
+) -> Result<usize, EvalError> {
+    let mut changed_rows = 0usize;
     for (p, log) in changes {
-        if log.dirty.is_empty() {
-            continue;
-        }
-        report.rederived += log.dirty.len();
-        let table = d
-            .tables
-            .get_mut(p.as_str())
-            .expect("table created in setup");
-        let table = Arc::make_mut(table);
-        let schema = table.schema.clone();
-
-        // Pre-prune condition ids per changed row: certification
-        // requires the prune to have left the condition untouched.
-        let mut pre_ids: HashMap<&Vec<Term>, faure_ctable::CondId> = HashMap::new();
-        let mut idxs: Vec<usize> = Vec::with_capacity(log.dirty.len());
-        for terms in &log.dirty {
-            if let Some(idx) = table.find_row(terms) {
-                pre_ids.insert(terms, table.cond_id(idx));
-                idxs.push(idx);
-            }
-        }
-        if d.opts.prune == PrunePolicy::EndOfStratum && !idxs.is_empty() {
-            let removed = timed_prune(
-                &d.ctx,
-                d.session,
-                &mut d.stats,
-                p,
-                idxs.len(),
-                |reg, session| table.prune_rows(reg, session, &idxs),
-            )?;
+        let rows = log.changed.rows();
+        changed_rows += rows.len();
+        let table = Arc::make_mut(d.tables.get_mut(p).expect("table created in setup"));
+        let pre: Vec<CondId> = rows
+            .iter()
+            .map(|&(row, _)| table.cond_id(row as usize))
+            .collect();
+        let mut dead = Vec::new();
+        if prune && d.opts.prune == PrunePolicy::EndOfStratum {
+            let idxs = rows.iter().map(|&(row, _)| row as usize);
+            let removed = timed_prune(&d.ctx, d.session, &mut d.stats, p, rows.len(), |reg, s| {
+                dead = table.prune_rows(reg, s, idxs)?;
+                Ok(dead.len())
+            })?;
             d.stats.pruned += removed;
             report.pruned += removed;
+            dead.sort_unstable();
         }
-
-        let mut cells: Vec<Cell> = Vec::new();
-        for terms in &log.dirty {
-            cells.clear();
-            cells.extend(terms.iter().map(Cell::encode));
-            let old = log.old.get(cells.as_slice()).cloned().flatten();
-            match table.find_row(terms) {
-                None => {
-                    // Died (pruned away). If it existed before this
-                    // apply, upper strata must forget its old version.
-                    if let Some(old_row) = old {
-                        pend_del.entry(p.clone()).or_default().push(old_row);
-                        changed_preds.insert(p.clone());
-                    }
-                }
-                Some(idx) => {
-                    changed_preds.insert(p.clone());
-                    match old {
-                        None => {
-                            // New row: final (pruned) version upward.
-                            push_ins(pend_ins, p, &schema, table.row(idx));
-                        }
-                        Some(old_row) => {
-                            let certified = table.has_sets_repr(idx)
-                                && pre_ids.get(terms).copied() == Some(table.cond_id(idx));
-                            if certified {
-                                // Pure antichain append: only the new
-                                // disjuncts travel upward.
-                                let new = &log.new_disjuncts;
-                                let idx = new.find_row(terms).expect("recorded with `dirty`");
-                                push_ins(pend_ins, p, &schema, new.row(idx));
-                            } else {
-                                pend_del.entry(p.clone()).or_default().push(old_row);
-                                push_ins(pend_ins, p, &schema, table.row(idx));
-                            }
-                        }
-                    }
+        let (mut ins, mut del) = (Vec::new(), Vec::new());
+        for ((&(row, carried), &old), pre) in rows.iter().zip(&log.old).zip(pre) {
+            let idx = row as usize;
+            // `Table::row` reads only the row's condition id.
+            let old_version = || {
+                old.map(|old| CTuple {
+                    terms: table.terms(idx),
+                    cond: pool::resolve(old),
+                })
+            };
+            if dead.binary_search(&idx).is_ok() {
+                del.extend(old_version());
+            } else if old.is_some() && table.has_sets_repr(idx) && table.cond_id(idx) == pre {
+                ins.push((row, carried));
+            } else {
+                del.extend(old_version());
+                ins.push((row, table.cond_id(idx)));
+            }
+        }
+        if !dead.is_empty() {
+            let moved = table.remove_rows(&dead);
+            for (row, _) in &mut ins {
+                if let Some(&to) = moved.get(&(*row as usize)) {
+                    *row = to as u32;
                 }
             }
         }
+        pend.queue(p, ins, del);
     }
-    Ok(())
+    Ok(changed_rows)
 }
 
 /// Shared tail of every apply: solver/plan statistics and report
@@ -1313,20 +1113,49 @@ mod tests {
                 shards,
                 ..EvalOptions::default()
             };
-            check_differential_with(opts, program_src, db, deltas.clone(), preds);
+            check_differential_with(opts, program_src, db, None, deltas.clone(), preds);
         }
     }
 
+    /// A delta `apply` rejects, and the check its error must pass.
+    type Rejected = (Delta, fn(&EvalError) -> bool);
+
+    /// Every relation name of the state's database and every table's
+    /// rows, in stored order, with their condition ids.
+    fn state_snapshot(state: &MaterializedState) -> (Vec<String>, BTreeMap<String, String>) {
+        let names = state.database.relation_names().map(str::to_owned).collect();
+        let tables = state
+            .tables
+            .iter()
+            .map(|(p, t)| {
+                let rows: Vec<_> = (0..t.len()).map(|i| (t.row(i), t.cond_id(i))).collect();
+                (p.clone(), format!("{rows:?}"))
+            })
+            .collect();
+        (names, tables)
+    }
+
+    /// [`check_differential`] at `opts`; with `rejected`, that delta is
+    /// applied first, and its error must leave the state as it was.
     fn check_differential_with(
         opts: EvalOptions,
         program_src: &str,
         db: &Database,
+        rejected: Option<Rejected>,
         deltas: Vec<Delta>,
         preds: &[&str],
     ) {
         let program = parse_program(program_src).unwrap();
         let prepared = Engine::with_options(opts).prepare(&program).unwrap();
         let mut state = prepared.materialize(db).unwrap();
+        if let Some((bad, expected)) = rejected {
+            let before = state_snapshot(&state);
+            let err = prepared
+                .apply(&mut state, bad)
+                .expect_err("the delta is rejected");
+            assert!(expected(&err), "{err:?}");
+            assert!(state_snapshot(&state) == before, "a rejected delta wrote");
+        }
         let mut oracle_db = db.clone();
         for (step, delta) in deltas.into_iter().enumerate() {
             let update_by_rel = {
@@ -1674,6 +1503,206 @@ mod tests {
             prepared.apply(&mut state, d),
             Err(EvalError::InvalidDelta(_))
         ));
+    }
+
+    /// `R` is `E`'s closure, `S` reads `B` and `G`, which the database
+    /// lacks (an insertion into it creates it).
+    const GUARDED: &str = "R(a, b) :- E(a, b).\n\
+                           R(a, b) :- E(a, c), R(c, b).\n\
+                           S(a) :- B(a).\n\
+                           S(a) :- G(a).\n";
+
+    /// Each delta first withdraws `E(1, 2)`, which `R(1, 2)`, `R(1, 3)`
+    /// and `R(1, 4)` rest on, then fails a check: `apply` must reject it
+    /// before that first write, and a valid delta afterwards must still
+    /// match batch.
+    fn check_rejected(bad: impl FnOnce(&mut Delta), expected: fn(&EvalError) -> bool) {
+        let mut db = chain_db(4);
+        db.create_relation(Schema::new("B", &["a"])).unwrap();
+        db.insert("B", CTuple::new([Term::int(1)])).unwrap();
+        let mut delta = Delta::new();
+        delta.push_delete_exact("E", [Const::Int(1), Const::Int(2)]);
+        bad(&mut delta);
+        let mut valid = Delta::new();
+        valid.push_delete_exact("E", [Const::Int(2), Const::Int(3)]);
+        valid.push_insert_fact("B", [Const::Int(2)]);
+        for shards in [1, 2] {
+            let opts = EvalOptions {
+                shards,
+                ..EvalOptions::default()
+            };
+            let rejected = Some((delta.clone(), expected));
+            let preds = ["R", "S", "E", "B"];
+            check_differential_with(opts, GUARDED, &db, rejected, vec![valid.clone()], &preds);
+        }
+    }
+
+    fn invalid(e: &EvalError) -> bool {
+        matches!(e, EvalError::InvalidDelta(_))
+    }
+
+    fn arity(e: &EvalError) -> bool {
+        matches!(e, EvalError::ArityMismatch { .. })
+    }
+
+    #[test]
+    fn a_deletion_from_a_derived_predicate_writes_nothing() {
+        check_rejected(
+            |d| d.push_delete_exact("R", [Const::Int(1), Const::Int(3)]),
+            invalid,
+        );
+    }
+
+    #[test]
+    fn an_insertion_into_a_derived_predicate_writes_nothing() {
+        check_rejected(
+            |d| {
+                d.push_insert_fact("E", [Const::Int(9), Const::Int(9)]);
+                d.push_insert_fact("R", [Const::Int(9), Const::Int(9)]);
+            },
+            invalid,
+        );
+    }
+
+    #[test]
+    fn a_deletion_pattern_of_the_wrong_arity_writes_nothing() {
+        check_rejected(
+            |d| d.push_delete_exact("B", [Const::Int(1), Const::Int(2)]),
+            arity,
+        );
+    }
+
+    #[test]
+    fn an_unconstrained_deletion_pattern_writes_nothing() {
+        let pattern = DeletePattern { cols: vec![None] };
+        check_rejected(|d| d.push_delete("B", pattern), invalid);
+    }
+
+    #[test]
+    fn an_insertion_of_the_wrong_arity_writes_nothing() {
+        // `G(7)` alone would create `G`: nothing is created either.
+        check_rejected(
+            |d| {
+                d.push_insert_fact("G", [Const::Int(7)]);
+                d.push_insert_fact("E", [Const::Int(1), Const::Int(2), Const::Int(3)]);
+            },
+            arity,
+        );
+    }
+
+    /// The settle prune kills a changed row of `P`, and the swap-remove
+    /// moves another changed row of `P` into its slot: the stratum above
+    /// reads `P`'s pending rows by index, so they must follow the move.
+    #[test]
+    fn a_changed_row_the_prune_kills_moves_another_into_its_slot() {
+        use faure_ctable::{CmpOp, LinExpr};
+        let mut db = Database::new();
+        let x = db.fresh_cvar("x", Domain::Bool01);
+        let y = db.fresh_cvar("y", Domain::Bool01);
+        db.create_relation(Schema::new("E", &["a"])).unwrap();
+        db.create_relation(Schema::new("N", &["a"])).unwrap();
+        db.insert("E", CTuple::new([Term::int(5)])).unwrap();
+        let eq = |v, c| Condition::eq(Term::Var(v), Term::int(c));
+        db.insert("E", CTuple::with_cond([Term::int(2)], eq(x, 1)))
+            .unwrap();
+        // `Q` negates the derived `M`, so it sits a stratum above `P`.
+        let program = "P(a) :- E(a).\nM(a) :- N(a).\nQ(a) :- P(a), !M(a).\n";
+        let prepared = Engine::new()
+            .prepare(&parse_program(program).unwrap())
+            .unwrap();
+        let mut state = prepared.materialize(&db).unwrap();
+        // `P(1)` lands in row 2 and dies in the prune (2ȳ = 3 has no
+        // solution); `P(2)` gains a disjunct in row 1; `P(3)` lands in
+        // row 3 and moves into row 2.
+        let unsat = Condition::cmp(
+            LinExpr::var(y).plus_var(1, y),
+            CmpOp::Eq,
+            LinExpr::constant(3),
+        );
+        let rows = [
+            CTuple::with_cond([Term::int(1)], unsat),
+            CTuple::with_cond([Term::int(2)], eq(y, 1)),
+            CTuple::new([Term::int(3)]),
+        ];
+        let mut delta = Delta::new();
+        for row in &rows {
+            delta.push_insert("E", row.clone());
+            db.insert("E", row.clone()).unwrap();
+        }
+        let report = prepared.apply(&mut state, delta).unwrap();
+        let counts = (report.strata_touched, report.pruned, report.rederived);
+        assert_eq!(counts, (2, 1, 5), "{report:?}");
+        assert_eq!(state.tables["P"].find_row(&[Term::int(3)]), Some(2));
+        let batch = prepared.run(&db).unwrap();
+        for p in ["P", "Q"] {
+            let maintained = snapshot(&state.relation(p).unwrap());
+            assert_eq!(maintained, snapshot(batch.relation(p).unwrap()), "{p}");
+        }
+    }
+
+    /// A rewritten row's old version carries the condition it had before
+    /// the merge: `P(1)` widens from `x̄ = 0` to `x̄ = 0 ∨ x̄ = 1`, which
+    /// the prune turns into `True`, so `P(1)` flows upward as
+    /// delete-old + insert-new. Joined with `C(1)` under `x̄ = 1`, the old
+    /// version `x̄ = 0` derives nothing, so `Q(1)` is not over-deleted.
+    #[test]
+    fn an_old_version_carries_its_condition_from_before_the_merge() {
+        let mut db = Database::new();
+        let x = db.fresh_cvar("x", Domain::Bool01);
+        let eq = |c| Condition::eq(Term::Var(x), Term::int(c));
+        for name in ["E", "C", "D", "N"] {
+            db.create_relation(Schema::new(name, &["a"])).unwrap();
+        }
+        db.insert("E", CTuple::with_cond([Term::int(1)], eq(0)))
+            .unwrap();
+        db.insert("C", CTuple::with_cond([Term::int(1)], eq(1)))
+            .unwrap();
+        db.insert("D", CTuple::new([Term::int(1)])).unwrap();
+        let program = "P(a) :- E(a).\n\
+                       M(a) :- N(a).\n\
+                       Q(a) :- P(a), C(a), !M(a).\n\
+                       Q(a) :- D(a).\n";
+        let prepared = Engine::new()
+            .prepare(&parse_program(program).unwrap())
+            .unwrap();
+        let mut state = prepared.materialize(&db).unwrap();
+        let widen = CTuple::with_cond([Term::int(1)], eq(1));
+        let mut delta = Delta::new();
+        delta.push_insert("E", widen.clone());
+        db.insert("E", widen).unwrap();
+        let report = prepared.apply(&mut state, delta).unwrap();
+        let counts = (report.counting_strata, report.overdeleted, report.rederived);
+        assert_eq!(counts, (1, 0, 1), "{report:?}");
+        let batch = prepared.run(&db).unwrap();
+        for p in ["P", "Q"] {
+            let maintained = snapshot(&state.relation(p).unwrap());
+            assert_eq!(maintained, snapshot(batch.relation(p).unwrap()), "{p}");
+        }
+    }
+
+    /// A changed negated predicate makes its head's whole table the
+    /// over-delete frontier; here the head is recursive, so the frontier
+    /// is also what the rounds read.
+    #[test]
+    fn a_negated_heads_whole_table_is_the_frontier() {
+        let mut db = chain_db(5);
+        db.create_relation(Schema::new("Block", &["a"])).unwrap();
+        let program = "R(a, b) :- E(a, b), !Block(a).\n\
+                       R(a, b) :- R(a, c), E(c, b), !Block(c).\n";
+        let mut block = Delta::new();
+        block.push_insert_fact("Block", [Const::Int(3)]);
+        let mut unblock = Delta::new();
+        unblock.push_delete_exact("Block", [Const::Int(3)]);
+        check_differential(program, &db, vec![block.clone(), unblock], &["R"]);
+
+        let prepared = Engine::new()
+            .prepare(&parse_program(program).unwrap())
+            .unwrap();
+        let mut state = prepared.materialize(&db).unwrap();
+        let rows = state.tables["R"].len();
+        let report = prepared.apply(&mut state, block).unwrap();
+        assert_eq!((rows, report.overdeleted), (10, 10), "{report:?}");
+        assert_eq!(report.rederive_strata, 1);
     }
 
     #[test]

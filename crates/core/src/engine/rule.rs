@@ -84,20 +84,14 @@ fn conjoin_trees(acc: &CondAcc) -> CondId {
 /// The iteration delta a delta pass scans at its plan's delta slot.
 #[derive(Clone, Copy, Debug)]
 pub(super) enum DeltaRows<'a> {
-    /// A table of its own, every row with its own condition: `apply`'s
-    /// pending insertions, a withdraw's lost keys, the over-delete
-    /// frontier.
+    /// A table of its own, every row with its own condition: the keys a
+    /// withdraw's heads lost, which are no longer in the head's table.
     Table(&'a Table),
     /// Rows of the delta literal's standing table, each with the
     /// condition the delta carries for it: what a merge recorded
-    /// ([`faure_storage::Changed`]).
+    /// ([`faure_storage::Changed`]), `apply`'s pending insertions, the
+    /// over-delete frontier.
     Listed(&'a [(u32, CondId)]),
-}
-
-impl<'a> From<&'a Table> for DeltaRows<'a> {
-    fn from(table: &'a Table) -> Self {
-        DeltaRows::Table(table)
-    }
 }
 
 /// What a join step reads: rows of `table`, each with a condition.
@@ -225,9 +219,8 @@ impl<'a> Pass<'a> {
         rule: &'a Rule,
         plan: &'a RulePlan,
         tables: &'a HashMap<String, Arc<Table>>,
-        delta: Option<impl Into<DeltaRows<'a>>>,
+        delta: Option<DeltaRows<'a>>,
     ) -> Self {
-        let delta = delta.map(Into::into);
         debug_assert_eq!(plan.delta_pos.is_some(), delta.is_some());
         // A delta is scanned, never looked up by key: its step asks for
         // no index, and a delta table of its own has none.
@@ -684,14 +677,13 @@ mod tests {
         };
         let rule = &program.rules[ri];
         let plan = compile_rule(rule, None);
-        let mut rows: Vec<(Vec<Term>, CondId)> =
-            Pass::new(&ctx, rule, &plan, tables, None::<&Table>)
-                .run(ri, 1, &mut OpStats::default())
-                .unwrap()
-                .into_iter()
-                .flatten()
-                .map(|row| (row.terms(), row.cond_id()))
-                .collect();
+        let mut rows: Vec<(Vec<Term>, CondId)> = Pass::new(&ctx, rule, &plan, tables, None)
+            .run(ri, 1, &mut OpStats::default())
+            .unwrap()
+            .into_iter()
+            .flatten()
+            .map(|row| (row.terms(), row.cond_id()))
+            .collect();
         rows.sort();
         rows
     }
@@ -908,7 +900,7 @@ mod tests {
                     head_bound: &[],
                     leaves: &LeafMemo::default(),
                 };
-                let delta = delta_pos.map(|_| &delta_table);
+                let delta = delta_pos.map(|_| DeltaRows::Table(&delta_table));
                 join_depth_zero(&Pass::new(&ctx, rule, &plan, &tables, delta), workers)
             };
 

@@ -57,8 +57,7 @@
 //! negated predicates are complete before this stratum runs, and the
 //! accumulated tables workers read are only mutated at pass barriers.
 
-use super::fixpoint::{self, Driver, Next, Partitions};
-use super::maintain::Changes;
+use super::fixpoint::{self, Driver, Next, Partitions, Tracker};
 use super::rule::{DeltaRows, Pass};
 use super::{Ctx, EvalError};
 use crate::ast::Rule;
@@ -126,7 +125,7 @@ pub(super) fn pass(
     pos: usize,
     delta: &Partitions,
     next: &mut Next,
-    mut tracker: Option<&mut Changes>,
+    tracker: &mut Tracker<'_>,
 ) -> Result<(), EvalError> {
     let n = delta.len();
     let delta_pred = rule.body[pos].atom().pred.as_str();
@@ -235,7 +234,6 @@ pub(super) fn pass(
     for batch in batches {
         rows_out += batch.rows.len();
         let producer = Some(batch.producer);
-        let tracker = tracker.as_deref_mut();
         fixpoint::merge(d, head, producer, vec![batch.rows], next, tracker)?;
     }
     let routed = d.stats.shard.routed_rows - routed_before;

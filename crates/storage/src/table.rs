@@ -669,8 +669,9 @@ pub struct Mark {
 
 impl Changed {
     /// Records that `prow` changed row `row` of the table `mark` marks
-    /// (what [`Table::absorb_partitions`] reports).
-    pub fn record(&mut self, mark: &mut Mark, row: usize, prow: &PreparedRow) {
+    /// (what [`Table::absorb_partitions`] reports). Returns whether the
+    /// row is new to this record.
+    pub fn record(&mut self, mark: &mut Mark, row: usize, prow: &PreparedRow) -> bool {
         if row >= mark.slots.len() {
             mark.slots.resize(row + 1, 0);
         }
@@ -678,15 +679,23 @@ impl Changed {
         match self.rows.get_mut(at) {
             Some((marked, cond)) if *marked as usize == row => {
                 merge_cond(cond, &mut self.side, at as u32, prow.cond);
+                false
             }
             _ => {
                 let at = u32::try_from(self.rows.len()).expect("delta row count overflow");
                 let cond = store_new(&mut self.side, at, prow.cond);
-                self.rows
-                    .push((u32::try_from(row).expect("row index overflow"), cond));
+                self.push(row, cond);
                 mark.slots[row] = at;
+                true
             }
         }
+    }
+
+    /// Records row `row` under `cond` as it is, with no mark: for a
+    /// caller that records each row once.
+    pub fn push(&mut self, row: usize, cond: CondId) {
+        self.rows
+            .push((u32::try_from(row).expect("row index overflow"), cond));
     }
 
     /// The changed rows and the condition the delta carries for each.
@@ -783,6 +792,16 @@ struct RowCond {
 #[derive(Debug)]
 pub struct Overlay {
     undo: Vec<(usize, Option<RowCond>)>,
+    placed: Vec<(u32, CondId)>,
+}
+
+impl Overlay {
+    /// Where each overlaid row is in the table, in the order given, with
+    /// the condition it was overlaid under (a row whose condition is
+    /// `False` is not there).
+    pub fn rows(&self) -> &[(u32, CondId)] {
+        &self.placed
+    }
 }
 
 /// What a [`Table::delete_where`] pass did to the table, in terms of
@@ -1077,7 +1096,7 @@ impl Table {
     }
 
     /// Row `idx`'s cells, decoded.
-    fn terms(&self, idx: usize) -> Vec<Term> {
+    pub fn terms(&self, idx: usize) -> Vec<Term> {
         self.cols.iter().map(|c| c[idx].decode()).collect()
     }
 
@@ -1141,6 +1160,13 @@ impl Table {
     /// The row's cells are hashed once: a new row is posted on the
     /// dedup chain under the hash its lookup missed with.
     pub fn insert_prepared(&mut self, row: &PreparedRow) -> Result<Option<usize>, ArityError> {
+        Ok(self.write(row)?.map(|(idx, _)| idx))
+    }
+
+    /// [`insert_prepared`](Table::insert_prepared), also reporting the
+    /// changed row's condition from before the write (`None`: the row
+    /// is new).
+    fn write(&mut self, row: &PreparedRow) -> Result<Option<(usize, Option<CondId>)>, ArityError> {
         if row.cells.len() != self.schema.arity() {
             return Err(ArityError {
                 table: self.schema.name.clone(),
@@ -1155,8 +1181,9 @@ impl Table {
         let key = self.dedup.hash(self.cols.len(), cell);
         if let Some(idx) = self.dedup.find_hashed(key, &self.cols, cell) {
             let cond = &mut self.conds[idx as usize];
+            let old = *cond;
             let changed = merge_cond(cond, &mut self.side, idx, row.cond);
-            return Ok(changed.then_some(idx as usize));
+            return Ok(changed.then_some((idx as usize, Some(old))));
         }
         // `END` marks the end of a posting chain.
         let idx = u32::try_from(self.conds.len())
@@ -1171,7 +1198,7 @@ impl Table {
             index.post(&self.cols, idx);
         }
         self.conds.push(store_new(&mut self.side, idx, row.cond));
-        Ok(Some(idx as usize))
+        Ok(Some((idx as usize, None)))
     }
 
     /// Partitioned build: merges per-worker result partitions in
@@ -1183,17 +1210,19 @@ impl Table {
     /// insert sequence — and therefore every merged condition —
     /// bit-identical to a serial run. `on_changed` fires with the index
     /// of each row that changed the table (new terms or a new condition
-    /// disjunct) and the row that changed it, in that same deterministic
-    /// order; the engine uses it to record semi-naive deltas.
+    /// disjunct), the row that changed it and the changed row's
+    /// condition from before the write (`None`: the row is new), in that
+    /// same deterministic order; the engine uses it to record semi-naive
+    /// deltas and an update's change log.
     pub fn absorb_partitions(
         &mut self,
         partitions: Vec<Vec<PreparedRow>>,
-        mut on_changed: impl FnMut((usize, &PreparedRow)),
+        mut on_changed: impl FnMut((usize, &PreparedRow, Option<CondId>)),
     ) -> Result<(), ArityError> {
         for part in partitions {
             for prow in &part {
-                if let Some(idx) = self.insert_prepared(prow)? {
-                    on_changed((idx, prow));
+                if let Some((idx, old)) = self.write(prow)? {
+                    on_changed((idx, prow, old));
                 }
             }
         }
@@ -1414,20 +1443,30 @@ impl Table {
         reg: &CVarRegistry,
         session: &mut Session,
     ) -> Result<usize, SolverError> {
-        self.prune_in_place(reg, session, 0..self.len())
+        let dead = self.prune_rows(reg, session, 0..self.len())?;
+        if !dead.is_empty() {
+            self.compact(&dead);
+        }
+        Ok(dead.len())
     }
 
-    /// Decides and applies the fate of the rows at `indices`, then
-    /// compacts the dead ones away. Returns how many went.
-    fn prune_in_place(
+    /// Row-targeted [`prune`](Table::prune): solver-prunes only the
+    /// rows at `indices` (distinct), storing each survivor's condition
+    /// as a fresh insert of its simplified condition would, and returns
+    /// the dead rows — unsatisfiable, or simplified to an empty DNF — in
+    /// `indices` order. They stay in place, conditions untouched, for
+    /// the caller to [`remove_rows`](Table::remove_rows). Each row's
+    /// fate is the same function of its condition as in a full prune, so
+    /// pruning a subset leaves the rest bit-identical to never having
+    /// pruned.
+    pub fn prune_rows(
         &mut self,
         reg: &CVarRegistry,
         session: &mut Session,
         indices: impl IntoIterator<Item = usize>,
-    ) -> Result<usize, SolverError> {
+    ) -> Result<Vec<usize>, SolverError> {
         let mut decided: HashMap<CondId, Fate> = HashMap::new();
-        let mut kill: Vec<bool> = Vec::new();
-        let mut removed = 0usize;
+        let mut dead = Vec::new();
         for idx in indices {
             let id = self.conds[idx];
             let fate = match self.side.get(&(idx as u32)) {
@@ -1448,20 +1487,10 @@ impl Table {
             };
             match fate {
                 Fate::Store { cond, opaque } => self.store(idx, cond, opaque),
-                Fate::Drop => {
-                    if kill.is_empty() {
-                        kill = vec![false; self.len()];
-                    }
-                    if !std::mem::replace(&mut kill[idx], true) {
-                        removed += 1;
-                    }
-                }
+                Fate::Drop => dead.push(idx),
             }
         }
-        if !kill.is_empty() {
-            self.compact(&kill);
-        }
-        Ok(removed)
+        Ok(dead)
     }
 
     /// The simplified condition of a row whose condition is `cond`:
@@ -1570,26 +1599,34 @@ impl Table {
     }
 
     /// Removes the rows at `indices` (duplicates and any order are
-    /// fine), returning the removed rows materialised in index order.
+    /// fine), returning where each surviving row that moved went, keyed
+    /// by its old index. A caller that needs the removed rows reads them
+    /// ([`row`](Table::row)) first.
     ///
     /// Each removal moves the table's last row into the freed slot and
     /// patches the dedup index, the two rows' posting chains and
     /// c-variable lists and the side list — work proportional to the
-    /// rows removed,
-    /// not to the table. Surviving rows keep their exact condition
-    /// representation; their *order* is not kept (it is not part of the
-    /// contract: the row set and the stored conditions are).
-    pub fn remove_rows(&mut self, indices: &[usize]) -> Vec<CTuple> {
+    /// rows removed, not to the table. Surviving rows keep their exact
+    /// condition representation; their *order* is not kept (it is not
+    /// part of the contract: the row set and the stored conditions are).
+    pub fn remove_rows(&mut self, indices: &[usize]) -> HashMap<usize, usize> {
         let mut sorted = indices.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let removed = sorted.iter().map(|&i| self.row(i)).collect();
+        // Where a moved row is now → where it was.
+        let mut moved: HashMap<usize, usize> = HashMap::new();
         // Highest first: the row moved into a freed slot then always
-        // comes from above every index still to go.
+        // comes from above every index still to go (and moves again
+        // only once every row above it went).
         for &idx in sorted.iter().rev() {
+            let last = self.len() - 1;
             self.swap_remove(idx);
+            if last != idx {
+                let from = moved.remove(&last).unwrap_or(last);
+                moved.insert(idx, from);
+            }
         }
-        removed
+        moved.into_iter().map(|(to, from)| (from, to)).collect()
     }
 
     /// Removes row `idx` by moving the last row into its place.
@@ -1623,7 +1660,7 @@ impl Table {
         &mut self,
         rows: impl IntoIterator<Item = &'a CTuple>,
     ) -> Result<Overlay, ArityError> {
-        let mut undo = Vec::new();
+        let (mut undo, mut placed) = (Vec::new(), Vec::new());
         for row in rows {
             let prow = PreparedRow::from_tuple(row);
             let found = self.find_row_cells(&prow.cells);
@@ -1638,8 +1675,11 @@ impl Table {
             if let Some(idx) = changed.or(found.filter(|_| rewritable)) {
                 undo.push((idx, before));
             }
+            if let Some(idx) = changed.or(found) {
+                placed.push((idx as u32, prow.cond_id()));
+            }
         }
-        Ok(Overlay { undo })
+        Ok(Overlay { undo, placed })
     }
 
     /// Undoes an [`overlay`](Table::overlay): a row it added is removed,
@@ -1666,9 +1706,9 @@ impl Table {
         }
     }
 
-    /// Compacts away every row `r` with `kill[r]` set and rebuilds the
-    /// indexes over the survivors.
-    fn compact(&mut self, kill: &[bool]) {
+    /// Compacts away the rows at `dead` (distinct) and rebuilds the
+    /// indexes over the survivors, which keep their order.
+    fn compact(&mut self, dead: &[usize]) {
         fn keep<T>(v: &mut Vec<T>, kill: &[bool]) {
             let mut w = 0usize;
             for (r, &dead) in kill.iter().enumerate() {
@@ -1679,10 +1719,12 @@ impl Table {
             }
             v.truncate(w);
         }
+        let mut kill = vec![false; self.len()];
+        dead.iter().for_each(|&r| kill[r] = true);
         for col in &mut self.cols {
-            keep(col, kill);
+            keep(col, &kill);
         }
-        keep(&mut self.conds, kill);
+        keep(&mut self.conds, &kill);
         if !self.side.is_empty() {
             // Side entries follow their rows to the new indices.
             let mut old = std::mem::take(&mut self.side);
@@ -1731,22 +1773,6 @@ impl Table {
         } else if !self.side.is_empty() {
             self.side.remove(&(idx as u32));
         }
-    }
-
-    /// Row-targeted [`prune`](Table::prune): solver-prunes only the
-    /// rows at `indices` (distinct), adjusting surviving conditions in
-    /// place and removing rows whose condition is unsatisfiable or
-    /// simplifies to an empty DNF. Returns the number of rows removed.
-    /// Each row's fate is the same function of its condition as in a
-    /// full prune, so pruning a subset leaves the rest bit-identical to
-    /// never having pruned.
-    pub fn prune_rows(
-        &mut self,
-        reg: &CVarRegistry,
-        session: &mut Session,
-        indices: &[usize],
-    ) -> Result<usize, SolverError> {
-        self.prune_in_place(reg, session, indices.iter().copied())
     }
 
     /// Applies one §5-style deletion pattern: `cols[i] = Some(c)`
@@ -1807,10 +1833,10 @@ impl Table {
                 weakened.push(old);
             }
         }
-        // `drop_idx` rows still hold their old condition (a failed
-        // `adjust_condition` does not write), so `remove_rows`
-        // materialises the old versions.
-        let removed = self.remove_rows(&drop_idx);
+        // `drop_idx` rows, in index order, still hold their old
+        // condition (a failed `adjust_condition` does not write).
+        let removed = drop_idx.iter().map(|&i| self.row(i)).collect();
+        self.remove_rows(&drop_idx);
         DeletionEffect { removed, weakened }
     }
 }
@@ -2344,8 +2370,10 @@ mod tests {
         ];
         let mut part = Table::new(Schema::new("T", &["a"]));
         let mut part_changed = Vec::new();
-        part.absorb_partitions(parts, |(_, prow)| part_changed.push(prow.terms().to_vec()))
-            .unwrap();
+        part.absorb_partitions(parts, |(_, prow, _)| {
+            part_changed.push(prow.terms().to_vec())
+        })
+        .unwrap();
         assert_eq!(part.len(), serial.len());
         for (a, b) in part.iter().zip(serial.iter()) {
             assert_eq!(a, b); // bit-identical rows, conditions included
@@ -2361,6 +2389,30 @@ mod tests {
             Term::int(2),
         ]))]];
         assert!(t.absorb_partitions(bad, |_| {}).is_err());
+    }
+
+    /// The merge reports each changed row's condition from before the
+    /// write: `None` for a new row, and a row re-derived under what it
+    /// already holds is no change at all.
+    #[test]
+    fn absorb_partitions_reports_the_condition_before_the_write() {
+        let (_, x, y) = db_with_xy();
+        let eq = |v, c| Condition::eq(Term::Var(v), Term::int(c));
+        let mut t = Table::new(Schema::new("T", &["a"]));
+        t.insert(CTuple::with_cond([Term::int(1)], eq(x, 1)))
+            .unwrap();
+        let before = t.cond_id(0);
+        let rows = [
+            CTuple::with_cond([Term::int(1)], eq(x, 1)),
+            CTuple::with_cond([Term::int(1)], eq(y, 1)),
+            CTuple::new([Term::int(2)]),
+        ];
+        let mut seen = Vec::new();
+        let prepared = rows.iter().map(PreparedRow::from_tuple).collect();
+        t.absorb_partitions(vec![prepared], |(row, _, old)| seen.push((row, old)))
+            .unwrap();
+        assert_eq!(seen, [(0, Some(before)), (1, None)]);
+        assert_ne!(t.cond_id(0), before);
     }
 
     /// The condition a fresh insert would store for `cond` (inserts
@@ -2385,15 +2437,16 @@ mod tests {
             Condition::ne(Term::Var(x), Term::int(0)),
         ))
         .unwrap();
-        let removed = t.remove_rows(&[1, 4, 1]); // dups are fine
-        assert_eq!(removed.len(), 2);
-        assert_eq!(removed[0].terms, vec![Term::int(1), Term::int(1)]);
-        assert_eq!(removed[1].terms, vec![Term::int(0), Term::int(4)]);
+        // Duplicates are fine. Row 4 goes first, the x̄ row taking its
+        // slot; then row 1, row 5 taking its.
+        let moved = t.remove_rows(&[1, 4, 1]);
+        assert_eq!(moved, HashMap::from([(5, 1), (6, 4)]));
         assert_eq!(t.len(), 5);
         // Surviving rows keep their exact conditions and the indexes
         // answer probes correctly once the last rows have moved into
         // the freed slots.
         assert!(t.find_row(&[Term::int(1), Term::int(1)]).is_none());
+        assert!(t.find_row(&[Term::int(0), Term::int(4)]).is_none());
         let idx = t.find_row(&[Term::Var(x), Term::int(99)]).unwrap();
         assert_eq!(
             t.row(idx).cond,
@@ -2431,6 +2484,18 @@ mod tests {
         ];
         let overlay = t.overlay(&overlaid).unwrap();
         assert_eq!(t.len(), 4);
+        // Each row is listed where it went, under its own condition.
+        let placed: Vec<(u32, Condition)> = overlay
+            .rows()
+            .iter()
+            .map(|&(row, cond)| (row, pool::resolve(cond)))
+            .collect();
+        let own: Vec<(u32, Condition)> = [0, 1, 3, 3]
+            .into_iter()
+            .zip(&overlaid)
+            .map(|(row, t)| (row, normalized(&t.cond)))
+            .collect();
+        assert_eq!(placed, own);
         assert_ne!(t.cond_id(1), before[1].1);
         assert!(t.find_row(&[Term::int(3)]).is_some());
         t.remove_overlay(overlay);
@@ -2487,16 +2552,16 @@ mod tests {
         ))
         .unwrap();
         let mut session = Session::new();
-        let removed = t.prune_rows(&reg, &mut session, &[0, 1]).unwrap();
-        assert_eq!(removed, 1);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.row(0).terms, vec![Term::int(2)]);
-        assert_eq!(t.row(0).cond, Condition::True); // valid → simplified
+        let before = t.cond_id(0);
+        // The dead row is reported and left in place, untouched.
+        assert_eq!(t.prune_rows(&reg, &mut session, [0, 1]).unwrap(), [0]);
+        assert_eq!((t.len(), t.cond_id(0)), (3, before));
+        assert_eq!(t.row(1).cond, Condition::True); // valid → simplified
                                                     // Untouched row 3 keeps its condition verbatim.
-        assert_eq!(
-            t.row(1).cond,
-            normalized(&Condition::eq(Term::Var(y), Term::int(1)))
-        );
+        let kept = normalized(&Condition::eq(Term::Var(y), Term::int(1)));
+        assert_eq!(t.row(2).cond, kept);
+        assert_eq!(t.remove_rows(&[0]), HashMap::from([(2, 0)]));
+        assert_eq!(t.row(0).cond, kept);
     }
 
     #[test]
@@ -3098,7 +3163,7 @@ mod tests {
                     let mut delta = Table::new(Schema::new("T", &["a"]));
                     let prepared = round.iter().map(PreparedRow::from_tuple).collect();
                     standing
-                        .absorb_partitions(vec![prepared], |(row, prow)| {
+                        .absorb_partitions(vec![prepared], |(row, prow, _)| {
                             changed.record(&mut mark, row, prow);
                             delta.insert_prepared(prow).unwrap();
                         })
@@ -3160,7 +3225,13 @@ mod tests {
                             sorted.sort_unstable();
                             sorted.dedup();
                             let expected: Vec<CTuple> = sorted.iter().map(|&i| t.row(i)).collect();
-                            prop_assert_eq!(t.remove_rows(&idxs), expected.clone());
+                            let rows: Vec<CTuple> = t.iter().collect();
+                            // A survivor is where it was unless it moved.
+                            let moved: HashMap<usize, usize> =
+                                t.remove_rows(&idxs).into_iter().map(|(from, to)| (to, from)).collect();
+                            for (i, row) in t.iter().enumerate() {
+                                prop_assert_eq!(&row, &rows[moved.get(&i).copied().unwrap_or(i)]);
+                            }
                             let mut left = before;
                             for row in &expected {
                                 prop_assert!(left.remove(&row.terms).is_some());
